@@ -32,6 +32,7 @@ from .extension import (
     counterterm_value,
     evaluate_extension,
     extension_report,
+    extension_result,
     factorization_identity_check,
     nonuniqueness_scan,
     omega_independence_check,

@@ -35,12 +35,13 @@ from .extension import (
     ExtensionError,
     evaluate_extension,
     extension_report,
-    omega_independence_check,
+    extension_result,
 )
 from .pairing import (
     DEFAULT_TOLERANCES,
     InconclusivePairingError,
     NotExtendableError,
+    PairingResult,
     ProductExpression,
     QuadratureError,
     Schedule,
@@ -49,7 +50,7 @@ from .pairing import (
     limit_pairing,
     subtraction_order,
 )
-from .testfn import TestFunction, build_plateau_cutoff
+from .testfn import PlateauCutoff, TestFunction, build_plateau_cutoff
 
 
 class ParseError(ValueError):
@@ -266,23 +267,47 @@ def _cgrid_rows(job: Job, p: int) -> list[list[complex]]:
 
 
 def _extension_blocks(job: Job, expr: ProductExpression, phi: TestFunction,
-                      order: SubtractionOrder, tol: Tolerances) -> tuple[list, dict]:
-    omega = build_plateau_cutoff(job.plateau, job.support)
+                      pairing: PairingResult, order: SubtractionOrder,
+                      omegas: tuple[PlateauCutoff, PlateauCutoff],
+                      tol: Tolerances) -> tuple[list, dict]:
+    """The c = 0 block, one block per c_grid row, and the cutoff check.
+
+    (Tbar, phibar) does not depend on c, so every row is the c = 0 pairing
+    plus its counterterm sum, and the cutoff check pairs only at omega2.
+    Without subtraction the continuation pairs phi itself: `pairing`.
+    """
+    omega, omega2 = omegas
     base = Extension.minimal(expr, order.p, omega, subtract=order.needed)
-    blocks = []
-    for c in [[0j] * (order.p + 1)] + _cgrid_rows(job, order.p):
+    rows = _cgrid_rows(job, order.p)
+    c0 = (evaluate_extension(base, phi, job.schedule, tol) if order.needed
+          else extension_result(base, phi, pairing))
+    blocks = [extension_report(base, c0)]
+    for c in rows:
         ext = base.with_counterterms(c)
-        blocks.append(extension_report(ext, evaluate_extension(ext, phi,
-                                                               job.schedule, tol)))
-    omega2 = build_plateau_cutoff(job.plateau / 2.0, job.support / 2.0)
+        blocks.append(extension_report(ext, extension_result(ext, phi, c0.pairing)))
+    difference = 0.0
+    if order.needed:
+        shifted = evaluate_extension(Extension.minimal(expr, order.p, omega2), phi,
+                                     job.schedule, tol)
+        difference = abs(c0.value - shifted.value)
     independence = {
         "geometries": [[omega.plateau, omega.support],
                        [omega2.plateau, omega2.support]],
-        "difference": omega_independence_check(expr, order.p, phi, omega, omega2,
-                                               job.schedule, tol)
-                      if order.needed else 0.0,
+        "difference": difference,
     }
     return blocks, independence
+
+
+def _subtraction_search(expr: ProductExpression, job: Job, tol: Tolerances):
+    """subtraction_order's outcome: the order, or the error it raised.
+
+    The search pairs only reference functions and probes, never a job's phi,
+    so one outcome serves every phi of the job.
+    """
+    try:
+        return subtraction_order(expr, 6, job.schedule, tol)
+    except (InconclusivePairingError, NotExtendableError, QuadratureError) as exc:
+        return exc
 
 
 def run_job(job: Job, tol: Tolerances | None = None) -> dict:
@@ -290,6 +315,9 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     if tol is None:
         tol = _tolerances_from_env()
     expr = parse_expression(job.expression)
+    omegas = (build_plateau_cutoff(job.plateau, job.support),
+              build_plateau_cutoff(job.plateau / 2.0, job.support / 2.0))
+    search = None
     results = []
     for desc in job.phis:
         phi = _phi_from_descriptor(desc)
@@ -305,9 +333,14 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
                     order = SubtractionOrder(job.p_override,
                                              needed=pairing.status == "diverged")
                 else:
-                    order = subtraction_order(expr, 6, job.schedule, tol)
+                    if search is None:
+                        search = _subtraction_search(expr, job, tol)
+                    if isinstance(search, Exception):
+                        raise search
+                    order = search
                 entry["subtraction"] = {"p": order.p, "needed": order.needed}
-                blocks, independence = _extension_blocks(job, expr, phi, order, tol)
+                blocks, independence = _extension_blocks(job, expr, phi, pairing,
+                                                         order, omegas, tol)
                 entry["extensions"] = blocks
                 entry["omega_independence"] = independence
             except (InconclusivePairingError, NotExtendableError,
@@ -335,9 +368,13 @@ def _tolerances_from_env() -> Tolerances:
     if raw is None:
         return DEFAULT_TOLERANCES
     try:
-        return Tolerances.from_convergence(float(raw))
+        convergence = float(raw)
     except ValueError as exc:
         raise ConfigError(f"DISTPROD_TOL={raw!r} is not a number") from exc
+    try:
+        return Tolerances.from_convergence(convergence)
+    except ValueError as exc:
+        raise ConfigError(f"DISTPROD_TOL={raw!r}: {exc}") from exc
 
 
 def _write_atomic(path: str, text: str):

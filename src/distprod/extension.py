@@ -176,12 +176,14 @@ def counterterm_value(c, phi) -> complex:
     return total
 
 
-def evaluate_extension(ext: Extension, phi: TestFunction,
-                       schedule: Schedule = DEFAULT_SCHEDULE,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> ExtensionResult:
-    """Evaluate (Tbar, phibar) + counterterms; the pairing must converge."""
-    phibar = SubtractedFunction(phi, ext.omega, ext.p) if ext.subtract else phi
-    pairing = limit_pairing(ext.expr, phibar, schedule, tol)
+def extension_result(ext: Extension, phi: TestFunction,
+                     pairing: PairingResult) -> ExtensionResult:
+    """(Tbar, phibar) + counterterms, given the pairing (Tbar, phibar).
+
+    `pairing` is ext.expr paired with the subtracted function (with phi
+    itself when ext.subtract is False) and must have converged.  It does not
+    depend on ext.c, so one pairing serves every counterterm vector.
+    """
     if pairing.status != "converged":
         raise ExtensionError(
             f"subtracted pairing for {ext.expr.label!r} classified as "
@@ -191,6 +193,14 @@ def evaluate_extension(ext: Extension, phi: TestFunction,
         )
     ct = counterterm_value(ext.c, phi)
     return ExtensionResult(pairing.value + ct, pairing.value, ct, pairing)
+
+
+def evaluate_extension(ext: Extension, phi: TestFunction,
+                       schedule: Schedule = DEFAULT_SCHEDULE,
+                       tol: Tolerances = DEFAULT_TOLERANCES) -> ExtensionResult:
+    """Evaluate (Tbar, phibar) + counterterms; the pairing must converge."""
+    phibar = SubtractedFunction(phi, ext.omega, ext.p) if ext.subtract else phi
+    return extension_result(ext, phi, limit_pairing(ext.expr, phibar, schedule, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +294,8 @@ def nonuniqueness_scan(ext: Extension, c_grid, phis,
     against the predicted counterterm sum.  The ambiguity of the continuation
     is exactly the span of delta derivatives through order p.
     """
-    base = [evaluate_extension(ext.with_counterterms((0j,) * (ext.p + 1)), phi,
-                               schedule, tol)
-            for phi in phis]
+    ext0 = ext.with_counterterms((0j,) * (ext.p + 1))
+    base = [evaluate_extension(ext0, phi, schedule, tol) for phi in phis]
     rows = []
     for c in c_grid:
         c = tuple(complex(v) for v in c)
@@ -294,7 +303,8 @@ def nonuniqueness_scan(ext: Extension, c_grid, phis,
             raise ValueError(f"grid entry {c} has wrong length for p={ext.p}")
         for i, phi in enumerate(phis):
             predicted = counterterm_value(c, phi)
-            value = base[i].tbar_phibar + predicted
+            value = extension_result(ext.with_counterterms(c), phi,
+                                     base[i].pairing).value
             offset = value - base[i].value
             disc = abs(offset - predicted)
             rows.append(ScanRow(

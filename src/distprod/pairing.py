@@ -132,6 +132,15 @@ class Tolerances:
     s_min: float = 0.1               # minimal divergence rate worth the name
     snap_window: float = 0.1         # |s - nearest integer| for coefficient snap
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"tolerance {name} must be finite, got {value}")
+        for name in ("quad_abs", "convergence", "schedule_factor"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"tolerance {name} must be > 0, got {value}")
+
     @classmethod
     def from_convergence(cls, convergence: float) -> "Tolerances":
         """Scale the quadrature target along with the convergence tolerance."""

@@ -5,6 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distprod import cli, extension, pairing
 from distprod.cli import (
     ConfigError,
     Job,
@@ -16,7 +17,7 @@ from distprod.cli import (
     parse_expression,
     run_job,
 )
-from distprod.pairing import Schedule
+from distprod.pairing import NotExtendableError, Schedule
 
 
 class TestParser:
@@ -273,9 +274,17 @@ class TestMain:
         assert doc["tolerances"]["convergence"] == 1e-5
         assert doc["tolerances"]["quad_abs"] == pytest.approx(1e-8)
 
-    def test_bad_env_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISTPROD_TOL", "fast")
+    @pytest.mark.parametrize("raw", ["fast", "inf", "nan", "-1", "0"])
+    def test_bad_env_tolerance(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("DISTPROD_TOL", raw)
         assert main(["--expr", "1"]) == 2
+        assert f"DISTPROD_TOL={raw!r}" in capsys.readouterr().err
+
+    def test_bad_cutoff_exit_two_on_convergent_product(self, capsys):
+        code = main(["--expr", "delta * pv(1/x)", "--plateau", "5", "--support", "1",
+                     "--steps", "8"])
+        assert code == 2
+        assert "plateau" in capsys.readouterr().err
 
     def test_c_flag_builds_one_grid_row(self, capsys):
         code = main(["--expr", "delta * delta", "--c", "0.5", "--steps", "10"])
@@ -287,6 +296,8 @@ class TestMain:
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "delta_pv_report.json")
+GOLDEN_DELTA_DELTA = os.path.join(os.path.dirname(__file__), "golden",
+                                  "delta_delta_report.json")
 
 
 def _compare_structurally(got, want, path=""):
@@ -313,3 +324,79 @@ def test_golden_report():
     with open(GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)
     _compare_structurally(got, want)
+
+
+def test_golden_extension_report():
+    """Frozen report with extension blocks, counterterm rows and a cutoff check."""
+    job = Job(expression="delta * delta",
+              phis=[{"poly": [1.0], "sigma": 0.7071067811865476, "mu": 0.0},
+                    {"poly": [1.0, 1.0, 0.25], "sigma": 1.0}],
+              c_grid=[[1.0 + 0j], [0.5 - 2.0j]])
+    got = run_job(job)
+    with open(GOLDEN_DELTA_DELTA, encoding="utf-8") as fh:
+        want = json.load(fh)
+    _compare_structurally(got, want)
+
+
+class TestWorkCount:
+    """Each distinct pairing of a job runs once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"limit_pairing": 0, "subtraction_order": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        lp = counting("limit_pairing", pairing.limit_pairing)
+        for module in (cli, extension, pairing):
+            monkeypatch.setattr(module, "limit_pairing", lp)
+        monkeypatch.setattr(cli, "subtraction_order",
+                            counting("subtraction_order", cli.subtraction_order))
+        return counts
+
+    def test_counterterm_rows_add_no_pairings(self, calls):
+        run_job(Job(expression="delta * delta"))
+        without_rows = calls["limit_pairing"]
+        calls["limit_pairing"] = 0
+        run_job(Job(expression="delta * delta",
+                    c_grid=[[complex(k, -k)] for k in range(16)]))
+        # phi, the search (base, boosted, three probes), c = 0 and omega2
+        assert without_rows == 8
+        assert calls["limit_pairing"] == without_rows
+
+    def test_one_subtraction_search_per_job(self, calls):
+        phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)]
+        report = run_job(Job(expression="delta * delta", phis=phis))
+        assert calls["subtraction_order"] == 1
+        assert calls["limit_pairing"] == 5 + 3 * len(phis)
+        assert all(r["subtraction"] == {"p": 0, "needed": True}
+                   for r in report["results"])
+
+    def test_search_error_shared_by_every_phi(self, calls, monkeypatch):
+        def refuse(expr, *args):
+            calls["subtraction_order"] += 1
+            raise NotExtendableError(f"no subtraction order tames {expr.label!r}")
+
+        monkeypatch.setattr(cli, "subtraction_order", refuse)
+        phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.8)]
+        report = run_job(Job(expression="delta * delta", phis=phis))
+        assert calls["subtraction_order"] == 1
+        assert [r["subtraction"] for r in report["results"]] == [
+            {"error": "no subtraction order tames 'delta * delta'"}] * 2
+
+    def test_p_override_without_divergence_reuses_the_pairing(self, calls):
+        report = run_job(Job(expression="delta", p_override=0))
+        assert calls["limit_pairing"] == 1
+        assert report["results"][0]["extensions"][0]["value"][0] == pytest.approx(1.0)
+
+    def test_p_override_on_inconclusive_pairing_still_fails(self, calls):
+        report = run_job(Job(expression="delta * d(delta)", p_override=1))
+        res = report["results"][0]
+        assert res["pairing"]["status"] == "inconclusive"
+        assert "classified as inconclusive" in res["subtraction"]["error"]
+        assert res["extensions"] is None
+        assert calls["limit_pairing"] == 1

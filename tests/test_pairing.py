@@ -305,3 +305,12 @@ def test_tolerances_env_scaling():
     t = Tolerances.from_convergence(1e-5)
     assert t.convergence == 1e-5
     assert t.quad_abs == pytest.approx(1e-8)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("quad_abs", 0.0), ("convergence", -1e-7), ("schedule_factor", 0.0),
+    ("convergence", math.inf), ("r2_min", math.nan), ("s_min", -math.inf),
+])
+def test_tolerances_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
