@@ -19,7 +19,7 @@ import numpy as np
 from distprod.cli import parse_expression
 from distprod.extension import Extension, evaluate_extension, nonuniqueness_scan
 from distprod.pairing import subtraction_order
-from distprod.testfn import REFERENCE_TEST_FUNCTIONS, build_plateau_cutoff
+from distprod.testfn import PlateauCutoff, REFERENCE_TEST_FUNCTIONS
 
 PHI_KEYS = ("gauss", "tilted", "offset")
 GEOMETRIES = ((1.0, 2.0), (0.5, 1.0), (2.0, 3.0))
@@ -66,7 +66,7 @@ def main():
     values = []
     for plateau, support in GEOMETRIES:
         ext_g = Extension.minimal(expr, order.p,
-                                  build_plateau_cutoff(plateau, support),
+                                  PlateauCutoff(plateau, support),
                                   subtract=order.needed)
         v = evaluate_extension(ext_g, phi).value
         values.append(v)

@@ -12,16 +12,13 @@ from .boundary import (
     CatalogError,
     GrowthReport,
     HyperfunctionPair,
-    PoleLocationError,
     RegulatorError,
     catalog,
     combine,
-    derivative,
-    eval_Fy,
     required_order,
     verify_growth_bound,
 )
-from .cli import ParseError, format_expression, parse_expression
+from .cli import ParseError, parse_expression
 from .extension import (
     Extension,
     ExtensionError,
@@ -36,7 +33,6 @@ from .extension import (
     factorization_identity_check,
     nonuniqueness_scan,
     omega_independence_check,
-    taylor_subtract,
 )
 from .pairing import (
     InconclusivePairingError,
@@ -61,7 +57,6 @@ from .testfn import (
     REFERENCE_TEST_FUNCTIONS,
     SeminormReport,
     TestFunction,
-    build_plateau_cutoff,
     seminorm,
     vanish_probe,
 )

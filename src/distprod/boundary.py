@@ -1,19 +1,23 @@
 """Distributions as boundary values of functions holomorphic off the real axis.
 
-A distribution u is represented by a pair (f+, f-) of rational functions with
-only real poles; the regulated representative at height y > 0 is
+A distribution u is represented by a pair (f+, f-) of Laurent polynomials,
+rational functions whose only pole is at z = 0; the regulated representative
+at height y > 0 is
 
     F_y(x) = f+(x + iy) - f-(x - iy),
 
 and u is the limit of F_y as y -> 0+ in the sense of distributions.  The
 catalog below fixes one concrete pair per supported atom (delta, principal
-value of 1/x, one-sided powers (x +- i0)^-k, monomials).
+value of 1/x, one-sided powers (x +- i0)^-k, monomials); derivatives and
+linear combinations stay in the same class.
 
-A pair also carries declared growth exponents (alpha, beta): away from the
-real axis the representative is bounded by C * |Im z|^-alpha * (1 + |x|)^beta.
-``verify_growth_bound`` fits the exponents from samples and checks the bound;
-``required_order`` converts declared exponents into a sufficient distribution
-order for the product construction in one dimension.
+The growth exponents (alpha, beta) of a pair are read off its
+representatives: away from the real axis F_y is bounded by
+C * y^-alpha * (1 + |x|)^beta with alpha the highest pole order and beta the
+highest power of z (at least 0).  ``verify_growth_bound`` fits the exponents
+from samples and checks the bound; ``required_order`` converts exponents into
+a sufficient distribution order for the product construction in one
+dimension.
 """
 
 from __future__ import annotations
@@ -34,38 +38,23 @@ class RegulatorError(ValueError):
     """Evaluation requested at a height y that is not a positive real number."""
 
 
-class PoleLocationError(ValueError):
-    """A representative has a pole off the real axis."""
-
-
-_POLE_IMAG_TOL = 1e-9
-
-
-def _check_real_poles(f: RationalFunction, label: str):
-    for root in f.poles():
-        if abs(root.imag) > _POLE_IMAG_TOL * (1.0 + abs(root)):
-            raise PoleLocationError(
-                f"representative for {label!r} has non-real pole at {root}"
-            )
-
-
 @dataclass(frozen=True)
 class HyperfunctionPair:
-    """Pair of rational representatives with declared growth exponents."""
+    """Pair of Laurent representatives (f+, f-)."""
 
     f_plus: RationalFunction
     f_minus: RationalFunction
-    alpha: float
-    beta: float
     label: str = "pair"
 
-    def __post_init__(self):
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        _check_real_poles(self.f_plus, self.label)
-        _check_real_poles(self.f_minus, self.label)
+    @property
+    def alpha(self) -> int:
+        """Growth exponent in 1/y: the highest pole order."""
+        return max(self.f_plus.order, self.f_minus.order)
+
+    @property
+    def beta(self) -> int:
+        """Growth exponent in |x|: the highest power of z, at least 0."""
+        return max(0, self.f_plus.top_power, self.f_minus.top_power)
 
     def regulated(self, x, y: float):
         """F_y(x) = f+(x + iy) - f-(x - iy) for a single height y > 0."""
@@ -76,26 +65,13 @@ class HyperfunctionPair:
         return self.f_plus(x + 1j * y) - self.f_minus(x - 1j * y)
 
     def derivative(self) -> "HyperfunctionPair":
-        """Differentiate both representatives; growth worsens by one power of y."""
-        return HyperfunctionPair(
-            self.f_plus.deriv(),
-            self.f_minus.deriv(),
-            self.alpha + 1.0,
-            self.beta,
-            f"d({self.label})",
-        )
-
-
-def eval_Fy(pair: HyperfunctionPair, x, y: float):
-    return pair.regulated(x, y)
-
-
-def derivative(pair: HyperfunctionPair) -> HyperfunctionPair:
-    return pair.derivative()
+        """Differentiate both representatives."""
+        return HyperfunctionPair(self.f_plus.deriv(), self.f_minus.deriv(),
+                                 f"d({self.label})")
 
 
 def combine(pairs, weights) -> HyperfunctionPair:
-    """Linear combination of pairs (bounds taken as the worst case)."""
+    """Linear combination of pairs."""
     pairs = list(pairs)
     weights = [complex(w) for w in weights]
     if len(pairs) != len(weights) or not pairs:
@@ -105,13 +81,7 @@ def combine(pairs, weights) -> HyperfunctionPair:
     for p, w in zip(pairs[1:], weights[1:]):
         fp = fp + p.f_plus * w
         fm = fm + p.f_minus * w
-    return HyperfunctionPair(
-        fp,
-        fm,
-        max(p.alpha for p in pairs),
-        max(p.beta for p in pairs),
-        "lin(" + ",".join(p.label for p in pairs) + ")",
-    )
+    return HyperfunctionPair(fp, fm, "lin(" + ",".join(p.label for p in pairs) + ")")
 
 
 # ---------------------------------------------------------------------------
@@ -136,46 +106,23 @@ def catalog(name: str, param: int | None = None) -> HyperfunctionPair:
         _no_param(name, param)
         # delta = (i/2pi) * (1/(x+i0) - 1/(x-i0)); F_y is the Poisson kernel
         c = 1j / (2.0 * math.pi)
-        return HyperfunctionPair(
-            RationalFunction([c], [0.0, 1.0]),
-            RationalFunction([c], [0.0, 1.0]),
-            1.0,
-            0.0,
-            "delta",
-        )
+        return HyperfunctionPair(RationalFunction([c], 1), RationalFunction([c], 1), "delta")
     if name == "pv_inv_x":
         _no_param(name, param)
-        return HyperfunctionPair(
-            RationalFunction([0.5], [0.0, 1.0]),
-            RationalFunction([-0.5], [0.0, 1.0]),
-            1.0,
-            0.0,
-            "pv(1/x)",
-        )
+        return HyperfunctionPair(RationalFunction([0.5], 1), RationalFunction([-0.5], 1),
+                                 "pv(1/x)")
     if name == "plus_i0_pow":
         k = _positive_param(name, param)
-        return HyperfunctionPair(
-            RationalFunction([1.0], (0.0,) * k + (1.0,)),
-            _ZERO,
-            float(k),
-            0.0,
-            f"(x+i0)^-{k}",
-        )
+        return HyperfunctionPair(RationalFunction([1.0], k), _ZERO, f"(x+i0)^-{k}")
     if name == "minus_i0_pow":
         k = _positive_param(name, param)
-        return HyperfunctionPair(
-            _ZERO,
-            RationalFunction([-1.0], (0.0,) * k + (1.0,)),
-            float(k),
-            0.0,
-            f"(x-i0)^-{k}",
-        )
+        return HyperfunctionPair(_ZERO, RationalFunction([-1.0], k), f"(x-i0)^-{k}")
     if name == "monomial":
         if param is None or int(param) != param or param < 0:
             raise CatalogError(f"monomial requires an integer power >= 0, got {param!r}")
         r = int(param)
         half = RationalFunction((0.0,) * r + (0.5,))
-        return HyperfunctionPair(half, -half, 0.0, float(r), f"x^{r}" if r else "1")
+        return HyperfunctionPair(half, -half, f"x^{r}" if r else "1")
     if name == "one":
         _no_param(name, param)
         return catalog("monomial", 0)
@@ -262,8 +209,9 @@ def verify_growth_bound(
     vx = np.linspace(x0, x1, 163)
     vy = np.geomspace(y0, y1, 43)
     worst = 0.0
-    for y in vy:
-        worst = max(worst, float(np.max(g(vx, y) / (C * model(vx, y)))))
+    if C > 0.0:  # C = 0 only for the zero pair, which meets every bound
+        for y in vy:
+            worst = max(worst, float(np.max(g(vx, y) / (C * model(vx, y)))))
 
     return GrowthReport(
         C=C,
@@ -285,7 +233,7 @@ def _loglog_slope(xs: np.ndarray, vals: np.ndarray) -> float:
 
 
 def required_order(alpha: float, beta: float) -> int:
-    """Sufficient distribution order for declared exponents, one dimension.
+    """Sufficient distribution order for growth exponents, one dimension.
 
     The regulated pairings are controlled by seminorms up to order
     ceil(alpha + beta) + 4, which is the 1-D instance of the general

@@ -50,7 +50,7 @@ from .pairing import (
     limit_pairing,
     subtraction_order,
 )
-from .testfn import PlateauCutoff, TestFunction, build_plateau_cutoff
+from .testfn import PlateauCutoff, TestFunction
 
 
 class ParseError(ValueError):
@@ -175,11 +175,6 @@ class _Parser:
 
 def parse_expression(text: str) -> ProductExpression:
     return _Parser(text).parse()
-
-
-def format_expression(expr: ProductExpression) -> str:
-    """Canonical text form; parses back to an identical expression."""
-    return expr.label
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +310,8 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     if tol is None:
         tol = _tolerances_from_env()
     expr = parse_expression(job.expression)
-    omegas = (build_plateau_cutoff(job.plateau, job.support),
-              build_plateau_cutoff(job.plateau / 2.0, job.support / 2.0))
+    omegas = (PlateauCutoff(job.plateau, job.support),
+              PlateauCutoff(job.plateau / 2.0, job.support / 2.0))
     search = None
     results = []
     for desc in job.phis:
@@ -349,7 +344,7 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
         results.append(entry)
     return {
         "expression": job.expression,
-        "normalized": format_expression(expr),
+        "normalized": expr.label,
         "schedule": {"y0": job.schedule.y0, "ratio": job.schedule.ratio,
                      "count": job.schedule.count},
         "cutoff": {"plateau": job.plateau, "support": job.support},

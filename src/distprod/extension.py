@@ -46,7 +46,6 @@ from .testfn import (
     OrderExceededError,
     PlateauCutoff,
     TestFunction,
-    build_plateau_cutoff,
     vanish_probe,
 )
 
@@ -112,17 +111,13 @@ class SubtractedFunction:
         return max(self.phi.decay_radius(), self.omega.support + 1.0)
 
 
-def taylor_subtract(phi: TestFunction, omega: PlateauCutoff, p: int) -> SubtractedFunction:
-    return SubtractedFunction(phi, omega, p)
-
-
 # ---------------------------------------------------------------------------
 # extensions
 # ---------------------------------------------------------------------------
 
 
 def _default_cutoff() -> PlateauCutoff:
-    return build_plateau_cutoff(1.0, 2.0)
+    return PlateauCutoff(1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -184,11 +179,18 @@ def extension_result(ext: Extension, phi: TestFunction,
     itself when ext.subtract is False) and must have converged.  It does not
     depend on ext.c, so one pairing serves every counterterm vector.
     """
-    if pairing.status != "converged":
+    if pairing.status != "converged" and ext.subtract:
         raise ExtensionError(
             f"subtracted pairing for {ext.expr.label!r} classified as "
             f"{pairing.status}; the declared order p={ext.p} is too small or the "
             "expression is outside scope",
+            pairing,
+        )
+    if pairing.status != "converged":
+        raise ExtensionError(
+            f"pairing for {ext.expr.label!r} classified as {pairing.status}; it did "
+            f"not diverge, so nothing was subtracted and the order p={ext.p} plays "
+            "no part",
             pairing,
         )
     ct = counterterm_value(ext.c, phi)

@@ -188,6 +188,7 @@ class ProductExpression:
 
     @property
     def label(self) -> str:
+        """Canonical text form; parses back to an identical expression."""
         parts = []
         for pair, r in zip(self.factors, self.powers):
             parts.append(f"x^{r} * {pair.label}" if r else pair.label)

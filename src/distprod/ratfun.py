@@ -1,10 +1,17 @@
-"""Rational functions of one complex variable.
+"""Laurent polynomials of one complex variable with their only pole at z = 0.
 
-Coefficient lists are stored lowest order first, matching the convention of
-``numpy.polynomial.polynomial``.  Everything here is exact-ish symbolic
-bookkeeping on top of float coefficients: products, sums, derivatives and
-structural cancellation of common powers of z.  No root-finding happens unless
-``poles`` is asked for.
+Every representative the package builds (each catalog atom, each derivative
+and each linear combination) has the form
+
+    f(z) = z^-k * sum_j c_j z^j,
+
+a rational function whose only possible pole is the origin.  It is stored as
+the coefficient array c, lowest order first (the convention of
+``numpy.polynomial.polynomial``), plus the pole order k >= 0.  Products, sums
+and derivatives are exact bookkeeping on the float coefficients; a derivative
+is the shift c_j -> (j - k) c_j with pole order k + 1.  The stored form keeps
+c_0 != 0 whenever k > 0 (common powers of z are cancelled), so k is the true
+order of the pole.
 """
 
 from __future__ import annotations
@@ -25,32 +32,40 @@ def _trim(c) -> np.ndarray:
 
 
 class RationalFunction:
-    """Quotient num(z)/den(z) of two polynomials.
+    """Laurent polynomial z^-order * sum_j coeffs[j] z^j.
 
     Instances behave as immutable values: arithmetic returns new objects and
-    no method mutates the stored coefficient arrays.  On construction the
-    representation is normalised by cancelling common factors of z (exact,
-    purely structural: only stored zeros are cancelled) and scaling the
-    denominator to be monic.
+    no method mutates the stored coefficient array.  On construction stored
+    leading zeros are cancelled against the pole order, and the zero function
+    has order 0.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, num, den=(1.0,), normalize: bool = True):
-        num = _trim(num)
-        den = _trim(den)
-        if len(den) == 1 and den[0] == 0.0:
-            raise ZeroDivisionError("zero denominator polynomial")
-        if normalize:
-            num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, coeffs, order: int = 0):
+        c = _trim(coeffs)
+        order = int(order)
+        if order < 0:
+            raise ValueError(f"pole order must be >= 0, got {order}")
+        if len(c) == 1 and c[0] == 0.0:
+            order = 0
+        lead = 0
+        while lead < order and c[lead] == 0.0:
+            lead += 1
+        self.coeffs = c[lead:]
+        self.order = order - lead
 
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        val = npoly.polyval(z, self.num) / npoly.polyval(z, self.den)
+        val = npoly.polyval(z, self.coeffs)
+        if self.order:
+            # z * ... * z: bitwise the Horner value of the monic z^order
+            zk = z
+            for _ in range(self.order - 1):
+                zk = zk * z
+            val = val / zk
         if val.ndim == 0:
             return complex(val)
         return val
@@ -58,88 +73,53 @@ class RationalFunction:
     # -- calculus --------------------------------------------------------
 
     def deriv(self) -> "RationalFunction":
-        """Derivative by the quotient rule, renormalised."""
-        n, d = self.num, self.den
-        top = npoly.polysub(
-            npoly.polymul(npoly.polyder(n), d),
-            npoly.polymul(n, npoly.polyder(d)),
-        )
-        return RationalFunction(top, npoly.polymul(d, d))
+        """d/dz z^(j - k) = (j - k) z^(j - k - 1): a shift of the pole order."""
+        shift = np.arange(len(self.coeffs)) - self.order
+        return RationalFunction(shift * self.coeffs, self.order + 1)
 
     # -- arithmetic ------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
-            return RationalFunction(
-                npoly.polymul(self.num, other.num),
-                npoly.polymul(self.den, other.den),
-            )
-        return RationalFunction(self.num * complex(other), self.den, normalize=False)
+            return RationalFunction(npoly.polymul(self.coeffs, other.coeffs),
+                                    self.order + other.order)
+        return RationalFunction(self.coeffs * complex(other), self.order)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if not isinstance(other, RationalFunction):
             other = RationalFunction([complex(other)])
-        return RationalFunction(
-            npoly.polyadd(
-                npoly.polymul(self.num, other.den),
-                npoly.polymul(other.num, self.den),
-            ),
-            npoly.polymul(self.den, other.den),
-        )
+        k = max(self.order, other.order)
+        return RationalFunction(npoly.polyadd(self._raised(k), other._raised(k)), k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, normalize=False)
+        return RationalFunction(-self.coeffs, self.order)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RationalFunction) else -complex(other))
+
+    def _raised(self, k: int) -> np.ndarray:
+        """Coefficients of the same function written over z^k, k >= order."""
+        return np.concatenate((np.zeros(k - self.order, dtype=complex), self.coeffs))
 
     # -- structure -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return len(self.num) == 1 and self.num[0] == 0.0
+        return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
 
     @property
-    def deg_num(self) -> int:
-        return len(self.num) - 1
-
-    @property
-    def deg_den(self) -> int:
-        return len(self.den) - 1
-
-    def poles(self) -> np.ndarray:
-        """Roots of the denominator (with multiplicity), empty if constant."""
-        if self.deg_den == 0:
-            return np.array([], dtype=complex)
-        return np.roots(self.den[::-1])
+    def top_power(self) -> int:
+        """Highest power of z present (negative for a pure pole part)."""
+        return len(self.coeffs) - 1 - self.order
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return np.array_equal(self.num, other.num) and np.array_equal(self.den, other.den)
+        return self.order == other.order and np.array_equal(self.coeffs, other.coeffs)
 
     def __repr__(self):
-        return f"RationalFunction(num={self.num.tolist()}, den={self.den.tolist()})"
-
-
-def _normalize(num: np.ndarray, den: np.ndarray):
-    if len(num) == 1 and num[0] == 0.0:
-        return num, np.array([1.0 + 0j])
-    # cancel z^k common to stored leading zeros of both coefficient lists
-    k = 0
-    kmax = min(len(num), len(den)) - 1
-    while k < kmax and num[k] == 0.0 and den[k] == 0.0:
-        k += 1
-    if k:
-        num = num[k:].copy()
-        den = den[k:].copy()
-    lead = den[-1]
-    if lead != 1.0:
-        num = num / lead
-        den = den / lead
-        den[-1] = 1.0
-    return num, den
+        return f"RationalFunction(coeffs={self.coeffs.tolist()}, order={self.order})"

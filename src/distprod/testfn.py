@@ -84,11 +84,6 @@ class TestFunction:
             )
         return _derived_poly(self.poly, self.sigma, self.mu, q)
 
-    def value_at_zero(self, q: int = 0) -> float:
-        """phi^(q)(0).  Exactly 0.0 when the q-th polynomial kills the origin."""
-        # route through __call__ so downstream subtraction logic sees the same bits
-        return self(0.0, q)
-
     def derivative(self) -> "TestFunction":
         """The derivative as a new TestFunction (one order of headroom spent)."""
         if self.max_order < 1:
@@ -237,10 +232,6 @@ class PlateauCutoff:
         if np.any(live):
             out[live] = _bump_derivative_values(s[live], q - 1)
         return -out / (mass * self._width**q)
-
-
-def build_plateau_cutoff(plateau: float, support: float, max_order: int = 12) -> PlateauCutoff:
-    return PlateauCutoff(plateau, support, max_order)
 
 
 # ---------------------------------------------------------------------------

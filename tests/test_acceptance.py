@@ -24,9 +24,9 @@ from distprod.pairing import (
     subtraction_order,
 )
 from distprod.testfn import (
+    PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
     TestFunction,
-    build_plateau_cutoff,
     vanish_probe,
 )
 
@@ -89,7 +89,7 @@ def test_c05_cutoff_independence():
     expr = ProductExpression((DELTA, DELTA))
     values = []
     for plateau, support in ((1.0, 2.0), (0.5, 1.0), (2.0, 3.0)):
-        ext = Extension.minimal(expr, 0, build_plateau_cutoff(plateau, support))
+        ext = Extension.minimal(expr, 0, PlateauCutoff(plateau, support))
         values.append(evaluate_extension(ext, GAUSS).value)
     spread = max(abs(a - b) for a in values for b in values)
     scale = max(1.0, max(abs(v) for v in values))
@@ -100,7 +100,7 @@ def test_c05_cutoff_independence():
 
 def test_c06_counterterm_structure():
     expr = ProductExpression((DELTA, DELTA))
-    ext = Extension.minimal(expr, 0, build_plateau_cutoff(1.0, 2.0))
+    ext = Extension.minimal(expr, 0, PlateauCutoff(1.0, 2.0))
     phis = [REFERENCE_TEST_FUNCTIONS[k] for k in ("gauss", "tilted", "offset")]
     table = nonuniqueness_scan(ext, [[0.0], [0.75], [-1.25]], phis, rtol=1e-12)
     ok = table.ok
@@ -162,7 +162,7 @@ def test_c11_continuation_property():
         for c, (plateau, support) in (((0.0,), (1.0, 2.0)),
                                       ((2.5,), (1.0, 2.0)),
                                       ((-1.0,), (0.75, 1.5))):
-            ext = Extension(expr, 0, c, build_plateau_cutoff(plateau, support))
+            ext = Extension(expr, 0, c, PlateauCutoff(plateau, support))
             got = evaluate_extension(ext, probe).value
             worst = max(worst, abs(got - direct))
     ok = worst <= 1e-7

@@ -11,7 +11,6 @@ from distprod.cli import (
     Job,
     ParseError,
     _phi_from_descriptor,
-    format_expression,
     job_from_file,
     main,
     parse_expression,
@@ -117,16 +116,16 @@ _TERM = st.one_of(_ATOM, st.integers(1, 3).map(lambda k: f"x^{k}"))
 def test_round_trip_parse_print_parse(terms):
     text = " * ".join(terms)
     first = parse_expression(text)
-    printed = format_expression(first)
+    printed = first.label
     second = parse_expression(printed)
     assert first == second
-    assert format_expression(second) == printed
+    assert second.label == printed
 
 
 def test_format_canonical_examples():
-    assert format_expression(parse_expression("x^2*delta")) == "x^2 * delta"
-    assert format_expression(parse_expression("delta * x^2")) == "delta * x^2"
-    assert format_expression(parse_expression("x^0 * delta")) == "delta"
+    assert parse_expression("x^2*delta").label == "x^2 * delta"
+    assert parse_expression("delta * x^2").label == "delta * x^2"
+    assert parse_expression("x^0 * delta").label == "delta"
 
 
 class TestDescriptors:
@@ -190,6 +189,12 @@ class TestRunJob:
         a = json.dumps(run_job(job), sort_keys=True)
         b = json.dumps(run_job(job), sort_keys=True)
         assert a == b
+
+    def test_p_override_without_divergence_subtracts_nothing(self):
+        res = run_job(Job(expression="delta * d(delta)", p_override=1))["results"][0]
+        assert res["subtraction"]["error"] == (
+            "pairing for 'delta * d(delta)' classified as inconclusive; it did not "
+            "diverge, so nothing was subtracted and the order p=1 plays no part")
 
     def test_counterterm_arity_checked(self):
         job = Job(expression="delta * delta", c_grid=[[1.0, 2.0]])
@@ -298,6 +303,8 @@ class TestMain:
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "delta_pv_report.json")
 GOLDEN_DELTA_DELTA = os.path.join(os.path.dirname(__file__), "golden",
                                   "delta_delta_report.json")
+GOLDEN_POLE_POWER = os.path.join(os.path.dirname(__file__), "golden",
+                                 "pole_power_derivative_report.json")
 
 
 def _compare_structurally(got, want, path=""):
@@ -334,6 +341,17 @@ def test_golden_extension_report():
               c_grid=[[1.0 + 0j], [0.5 - 2.0j]])
     got = run_job(job)
     with open(GOLDEN_DELTA_DELTA, encoding="utf-8") as fh:
+        want = json.load(fh)
+    _compare_structurally(got, want)
+
+
+def test_golden_pole_power_derivative_report():
+    """Frozen report for a pole of order 2, a derivative and an attached power."""
+    job = Job(expression="(x-i0)^-2 * x^2 * d(delta)",
+              phis=[{"poly": [1, 0.5], "sigma": 1.0, "mu": 0.3},
+                    {"poly": [1.0], "sigma": 0.7071067811865476, "mu": 0.0}])
+    got = run_job(job)
+    with open(GOLDEN_POLE_POWER, encoding="utf-8") as fh:
         want = json.load(fh)
     _compare_structurally(got, want)
 

@@ -15,62 +15,61 @@ from distprod.extension import (
     factorization_identity_check,
     nonuniqueness_scan,
     omega_independence_check,
-    taylor_subtract,
 )
 from distprod.pairing import ProductExpression, limit_pairing
 from distprod.testfn import (
     OrderExceededError,
+    PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
     TestFunction,
-    build_plateau_cutoff,
     vanish_probe,
 )
 
 GAUSS = REFERENCE_TEST_FUNCTIONS["gauss"]
-OMEGA = build_plateau_cutoff(1.0, 2.0)
+OMEGA = PlateauCutoff(1.0, 2.0)
 SQRT_PI = 1.7724538509055160
 
 
 class TestTaylorSubtract:
     def test_noop_on_vanishing_input(self):
         probe = vanish_probe(1, GAUSS)
-        bar = taylor_subtract(probe, OMEGA, 1)
+        bar = SubtractedFunction(probe, OMEGA, 1)
         xs = np.linspace(-4, 4, 101)
         # identical bits: the subtracted Taylor polynomial is exactly zero
         assert np.array_equal(bar(xs), probe(xs))
 
     def test_plateau_shift_for_p0(self):
-        bar = taylor_subtract(GAUSS, OMEGA, 0)
+        bar = SubtractedFunction(GAUSS, OMEGA, 0)
         for x in (0.0, 0.3, -0.9):
             assert bar(x) == pytest.approx(math.exp(-x * x) - 1.0, abs=1e-15)
 
     def test_p1_same_as_p0_for_even_phi(self):
         # phi'(0) = 0, so the order-1 term adds nothing
-        bar0 = taylor_subtract(GAUSS, OMEGA, 0)
-        bar1 = taylor_subtract(GAUSS, OMEGA, 1)
+        bar0 = SubtractedFunction(GAUSS, OMEGA, 0)
+        bar1 = SubtractedFunction(GAUSS, OMEGA, 1)
         xs = np.linspace(-3, 3, 41)
         np.testing.assert_allclose(bar1(xs), bar0(xs), atol=1e-16)
 
     def test_derivatives_vanish_bitwise_at_origin(self):
         phi = REFERENCE_TEST_FUNCTIONS["tilted"]
         for p in range(4):
-            bar = taylor_subtract(phi, OMEGA, p)
+            bar = SubtractedFunction(phi, OMEGA, p)
             for q in range(p + 1):
                 assert bar(0.0, q) == 0.0
 
     def test_offcenter_phi_also_exact(self):
         phi = REFERENCE_TEST_FUNCTIONS["offset"]
-        bar = taylor_subtract(phi, OMEGA, 2)
+        bar = SubtractedFunction(phi, OMEGA, 2)
         for q in range(3):
             assert bar(0.0, q) == 0.0
 
     def test_outside_support_untouched(self):
-        bar = taylor_subtract(GAUSS, OMEGA, 0)
+        bar = SubtractedFunction(GAUSS, OMEGA, 0)
         for x in (2.5, 3.0, -4.0):
             assert bar(x) == GAUSS(x)
 
     def test_derivative_matches_finite_differences(self):
-        bar = taylor_subtract(REFERENCE_TEST_FUNCTIONS["tilted"], OMEGA, 1)
+        bar = SubtractedFunction(REFERENCE_TEST_FUNCTIONS["tilted"], OMEGA, 1)
         h = 1e-5
         for x in (0.2, 0.8, 1.4, 1.9, 2.7):
             fd = (bar(x + h) - bar(x - h)) / (2 * h)
@@ -78,10 +77,10 @@ class TestTaylorSubtract:
 
     def test_order_shortfall_rejected(self):
         with pytest.raises(OrderExceededError):
-            taylor_subtract(GAUSS, OMEGA, GAUSS.max_order + 1)
-        shallow = build_plateau_cutoff(1.0, 2.0, max_order=3)
+            SubtractedFunction(GAUSS, OMEGA, GAUSS.max_order + 1)
+        shallow = PlateauCutoff(1.0, 2.0, max_order=3)
         with pytest.raises(OrderExceededError):
-            taylor_subtract(GAUSS, shallow, 0)
+            SubtractedFunction(GAUSS, shallow, 0)
 
 
 class TestExtensionObject:
@@ -161,7 +160,7 @@ class TestOmegaIndependence:
     def test_point_supported_product(self, delta_sq):
         for a, b in ((0.5, 1.0), (2.0, 3.0)):
             diff = omega_independence_check(
-                delta_sq, 0, GAUSS, OMEGA, build_plateau_cutoff(a, b)
+                delta_sq, 0, GAUSS, OMEGA, PlateauCutoff(a, b)
             )
             assert diff <= 1e-5
 
@@ -169,28 +168,28 @@ class TestOmegaIndependence:
         expr = ProductExpression((catalog("delta"), catalog("delta").derivative()))
         diff = omega_independence_check(
             expr, 1, REFERENCE_TEST_FUNCTIONS["offset"], OMEGA,
-            build_plateau_cutoff(0.5, 1.0),
+            PlateauCutoff(0.5, 1.0),
         )
         assert diff <= 1e-5
 
     def test_vanishing_phi_exactly_independent(self, delta_sq):
         probe = vanish_probe(0, GAUSS)
         diff = omega_independence_check(
-            delta_sq, 0, probe, OMEGA, build_plateau_cutoff(0.5, 1.0)
+            delta_sq, 0, probe, OMEGA, PlateauCutoff(0.5, 1.0)
         )
         assert diff == 0.0  # subtraction inactive: identical integrands, same bits
 
     def test_identical_geometry_rejected(self, delta_sq):
         with pytest.raises(ValueError):
             omega_independence_check(delta_sq, 0, GAUSS, OMEGA,
-                                     build_plateau_cutoff(1.0, 2.0))
+                                     PlateauCutoff(1.0, 2.0))
 
     def test_off_origin_support_shifts_by_counterterm(self):
         """pv(1/x)^2 diverges with support off the origin: a cutoff change
         shifts the c = 0 value by a phi-independent multiple of phi(0) (a
         counterterm reshuffle), unlike the point-supported products above."""
         expr = ProductExpression((catalog("pv_inv_x"), catalog("pv_inv_x")))
-        omega2 = build_plateau_cutoff(0.5, 1.0)
+        omega2 = PlateauCutoff(0.5, 1.0)
         shifts = []
         for phi in (GAUSS, REFERENCE_TEST_FUNCTIONS["tilted"]):
             v1 = evaluate_extension(Extension.minimal(expr, 0, OMEGA), phi).value
@@ -272,7 +271,7 @@ class TestContinuationProperty:
                  REFERENCE_TEST_FUNCTIONS["tilted"],
                  REFERENCE_TEST_FUNCTIONS["offset"],
                  TestFunction((2.0, 0.0, 1.0), sigma=1.2)]
-        omega2 = build_plateau_cutoff(0.7, 1.4)
+        omega2 = PlateauCutoff(0.7, 1.4)
         for base in bases:
             probe = vanish_probe(0, base)
             direct = limit_pairing(delta_sq, probe).value

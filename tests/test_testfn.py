@@ -9,7 +9,6 @@ from distprod.testfn import (
     PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
     TestFunction,
-    build_plateau_cutoff,
     seminorm,
     vanish_probe,
 )
@@ -95,7 +94,7 @@ class TestVanishProbe:
 
 class TestPlateauCutoff:
     def setup_method(self):
-        self.w = build_plateau_cutoff(1.0, 2.0)
+        self.w = PlateauCutoff(1.0, 2.0)
 
     def test_plateau_is_exactly_one(self):
         xs = np.linspace(-1.0, 1.0, 41)
@@ -153,15 +152,15 @@ class TestPlateauCutoff:
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
-            build_plateau_cutoff(2.0, 1.0)
+            PlateauCutoff(2.0, 1.0)
         with pytest.raises(ValueError):
-            build_plateau_cutoff(0.0, 1.0)
+            PlateauCutoff(0.0, 1.0)
         with pytest.raises(ValueError):
-            build_plateau_cutoff(1.0, 1.0)
+            PlateauCutoff(1.0, 1.0)
 
     def test_geometry_variants(self):
         for a, b in ((0.5, 1.0), (2.0, 3.0), (0.1, 4.0)):
-            w = build_plateau_cutoff(a, b)
+            w = PlateauCutoff(a, b)
             assert w(0.9 * a) == 1.0
             assert w(1.1 * b) == 0.0
             assert 0.0 < w(0.5 * (a + b)) < 1.0
