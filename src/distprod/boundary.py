@@ -56,12 +56,25 @@ class HyperfunctionPair:
         """Growth exponent in |x|: the highest power of z, at least 0."""
         return max(0, self.f_plus.top_power, self.f_minus.top_power)
 
-    def regulated(self, x, y: float):
-        """F_y(x) = f+(x + iy) - f-(x - iy) for a single height y > 0."""
-        y = float(y)
-        if not (y > 0.0 and math.isfinite(y)):
-            raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
+    def regulated(self, x, y):
+        """F_y(x) = f+(x + iy) - f-(x - iy) at heights y > 0.
+
+        y is one height for every x, or an array of heights matching x point
+        by point, so one call can cover several heights.  Every height must be
+        a positive finite number.  A zero representative is not evaluated:
+        its term is left out, which changes no value (at most the sign of a
+        zero part).
+        """
+        y = np.asarray(y, dtype=float)
+        bad = ~((y > 0.0) & np.isfinite(y))
+        if np.any(bad):
+            raise RegulatorError(
+                f"height must satisfy 0 < y < inf, got {float(y[bad][0])}")
         x = np.asarray(x, dtype=float)
+        if self.f_minus.is_zero:
+            return self.f_plus(x + 1j * y)
+        if self.f_plus.is_zero:
+            return -self.f_minus(x - 1j * y)
         return self.f_plus(x + 1j * y) - self.f_minus(x - 1j * y)
 
     def derivative(self) -> "HyperfunctionPair":

@@ -322,6 +322,9 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
         entry["subtraction"] = None
         entry["extensions"] = None
         entry["omega_independence"] = None
+        if job.c_grid and pairing.status != "diverged" and job.p_override is None:
+            entry["notes"] = [f"c_grid ignored: the pairing is {pairing.status}, "
+                              "so nothing is continued"]
         if pairing.status == "diverged" or job.p_override is not None:
             try:
                 if job.p_override is not None:

@@ -13,6 +13,16 @@ structure of the integrand lives.  Panels are refined in rounds (every panel
 above its error share splits), and the final sum runs over panels sorted by
 left endpoint, so results are bit-stable for a fixed configuration.
 
+All heights of a schedule are integrated together, in lockstep rounds: each
+round evaluates the new panels of every height still refining in one
+integrand call, so the cost of a numpy call is paid per round, not per
+height.  A round takes heights in schedule order while their panels in
+flight, held and new, fit a fixed budget of 2048 panels (a height over it
+goes alone); the others wait.  This bounds the memory of a round.  Each
+height keeps its own panel order, sums and reductions, so every I(y) is
+bitwise the value that height gets on its own; ``pair_at_y`` is the
+one-height case.
+
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
 integer-power error terms, so the diagonal converges rapidly; convergence is
@@ -65,15 +75,25 @@ _WG_FULL = np.concatenate([_WG[:-1], _WG[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 _MIN_PANEL_REL = 2.3e-16
+# Panels in flight (held and waiting for the rule) over the heights refined
+# together in one round.  It bounds the memory of a round, not the work: a
+# height over the budget on its own is refined alone.
+_PANEL_BUDGET = 2048
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to meet its target; carries the partial value."""
+    """Adaptive quadrature failed to meet its target; carries the partial value.
+
+    Raised for a schedule, `height` is the index of the stalled height and
+    `values` holds the values of the heights below it.
+    """
 
     def __init__(self, message, partial_value, error_estimate):
         super().__init__(message)
         self.partial_value = partial_value
         self.error_estimate = error_estimate
+        self.height = 0
+        self.values = ()
 
 
 class InconclusivePairingError(RuntimeError):
@@ -235,64 +255,165 @@ class ProductExpression:
 # ---------------------------------------------------------------------------
 
 
-def _panel_rule(f, panels: np.ndarray):
-    """Apply the 7-15 rule to every (a, b) row of `panels` in one evaluation."""
+def _panel_rule(f, panels: np.ndarray, ys, sizes):
+    """Apply the 7-15 rule to every (a, b) row of `panels` in one evaluation.
+
+    The rows come in blocks, one per height: the first sizes[0] rows are at
+    height ys[0], the next sizes[1] at ys[1], and so on.  The weighted sums
+    run block by block, because a matrix-vector product over more rows may
+    round differently; each height's numbers are then the same whichever
+    other heights share the call.
+    """
     half = 0.5 * (panels[:, 1] - panels[:, 0])
     mid = 0.5 * (panels[:, 0] + panels[:, 1])
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    v = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-    resk = half * (v @ _WK)
-    resg = half * (v[:, _GAUSS_IDX] @ _WG_FULL)
-    rough = np.sum(np.abs(v), axis=1) * np.abs(half)
+    y = np.repeat(ys, 15 * np.asarray(sizes))
+    v = np.asarray(f(x.ravel(), y), dtype=complex).reshape(x.shape)
+    vg = v[:, _GAUSS_IDX]
+    sumk = np.empty(len(panels), dtype=complex)
+    sumg = np.empty(len(panels), dtype=complex)
+    start = 0
+    for n in sizes:
+        block = slice(start, start + n)
+        sumk[block] = v[block] @ _WK
+        sumg[block] = vg[block] @ _WG_FULL
+        start += n
+    resk = half * sumk
+    resg = half * sumg
+    rough = np.abs(v).sum(axis=1) * np.abs(half)
     return resk, np.abs(resk - resg), rough
 
 
-def _adaptive_quadrature(f, points, epsabs: float, max_rounds: int = 60,
-                         max_panels: int = 4000):
-    """Deterministic adaptive refinement over initial panels between `points`.
+class _Refinement:
+    """One height's panels under adaptive refinement.
 
-    Every round splits all panels whose error exceeds an equal share of the
-    target; the target is the max of `epsabs` and a round-off floor scaled to
-    the integrand's total variation, so pairings whose magnitude blows up as
-    y -> 0 degrade gracefully to full relative precision.
+    `new` holds the panels waiting for the rule.  `absorb` takes their rule
+    results and, like one round of a lone adaptive quadrature, either returns
+    the height's value, leaves the next split in `new` and returns None, or
+    raises QuadratureError.  Panels are kept in the order [kept, lower
+    halves, upper halves], so every sum runs in a fixed order.
     """
-    pts = np.asarray(sorted(points), dtype=float)
-    panels = np.column_stack([pts[:-1], pts[1:]])
-    vals, errs, roughs = _panel_rule(f, panels)
-    for _ in range(max_rounds):
-        scale = float(np.sum(roughs))
-        target = max(epsabs, 2e-14 * scale)
-        if float(np.sum(errs)) <= target:
-            break
-        thresh = target / (2.0 * len(panels))
-        width_floor = _MIN_PANEL_REL * np.maximum(
-            1.0, np.maximum(np.abs(panels[:, 0]), np.abs(panels[:, 1]))
-        )
-        split = (errs > thresh) & (panels[:, 1] - panels[:, 0] > width_floor)
-        if not np.any(split) or len(panels) + np.count_nonzero(split) > max_panels:
-            order = np.argsort(panels[:, 0], kind="stable")
+
+    def __init__(self, points, epsabs: float, max_rounds: int, max_panels: int):
+        pts = np.asarray(sorted(points), dtype=float)
+        self.new = np.column_stack([pts[:-1], pts[1:]])
+        self.panels = self.vals = self.errs = self.roughs = None
+        self.split = None
+        self.rounds = 0
+        self.epsabs = epsabs
+        self.max_rounds = max_rounds
+        self.max_panels = max_panels
+
+    def absorb(self, nvals, nerrs, nroughs):
+        if self.panels is None:
+            self.panels, self.vals, self.errs, self.roughs = self.new, nvals, nerrs, nroughs
+        else:
+            keep = ~self.split
+            self.panels = np.concatenate([self.panels[keep], self.new])
+            self.vals = np.concatenate([self.vals[keep], nvals])
+            self.errs = np.concatenate([self.errs[keep], nerrs])
+            self.roughs = np.concatenate([self.roughs[keep], nroughs])
+            self.rounds += 1
+        if self.rounds == self.max_rounds:
+            return self._value()
+        panels = self.panels
+        error = float(self.errs.sum())
+        target = max(self.epsabs, 2e-14 * float(self.roughs.sum()))
+        if error <= target:
+            return self._value()
+        left, right = panels[:, 0], panels[:, 1]
+        width_floor = _MIN_PANEL_REL * np.maximum(1.0, np.abs(panels).max(axis=1))
+        split = (self.errs > target / (2.0 * len(panels))) & (right - left > width_floor)
+        m = np.count_nonzero(split)
+        if m == 0 or len(panels) + m > self.max_panels:
             raise QuadratureError(
-                f"quadrature stalled at error {float(np.sum(errs)):.3e} "
+                f"quadrature stalled at error {error:.3e} "
                 f"(target {target:.3e}, {len(panels)} panels)",
-                complex(np.sum(vals[order])),
-                float(np.sum(errs)),
+                self._value(),
+                error,
             )
-        keep = panels[~split]
-        mids = 0.5 * (panels[split, 0] + panels[split, 1])
-        lo = np.column_stack([panels[split, 0], mids])
-        hi = np.column_stack([mids, panels[split, 1]])
-        new = np.vstack([lo, hi])
-        nvals, nerrs, nroughs = _panel_rule(f, new)
-        panels = np.vstack([keep, new])
-        vals = np.concatenate([vals[~split], nvals])
-        errs = np.concatenate([errs[~split], nerrs])
-        roughs = np.concatenate([roughs[~split], nroughs])
-    order = np.argsort(panels[:, 0], kind="stable")
-    return complex(np.sum(vals[order])), float(np.sum(errs))
+        a, b = left[split], right[split]
+        mids = 0.5 * (a + b)
+        new = np.empty((2 * m, 2))
+        new[:m, 0], new[:m, 1] = a, mids
+        new[m:, 0], new[m:, 1] = mids, b
+        self.split = split
+        self.new = new
+        return None
+
+    @property
+    def in_flight(self) -> int:
+        """Panels held and waiting for the rule."""
+        return len(self.new) + (0 if self.panels is None else len(self.panels))
+
+    def _value(self) -> complex:
+        order = np.argsort(self.panels[:, 0], kind="stable")
+        return complex(self.vals[order].sum())
 
 
-def _integrand(expr: ProductExpression, phi, y: float):
-    def f(x):
+def _adaptive_quadrature(f, ys, pointsets, epsabs: float, max_rounds: int = 60,
+                         max_panels: int = 4000) -> list[complex]:
+    """Deterministic adaptive refinement of all heights of a schedule at once.
+
+    Height k integrates f(., ys[k]) over initial panels between
+    pointsets[k].  Every round splits all panels whose error exceeds an equal
+    share of the target; the target is the max of `epsabs` and a round-off
+    floor scaled to the integrand's total variation, so pairings whose
+    magnitude blows up as y -> 0 degrade gracefully to full relative
+    precision.
+
+    The heights refine in lockstep: each round makes one `_panel_rule` call
+    over the new panels of the heights still refining, taken in schedule
+    order while their panels in flight (held and new) fit _PANEL_BUDGET; a
+    height over the budget on its own goes alone.  The rest wait for a later
+    round.  Each height's arithmetic is that of a quadrature run on its own,
+    so every value is independent of the others.
+
+    When a height stalls, the heights above it are dropped and those below
+    it finish; then the QuadratureError of the lowest stalled height is
+    raised, with `height` its index and `values` the values below it.
+    """
+    work = [_Refinement(points, epsabs, max_rounds, max_panels) for points in pointsets]
+    values: list = [None] * len(ys)
+    failure = None
+    live = list(range(len(ys)))
+    while live:
+        batch, held = [], 0
+        for k in live:
+            held += work[k].in_flight
+            if batch and held > _PANEL_BUDGET:
+                break
+            batch.append(k)
+        sizes = [len(work[k].new) for k in batch]
+        new = np.concatenate([work[k].new for k in batch])
+        nvals, nerrs, nroughs = _panel_rule(f, new, [ys[k] for k in batch], sizes)
+        start = 0
+        for k, n in zip(batch, sizes):
+            if failure is not None and k > failure.height:
+                break
+            part = slice(start, start + n)
+            start += n
+            try:
+                values[k] = work[k].absorb(nvals[part], nerrs[part], nroughs[part])
+            except QuadratureError as exc:
+                exc.height = k
+                failure = exc
+        live = [k for k in live if values[k] is None
+                and (failure is None or k < failure.height)]
+    if failure is None:
+        return values
+    failure.values = tuple(values[:failure.height])
+    try:
+        raise failure
+    finally:
+        # the traceback holds this frame; drop the frame's reference back to
+        # the error so that the states in `work` go as soon as it is handled
+        del failure
+
+
+def _integrand(expr: ProductExpression, phi):
+    """x^R * prod F_i^y(x) * phi(x) at points x with heights y, point by point."""
+    def f(x, y):
         x = np.asarray(x, dtype=float)
         v = expr.factors[0].regulated(x, y)
         for pair in expr.factors[1:]:
@@ -305,22 +426,41 @@ def _integrand(expr: ProductExpression, phi, y: float):
     return f
 
 
-def _integration_radius(f, phi, y: float) -> float:
+def _block_peaks(f, blocks, ys) -> np.ndarray:
+    """max |f| over each block of points, block k at height ys[k], in one call."""
+    sizes = [len(b) for b in blocks]
+    values = np.abs(f(np.concatenate(blocks), np.repeat(ys, sizes)))
+    return np.maximum.reduceat(values, np.cumsum([0] + sizes[:-1]))
+
+
+def _integration_radius(f, phi, ys) -> list[float]:
+    """Half-width L of the integration domain at every height.
+
+    L starts past phi's decay radius and 20y and doubles, up to 1e6, until
+    |f| on the tail points is below 1e-22 of its peak on a probe grid.  One
+    call probes every height, then one call per doubling round covers the
+    heights still doubling.
+    """
     decay = getattr(phi, "decay_radius", None)
-    L = max(decay() if callable(decay) else 12.0, 2.0, 20.0 * y)
-    probe = np.concatenate([
-        np.linspace(-L, L, 65),
-        np.array([0.5, 1.0, 2.0, 5.0]) * y,
-        np.array([-0.5, -1.0, -2.0, -5.0]) * y,
-    ])
-    ref = float(np.max(np.abs(f(probe)))) + 1e-300
-    while L < 1e6:
-        tail = np.array([1.0, 1.2, 1.5, 1.9]) * L
-        t = float(np.max(np.abs(f(np.concatenate([tail, -tail])))))
-        if t <= 1e-22 * ref:
-            break
-        L *= 2.0
-    return L
+    base = decay() if callable(decay) else 12.0
+    radii = [max(base, 2.0, 20.0 * y) for y in ys]
+    near = np.array([0.5, 1.0, 2.0, 5.0, -0.5, -1.0, -2.0, -5.0])
+    probes = [np.concatenate([np.linspace(-L, L, 65), near * y])
+              for y, L in zip(ys, radii)]
+    refs = _block_peaks(f, probes, ys) + 1e-300
+    live = [k for k in range(len(ys)) if radii[k] < 1e6]
+    tail = np.array([1.0, 1.2, 1.5, 1.9, -1.0, -1.2, -1.5, -1.9])
+    while live:
+        peaks = _block_peaks(f, [tail * radii[k] for k in live], [ys[k] for k in live])
+        still = []
+        for k, t in zip(live, peaks):
+            if t <= 1e-22 * refs[k]:
+                continue
+            radii[k] *= 2.0
+            if radii[k] < 1e6:
+                still.append(k)
+        live = still
+    return radii
 
 
 def pair_at_y(expr: ProductExpression, phi, y: float,
@@ -329,16 +469,9 @@ def pair_at_y(expr: ProductExpression, phi, y: float,
 
     phi may be a TestFunction, a Taylor-subtracted function, or any callable
     of a float array; an optional decay_radius() method bounds the domain.
+    This is the one-height case of a schedule.
     """
-    y = float(y)
-    if not (y > 0.0 and math.isfinite(y)):
-        raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
-    f = _integrand(expr, phi, y)
-    L = _integration_radius(f, phi, y)
-    pts = {-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L}
-    pts = sorted(p for p in pts if -L <= p <= L)
-    value, _ = _adaptive_quadrature(f, pts, tol.quad_abs)
-    return value
+    return _evaluate_schedule(expr, phi, (y,), tol)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +557,28 @@ class PairingResult:
 
 
 def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple]:
-    """Pair at each height, truncating where the quadrature gives out."""
-    integrals = []
-    for k, y in enumerate(ys):
-        try:
-            integrals.append(pair_at_y(expr, phi, y, tol))
-        except QuadratureError:
-            if k < 6:
-                raise
-            return tuple(ys[:k]), tuple(integrals)
-    return tuple(ys), tuple(integrals)
+    """Pair at all heights in one quadrature, truncating where it gives out.
+
+    The first height k whose quadrature stalls ends the schedule: for k < 6
+    its QuadratureError propagates, otherwise the heights before k are kept.
+    """
+    ys = tuple(float(y) for y in ys)
+    for y in ys:
+        if not (y > 0.0 and math.isfinite(y)):
+            raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
+    f = _integrand(expr, phi)
+    radii = _integration_radius(f, phi, ys)
+    pointsets = [
+        sorted(p for p in {-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L} if -L <= p <= L)
+        for y, L in zip(ys, radii)
+    ]
+    try:
+        integrals = _adaptive_quadrature(f, ys, pointsets, tol.quad_abs)
+    except QuadratureError as exc:
+        if exc.height < 6:
+            raise
+        return ys[:exc.height], exc.values
+    return ys, tuple(integrals)
 
 
 def limit_pairing(expr: ProductExpression, phi,

@@ -5,12 +5,14 @@ import pytest
 
 from distprod.boundary import (
     CatalogError,
+    HyperfunctionPair,
     RegulatorError,
     catalog,
     combine,
     required_order,
     verify_growth_bound,
 )
+from distprod.ratfun import RationalFunction
 
 ALL_ATOMS = [
     catalog("delta"),
@@ -92,9 +94,55 @@ class TestCatalog:
 
 def test_regulator_error_on_bad_height():
     d = catalog("delta")
-    for y in (0.0, -0.1, math.inf):
+    for y in (0.0, -0.1, -0.5, math.inf, math.nan):
         with pytest.raises(RegulatorError):
             d.regulated(0.0, y)
+        heights = np.full(5, 0.1)
+        heights[3] = y
+        with pytest.raises(RegulatorError):
+            d.regulated(np.linspace(-1.0, 1.0, 5), heights)
+
+
+def test_regulated_heights_point_by_point():
+    """An array of heights gives, bit for bit, each height's own values."""
+    pair = combine([catalog("delta"), catalog("plus_i0_pow", 2)], [1.0, 0.5j])
+    xs = np.linspace(-2.0, 2.0, 9)
+    ys = (0.3, 0.01)
+    got = pair.regulated(np.concatenate([xs, xs]), np.repeat(ys, len(xs)))
+    expect = np.concatenate([pair.regulated(xs, y) for y in ys])
+    assert got.tobytes() == expect.tobytes()
+
+
+class _CountingLaurent(RationalFunction):
+    """A Laurent polynomial that records every evaluation."""
+
+    def __call__(self, z):
+        self.calls.append(z)
+        return super().__call__(z)
+
+
+def _spy(coeffs):
+    f = _CountingLaurent(coeffs)
+    f.calls = []
+    return f
+
+
+def test_zero_representative_not_evaluated():
+    xs = np.linspace(-3.0, 3.0, 41)
+    y = 0.01
+    plus = catalog("plus_i0_pow", 2)
+    assert plus.f_minus.is_zero
+    spy = _spy([0.0])
+    got = HyperfunctionPair(plus.f_plus, spy, plus.label).regulated(xs, y)
+    assert got.tobytes() == plus.f_plus(xs + 1j * y).tobytes()
+    assert got.tobytes() == plus.regulated(xs, y).tobytes()
+    assert spy.calls == []
+
+    minus = catalog("minus_i0_pow", 2)
+    spy = _spy([0.0])
+    got = HyperfunctionPair(spy, minus.f_minus, minus.label).regulated(xs, y)
+    assert got.tobytes() == (-minus.f_minus(xs - 1j * y)).tobytes()
+    assert spy.calls == []
 
 
 def test_normalized_representation_has_no_common_factor():

@@ -196,6 +196,15 @@ class TestRunJob:
             "pairing for 'delta * d(delta)' classified as inconclusive; it did not "
             "diverge, so nothing was subtracted and the order p=1 plays no part")
 
+    def test_ignored_counterterms_are_noted(self):
+        res = run_job(Job(expression="delta * d(delta)", c_grid=[[1, 2]]))["results"][0]
+        assert res["pairing"]["status"] == "inconclusive"
+        assert res["extensions"] is None
+        assert res["notes"] == [
+            "c_grid ignored: the pairing is inconclusive, so nothing is continued"]
+        plain = run_job(Job(expression="delta * d(delta)"))["results"][0]
+        assert "notes" not in plain
+
     def test_counterterm_arity_checked(self):
         job = Job(expression="delta * delta", c_grid=[[1.0, 2.0]])
         with pytest.raises(ConfigError):

@@ -10,13 +10,18 @@ import math
 import numpy as np
 import pytest
 
+from distprod import pairing
 from distprod.boundary import RegulatorError, catalog
+from distprod.cli import parse_expression
+from distprod.extension import SubtractedFunction
 from distprod.pairing import (
     DEFAULT_SCHEDULE,
+    DEFAULT_TOLERANCES,
     InconclusivePairingError,
     NotExtendableError,
     PairingResult,
     ProductExpression,
+    QuadratureError,
     Schedule,
     SubtractionOrder,
     Tolerances,
@@ -26,7 +31,7 @@ from distprod.pairing import (
     ring_axiom_check,
     subtraction_order,
 )
-from distprod.testfn import REFERENCE_TEST_FUNCTIONS, TestFunction
+from distprod.testfn import REFERENCE_TEST_FUNCTIONS, PlateauCutoff, TestFunction
 
 SQRT_PI = 1.7724538509055160
 
@@ -86,10 +91,9 @@ class TestPairAtY:
             assert got.imag == pytest.approx(0.0, abs=5e-10)
 
     def test_rejects_bad_height(self, delta_sq, gauss):
-        with pytest.raises(RegulatorError):
-            pair_at_y(delta_sq, gauss, 0.0)
-        with pytest.raises(RegulatorError):
-            pair_at_y(delta_sq, gauss, -0.5)
+        for y in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(RegulatorError):
+                pair_at_y(delta_sq, gauss, y)
 
     def test_linearity_in_phi(self, delta_pv):
         # a*phi1 + b*phi2 stays in the family when the Gaussian factor is shared
@@ -314,3 +318,103 @@ def test_tolerances_env_scaling():
 def test_tolerances_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):
         Tolerances(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# a whole schedule in one lockstep quadrature
+# ---------------------------------------------------------------------------
+
+
+def _one_at_a_time(expr, phi, ys):
+    """The schedule evaluated height by height, with the truncation rule."""
+    values = []
+    for k, y in enumerate(ys):
+        try:
+            values.append(pair_at_y(expr, phi, y))
+        except QuadratureError:
+            if k < 6:
+                raise
+            return tuple(ys[:k]), tuple(values)
+    return tuple(ys), tuple(values)
+
+
+def _schedule(expr, phi, ys):
+    return pairing._evaluate_schedule(expr, phi, ys, DEFAULT_TOLERANCES)
+
+
+def _subtracted_gauss(p):
+    return SubtractedFunction(REFERENCE_TEST_FUNCTIONS["gauss"], PlateauCutoff(1.0, 2.0), p)
+
+
+@pytest.mark.parametrize("phi_name", ["gauss", "offset"])
+@pytest.mark.parametrize("text", [
+    "delta * delta",
+    "pv(1/x) * pv(1/x)",
+    "(x+i0)^-1 * (x-i0)^-1",
+    "d(delta) * d(delta)",
+])
+def test_schedule_equals_heights_one_at_a_time(text, phi_name):
+    expr = parse_expression(text)
+    phi = REFERENCE_TEST_FUNCTIONS[phi_name]
+    ys = DEFAULT_SCHEDULE.heights()
+    got_ys, got = _schedule(expr, phi, ys)
+    assert got_ys == ys
+    assert [repr(v) for v in got] == [repr(pair_at_y(expr, phi, y)) for y in ys]
+
+
+def test_truncated_schedule_equals_heights_one_at_a_time():
+    # delta^3 against its order-2 subtraction stalls at the tenth check height
+    expr = parse_expression("delta * delta * delta")
+    phi = _subtracted_gauss(2)
+    ys = DEFAULT_SCHEDULE.heights(DEFAULT_SCHEDULE.check_ratio)
+    want_ys, want = _one_at_a_time(expr, phi, ys)
+    assert 6 <= len(want_ys) < len(ys)
+    got_ys, got = _schedule(expr, phi, ys)
+    assert got_ys == want_ys
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_failing_schedule_raises_like_heights_one_at_a_time():
+    # d(delta)^2 against its order-2 subtraction stalls before the sixth check height
+    expr = parse_expression("d(delta) * d(delta)")
+    phi = _subtracted_gauss(2)
+    ys = DEFAULT_SCHEDULE.heights(DEFAULT_SCHEDULE.check_ratio)
+    with pytest.raises(QuadratureError) as want:
+        _one_at_a_time(expr, phi, ys)
+    with pytest.raises(QuadratureError) as got:
+        _schedule(expr, phi, ys)
+    assert str(got.value) == str(want.value)
+    assert repr(got.value.partial_value) == repr(want.value.partial_value)
+    assert got.value.height < 6
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """Points handed to each integrand call, in order."""
+    sizes = []
+    factory = pairing._integrand
+
+    def counting(*args):
+        f = factory(*args)
+
+        def counted(x, y):
+            sizes.append(np.size(x))
+            return f(x, y)
+
+        return counted
+
+    monkeypatch.setattr(pairing, "_integrand", counting)
+    return sizes
+
+
+def test_schedule_work_count(integrand_calls, delta_sq, gauss):
+    counts = []
+    for _ in range(2):
+        integrand_calls.clear()
+        limit_pairing(delta_sq, gauss)
+        counts.append((len(integrand_calls), sum(integrand_calls)))
+    assert counts[0] == counts[1]
+    calls, points = counts[0]
+    # the points the heights need one at a time (in 120 calls), in few calls
+    assert points == 15102
+    assert calls <= 16
