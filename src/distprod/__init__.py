@@ -14,7 +14,6 @@ from .boundary import (
     HyperfunctionPair,
     RegulatorError,
     catalog,
-    combine,
     required_order,
     verify_growth_bound,
 )

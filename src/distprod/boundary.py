@@ -1,15 +1,15 @@
 """Distributions as boundary values of functions holomorphic off the real axis.
 
-A distribution u is represented by a pair (f+, f-) of Laurent polynomials,
-rational functions whose only pole is at z = 0; the regulated representative
-at height y > 0 is
+A distribution u is represented by a pair (f+, f-) of single terms c * z^n,
+whose only possible pole is at z = 0; the regulated representative at height
+y > 0 is
 
     F_y(x) = f+(x + iy) - f-(x - iy),
 
 and u is the limit of F_y as y -> 0+ in the sense of distributions.  The
 catalog below fixes one concrete pair per supported atom (delta, principal
-value of 1/x, one-sided powers (x +- i0)^-k, monomials); derivatives and
-linear combinations stay in the same class.
+value of 1/x, one-sided powers (x +- i0)^-k, monomials); derivatives stay in
+the same class.
 
 The growth exponents (alpha, beta) of a pair are read off its
 representatives: away from the real axis F_y is bounded by
@@ -40,7 +40,7 @@ class RegulatorError(ValueError):
 
 @dataclass(frozen=True)
 class HyperfunctionPair:
-    """Pair of Laurent representatives (f+, f-)."""
+    """Pair of single-term representatives (f+, f-)."""
 
     f_plus: RationalFunction
     f_minus: RationalFunction
@@ -83,25 +83,11 @@ class HyperfunctionPair:
                                  f"d({self.label})")
 
 
-def combine(pairs, weights) -> HyperfunctionPair:
-    """Linear combination of pairs."""
-    pairs = list(pairs)
-    weights = [complex(w) for w in weights]
-    if len(pairs) != len(weights) or not pairs:
-        raise ValueError("need equally many pairs and weights, at least one each")
-    fp = pairs[0].f_plus * weights[0]
-    fm = pairs[0].f_minus * weights[0]
-    for p, w in zip(pairs[1:], weights[1:]):
-        fp = fp + p.f_plus * w
-        fm = fm + p.f_minus * w
-    return HyperfunctionPair(fp, fm, "lin(" + ",".join(p.label for p in pairs) + ")")
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
 
-_ZERO = RationalFunction([0.0])
+_ZERO = RationalFunction(0.0)
 
 
 def catalog(name: str, param: int | None = None) -> HyperfunctionPair:
@@ -119,22 +105,22 @@ def catalog(name: str, param: int | None = None) -> HyperfunctionPair:
         _no_param(name, param)
         # delta = (i/2pi) * (1/(x+i0) - 1/(x-i0)); F_y is the Poisson kernel
         c = 1j / (2.0 * math.pi)
-        return HyperfunctionPair(RationalFunction([c], 1), RationalFunction([c], 1), "delta")
+        return HyperfunctionPair(RationalFunction(c, -1), RationalFunction(c, -1), "delta")
     if name == "pv_inv_x":
         _no_param(name, param)
-        return HyperfunctionPair(RationalFunction([0.5], 1), RationalFunction([-0.5], 1),
+        return HyperfunctionPair(RationalFunction(0.5, -1), RationalFunction(-0.5, -1),
                                  "pv(1/x)")
     if name == "plus_i0_pow":
         k = _positive_param(name, param)
-        return HyperfunctionPair(RationalFunction([1.0], k), _ZERO, f"(x+i0)^-{k}")
+        return HyperfunctionPair(RationalFunction(1.0, -k), _ZERO, f"(x+i0)^-{k}")
     if name == "minus_i0_pow":
         k = _positive_param(name, param)
-        return HyperfunctionPair(_ZERO, RationalFunction([-1.0], k), f"(x-i0)^-{k}")
+        return HyperfunctionPair(_ZERO, RationalFunction(-1.0, -k), f"(x-i0)^-{k}")
     if name == "monomial":
         if param is None or int(param) != param or param < 0:
             raise CatalogError(f"monomial requires an integer power >= 0, got {param!r}")
         r = int(param)
-        half = RationalFunction((0.0,) * r + (0.5,))
+        half = RationalFunction(0.5, r)
         return HyperfunctionPair(half, -half, f"x^{r}" if r else "1")
     if name == "one":
         _no_param(name, param)

@@ -210,13 +210,25 @@ def _phi_from_descriptor(desc: dict) -> TestFunction:
 
 
 def _complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
+    """A number, a [re, im] pair of numbers or a string such as '1+2j'."""
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(_json_number(v[0], float, "a counterterm part"),
+                       _json_number(v[1], float, "a counterterm part"))
     if isinstance(v, str):
-        return complex(v.replace(" ", ""))
-    raise ConfigError(f"cannot read {v!r} as a complex number")
+        try:
+            return complex(v.replace(" ", ""))
+        except ValueError:
+            raise ConfigError(f"cannot read {v!r} as a complex number") from None
+    return complex(_json_number(v, float, "a counterterm"))
+
+
+def _json_number(v, kind, what: str):
+    """v as kind (int or float); a bool, or a float where an int is due, is an error."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(v, bool) or not isinstance(v, allowed):
+        raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {v!r}")
+    return kind(v)
 
 
 _JOB_KEYS = {"expression", "phi", "y0", "ratio", "steps", "plateau", "support",
@@ -225,29 +237,47 @@ _JOB_KEYS = {"expression", "phi", "y0", "ratio", "steps", "plateau", "support",
 
 def job_from_file(path: str) -> Job:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return job_from_doc(json.load(fh))
+
+
+def job_from_doc(doc) -> Job:
+    """The job a job-file document describes; absent keys keep Job's defaults.
+
+    Every value is checked for its type here: a wrong one is a ConfigError,
+    never a silent conversion.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("job file must hold a JSON object")
     unknown = set(doc) - _JOB_KEYS
     if unknown:
         raise ConfigError(f"unknown job keys {sorted(unknown)}")
-    if "expression" not in doc:
-        raise ConfigError("job file needs an 'expression'")
-    schedule = Schedule(
-        y0=float(doc.get("y0", 0.1)),
-        ratio=float(doc.get("ratio", 0.5)),
-        count=int(doc.get("steps", 12)),
-    )
-    return Job(
-        expression=doc["expression"],
-        phis=[dict(d) for d in doc.get("phi", [dict(_DEFAULT_PHI)])],
-        schedule=schedule,
-        plateau=float(doc.get("plateau", 1.0)),
-        support=float(doc.get("support", 2.0)),
-        p_override=None if doc.get("p") is None else int(doc["p"]),
-        c_grid=[[_complex_from_json(v) for v in row] for row in doc.get("c_grid", [])],
-        out=doc.get("out"),
-    )
+    if not isinstance(doc.get("expression"), str):
+        raise ConfigError(f"job needs an 'expression' string, got {doc.get('expression')!r}")
+
+    def number(key, kind):
+        return _json_number(doc[key], kind, f"job key {key!r}")
+
+    schedule = {name: number(key, kind) for key, name, kind in
+                (("y0", "y0", float), ("ratio", "ratio", float), ("steps", "count", int))
+                if key in doc}
+    fields = {key: number(key, float) for key in ("plateau", "support") if key in doc}
+    if doc.get("p") is not None:
+        fields["p_override"] = number("p", int)
+    if "phi" in doc:
+        phis = doc["phi"]
+        if not (isinstance(phis, list) and phis and all(isinstance(d, dict) for d in phis)):
+            raise ConfigError(f"'phi' must be a non-empty list of objects, got {phis!r}")
+        fields["phis"] = [dict(d) for d in phis]
+    if "c_grid" in doc:
+        grid = doc["c_grid"]
+        if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
+            raise ConfigError(f"'c_grid' must be a list of lists, got {grid!r}")
+        fields["c_grid"] = [[_complex_from_json(v) for v in row] for row in grid]
+    if doc.get("out") is not None:
+        if not isinstance(doc["out"], str):
+            raise ConfigError(f"'out' must be a path string, got {doc['out']!r}")
+        fields["out"] = doc["out"]
+    return Job(expression=doc["expression"], schedule=Schedule(**schedule), **fields)
 
 
 def _cgrid_rows(job: Job, p: int) -> list[list[complex]]:
@@ -370,7 +400,7 @@ def _tolerances_from_env() -> Tolerances:
     except ValueError as exc:
         raise ConfigError(f"DISTPROD_TOL={raw!r} is not a number") from exc
     try:
-        return Tolerances.from_convergence(convergence)
+        return Tolerances(convergence)
     except ValueError as exc:
         raise ConfigError(f"DISTPROD_TOL={raw!r}: {exc}") from exc
 
@@ -400,11 +430,11 @@ def _build_argparser() -> argparse.ArgumentParser:
                     help="test function descriptor "
                          "'{\"poly\": [c0, c1, ...], \"sigma\": s, \"mu\": m}' "
                          "(repeatable)")
-    ap.add_argument("--y0", type=float, default=0.1, help="initial height")
-    ap.add_argument("--ratio", type=float, default=0.5, help="schedule ratio")
-    ap.add_argument("--steps", type=int, default=12, help="schedule length")
-    ap.add_argument("--plateau", type=float, default=1.0, help="cutoff plateau radius")
-    ap.add_argument("--support", type=float, default=2.0, help="cutoff support radius")
+    ap.add_argument("--y0", type=float, help="initial height (default 0.1)")
+    ap.add_argument("--ratio", type=float, help="schedule ratio (default 0.5)")
+    ap.add_argument("--steps", type=int, help="schedule length (default 12)")
+    ap.add_argument("--plateau", type=float, help="cutoff plateau radius (default 1.0)")
+    ap.add_argument("--support", type=float, help="cutoff support radius (default 2.0)")
     ap.add_argument("--p", type=int, default=None, help="override subtraction order")
     ap.add_argument("--c", action="append", default=None, metavar="COMPLEX",
                     help="counterterm c_k (repeat for k = 0, 1, ...; forms one "
@@ -414,6 +444,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _job_from_args(args) -> Job:
+    """The job of --job, or the job-file document the other flags spell out."""
     if args.job:
         job = job_from_file(args.job)
         if args.out:
@@ -421,30 +452,18 @@ def _job_from_args(args) -> Job:
         return job
     if not args.expr:
         raise ConfigError("either --expr or --job is required")
-    phis = [dict(_DEFAULT_PHI)]
+    doc = {"expression": args.expr}
     if args.phi:
-        phis = []
-        for raw in args.phi:
-            try:
-                phis.append(json.loads(raw))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--phi is not valid JSON: {raw!r}") from exc
-    c_grid = []
-    if args.c:
         try:
-            c_grid = [[complex(v.replace(" ", "")) for v in args.c]]
-        except ValueError as exc:
-            raise ConfigError(f"bad --c value in {args.c!r}") from exc
-    return Job(
-        expression=args.expr,
-        phis=phis,
-        schedule=Schedule(y0=args.y0, ratio=args.ratio, count=args.steps),
-        plateau=args.plateau,
-        support=args.support,
-        p_override=args.p,
-        c_grid=c_grid,
-        out=args.out,
-    )
+            doc["phi"] = [json.loads(raw) for raw in args.phi]
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--phi is not valid JSON: {exc.doc!r}") from exc
+    if args.c:
+        doc["c_grid"] = [args.c]
+    for key in ("y0", "ratio", "steps", "plateau", "support", "p", "out"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
+    return job_from_doc(doc)
 
 
 def main(argv=None) -> int:

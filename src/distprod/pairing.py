@@ -79,6 +79,10 @@ _MIN_PANEL_REL = 2.3e-16
 # together in one round.  It bounds the memory of a round, not the work: a
 # height over the budget on its own is refined alone.
 _PANEL_BUDGET = 2048
+# One height's caps: refinement rounds (the value is taken as it stands after
+# the last), and panels (past them the height stalls).
+_MAX_ROUNDS = 60
+_MAX_PANELS = 4000
 
 
 class QuadratureError(RuntimeError):
@@ -113,28 +117,33 @@ class NotExtendableError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# Ratio of the independent second schedule that confirms a converged value
+# does not depend on the particular sequence y -> 0.
+CHECK_RATIO = 1.0 / 3.0
+# Cross-schedule agreement, in units of the convergence tolerance.
+_SCHEDULE_FACTOR = 10.0
+# Power-law fit quality and minimal rate for "diverged".
+_R2_MIN = 0.99
+_S_MIN = 0.1
+# |s - nearest integer| within which the rate is snapped for the coefficient.
+_SNAP_WINDOW = 0.1
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Geometric height schedule y_k = y0 * ratio^k, k = 0 .. count-1.
-
-    check_ratio drives the independent second schedule used to confirm that a
-    converged value does not depend on the particular sequence y -> 0.
-    """
+    """Geometric height schedule y_k = y0 * ratio^k, k = 0 .. count-1."""
 
     y0: float = 0.1
     ratio: float = 0.5
     count: int = 12
-    check_ratio: float = 1.0 / 3.0
 
     def __post_init__(self):
         if not (self.y0 > 0.0 and math.isfinite(self.y0)):
             raise ValueError(f"y0 must be positive and finite, got {self.y0}")
-        for name in ("ratio", "check_ratio"):
-            r = getattr(self, name)
-            if not 0.0 < r < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {r}")
-        if self.ratio == self.check_ratio:
-            raise ValueError("check_ratio must differ from ratio")
+        if not 0.0 < self.ratio < 1.0:
+            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
+        if self.ratio == CHECK_RATIO:
+            raise ValueError(f"ratio must differ from the check ratio {CHECK_RATIO}")
         if self.count < 2:
             raise ValueError(f"count must be >= 2, got {self.count}")
 
@@ -145,26 +154,17 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Tolerances:
-    quad_abs: float = 1e-10          # absolute quadrature target per pairing
     convergence: float = 1e-7        # tail agreement of Richardson diagonal
-    schedule_factor: float = 10.0    # cross-schedule agreement, x convergence
-    r2_min: float = 0.99             # power-law fit quality for "diverged"
-    s_min: float = 0.1               # minimal divergence rate worth the name
-    snap_window: float = 0.1         # |s - nearest integer| for coefficient snap
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"tolerance {name} must be finite, got {value}")
-        for name in ("quad_abs", "convergence", "schedule_factor"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"tolerance {name} must be > 0, got {value}")
+        if not (self.convergence > 0.0 and math.isfinite(self.convergence)):
+            raise ValueError(
+                f"tolerance convergence must be finite and > 0, got {self.convergence}")
 
-    @classmethod
-    def from_convergence(cls, convergence: float) -> "Tolerances":
-        """Scale the quadrature target along with the convergence tolerance."""
-        return cls(quad_abs=max(convergence * 1e-3, 1e-13), convergence=convergence)
+    @property
+    def quad_abs(self) -> float:
+        """Absolute quadrature target per pairing, scaled with convergence."""
+        return max(self.convergence * 1e-3, 1e-13)
 
 
 DEFAULT_SCHEDULE = Schedule()
@@ -294,15 +294,13 @@ class _Refinement:
     halves, upper halves], so every sum runs in a fixed order.
     """
 
-    def __init__(self, points, epsabs: float, max_rounds: int, max_panels: int):
+    def __init__(self, points, epsabs: float):
         pts = np.asarray(sorted(points), dtype=float)
         self.new = np.column_stack([pts[:-1], pts[1:]])
         self.panels = self.vals = self.errs = self.roughs = None
         self.split = None
         self.rounds = 0
         self.epsabs = epsabs
-        self.max_rounds = max_rounds
-        self.max_panels = max_panels
 
     def absorb(self, nvals, nerrs, nroughs):
         if self.panels is None:
@@ -314,7 +312,7 @@ class _Refinement:
             self.errs = np.concatenate([self.errs[keep], nerrs])
             self.roughs = np.concatenate([self.roughs[keep], nroughs])
             self.rounds += 1
-        if self.rounds == self.max_rounds:
+        if self.rounds == _MAX_ROUNDS:
             return self._value()
         panels = self.panels
         error = float(self.errs.sum())
@@ -325,7 +323,7 @@ class _Refinement:
         width_floor = _MIN_PANEL_REL * np.maximum(1.0, np.abs(panels).max(axis=1))
         split = (self.errs > target / (2.0 * len(panels))) & (right - left > width_floor)
         m = np.count_nonzero(split)
-        if m == 0 or len(panels) + m > self.max_panels:
+        if m == 0 or len(panels) + m > _MAX_PANELS:
             raise QuadratureError(
                 f"quadrature stalled at error {error:.3e} "
                 f"(target {target:.3e}, {len(panels)} panels)",
@@ -351,8 +349,7 @@ class _Refinement:
         return complex(self.vals[order].sum())
 
 
-def _adaptive_quadrature(f, ys, pointsets, epsabs: float, max_rounds: int = 60,
-                         max_panels: int = 4000) -> list[complex]:
+def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
     """Deterministic adaptive refinement of all heights of a schedule at once.
 
     Height k integrates f(., ys[k]) over initial panels between
@@ -373,7 +370,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float, max_rounds: int = 60,
     it finish; then the QuadratureError of the lowest stalled height is
     raised, with `height` its index and `values` the values below it.
     """
-    work = [_Refinement(points, epsabs, max_rounds, max_panels) for points in pointsets]
+    work = [_Refinement(points, epsabs) for points in pointsets]
     values: list = [None] * len(ys)
     failure = None
     live = list(range(len(ys)))
@@ -588,9 +585,9 @@ def limit_pairing(expr: ProductExpression, phi,
 
     Converged requires the last three Richardson diagonal entries to agree
     within tol.convergence (real and imaginary parts separately) and a
-    second schedule with ratio schedule.check_ratio to agree within
-    tol.schedule_factor times that.  Diverged requires a log-log power-law
-    fit with R^2 >= tol.r2_min and rate s > tol.s_min.  Everything else is
+    second schedule with ratio CHECK_RATIO to agree within _SCHEDULE_FACTOR
+    times that.  Diverged requires a log-log power-law fit with
+    R^2 >= _R2_MIN and rate s > _S_MIN.  Everything else is
     inconclusive, which is a classification, not an error.
 
     Strongly divergent integrands eventually exhaust the quadrature budget
@@ -603,9 +600,9 @@ def limit_pairing(expr: ProductExpression, phi,
     if _tail_stable(diag, tol.convergence):
         value = diag[-1]
         ys2, integrals2 = _evaluate_schedule(
-            expr, phi, schedule.heights(schedule.check_ratio), tol)
-        diag2 = _richardson_diagonal(integrals2, schedule.check_ratio)
-        gap = tol.schedule_factor * tol.convergence
+            expr, phi, schedule.heights(CHECK_RATIO), tol)
+        diag2 = _richardson_diagonal(integrals2, CHECK_RATIO)
+        gap = _SCHEDULE_FACTOR * tol.convergence
         if (abs(diag2[-1].real - value.real) <= gap
                 and abs(diag2[-1].imag - value.imag) <= gap):
             return PairingResult(ys, integrals, "converged",
@@ -617,9 +614,8 @@ def limit_pairing(expr: ProductExpression, phi,
     if np.count_nonzero(usable) >= 5:
         slope, se, r2 = _loglog_fit(np.asarray(ys)[usable], mags[usable])
         s = -slope
-        if s > tol.s_min and r2 >= tol.r2_min:
-            coeff = _leading_coefficient(ys, integrals, s, schedule.ratio,
-                                         tol.snap_window)
+        if s > _S_MIN and r2 >= _R2_MIN:
+            coeff = _leading_coefficient(ys, integrals, s, schedule.ratio)
             return PairingResult(
                 ys, integrals, "diverged",
                 s=s, s_ci=(s - 2.0 * se, s + 2.0 * se), leading_coeff=coeff,
@@ -627,17 +623,16 @@ def limit_pairing(expr: ProductExpression, phi,
     return PairingResult(ys, integrals, "inconclusive")
 
 
-def _leading_coefficient(ys, integrals, s: float, ratio: float,
-                         snap_window: float) -> complex:
+def _leading_coefficient(ys, integrals, s: float, ratio: float) -> complex:
     """Coefficient A in I(y) ~ A y^-s.
 
-    When s sits within snap_window of an integer the rate is snapped and A is
+    When s sits within _SNAP_WINDOW of an integer the rate is snapped and A is
     Richardson-extrapolated from I_k * y_k^s_int (the residual corrections
     are again integer powers of y); otherwise A is read off the smallest
     height directly.
     """
     snapped = round(s)
-    if snapped >= 1 and abs(s - snapped) <= snap_window:
+    if snapped >= 1 and abs(s - snapped) <= _SNAP_WINDOW:
         scaled = [i * y**snapped for y, i in zip(ys, integrals)]
         return _richardson_diagonal(scaled, ratio)[-1]
     return integrals[-1] * ys[-1] ** s

@@ -62,6 +62,10 @@ class TestFunction:
         object.__setattr__(self, "mu", float(self.mu))
         if not self.poly:
             raise ValueError("empty coefficient list")
+        if not all(math.isfinite(c) for c in self.poly):
+            raise ValueError(f"poly coefficients must be finite, got {list(self.poly)}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.max_order < 0:

@@ -8,7 +8,6 @@ from distprod.boundary import (
     HyperfunctionPair,
     RegulatorError,
     catalog,
-    combine,
     required_order,
     verify_growth_bound,
 )
@@ -105,24 +104,25 @@ def test_regulator_error_on_bad_height():
 
 def test_regulated_heights_point_by_point():
     """An array of heights gives, bit for bit, each height's own values."""
-    pair = combine([catalog("delta"), catalog("plus_i0_pow", 2)], [1.0, 0.5j])
     xs = np.linspace(-2.0, 2.0, 9)
     ys = (0.3, 0.01)
-    got = pair.regulated(np.concatenate([xs, xs]), np.repeat(ys, len(xs)))
-    expect = np.concatenate([pair.regulated(xs, y) for y in ys])
-    assert got.tobytes() == expect.tobytes()
+    for pair in (catalog("pv_inv_x"), catalog("delta").derivative()):
+        assert not (pair.f_plus.is_zero or pair.f_minus.is_zero)
+        got = pair.regulated(np.concatenate([xs, xs]), np.repeat(ys, len(xs)))
+        expect = np.concatenate([pair.regulated(xs, y) for y in ys])
+        assert got.tobytes() == expect.tobytes()
 
 
-class _CountingLaurent(RationalFunction):
-    """A Laurent polynomial that records every evaluation."""
+class _CountingTerm(RationalFunction):
+    """A single term that records every evaluation."""
 
     def __call__(self, z):
         self.calls.append(z)
         return super().__call__(z)
 
 
-def _spy(coeffs):
-    f = _CountingLaurent(coeffs)
+def _spy(coeff):
+    f = _CountingTerm(coeff)
     f.calls = []
     return f
 
@@ -132,25 +132,17 @@ def test_zero_representative_not_evaluated():
     y = 0.01
     plus = catalog("plus_i0_pow", 2)
     assert plus.f_minus.is_zero
-    spy = _spy([0.0])
+    spy = _spy(0.0)
     got = HyperfunctionPair(plus.f_plus, spy, plus.label).regulated(xs, y)
     assert got.tobytes() == plus.f_plus(xs + 1j * y).tobytes()
     assert got.tobytes() == plus.regulated(xs, y).tobytes()
     assert spy.calls == []
 
     minus = catalog("minus_i0_pow", 2)
-    spy = _spy([0.0])
+    spy = _spy(0.0)
     got = HyperfunctionPair(spy, minus.f_minus, minus.label).regulated(xs, y)
     assert got.tobytes() == (-minus.f_minus(xs - 1j * y)).tobytes()
     assert spy.calls == []
-
-
-def test_normalized_representation_has_no_common_factor():
-    """A stored pole order is the true one: no common power of z is left."""
-    for pair in ALL_ATOMS + [a.derivative() for a in ALL_ATOMS]:
-        for f in (pair.f_plus, pair.f_minus):
-            if f.order > 0:
-                assert f.coeffs[0] != 0
 
 
 class TestDerivative:
@@ -184,16 +176,6 @@ class TestDerivative:
 
     def test_label(self):
         assert catalog("delta").derivative().label == "d(delta)"
-
-
-def test_combine_linearity():
-    a, b = catalog("delta"), catalog("pv_inv_x")
-    lin = combine([a, b], [2.0, -1.5j])
-    xs = np.linspace(-2, 2, 17)
-    for y in (0.4, 0.05):
-        expect = 2.0 * a.regulated(xs, y) - 1.5j * b.regulated(xs, y)
-        got = lin.regulated(xs, y)
-        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
 
 
 def test_cauchy_riemann_proxy():

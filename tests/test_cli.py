@@ -246,6 +246,51 @@ class TestJobFile:
         assert job.c_grid == [[1.0 + 0j], [1j], [1.0 + 2j]]
 
 
+def _run_job_file(tmp_path, doc, *flags):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    return main(["--job", str(path), *flags])
+
+
+class TestJobValues:
+    """Job values of the wrong type exit 2 instead of running wrong or crashing."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", 12.9), ("p", 0.5), ("y0", True), ("phi", []), ("phi", [5]),
+        ("c_grid", [1, 2]), ("c_grid", [[True]]), ("expression", 5), ("out", 5),
+    ])
+    def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
+        doc = {"expression": "delta", "steps": 8, key: value}
+        assert _run_job_file(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("phi", [
+        {"poly": [1], "sigma": 1, "mu": "nan"},
+        {"poly": [float("nan")], "sigma": 1},
+    ])
+    def test_non_finite_phi_exit_two(self, tmp_path, capsys, phi):
+        doc = {"expression": "delta", "steps": 8, "phi": [phi]}
+        assert _run_job_file(tmp_path, doc) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_flags_and_file_give_identical_reports(self, tmp_path):
+        phi = '{"poly": [1, 0.5], "sigma": 0.8, "mu": 0.1}'
+        flag_out, file_out, both_out = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+        assert main(["--expr", "delta * delta", "--phi", phi, "--y0", "0.2",
+                     "--ratio", "0.4", "--steps", "10", "--plateau", "0.8",
+                     "--support", "1.5", "--c", "0.5", "--out", str(flag_out)]) == 0
+        doc = {"expression": "delta * delta", "phi": [json.loads(phi)], "y0": 0.2,
+               "ratio": 0.4, "steps": 10, "plateau": 0.8, "support": 1.5,
+               "c_grid": [[0.5]], "out": str(file_out)}
+        assert _run_job_file(tmp_path, doc) == 0
+        assert flag_out.read_bytes() == file_out.read_bytes()
+        # --job overrides the other flags, and --out the file's "out"
+        assert _run_job_file(tmp_path, doc, "--expr", "1", "--steps", "3",
+                             "--out", str(both_out)) == 0
+        assert both_out.read_bytes() == file_out.read_bytes()
+
+
 class TestMain:
     def test_classified_outcome_exit_zero(self, capsys):
         code = main(["--expr", "delta", "--steps", "8"])

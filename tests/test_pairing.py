@@ -15,6 +15,7 @@ from distprod.boundary import RegulatorError, catalog
 from distprod.cli import parse_expression
 from distprod.extension import SubtractedFunction
 from distprod.pairing import (
+    CHECK_RATIO,
     DEFAULT_SCHEDULE,
     DEFAULT_TOLERANCES,
     InconclusivePairingError,
@@ -164,7 +165,7 @@ class TestLimitPairing:
         assert abs(res.check_value - res.value) <= 10 * 1e-7
 
     def test_custom_schedule(self, delta_pv, odd_gauss):
-        sched = Schedule(y0=0.2, ratio=0.4, count=10, check_ratio=0.25)
+        sched = Schedule(y0=0.2, ratio=0.4, count=10)
         res = limit_pairing(delta_pv, odd_gauss, schedule=sched)
         assert res.status == "converged"
         assert res.value.real == pytest.approx(0.5, abs=1e-6)
@@ -195,7 +196,7 @@ class TestScheduleValidation:
 
     def test_equal_ratios(self):
         with pytest.raises(ValueError):
-            Schedule(ratio=0.5, check_ratio=0.5)
+            Schedule(ratio=CHECK_RATIO)
 
     def test_heights_geometric(self):
         h = Schedule(y0=1.0, ratio=0.5, count=4).heights()
@@ -306,17 +307,23 @@ class TestProductExpression:
 
 
 def test_tolerances_env_scaling():
-    t = Tolerances.from_convergence(1e-5)
+    t = Tolerances(1e-5)
     assert t.convergence == 1e-5
     assert t.quad_abs == pytest.approx(1e-8)
+    assert Tolerances().quad_abs == 1e-10
+    assert Tolerances(1e-12).quad_abs == 1e-13
+    assert hash(Tolerances()) == hash(Tolerances(1e-7))
 
 
 @pytest.mark.parametrize("field, value", [
     ("quad_abs", 0.0), ("convergence", -1e-7), ("schedule_factor", 0.0),
     ("convergence", math.inf), ("r2_min", math.nan), ("s_min", -math.inf),
+    ("convergence", 0.0), ("convergence", math.nan),
 ])
 def test_tolerances_rejects_invalid_values(field, value):
-    with pytest.raises(ValueError, match=field):
+    # convergence is the one setting; the others are constants, not arguments
+    error = ValueError if field == "convergence" else TypeError
+    with pytest.raises(error, match=field):
         Tolerances(**{field: value})
 
 
@@ -366,7 +373,7 @@ def test_truncated_schedule_equals_heights_one_at_a_time():
     # delta^3 against its order-2 subtraction stalls at the tenth check height
     expr = parse_expression("delta * delta * delta")
     phi = _subtracted_gauss(2)
-    ys = DEFAULT_SCHEDULE.heights(DEFAULT_SCHEDULE.check_ratio)
+    ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
     want_ys, want = _one_at_a_time(expr, phi, ys)
     assert 6 <= len(want_ys) < len(ys)
     got_ys, got = _schedule(expr, phi, ys)
@@ -378,7 +385,7 @@ def test_failing_schedule_raises_like_heights_one_at_a_time():
     # d(delta)^2 against its order-2 subtraction stalls before the sixth check height
     expr = parse_expression("d(delta) * d(delta)")
     phi = _subtracted_gauss(2)
-    ys = DEFAULT_SCHEDULE.heights(DEFAULT_SCHEDULE.check_ratio)
+    ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
     with pytest.raises(QuadratureError) as want:
         _one_at_a_time(expr, phi, ys)
     with pytest.raises(QuadratureError) as got:

@@ -40,6 +40,13 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             TestFunction((1.0,), sigma=0.0)
 
+    @pytest.mark.parametrize("poly, mu", [
+        ((1.0,), math.nan), ((1.0,), math.inf), ((math.nan,), 0.0), ((1.0, -math.inf), 0.0),
+    ])
+    def test_non_finite_parameters(self, poly, mu):
+        with pytest.raises(ValueError, match="finite"):
+            TestFunction(poly, sigma=1.0, mu=mu)
+
     def test_offset_center(self):
         phi = TestFunction((1.0,), sigma=1.0, mu=2.0)
         assert phi(2.0) == pytest.approx(1.0)
