@@ -43,7 +43,6 @@ from .pairing import (
     Schedule,
     SubtractionOrder,
     Tolerances,
-    divergence_order,
     limit_pairing,
     pair_at_y,
     ring_axiom_check,

@@ -197,16 +197,21 @@ class Job:
 
 
 def _phi_from_descriptor(desc: dict) -> TestFunction:
-    try:
-        poly = tuple(float(c) for c in desc["poly"])
-        sigma = float(desc["sigma"])
-        mu = float(desc.get("mu", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad test function descriptor {desc!r}: {exc}") from exc
+    """The test function of a descriptor; each value must be a JSON number."""
     extra = set(desc) - {"poly", "sigma", "mu"}
     if extra:
         raise ConfigError(f"unknown test function keys {sorted(extra)}")
-    return TestFunction(poly, sigma, mu)
+    missing = {"poly", "sigma"} - set(desc)
+    if missing:
+        raise ConfigError(f"test function descriptor {desc!r} lacks {sorted(missing)}")
+    poly = desc["poly"]
+    if not (isinstance(poly, list) and poly):
+        raise ConfigError(f"test function key 'poly' must be a non-empty list, got {poly!r}")
+    return TestFunction(
+        tuple(_json_number(c, float, "a 'poly' coefficient") for c in poly),
+        _json_number(desc["sigma"], float, "test function key 'sigma'"),
+        _json_number(desc.get("mu", 0.0), float, "test function key 'mu'"),
+    )
 
 
 def _complex_from_json(v) -> complex:

@@ -18,10 +18,13 @@ round evaluates the new panels of every height still refining in one
 integrand call, so the cost of a numpy call is paid per round, not per
 height.  A round takes heights in schedule order while their panels in
 flight, held and new, fit a fixed budget of 2048 panels (a height over it
-goes alone); the others wait.  This bounds the memory of a round.  Each
-height keeps its own panel order, sums and reductions, so every I(y) is
-bitwise the value that height gets on its own; ``pair_at_y`` is the
-one-height case.
+goes alone); the others wait.  This bounds the memory of a round.  The leaf
+panels of the heights are the rows of one packed array, grouped by height
+and sorted by left endpoint, so a round's bookkeeping (error sums, split
+tests, halving) is a few vector operations over all of them.  A height's
+sums and splits read only its own rows and its value is the sum of its rows
+in left order, so every I(y) is bitwise the value that height gets on its
+own; ``pair_at_y`` is the one-height case.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import HyperfunctionPair, RegulatorError, catalog
-from .testfn import REFERENCE_TEST_FUNCTIONS, TestFunction, vanish_probe
+from .testfn import REFERENCE_TEST_FUNCTIONS, vanish_probe
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK dqk15).
 _XGK = np.array([
@@ -237,41 +240,29 @@ class ProductExpression:
         powers.insert(position, 0)
         return ProductExpression(tuple(factors), tuple(powers))
 
-    def with_explicit_monomials(self) -> "ProductExpression":
-        """Replace every attached power by an explicit monomial factor."""
-        factors = []
-        powers = []
-        for pair, r in zip(self.factors, self.powers):
-            if r:
-                factors.append(catalog("monomial", r))
-                powers.append(0)
-            factors.append(pair)
-            powers.append(0)
-        return ProductExpression(tuple(factors), tuple(powers))
-
 
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
 
-def _panel_rule(f, panels: np.ndarray, ys, sizes):
-    """Apply the 7-15 rule to every (a, b) row of `panels` in one evaluation.
+def _panel_rule(f, a: np.ndarray, b: np.ndarray, ys, sizes):
+    """Apply the 7-15 rule to every panel [a[i], b[i]] in one evaluation.
 
-    The rows come in blocks, one per height: the first sizes[0] rows are at
+    The panels come in blocks, one per height: the first sizes[0] are at
     height ys[0], the next sizes[1] at ys[1], and so on.  The weighted sums
     run block by block, because a matrix-vector product over more rows may
     round differently; each height's numbers are then the same whichever
     other heights share the call.
     """
-    half = 0.5 * (panels[:, 1] - panels[:, 0])
-    mid = 0.5 * (panels[:, 0] + panels[:, 1])
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
     y = np.repeat(ys, 15 * np.asarray(sizes))
     v = np.asarray(f(x.ravel(), y), dtype=complex).reshape(x.shape)
     vg = v[:, _GAUSS_IDX]
-    sumk = np.empty(len(panels), dtype=complex)
-    sumg = np.empty(len(panels), dtype=complex)
+    sumk = np.empty(len(a), dtype=complex)
+    sumg = np.empty(len(a), dtype=complex)
     start = 0
     for n in sizes:
         block = slice(start, start + n)
@@ -284,69 +275,41 @@ def _panel_rule(f, panels: np.ndarray, ys, sizes):
     return resk, np.abs(resk - resg), rough
 
 
-class _Refinement:
-    """One height's panels under adaptive refinement.
+# A leaf panel [a, b] under refinement: its rule value, error estimate and
+# roughness (|f| summed over the nodes, times the half-width); `fresh` while
+# it waits for the rule, `split` while it waits to be halved.
+_LEAF = np.dtype([("a", float), ("b", float), ("value", complex), ("error", float),
+                  ("rough", float), ("fresh", bool), ("split", bool)], align=True)
 
-    `new` holds the panels waiting for the rule.  `absorb` takes their rule
-    results and, like one round of a lone adaptive quadrature, either returns
-    the height's value, leaves the next split in `new` and returns None, or
-    raises QuadratureError.  Panels are kept in the order [kept, lower
-    halves, upper halves], so every sum runs in a fixed order.
+
+def _over_share(rows, share) -> np.ndarray:
+    """Rows whose error exceeds their share and that are wider than round-off."""
+    a, b = rows["a"], rows["b"]
+    width_floor = _MIN_PANEL_REL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return (rows["error"] > share) & (b - a > width_floor)
+
+
+def _halved(rows) -> np.ndarray:
+    """The rows with each one marked to split replaced by its two fresh halves."""
+    split = rows["split"]
+    copies = 1 + split
+    mids = 0.5 * (rows["a"][split] + rows["b"][split])
+    out = np.repeat(rows, copies)
+    out["fresh"] |= out["split"]
+    out["split"] = False
+    after = np.cumsum(copies)[split]
+    out["b"][after - 2] = mids
+    out["a"][after - 1] = mids
+    return out
+
+
+def _leaf_sum(rows) -> complex:
+    """The pairwise sum of the rows' values, in row order.
+
+    Summed from a contiguous copy: numpy's pairwise sum over a strided view
+    of the field may round differently.
     """
-
-    def __init__(self, points, epsabs: float):
-        pts = np.asarray(sorted(points), dtype=float)
-        self.new = np.column_stack([pts[:-1], pts[1:]])
-        self.panels = self.vals = self.errs = self.roughs = None
-        self.split = None
-        self.rounds = 0
-        self.epsabs = epsabs
-
-    def absorb(self, nvals, nerrs, nroughs):
-        if self.panels is None:
-            self.panels, self.vals, self.errs, self.roughs = self.new, nvals, nerrs, nroughs
-        else:
-            keep = ~self.split
-            self.panels = np.concatenate([self.panels[keep], self.new])
-            self.vals = np.concatenate([self.vals[keep], nvals])
-            self.errs = np.concatenate([self.errs[keep], nerrs])
-            self.roughs = np.concatenate([self.roughs[keep], nroughs])
-            self.rounds += 1
-        if self.rounds == _MAX_ROUNDS:
-            return self._value()
-        panels = self.panels
-        error = float(self.errs.sum())
-        target = max(self.epsabs, 2e-14 * float(self.roughs.sum()))
-        if error <= target:
-            return self._value()
-        left, right = panels[:, 0], panels[:, 1]
-        width_floor = _MIN_PANEL_REL * np.maximum(1.0, np.abs(panels).max(axis=1))
-        split = (self.errs > target / (2.0 * len(panels))) & (right - left > width_floor)
-        m = np.count_nonzero(split)
-        if m == 0 or len(panels) + m > _MAX_PANELS:
-            raise QuadratureError(
-                f"quadrature stalled at error {error:.3e} "
-                f"(target {target:.3e}, {len(panels)} panels)",
-                self._value(),
-                error,
-            )
-        a, b = left[split], right[split]
-        mids = 0.5 * (a + b)
-        new = np.empty((2 * m, 2))
-        new[:m, 0], new[:m, 1] = a, mids
-        new[m:, 0], new[m:, 1] = mids, b
-        self.split = split
-        self.new = new
-        return None
-
-    @property
-    def in_flight(self) -> int:
-        """Panels held and waiting for the rule."""
-        return len(self.new) + (0 if self.panels is None else len(self.panels))
-
-    def _value(self) -> complex:
-        order = np.argsort(self.panels[:, 0], kind="stable")
-        return complex(self.vals[order].sum())
+    return complex(np.ascontiguousarray(rows["value"]).sum())
 
 
 def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
@@ -357,46 +320,94 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
     share of the target; the target is the max of `epsabs` and a round-off
     floor scaled to the integrand's total variation, so pairings whose
     magnitude blows up as y -> 0 degrade gracefully to full relative
-    precision.
+    precision.  A height is done when its error meets the target or after
+    _MAX_ROUNDS rounds, and stalls when no panel can split or splitting
+    would pass _MAX_PANELS.
 
-    The heights refine in lockstep: each round makes one `_panel_rule` call
-    over the new panels of the heights still refining, taken in schedule
-    order while their panels in flight (held and new) fit _PANEL_BUDGET; a
-    height over the budget on its own goes alone.  The rest wait for a later
-    round.  Each height's arithmetic is that of a quadrature run on its own,
-    so every value is independent of the others.
+    The leaf panels of the heights are rows of one packed array, grouped by
+    height in schedule order and sorted by left endpoint within a height; a
+    split replaces a row by its two halves in place.  Each round makes one
+    `_panel_rule` call over the fresh rows of the heights taken in schedule
+    order while their panels in flight (rows, and two halves for each row
+    marked to split) fit _PANEL_BUDGET; a height over the budget on its own
+    goes alone.  The rows of the heights past the batch are set aside, not
+    halved yet, so a round copies only the batch's rows.  A height's sums
+    and splits read its own rows only, and its value is the sum of its rows
+    in left order, so every value is the one the height gets alone.
 
     When a height stalls, the heights above it are dropped and those below
     it finish; then the QuadratureError of the lowest stalled height is
     raised, with `height` its index and `values` the values below it.
     """
-    work = [_Refinement(points, epsabs) for points in pointsets]
+    ys = np.asarray(ys, dtype=float)
+    waiting = []                       # rows of each live height past the batch
+    for points in pointsets:
+        pts = np.asarray(sorted(points), dtype=float)
+        rows = np.zeros(len(pts) - 1, _LEAF)
+        rows["a"], rows["b"], rows["fresh"] = pts[:-1], pts[1:], True
+        waiting.append(rows)
+    live = np.arange(len(ys))          # live heights, in schedule order
+    count = np.array([len(rows) for rows in waiting])  # rows per live height
+    marked = np.zeros_like(count)      # of them, rows marked to split
+    rounds = np.full_like(count, -1)   # refinement rounds; -1 before the first rule
+    batch, held = np.zeros(0, _LEAF), 0    # rows of the first `held` live heights
     values: list = [None] * len(ys)
     failure = None
-    live = list(range(len(ys)))
-    while live:
-        batch, held = [], 0
-        for k in live:
-            held += work[k].in_flight
-            if batch and held > _PANEL_BUDGET:
-                break
-            batch.append(k)
-        sizes = [len(work[k].new) for k in batch]
-        new = np.concatenate([work[k].new for k in batch])
-        nvals, nerrs, nroughs = _panel_rule(f, new, [ys[k] for k in batch], sizes)
-        start = 0
-        for k, n in zip(batch, sizes):
-            if failure is not None and k > failure.height:
-                break
-            part = slice(start, start + n)
-            start += n
-            try:
-                values[k] = work[k].absorb(nvals[part], nerrs[part], nroughs[part])
-            except QuadratureError as exc:
-                exc.height = k
-                failure = exc
-        live = [k for k in live if values[k] is None
-                and (failure is None or k < failure.height)]
+    while len(live):
+        in_flight = np.cumsum(count + 2 * marked)
+        n = max(1, int(np.searchsorted(in_flight, _PANEL_BUDGET, "right")))
+        if n > held:
+            batch = np.concatenate([batch] + waiting[:n - held])
+            del waiting[:n - held]
+        elif n < held:
+            ends = np.cumsum(count[:held])
+            # copied, so that the waiting rows do not hold on to the batch
+            waiting[:0] = np.split(batch[ends[n - 1]:].copy(), ends[n:held - 1] - ends[n - 1])
+            batch = batch[:ends[n - 1]]
+        held = n
+        batch = _halved(batch)
+        count[:n] += marked[:n]
+        size = count[:n]
+        ends = np.cumsum(size)
+        starts = ends - size
+
+        fresh = batch["fresh"]
+        batch["value"][fresh], batch["error"][fresh], batch["rough"][fresh] = _panel_rule(
+            f, batch["a"][fresh], batch["b"][fresh], ys[live[:n]],
+            np.add.reduceat(fresh, starts))
+        batch["fresh"] = False
+        rounds[:n] += 1
+        error = np.add.reduceat(batch["error"], starts)
+        target = np.maximum(epsabs, 2e-14 * np.add.reduceat(batch["rough"], starts))
+        split = _over_share(batch, np.repeat(target / (2.0 * size), size))
+        m = np.add.reduceat(split, starts)
+        done = (rounds[:n] == _MAX_ROUNDS) | (error <= target)
+        stalled = ~done & ((m == 0) | (size + m > _MAX_PANELS))
+
+        # the lowest stall drops every height above it, in the batch or waiting
+        stop = int(np.argmax(stalled)) if stalled.any() else n
+        for i in np.flatnonzero(done[:stop]):
+            values[live[i]] = _leaf_sum(batch[starts[i]:ends[i]])
+        if stop < n:
+            failure = QuadratureError(
+                f"quadrature stalled at error {error[stop]:.3e} "
+                f"(target {target[stop]:.3e}, {size[stop]} panels)",
+                _leaf_sum(batch[starts[stop]:ends[stop]]),
+                float(error[stop]),
+            )
+            failure.height = int(live[stop])
+            waiting = []
+        batch["split"] = split
+        marked[:n] = m
+        go = ~done
+        go[stop:] = False
+        if not go.all():
+            batch = batch[np.repeat(go, size)]
+            keep = np.ones(len(live), dtype=bool)
+            keep[:n] = go
+            keep[n:] = stop == n
+            live, count, marked, rounds = live[keep], count[keep], marked[keep], rounds[keep]
+            held = int(np.count_nonzero(go))
     if failure is None:
         return values
     failure.values = tuple(values[:failure.height])
@@ -404,7 +415,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
         raise failure
     finally:
         # the traceback holds this frame; drop the frame's reference back to
-        # the error so that the states in `work` go as soon as it is handled
+        # the error so that the frame's arrays go as soon as it is handled
         del failure
 
 
@@ -642,26 +653,11 @@ def _leading_coefficient(ys, integrals, s: float, ratio: float) -> complex:
 # derived classifiers
 # ---------------------------------------------------------------------------
 
-_REFERENCE_PHI = REFERENCE_TEST_FUNCTIONS["gauss"]
 # An even phi is blind to products whose divergent part is odd (the integrand
 # is exactly odd and I(y) is pure quadrature noise), so order determination
 # classifies against an off-center function with no parity zeros.
 _GENERIC_PHI = REFERENCE_TEST_FUNCTIONS["offset"]
 _PROBE_BASES = ("gauss", "gauss_wide", "tilted")
-
-
-def divergence_order(expr: ProductExpression,
-                     schedule: Schedule = DEFAULT_SCHEDULE,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Fitted divergence rate s against the reference Gaussian; 0 if convergent."""
-    result = limit_pairing(expr, _REFERENCE_PHI, schedule, tol)
-    if result.status == "converged":
-        return 0.0
-    if result.status == "diverged":
-        return float(result.s)
-    raise InconclusivePairingError(
-        f"pairing for {expr.label!r} is inconclusive", result
-    )
 
 
 @dataclass(frozen=True)

@@ -266,13 +266,26 @@ class TestJobValues:
         assert "error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("phi", [
-        {"poly": [1], "sigma": 1, "mu": "nan"},
+        {"poly": [1], "sigma": 1, "mu": float("nan")},
         {"poly": [float("nan")], "sigma": 1},
     ])
     def test_non_finite_phi_exit_two(self, tmp_path, capsys, phi):
         doc = {"expression": "delta", "steps": 8, "phi": [phi]}
         assert _run_job_file(tmp_path, doc) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi", [
+        {"poly": [1], "sigma": True},
+        {"poly": [1], "sigma": 1, "mu": "0.5"},
+        {"poly": [1], "sigma": "1e0"},
+        {"poly": [True], "sigma": 1},
+        {"poly": "12", "sigma": 1},
+    ])
+    def test_phi_values_must_be_numbers(self, tmp_path, capsys, phi):
+        doc = {"expression": "delta", "steps": 8, "phi": [phi]}
+        assert _run_job_file(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
 
     def test_flags_and_file_give_identical_reports(self, tmp_path):
         phi = '{"poly": [1, 0.5], "sigma": 0.8, "mu": 0.1}'
