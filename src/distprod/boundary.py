@@ -54,7 +54,7 @@ class HyperfunctionPair:
     @property
     def beta(self) -> int:
         """Growth exponent in |x|: the highest power of z, at least 0."""
-        return max(0, self.f_plus.top_power, self.f_minus.top_power)
+        return max(0, self.f_plus.power, self.f_minus.power)
 
     def regulated(self, x, y):
         """F_y(x) = f+(x + iy) - f-(x - iy) at heights y > 0.

@@ -347,10 +347,10 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     expr = parse_expression(job.expression)
     omegas = (PlateauCutoff(job.plateau, job.support),
               PlateauCutoff(job.plateau / 2.0, job.support / 2.0))
+    phis = [_phi_from_descriptor(desc) for desc in job.phis]
     search = None
     results = []
-    for desc in job.phis:
-        phi = _phi_from_descriptor(desc)
+    for desc, phi in zip(job.phis, phis):
         entry: dict = {"phi": desc}
         pairing = limit_pairing(expr, phi, job.schedule, tol)
         entry["pairing"] = pairing.to_json_dict()

@@ -116,10 +116,6 @@ class SubtractedFunction:
 # ---------------------------------------------------------------------------
 
 
-def _default_cutoff() -> PlateauCutoff:
-    return PlateauCutoff(1.0, 2.0)
-
-
 @dataclass(frozen=True)
 class Extension:
     """A continuation: expression, subtraction order, counterterms, cutoff.
@@ -149,7 +145,7 @@ class Extension:
                 omega: PlateauCutoff | None = None,
                 subtract: bool = True) -> "Extension":
         """The c = 0 representative of the continuation family."""
-        return cls(expr, p, (0j,) * (p + 1), omega or _default_cutoff(), subtract)
+        return cls(expr, p, (0j,) * (p + 1), omega or PlateauCutoff(1.0, 2.0), subtract)
 
     def with_counterterms(self, c) -> "Extension":
         return replace(self, c=tuple(complex(v) for v in c))

@@ -16,15 +16,15 @@ left endpoint, so results are bit-stable for a fixed configuration.
 All heights of a schedule are integrated together, in lockstep rounds: each
 round evaluates the new panels of every height still refining in one
 integrand call, so the cost of a numpy call is paid per round, not per
-height.  A round takes heights in schedule order while their panels in
-flight, held and new, fit a fixed budget of 2048 panels (a height over it
-goes alone); the others wait.  This bounds the memory of a round.  The leaf
-panels of the heights are the rows of one packed array, grouped by height
-and sorted by left endpoint, so a round's bookkeeping (error sums, split
-tests, halving) is a few vector operations over all of them.  A height's
-sums and splits read only its own rows and its value is the sum of its rows
-in left order, so every I(y) is bitwise the value that height gets on its
-own; ``pair_at_y`` is the one-height case.
+height.  The leaf panels of the live heights are the rows of one packed
+array, grouped by height in schedule order and sorted by left endpoint, so a
+round's bookkeeping (error sums, split tests, halving) is a few vector
+operations over all of them.  A round takes the longest prefix of the heights
+whose panels in flight fit a fixed budget of 2048 panels (a height over it
+goes alone), which bounds the memory of its integrand call; the heights past
+it sit the round out.  A height's sums and splits read only its own rows and
+its value is the sum of its rows in left order, so every I(y) is bitwise the
+value that height gets on its own; ``pair_at_y`` is the one-height case.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -78,9 +78,10 @@ _WG_FULL = np.concatenate([_WG[:-1], _WG[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 _MIN_PANEL_REL = 2.3e-16
-# Panels in flight (held and waiting for the rule) over the heights refined
-# together in one round.  It bounds the memory of a round, not the work: a
-# height over the budget on its own is refined alone.
+# Panels in flight over the heights refined together in one round: a
+# height's rows, plus the parent of each pair of fresh halves.  It bounds the
+# memory of a round's integrand call, not the work: a height over the budget
+# on its own is refined alone.
 _PANEL_BUDGET = 2048
 # One height's caps: refinement rounds (the value is taken as it stands after
 # the last), and panels (past them the height stalls).
@@ -277,9 +278,9 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, ys, sizes):
 
 # A leaf panel [a, b] under refinement: its rule value, error estimate and
 # roughness (|f| summed over the nodes, times the half-width); `fresh` while
-# it waits for the rule, `split` while it waits to be halved.
+# it waits for the rule.
 _LEAF = np.dtype([("a", float), ("b", float), ("value", complex), ("error", float),
-                  ("rough", float), ("fresh", bool), ("split", bool)], align=True)
+                  ("rough", float), ("fresh", bool)], align=True)
 
 
 def _over_share(rows, share) -> np.ndarray:
@@ -289,17 +290,15 @@ def _over_share(rows, share) -> np.ndarray:
     return (rows["error"] > share) & (b - a > width_floor)
 
 
-def _halved(rows) -> np.ndarray:
-    """The rows with each one marked to split replaced by its two fresh halves."""
-    split = rows["split"]
-    copies = 1 + split
+def _halved(rows, copies) -> np.ndarray:
+    """Each row taken copies[i] times (0, 1 or 2), a row taken twice as its two
+    fresh halves."""
+    split = copies == 2
     mids = 0.5 * (rows["a"][split] + rows["b"][split])
     out = np.repeat(rows, copies)
-    out["fresh"] |= out["split"]
-    out["split"] = False
     after = np.cumsum(copies)[split]
-    out["b"][after - 2] = mids
-    out["a"][after - 1] = mids
+    out["b"][after - 2] = out["a"][after - 1] = mids
+    out["fresh"][after - 2] = out["fresh"][after - 1] = True
     return out
 
 
@@ -324,70 +323,56 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
     _MAX_ROUNDS rounds, and stalls when no panel can split or splitting
     would pass _MAX_PANELS.
 
-    The leaf panels of the heights are rows of one packed array, grouped by
-    height in schedule order and sorted by left endpoint within a height; a
-    split replaces a row by its two halves in place.  Each round makes one
-    `_panel_rule` call over the fresh rows of the heights taken in schedule
-    order while their panels in flight (rows, and two halves for each row
-    marked to split) fit _PANEL_BUDGET; a height over the budget on its own
-    goes alone.  The rows of the heights past the batch are set aside, not
-    halved yet, so a round copies only the batch's rows.  A height's sums
-    and splits read its own rows only, and its value is the sum of its rows
-    in left order, so every value is the one the height gets alone.
+    The leaf panels of the live heights are the rows of one packed array,
+    grouped by height in schedule order and sorted by left endpoint within a
+    height.  A round takes the longest prefix of heights whose panels in
+    flight fit _PANEL_BUDGET (a height over it on its own goes alone): its
+    rows, plus the parent of each pair of fresh halves.  It evaluates the
+    prefix's fresh rows in one `_panel_rule` call, and before it ends it
+    replaces every row it marks by its two fresh halves and drops the rows
+    of the heights that are done.  A height's sums and splits read its own
+    rows only, and its value is the sum of its rows in left order, so every
+    value is the one the height gets alone.
 
     When a height stalls, the heights above it are dropped and those below
     it finish; then the QuadratureError of the lowest stalled height is
     raised, with `height` its index and `values` the values below it.
     """
     ys = np.asarray(ys, dtype=float)
-    waiting = []                       # rows of each live height past the batch
-    for points in pointsets:
-        pts = np.asarray(sorted(points), dtype=float)
-        rows = np.zeros(len(pts) - 1, _LEAF)
-        rows["a"], rows["b"], rows["fresh"] = pts[:-1], pts[1:], True
-        waiting.append(rows)
+    pts = [np.asarray(sorted(points), dtype=float) for points in pointsets]
     live = np.arange(len(ys))          # live heights, in schedule order
-    count = np.array([len(rows) for rows in waiting])  # rows per live height
-    marked = np.zeros_like(count)      # of them, rows marked to split
-    rounds = np.full_like(count, -1)   # refinement rounds; -1 before the first rule
-    batch, held = np.zeros(0, _LEAF), 0    # rows of the first `held` live heights
+    size = np.array([len(p) - 1 for p in pts])  # rows per live height
+    fresh = size.copy()                # of them, rows waiting for the rule
+    rounds = np.full_like(size, -1)    # refinement rounds; -1 before the first rule
+    rows = np.zeros(size.sum(), _LEAF)
+    rows["a"] = np.concatenate([p[:-1] for p in pts])
+    rows["b"] = np.concatenate([p[1:] for p in pts])
+    rows["fresh"] = True
     values: list = [None] * len(ys)
     failure = None
     while len(live):
-        in_flight = np.cumsum(count + 2 * marked)
-        n = max(1, int(np.searchsorted(in_flight, _PANEL_BUDGET, "right")))
-        if n > held:
-            batch = np.concatenate([batch] + waiting[:n - held])
-            del waiting[:n - held]
-        elif n < held:
-            ends = np.cumsum(count[:held])
-            # copied, so that the waiting rows do not hold on to the batch
-            waiting[:0] = np.split(batch[ends[n - 1]:].copy(), ends[n:held - 1] - ends[n - 1])
-            batch = batch[:ends[n - 1]]
-        held = n
-        batch = _halved(batch)
-        count[:n] += marked[:n]
-        size = count[:n]
-        ends = np.cumsum(size)
-        starts = ends - size
-
-        fresh = batch["fresh"]
-        batch["value"][fresh], batch["error"][fresh], batch["rough"][fresh] = _panel_rule(
-            f, batch["a"][fresh], batch["b"][fresh], ys[live[:n]],
-            np.add.reduceat(fresh, starts))
+        n = max(1, int(np.searchsorted(np.cumsum(size + fresh // 2), _PANEL_BUDGET, "right")))
+        ends = np.cumsum(size[:n])
+        starts = ends - size[:n]
+        batch = rows[:ends[-1]]
+        new = batch["fresh"]
+        batch["value"][new], batch["error"][new], batch["rough"][new] = _panel_rule(
+            f, batch["a"][new], batch["b"][new], ys[live[:n]], fresh[:n])
         batch["fresh"] = False
         rounds[:n] += 1
         error = np.add.reduceat(batch["error"], starts)
         target = np.maximum(epsabs, 2e-14 * np.add.reduceat(batch["rough"], starts))
-        split = _over_share(batch, np.repeat(target / (2.0 * size), size))
+        split = _over_share(batch, np.repeat(target / (2.0 * size[:n]), size[:n]))
         m = np.add.reduceat(split, starts)
         done = (rounds[:n] == _MAX_ROUNDS) | (error <= target)
-        stalled = ~done & ((m == 0) | (size + m > _MAX_PANELS))
+        stalled = ~done & ((m == 0) | (size[:n] + m > _MAX_PANELS))
 
-        # the lowest stall drops every height above it, in the batch or waiting
+        # the lowest stall drops every height above it, in the batch or not
         stop = int(np.argmax(stalled)) if stalled.any() else n
         for i in np.flatnonzero(done[:stop]):
             values[live[i]] = _leaf_sum(batch[starts[i]:ends[i]])
+        go = np.ones(len(live), dtype=bool)
+        go[:n] = ~done
         if stop < n:
             failure = QuadratureError(
                 f"quadrature stalled at error {error[stop]:.3e} "
@@ -396,18 +381,14 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
                 float(error[stop]),
             )
             failure.height = int(live[stop])
-            waiting = []
-        batch["split"] = split
-        marked[:n] = m
-        go = ~done
-        go[stop:] = False
+            go[stop:] = False
+        copies = np.repeat(go, size).astype(int)
+        copies[:len(batch)] *= 1 + split
+        rows = _halved(rows, copies)
+        size[:n] += m
+        fresh[:n] = 2 * m
         if not go.all():
-            batch = batch[np.repeat(go, size)]
-            keep = np.ones(len(live), dtype=bool)
-            keep[:n] = go
-            keep[n:] = stop == n
-            live, count, marked, rounds = live[keep], count[keep], marked[keep], rounds[keep]
-            held = int(np.count_nonzero(go))
+            live, size, fresh, rounds = live[go], size[go], fresh[go], rounds[go]
     if failure is None:
         return values
     failure.values = tuple(values[:failure.height])

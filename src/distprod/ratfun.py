@@ -61,11 +61,6 @@ class RationalFunction:
         """Order of the pole at the origin (0 when there is none)."""
         return max(0, -self.power)
 
-    @property
-    def top_power(self) -> int:
-        """The power of z (negative for a pole)."""
-        return self.power
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented

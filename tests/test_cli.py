@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,6 +368,20 @@ class TestMain:
         assert len(exts) == 2
         assert exts[1]["c"] == [[0.5, 0.0]]
 
+    def test_job_loads_no_scipy(self, tmp_path):
+        # scipy is a benchmark dependency only; a job must run without it
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = ("import sys\n"
+                "from distprod.cli import main\n"
+                f"code = main(['--expr', 'delta * delta', '--c', '0.5', '--steps', '10',"
+                f" '--out', {str(tmp_path / 'report.json')!r}])\n"
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "[]"]
+
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "delta_pv_report.json")
 GOLDEN_DELTA_DELTA = os.path.join(os.path.dirname(__file__), "golden",
@@ -472,6 +488,14 @@ class TestWorkCount:
         assert calls["subtraction_order"] == 1
         assert [r["subtraction"] for r in report["results"]] == [
             {"error": "no subtraction order tames 'delta * delta'"}] * 2
+
+    def test_bad_second_phi_runs_no_pairing(self, calls, tmp_path, capsys):
+        # every test function is built before the first pairing
+        doc = {"expression": "delta * delta", "c_grid": [[1]],
+               "phi": [{"poly": [1], "sigma": 1}, {"poly": [1], "sigma": True}]}
+        assert _run_job_file(tmp_path, doc) == 2
+        assert "sigma" in capsys.readouterr().err
+        assert calls["limit_pairing"] == 0
 
     def test_p_override_without_divergence_reuses_the_pairing(self, calls):
         report = run_job(Job(expression="delta", p_override=0))

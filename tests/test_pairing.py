@@ -407,8 +407,9 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
 
 @pytest.mark.parametrize("text", ["delta * delta", "d(delta) * d(delta)"])
 def test_waiting_heights_equal_heights_one_at_a_time(monkeypatch, text):
-    # a 64-panel budget holds fewer than the 12 heights' 72 initial panels, so
-    # heights wait from the first round on and leave and rejoin the batch
+    # a 64-panel budget takes 7 of the 12 heights in the first round (6 rows,
+    # 9 panels in flight each), so from then on heights sit out rounds with
+    # their fresh halves, and the batch shrinks and grows again
     expr = parse_expression(text)
     phi = REFERENCE_TEST_FUNCTIONS["offset"]
     ys = DEFAULT_SCHEDULE.heights()
@@ -426,6 +427,28 @@ def test_waiting_heights_equal_heights_one_at_a_time(monkeypatch, text):
     assert got_ys == ys
     assert [repr(v) for v in got] == want
     assert heights_per_call[0] < len(ys)
+
+
+def test_budget_refines_lower_heights_first(monkeypatch):
+    # d(delta)^2 against its order-2 subtraction needs more than the real
+    # budget: rounds take heights in schedule order while they fit, so the
+    # small heights, where the schedule stalls and is cut to 6, wait for rows
+    # to leave instead of being refined in every round
+    expr = parse_expression("d(delta) * d(delta)")
+    phi = _subtracted_gauss(2)
+    calls = []
+    rule = pairing._panel_rule
+
+    def counting(f, a, b, ys, sizes):
+        calls.append((len(sizes), len(a)))
+        return rule(f, a, b, ys, sizes)
+
+    monkeypatch.setattr(pairing, "_panel_rule", counting)
+    got_ys, _ = _schedule(expr, phi, DEFAULT_SCHEDULE.heights())
+    assert len(got_ys) == 6
+    assert [h for h, _ in calls] == [12, 12, 12, 12, 12, 9, 6, 6, 5, 4, 2, 2, 1, 1, 1, 1]
+    # refining every live height in every round would evaluate 39,358 panels
+    assert sum(n for _, n in calls) == 11774
 
 
 def test_truncated_schedule_equals_heights_one_at_a_time():

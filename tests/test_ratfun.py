@@ -8,7 +8,7 @@ from distprod.ratfun import RationalFunction
 def test_constant():
     f = RationalFunction(3.0)
     assert f(0.5) == 3.0
-    assert f.order == 0 and f.top_power == 0
+    assert f.order == 0 and f.power == 0
     assert f(np.zeros((2, 3))).shape == (2, 3)
 
 
@@ -26,8 +26,8 @@ def test_laurent_evaluation():
     assert up.tobytes() == ((((0.5 + 0j) * z) * z) * z).tobytes()
     down = RationalFunction(2.0 - 1.0j, -3)(z)
     assert down.tobytes() == ((2.0 - 1.0j) / ((z * z) * z)).tobytes()
-    assert RationalFunction(0.5, 3).top_power == 3
-    assert RationalFunction(1.0, -3).order == 3 and RationalFunction(1.0, -3).top_power == -3
+    assert RationalFunction(0.5, 3).power == 3
+    assert RationalFunction(1.0, -3).order == 3 and RationalFunction(1.0, -3).power == -3
 
 
 def test_derivative_of_inverse():
@@ -67,7 +67,7 @@ def test_pole_order_must_be_nonnegative():
 
 def test_zero_function_normalization():
     z = RationalFunction(0.0, -2)
-    assert z.is_zero and z.order == 0 and z.top_power == 0
+    assert z.is_zero and z.order == 0 and z.power == 0
     assert z(5.0) == 0.0
     assert z == RationalFunction(0.0)
     assert RationalFunction(3.0).deriv() == RationalFunction(0.0)
