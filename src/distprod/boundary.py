@@ -59,8 +59,8 @@ class HyperfunctionPair:
     def regulated(self, x, y):
         """F_y(x) = f+(x + iy) - f-(x - iy) at heights y > 0.
 
-        y is one height for every x, or an array of heights matching x point
-        by point, so one call can cover several heights.  Every height must be
+        y is one height for every x, or an array of heights broadcast
+        against x, so one call can cover several heights.  Every height must be
         a positive finite number.  A zero representative is not evaluated:
         its term is left out, which changes no value (at most the sign of a
         zero part).

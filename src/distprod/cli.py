@@ -22,6 +22,7 @@ I/O); 1 is reserved for internal failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import re
@@ -50,7 +51,7 @@ from .pairing import (
     limit_pairing,
     subtraction_order,
 )
-from .testfn import PlateauCutoff, TestFunction
+from .testfn import MAX_ORDER, PlateauCutoff, TestFunction
 
 
 class ParseError(ValueError):
@@ -215,16 +216,20 @@ def _phi_from_descriptor(desc: dict) -> TestFunction:
 
 
 def _complex_from_json(v) -> complex:
-    """A number, a [re, im] pair of numbers or a string such as '1+2j'."""
+    """A finite number, [re, im] pair of numbers or string such as '1+2j'."""
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(_json_number(v[0], float, "a counterterm part"),
-                       _json_number(v[1], float, "a counterterm part"))
-    if isinstance(v, str):
+        z = complex(_json_number(v[0], float, "a counterterm part"),
+                    _json_number(v[1], float, "a counterterm part"))
+    elif isinstance(v, str):
         try:
-            return complex(v.replace(" ", ""))
+            z = complex(v.replace(" ", ""))
         except ValueError:
             raise ConfigError(f"cannot read {v!r} as a complex number") from None
-    return complex(_json_number(v, float, "a counterterm"))
+    else:
+        z = complex(_json_number(v, float, "a counterterm"))
+    if not cmath.isfinite(z):
+        raise ConfigError(f"counterterm {v!r} is not finite")
+    return z
 
 
 def _json_number(v, kind, what: str):
@@ -267,7 +272,10 @@ def job_from_doc(doc) -> Job:
                 if key in doc}
     fields = {key: number(key, float) for key in ("plateau", "support") if key in doc}
     if doc.get("p") is not None:
-        fields["p_override"] = number("p", int)
+        p = number("p", int)
+        if not 0 <= p <= MAX_ORDER:
+            raise ConfigError(f"job key 'p' must lie in [0, {MAX_ORDER}], got {p}")
+        fields["p_override"] = p
     if "phi" in doc:
         phis = doc["phi"]
         if not (isinstance(phis, list) and phis and all(isinstance(d, dict) for d in phis)):

@@ -259,8 +259,7 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, ys, sizes):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.repeat(ys, 15 * np.asarray(sizes))
-    v = np.asarray(f(x.ravel(), y), dtype=complex).reshape(x.shape)
+    v = np.asarray(f(x, np.repeat(ys, sizes)[:, None]), dtype=complex)
     vg = v[:, _GAUSS_IDX]
     sumk = np.empty(len(a), dtype=complex)
     sumg = np.empty(len(a), dtype=complex)
@@ -401,7 +400,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
 
 
 def _integrand(expr: ProductExpression, phi):
-    """x^R * prod F_i^y(x) * phi(x) at points x with heights y, point by point."""
+    """x^R * prod F_i^y(x) * phi(x) at points x, heights y broadcast against x."""
     def f(x, y):
         x = np.asarray(x, dtype=float)
         v = expr.factors[0].regulated(x, y)
@@ -430,8 +429,7 @@ def _integration_radius(f, phi, ys) -> list[float]:
     call probes every height, then one call per doubling round covers the
     heights still doubling.
     """
-    decay = getattr(phi, "decay_radius", None)
-    base = decay() if callable(decay) else 12.0
+    base = phi.decay_radius()
     radii = [max(base, 2.0, 20.0 * y) for y in ys]
     near = np.array([0.5, 1.0, 2.0, 5.0, -0.5, -1.0, -2.0, -5.0])
     probes = [np.concatenate([np.linspace(-L, L, 65), near * y])
@@ -456,8 +454,8 @@ def pair_at_y(expr: ProductExpression, phi, y: float,
               tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """Integrate x^R * prod F_i^y * phi over the line at a single height y.
 
-    phi may be a TestFunction, a Taylor-subtracted function, or any callable
-    of a float array; an optional decay_radius() method bounds the domain.
+    phi is a TestFunction or a Taylor-subtracted function; its
+    decay_radius() bounds the domain.
     This is the one-height case of a schedule.
     """
     return _evaluate_schedule(expr, phi, (y,), tol)[1][0]

@@ -7,7 +7,9 @@ The working family is polynomial times Gaussian,
 which is closed under differentiation: each derivative replaces p by
 p' - p*(x - mu)/sigma^2.  Keeping the polynomial in global-x coordinates means
 the low coefficients stay *exactly* zero under differentiation, which is what
-makes the high-order vanishing probes bitwise reliable.
+makes the high-order vanishing probes bitwise reliable.  phi(x, q) evaluates
+the q-th derivative; every test function and cutoff serves the orders
+0..MAX_ORDER.
 
 Cutoffs are C-infinity plateau functions built from the standard bump
 exp(-1/(s(1-s))): identically 1 on [-a, a], identically 0 outside [-b, b],
@@ -30,7 +32,10 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 
 class OrderExceededError(ValueError):
-    """A derivative of higher order than the object supports was requested."""
+    """A derivative of order above MAX_ORDER was requested."""
+
+
+MAX_ORDER = 12  # highest derivative order a test function or cutoff serves
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +51,14 @@ class TestFunction:
         poly: coefficients of p, lowest order first, in global x (not x - mu).
         sigma: Gaussian width, > 0.
         mu: Gaussian centre.
-        max_order: highest derivative order this instance will serve.
     """
 
     __test__ = False  # not a pytest case, despite the name
+    max_order = MAX_ORDER  # a class constant, not a field
 
     poly: tuple[float, ...]
     sigma: float
     mu: float = 0.0
-    max_order: int = 12
 
     def __post_init__(self):
         object.__setattr__(self, "poly", tuple(float(c) for c in self.poly))
@@ -68,8 +72,6 @@ class TestFunction:
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.max_order < 0:
-            raise ValueError("max_order must be >= 0")
 
     def __call__(self, x, q: int = 0):
         """Evaluate the q-th derivative at x (scalar or array)."""
@@ -82,22 +84,9 @@ class TestFunction:
         return val
 
     def _coeffs(self, q: int) -> tuple[float, ...]:
-        if not 0 <= q <= self.max_order:
-            raise OrderExceededError(
-                f"derivative order {q} outside [0, {self.max_order}]"
-            )
+        if not 0 <= q <= MAX_ORDER:
+            raise OrderExceededError(f"derivative order {q} outside [0, {MAX_ORDER}]")
         return _derived_poly(self.poly, self.sigma, self.mu, q)
-
-    def derivative(self) -> "TestFunction":
-        """The derivative as a new TestFunction (one order of headroom spent)."""
-        if self.max_order < 1:
-            raise OrderExceededError("no derivative headroom left")
-        return TestFunction(
-            _derived_poly(self.poly, self.sigma, self.mu, 1),
-            self.sigma,
-            self.mu,
-            self.max_order - 1,
-        )
 
     def decay_radius(self) -> float:
         """Radius beyond which the function is negligible at double precision."""
@@ -125,9 +114,7 @@ def vanish_probe(p: int, base: TestFunction) -> TestFunction:
         raise ValueError("p must be >= 0")
     if base(0.0) == 0.0:
         raise ValueError("base test function must be nonzero at the origin")
-    return TestFunction(
-        (0.0,) * (p + 1) + base.poly, base.sigma, base.mu, base.max_order
-    )
+    return TestFunction((0.0,) * (p + 1) + base.poly, base.sigma, base.mu)
 
 
 REFERENCE_TEST_FUNCTIONS: dict[str, TestFunction] = {
@@ -145,19 +132,12 @@ REFERENCE_TEST_FUNCTIONS: dict[str, TestFunction] = {
 _CHEB_DEGREE = 256
 
 
-def _bump(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = (s > 0.0) & (s < 1.0)
-    si = s[inside]
-    out[inside] = np.exp(-1.0 / (si * (1.0 - si)))
-    return out
-
-
 @lru_cache(maxsize=1)
 def _transition_antiderivative():
     """Chebyshev antiderivative of the bump on [0, 1] and its total mass."""
-    cheb = Chebyshev.interpolate(_bump, _CHEB_DEGREE, domain=[0.0, 1.0])
+    # the Chebyshev points are interior, where the bump is its order-0 value
+    cheb = Chebyshev.interpolate(_bump_derivative_values, _CHEB_DEGREE,
+                                 domain=[0.0, 1.0], args=(0,))
     anti = cheb.integ()
     anti = anti - anti(0.0)
     return anti, float(anti(1.0))
@@ -192,7 +172,9 @@ class PlateauCutoff:
     the plateau, including all derivatives, which vanish identically there.
     """
 
-    def __init__(self, plateau: float, support: float, max_order: int = 12):
+    max_order = MAX_ORDER
+
+    def __init__(self, plateau: float, support: float):
         plateau = float(plateau)
         support = float(support)
         if not (0.0 < plateau < support and math.isfinite(support)):
@@ -201,12 +183,11 @@ class PlateauCutoff:
             )
         self.plateau = plateau
         self.support = support
-        self.max_order = int(max_order)
         self._width = support - plateau
 
     def __call__(self, x, q: int = 0):
-        if not 0 <= q <= self.max_order:
-            raise OrderExceededError(f"derivative order {q} outside [0, {self.max_order}]")
+        if not 0 <= q <= MAX_ORDER:
+            raise OrderExceededError(f"derivative order {q} outside [0, {MAX_ORDER}]")
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -265,10 +246,8 @@ def seminorm(phi: TestFunction, order: int, rtol: float = 1e-6) -> SeminormRepor
     decay radius; entries are monotone under refinement, so the iteration
     stops once a doubling changes nothing to relative tolerance.
     """
-    if order > phi.max_order:
-        raise OrderExceededError(
-            f"seminorm order {order} exceeds test function max_order {phi.max_order}"
-        )
+    if order > MAX_ORDER:
+        raise OrderExceededError(f"seminorm order {order} exceeds MAX_ORDER {MAX_ORDER}")
     L = max(phi.decay_radius(), 8.0)
     npts = 2001
     prev = None

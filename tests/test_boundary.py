@@ -103,7 +103,8 @@ def test_regulator_error_on_bad_height():
 
 
 def test_regulated_heights_point_by_point():
-    """An array of heights gives, bit for bit, each height's own values."""
+    """An array of heights gives, bit for bit, each height's own values,
+    whether it matches x point by point or is broadcast one per row."""
     xs = np.linspace(-2.0, 2.0, 9)
     ys = (0.3, 0.01)
     for pair in (catalog("pv_inv_x"), catalog("delta").derivative()):
@@ -111,6 +112,9 @@ def test_regulated_heights_point_by_point():
         got = pair.regulated(np.concatenate([xs, xs]), np.repeat(ys, len(xs)))
         expect = np.concatenate([pair.regulated(xs, y) for y in ys])
         assert got.tobytes() == expect.tobytes()
+        rows = pair.regulated(np.stack([xs, xs]), np.array(ys)[:, None])
+        assert rows.shape == (2, len(xs))
+        assert rows.tobytes() == expect.tobytes()
 
 
 class _CountingTerm(RationalFunction):

@@ -289,6 +289,19 @@ class TestJobValues:
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("c_grid", [
+        [[math.nan]], [["nan+1j"]], [[math.inf]], [[[1, math.nan]]], "--c inf",
+    ])
+    def test_non_finite_counterterm_exit_two(self, tmp_path, capsys, c_grid):
+        # json.dumps would write such a report with bare NaN/Infinity tokens
+        if isinstance(c_grid, str):
+            code = main(["--expr", "delta * delta", "--steps", "8", *c_grid.split()])
+        else:
+            code = _run_job_file(tmp_path, {"expression": "delta * delta",
+                                            "steps": 8, "c_grid": c_grid})
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_flags_and_file_give_identical_reports(self, tmp_path):
         phi = '{"poly": [1, 0.5], "sigma": 0.8, "mu": 0.1}'
         flag_out, file_out, both_out = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
@@ -496,6 +509,13 @@ class TestWorkCount:
         assert _run_job_file(tmp_path, doc) == 2
         assert "sigma" in capsys.readouterr().err
         assert calls["limit_pairing"] == 0
+
+    @pytest.mark.parametrize("p", [-1, 13])
+    def test_out_of_range_p_runs_no_pairing(self, calls, tmp_path, capsys, p):
+        doc = {"expression": "delta * delta", "p": p}
+        assert _run_job_file(tmp_path, doc) == 2
+        assert calls["limit_pairing"] == 0
+        assert "job key 'p' must lie in [0, 12]" in capsys.readouterr().err
 
     def test_p_override_without_divergence_reuses_the_pairing(self, calls):
         report = run_job(Job(expression="delta", p_override=0))

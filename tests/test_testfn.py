@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distprod.testfn import (
+    MAX_ORDER,
     OrderExceededError,
     PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
@@ -63,13 +64,6 @@ def test_derivative_matches_finite_differences():
             exact = phi(pts, q + 1)
             scale = np.max(np.abs(exact)) + 1e-12
             np.testing.assert_allclose(fd, exact, atol=1e-6 * scale)
-
-
-def test_derivative_method_consistent_with_order_argument():
-    d = ODD.derivative()
-    xs = np.linspace(-3, 3, 11)
-    np.testing.assert_allclose(d(xs), ODD(xs, 1), rtol=1e-14)
-    assert d.max_order == ODD.max_order - 1
 
 
 class TestVanishProbe:
@@ -156,6 +150,12 @@ class TestPlateauCutoff:
     def test_odd_symmetry_of_odd_derivatives(self):
         assert self.w(1.4, 1) == -self.w(-1.4, 1)
         assert self.w(1.4, 2) == self.w(-1.4, 2)
+
+    def test_order_cap_is_the_shared_constant(self):
+        assert self.w.max_order == GAUSS.max_order == MAX_ORDER
+        self.w(1.5, MAX_ORDER)
+        with pytest.raises(OrderExceededError):
+            self.w(1.5, MAX_ORDER + 1)
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
