@@ -356,6 +356,13 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     omegas = (PlateauCutoff(job.plateau, job.support),
               PlateauCutoff(job.plateau / 2.0, job.support / 2.0))
     phis = [_phi_from_descriptor(desc) for desc in job.phis]
+    y_min = job.schedule.heights()[-1]
+    for phi in phis:
+        # no height resolves a phi narrower than all of them: each I(y) sees
+        # little more than its mass, and the extrapolated limit is wrong
+        if phi.sigma < y_min:
+            raise ConfigError(f"test function sigma {phi.sigma!r} is below the schedule's "
+                              f"smallest height {y_min!r}")
     search = None
     results = []
     for desc, phi in zip(job.phis, phis):

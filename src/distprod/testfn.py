@@ -8,16 +8,18 @@ which is closed under differentiation: each derivative replaces p by
 p' - p*(x - mu)/sigma^2.  Keeping the polynomial in global-x coordinates means
 the low coefficients stay *exactly* zero under differentiation, which is what
 makes the high-order vanishing probes bitwise reliable.  phi(x, q) evaluates
-the q-th derivative; every test function and cutoff serves the orders
-0..MAX_ORDER.
+the q-th derivative for q in 0..MAX_ORDER.
 
 Cutoffs are C-infinity plateau functions built from the standard bump
 exp(-1/(s(1-s))): identically 1 on [-a, a], identically 0 outside [-b, b],
-with a smooth monotone transition in between.  The transition profile is
-universal, so its antiderivative is interpolated once (Chebyshev, degree 256,
-accurate to ~1e-17) and shared by every cutoff instance.  Derivatives of the
-transition are computed through the rational recurrence for derivatives of the
-bump, not by differentiating the interpolant.
+with a smooth monotone transition in between, evaluated by value only.  The
+transition profile is universal, so its antiderivative is interpolated once
+(Chebyshev, degree 256) and shared by every cutoff instance.  That series
+defines the values, but a cutoff evaluates a table built from it once: 64
+equal pieces, each the antiderivative at its left end plus a degree-10
+Chebyshev series.  Table and series agree to ~4e-16 in the cutoff, the
+rounding floor of the series itself (it differs from a degree-512 series by
+as much).
 """
 
 from __future__ import annotations
@@ -130,46 +132,52 @@ REFERENCE_TEST_FUNCTIONS: dict[str, TestFunction] = {
 # ---------------------------------------------------------------------------
 
 _CHEB_DEGREE = 256
+_PIECES = 64        # equal pieces of [0, 1] in the evaluation table
+_PIECE_DEGREE = 10  # Chebyshev degree of the table on each piece
 
 
 @lru_cache(maxsize=1)
 def _transition_antiderivative():
     """Chebyshev antiderivative of the bump on [0, 1] and its total mass."""
-    # the Chebyshev points are interior, where the bump is its order-0 value
-    cheb = Chebyshev.interpolate(_bump_derivative_values, _CHEB_DEGREE,
-                                 domain=[0.0, 1.0], args=(0,))
+    cheb = Chebyshev.interpolate(_bump, _CHEB_DEGREE, domain=[0.0, 1.0])
     anti = cheb.integ()
     anti = anti - anti(0.0)
     return anti, float(anti(1.0))
 
 
-def _bump_derivative_values(sl: np.ndarray, n: int) -> np.ndarray:
-    """(d/ds)^n of the bump at interior points, by Leibniz recursion.
+@lru_cache(maxsize=1)
+def _transition_table():
+    """The antiderivative above as _PIECES short Chebyshev series.
 
-    With u(s) = -1/s - 1/(1-s) the bump is exp(u) and
-    psi^(m+1) = sum_k C(m,k) u^(k+1) psi^(m-k) builds the derivative table
-    directly on values.  (Expanded-coefficient forms of psi^(n)/psi cancel
-    catastrophically on (0, 1) from n ~ 3 on, so polynomial routes are out.)
+    Piece j covers [j, j + 1] / _PIECES.  Returns (left, coeffs, mass):
+    left[j] is the antiderivative at the piece's left end, and coeffs[m, j]
+    the m-th coefficient, in t in [-1, 1], of the rest.  The coefficients are
+    a DCT (one matrix product) of the degree-256 series' values at the
+    piece's Chebyshev points, so that series stays the definition of the
+    values.
     """
-    derivs = [np.exp(-1.0 / (sl * (1.0 - sl)))]
-    u = [np.zeros_like(sl)]
-    for k in range(1, n + 1):
-        u.append(math.factorial(k) * (-(-1.0) ** k / sl ** (k + 1)
-                                      - 1.0 / (1.0 - sl) ** (k + 1)))
-    for m in range(n):
-        acc = np.zeros_like(sl)
-        for k in range(m + 1):
-            acc += math.comb(m, k) * u[k + 1] * derivs[m - k]
-        derivs.append(acc)
-    return derivs[n]
+    anti, mass = _transition_antiderivative()
+    m = np.arange(_PIECE_DEGREE + 1)
+    theta = np.pi * (m + 0.5) / (_PIECE_DEGREE + 1)
+    dct = (2.0 / (_PIECE_DEGREE + 1)) * np.cos(np.outer(m, theta))
+    dct[0] *= 0.5
+    ends = np.arange(_PIECES) / _PIECES
+    left = anti(ends)
+    nodes = ends + (np.cos(theta)[:, None] + 1.0) / (2 * _PIECES)
+    return left, dct @ (anti(nodes) - left), mass
+
+
+def _bump(s: np.ndarray) -> np.ndarray:
+    """The standard bump exp(-1/(s(1-s))) at interior points of (0, 1)."""
+    return np.exp(-1.0 / (s * (1.0 - s)))
 
 
 class PlateauCutoff:
     """Smooth even cutoff: 1 on [-plateau, plateau], 0 outside [-support, support].
 
-    The plateau and tail values are bitwise exact (the transition machinery is
-    never evaluated there), so multiplying by the cutoff perturbs nothing on
-    the plateau, including all derivatives, which vanish identically there.
+    Evaluated by value.  The plateau and tail values are bitwise exact (the
+    transition machinery is never evaluated there), so multiplying by the
+    cutoff perturbs nothing on the plateau.
     """
 
     max_order = MAX_ORDER
@@ -185,38 +193,31 @@ class PlateauCutoff:
         self.support = support
         self._width = support - plateau
 
-    def __call__(self, x, q: int = 0):
-        if not 0 <= q <= MAX_ORDER:
-            raise OrderExceededError(f"derivative order {q} outside [0, {MAX_ORDER}]")
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        ax = np.abs(x)
+        ax = np.abs(np.atleast_1d(x))
         out = np.zeros_like(ax)
-        if q == 0:
-            out[ax <= self.plateau] = 1.0
+        out[ax <= self.plateau] = 1.0
         trans = (ax > self.plateau) & (ax < self.support)
         if np.any(trans):
-            s = (ax[trans] - self.plateau) / self._width
-            out[trans] = self._transition(s, q)
-            if q % 2 == 1:
-                neg = x[trans] < 0.0
-                vals = out[trans]
-                vals[neg] = -vals[neg]
-                out[trans] = vals
+            out[trans] = self._transition((ax[trans] - self.plateau) / self._width)
         return float(out[0]) if scalar else out
 
-    def _transition(self, s: np.ndarray, q: int) -> np.ndarray:
-        anti, mass = _transition_antiderivative()
-        if q == 0:
-            return np.clip(1.0 - anti(s) / mass, 0.0, 1.0)
-        # w^(q) = -(d/ds)^(q-1) bump(s) / mass, scaled by the chain rule
-        expo = -1.0 / (s * (1.0 - s))
-        out = np.zeros_like(s)
-        live = expo > -200.0  # below this the bump is < 1e-86 and the term is noise
-        if np.any(live):
-            out[live] = _bump_derivative_values(s[live], q - 1)
-        return -out / (mass * self._width**q)
+    @staticmethod
+    def _transition(s: np.ndarray) -> np.ndarray:
+        """1 - (antiderivative of the bump at s) / mass, from the piecewise table."""
+        left, coeffs, mass = _transition_table()
+        u = s * _PIECES
+        j = np.minimum(u.astype(np.intp), _PIECES - 1)
+        t = 2.0 * (u - j) - 1.0
+        t2 = 2.0 * t
+        # Clenshaw on piece j, one gathered coefficient per step
+        b1, b2 = coeffs[-1][j], 0.0
+        for c in coeffs[-2:0:-1]:
+            b1, b2 = t2 * b1 - b2 + c[j], b1
+        rest = t * b1 - b2 + coeffs[0][j]
+        return np.clip(1.0 - (left[j] + rest) / mass, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,12 @@ class TestRunJob:
             "c_grid ignored: the pairing is inconclusive, so nothing is continued"]
         plain = run_job(Job(expression="delta * d(delta)"))["results"][0]
         assert "notes" not in plain
+
+    def test_narrow_sigma_above_smallest_height_converges(self):
+        res = run_job(Job(expression="delta", phis=[{"poly": [1], "sigma": 0.01}]))
+        pairing = res["results"][0]["pairing"]
+        assert pairing["status"] == "converged"
+        assert pairing["value"][0] == pytest.approx(1.0, abs=1e-6)
 
     def test_counterterm_arity_checked(self):
         job = Job(expression="delta * delta", c_grid=[[1.0, 2.0]])
@@ -452,6 +459,15 @@ def test_golden_pole_power_derivative_report():
     _compare_structurally(got, want)
 
 
+def test_pv_squared_continuation_pinned():
+    """The continuation and cutoff difference of pv(1/x)^2, which have no closed form."""
+    res = run_job(Job(expression="pv(1/x) * pv(1/x)", c_grid=[[0]]))["results"][0]
+    for block in res["extensions"]:
+        assert block["value"][0] == pytest.approx(-2.2000008574118066, rel=1e-12)
+    assert res["omega_independence"]["difference"] == pytest.approx(1.3449068444002088,
+                                                                      rel=1e-12)
+
+
 class TestWorkCount:
     """Each distinct pairing of a job runs once."""
 
@@ -508,6 +524,19 @@ class TestWorkCount:
                "phi": [{"poly": [1], "sigma": 1}, {"poly": [1], "sigma": True}]}
         assert _run_job_file(tmp_path, doc) == 2
         assert "sigma" in capsys.readouterr().err
+        assert calls["limit_pairing"] == 0
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-12])
+    def test_sigma_below_smallest_height_runs_no_pairing(self, calls, tmp_path, capsys, sigma):
+        # such a phi is flat at every height: delta paired to [0, 0], "converged"
+        doc = {"expression": "delta", "phi": [{"poly": [1], "sigma": sigma}]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run_job_file(tmp_path, doc) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"sigma {sigma!r}" in err and "smallest height 4.8828125e-05" in err
         assert calls["limit_pairing"] == 0
 
     @pytest.mark.parametrize("p", [-1, 13])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.chebyshev import Chebyshev
 
 from distprod.boundary import catalog
 from distprod.extension import (
@@ -17,7 +18,8 @@ from distprod.extension import (
     nonuniqueness_scan,
     omega_independence_check,
 )
-from distprod.pairing import ProductExpression, limit_pairing
+from distprod import testfn
+from distprod.pairing import ProductExpression, limit_pairing, pair_at_y
 from distprod.testfn import (
     OrderExceededError,
     PlateauCutoff,
@@ -80,6 +82,24 @@ class TestTaylorSubtract:
         bar = SubtractedFunction(GAUSS, OMEGA, 0)
         for x in (2.5, 3.0, -4.0):
             assert bar(x) == GAUSS(x)
+
+    def test_cutoff_evaluates_no_chebyshev_series(self, delta_sq, monkeypatch):
+        """Once the table is built, the transition costs no degree-256 evaluation."""
+        testfn._transition_table()
+        counts = {"series": 0, "transition": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Chebyshev, "__call__", counting("series", Chebyshev.__call__))
+        monkeypatch.setattr(PlateauCutoff, "_transition",
+                            staticmethod(counting("transition", PlateauCutoff._transition)))
+        pair_at_y(delta_sq, SubtractedFunction(GAUSS, OMEGA, 0), 0.1)
+        assert counts["transition"] > 0
+        assert counts["series"] == 0
 
     def test_order_shortfall_rejected(self):
         with pytest.raises(OrderExceededError):
