@@ -16,9 +16,8 @@ import argparse
 
 import numpy as np
 
-from distprod.cli import parse_expression
 from distprod.extension import Extension, evaluate_extension, nonuniqueness_scan
-from distprod.pairing import subtraction_order
+from distprod.pairing import parse_expression, subtraction_order
 from distprod.testfn import PlateauCutoff, REFERENCE_TEST_FUNCTIONS
 
 PHI_KEYS = ("gauss", "tilted", "offset")

@@ -13,13 +13,14 @@ Usage:
 import argparse
 import math
 
-from distprod.cli import parse_expression
 from distprod.extension import Extension, ExtensionError, evaluate_extension
 from distprod.pairing import (
     InconclusivePairingError,
     NotExtendableError,
     Schedule,
     limit_pairing,
+    parse_expression,
+    require_resolved,
     subtraction_order,
 )
 from distprod.testfn import TestFunction
@@ -85,6 +86,10 @@ def main():
 
     phi = TestFunction((1.0,), sigma=args.sigma)
     schedule = Schedule(y0=args.y0, ratio=args.ratio, count=args.steps)
+    try:
+        require_resolved(phi, schedule)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"{'expression':28s} {'status':13s} {'value':>22s} "
           f"{'s':>7s} {'p':>4s} {'c=0 continuation':>22s}")

@@ -17,7 +17,6 @@ from .boundary import (
     required_order,
     verify_growth_bound,
 )
-from .cli import ParseError, parse_expression
 from .extension import (
     Extension,
     ExtensionError,
@@ -31,12 +30,12 @@ from .extension import (
     extension_result,
     factorization_identity_check,
     nonuniqueness_scan,
-    omega_independence_check,
 )
 from .pairing import (
     InconclusivePairingError,
     NotExtendableError,
     PairingResult,
+    ParseError,
     ProductExpression,
     QuadratureError,
     RingCheckReport,
@@ -45,6 +44,8 @@ from .pairing import (
     Tolerances,
     limit_pairing,
     pair_at_y,
+    parse_expression,
+    require_resolved,
     ring_axiom_check,
     subtraction_order,
 )
@@ -53,9 +54,7 @@ from .testfn import (
     OrderExceededError,
     PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
-    SeminormReport,
     TestFunction,
-    seminorm,
     vanish_probe,
 )
 

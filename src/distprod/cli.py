@@ -1,22 +1,12 @@
-"""Command-line front end: expression parsing, job running, JSON reports.
+"""Command-line front end: job running and JSON reports.
 
-Expression grammar (whitespace-insensitive):
-
-    Expr := Term ('*' Term)*
-    Term := 'x^' INT | Atom
-    Atom := 'delta' | 'pv(1/x)' | '(x+i0)^-' INT | '(x-i0)^-' INT | '1'
-          | 'd(' Atom ')'
-
-An 'x^r' term folds into the prefactor power of the factor that follows it
-(consecutive powers accumulate); a trailing 'x^r' becomes a standalone
-monomial factor.  'd(...)' differentiates its atom.  Parse errors carry the
-byte offset of the offending token.
-
-Reports are single JSON documents, written atomically, with fixed key order
-and no timestamps: identical jobs produce byte-identical output.  Exit code 0
-covers every classified outcome (including mathematically inconclusive
-pairings, which are reported in-band); 2 flags bad input (syntax, config,
-I/O); 1 is reserved for internal failure.
+A job names a product expression (parsed by ``pairing.parse_expression``),
+its test functions, a height schedule and a cutoff.  Reports are single JSON
+documents, written atomically, with fixed key order and no timestamps:
+identical jobs produce byte-identical output.  Exit code 0 covers every
+classified outcome (including mathematically inconclusive pairings, which are
+reported in-band); 2 flags bad input (syntax, config, I/O); 1 is reserved for
+internal failure.
 """
 
 from __future__ import annotations
@@ -25,12 +15,10 @@ import argparse
 import cmath
 import json
 import os
-import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
 
-from .boundary import CatalogError, HyperfunctionPair, catalog
 from .extension import (
     Extension,
     ExtensionError,
@@ -49,133 +37,15 @@ from .pairing import (
     SubtractionOrder,
     Tolerances,
     limit_pairing,
+    parse_expression,
+    require_resolved,
     subtraction_order,
 )
 from .testfn import MAX_ORDER, PlateauCutoff, TestFunction
 
 
-class ParseError(ValueError):
-    """Expression syntax error with the byte offset of the problem."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
 class ConfigError(ValueError):
     """Invalid job configuration (flags or job file)."""
-
-
-# ---------------------------------------------------------------------------
-# expression grammar
-# ---------------------------------------------------------------------------
-
-_TOKEN_PATTERNS = (
-    ("WS", re.compile(r"\s+")),
-    ("STAR", re.compile(r"\*")),
-    ("XPOW", re.compile(r"x\^(\d+)")),
-    ("DELTA", re.compile(r"delta")),
-    ("PV", re.compile(r"pv\(1/x\)")),
-    ("PLUSI0", re.compile(r"\(x\+i0\)\^-(\d+)")),
-    ("MINUSI0", re.compile(r"\(x-i0\)\^-(\d+)")),
-    ("DOPEN", re.compile(r"d\(")),
-    ("RPAREN", re.compile(r"\)")),
-    ("ONE", re.compile(r"1")),
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: int | None
-    offset: int
-
-
-def _scan(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        for kind, pattern in _TOKEN_PATTERNS:
-            m = pattern.match(text, i)
-            if m:
-                if kind != "WS":
-                    value = int(m.group(1)) if m.groups() else None
-                    tokens.append(_Token(kind, value, i))
-                i = m.end()
-                break
-        else:
-            raise ParseError(f"unrecognized input {text[i:i + 12]!r}", i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _scan(text)
-        self.i = 0
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
-        self.i += 1
-        return tok
-
-    def parse(self) -> ProductExpression:
-        factors: list[HyperfunctionPair] = []
-        powers: list[int] = []
-        pending = 0
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise ParseError("expected a factor", len(self.text))
-            if tok.kind == "XPOW":
-                self._next()
-                pending += tok.value
-            else:
-                factors.append(self._atom())
-                powers.append(pending)
-                pending = 0
-            nxt = self._peek()
-            if nxt is None:
-                break
-            if nxt.kind != "STAR":
-                raise ParseError("expected '*' between factors", nxt.offset)
-            self._next()
-        if pending:
-            factors.append(catalog("monomial", pending))
-            powers.append(0)
-        return ProductExpression(tuple(factors), tuple(powers))
-
-    def _atom(self) -> HyperfunctionPair:
-        tok = self._next()
-        try:
-            if tok.kind == "DELTA":
-                return catalog("delta")
-            if tok.kind == "PV":
-                return catalog("pv_inv_x")
-            if tok.kind == "PLUSI0":
-                return catalog("plus_i0_pow", tok.value)
-            if tok.kind == "MINUSI0":
-                return catalog("minus_i0_pow", tok.value)
-            if tok.kind == "ONE":
-                return catalog("one")
-            if tok.kind == "DOPEN":
-                inner = self._atom()
-                closing = self._next()
-                if closing.kind != "RPAREN":
-                    raise ParseError("expected ')' after derivative atom", closing.offset)
-                return inner.derivative()
-        except CatalogError as exc:
-            raise ParseError(str(exc), tok.offset) from exc
-        raise ParseError(f"expected an atom, found {tok.kind}", tok.offset)
-
-
-def parse_expression(text: str) -> ProductExpression:
-    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +226,9 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     omegas = (PlateauCutoff(job.plateau, job.support),
               PlateauCutoff(job.plateau / 2.0, job.support / 2.0))
     phis = [_phi_from_descriptor(desc) for desc in job.phis]
-    y_min = job.schedule.heights()[-1]
     for phi in phis:
-        # no height resolves a phi narrower than all of them: each I(y) sees
-        # little more than its mass, and the extrapolated limit is wrong
-        if phi.sigma < y_min:
-            raise ConfigError(f"test function sigma {phi.sigma!r} is below the schedule's "
-                              f"smallest height {y_min!r}")
+        # every phi is checked before the first pairing runs
+        require_resolved(phi, job.schedule)
     search = None
     results = []
     for desc, phi in zip(job.phis, phis):
@@ -497,8 +363,7 @@ def main(argv=None) -> int:
         else:
             _write_atomic(job.out, text)
         return 0
-    except (ParseError, ConfigError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and ConfigError among them
         print(f"distprod: error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - internal failure path

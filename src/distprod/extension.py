@@ -23,8 +23,8 @@ For products supported at the origin (every delta-derived catalog product)
 the c = 0 value is genuinely independent of the cutoff geometry: changing
 omega only alters the subtraction where the product's boundary value already
 vanishes.  For divergent products with support off the origin a cutoff change
-shifts the value by a counterterm, i.e. reparametrizes the same family; the
-scan and independence checks below make that distinction measurable.
+shifts the value by a counterterm, i.e. reparametrizes the same family; a
+job report's ``omega_independence`` block measures that distinction.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ class SubtractedFunction:
         x = np.atleast_1d(x)
         val = self.phi(x) - self.omega(x) * npoly.polyval(x, self._taylor)
         return float(val[0]) if scalar else val
+
+    @property
+    def sigma(self) -> float:
+        """phi's width, which the schedule must resolve as for phi itself."""
+        return self.phi.sigma
 
     def decay_radius(self) -> float:
         return max(self.phi.decay_radius(), self.omega.support + 1.0)
@@ -179,20 +184,8 @@ def evaluate_extension(ext: Extension, phi: TestFunction,
 
 
 # ---------------------------------------------------------------------------
-# independence and identity checks
+# identity checks
 # ---------------------------------------------------------------------------
-
-
-def omega_independence_check(expr: ProductExpression, p: int, phi: TestFunction,
-                             omega1: PlateauCutoff, omega2: PlateauCutoff,
-                             schedule: Schedule = DEFAULT_SCHEDULE,
-                             tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """|value with omega1 - value with omega2| at c = 0."""
-    if (omega1.plateau, omega1.support) == (omega2.plateau, omega2.support):
-        raise ValueError("cutoffs must have different geometry")
-    v1 = evaluate_extension(Extension.minimal(expr, p, omega1), phi, schedule, tol)
-    v2 = evaluate_extension(Extension.minimal(expr, p, omega2), phi, schedule, tol)
-    return abs(v1.value - v2.value)
 
 
 @dataclass(frozen=True)

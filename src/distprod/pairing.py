@@ -1,7 +1,9 @@
 """Smeared products at height y and their limits on the real axis.
 
 The core objects are product expressions: an ordered list of boundary-value
-pairs, each optionally carrying a monomial prefactor power.  ``pair_at_y``
+pairs, each optionally carrying a monomial prefactor power.  Their text form
+lives here too: ``ProductExpression.label`` prints it and
+``parse_expression`` reads it back.  ``pair_at_y``
 integrates the product of regulated representatives against a test function
 at one height; ``limit_pairing`` runs a geometric schedule of heights,
 extrapolates, and classifies the outcome as converged / diverged /
@@ -37,11 +39,12 @@ same value.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import HyperfunctionPair, RegulatorError, catalog
+from .boundary import CatalogError, HyperfunctionPair, RegulatorError, catalog
 from .testfn import REFERENCE_TEST_FUNCTIONS, vanish_probe
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK dqk15).
@@ -240,6 +243,139 @@ class ProductExpression:
         factors.insert(position, catalog("one"))
         powers.insert(position, 0)
         return ProductExpression(tuple(factors), tuple(powers))
+
+
+# ---------------------------------------------------------------------------
+# expression grammar
+# ---------------------------------------------------------------------------
+#
+# The text form that ProductExpression.label prints (whitespace-insensitive):
+#
+#     Expr := Term ('*' Term)*
+#     Term := 'x^' INT | Atom
+#     Atom := 'delta' | 'pv(1/x)' | '(x+i0)^-' INT | '(x-i0)^-' INT | '1'
+#           | 'd(' Atom ')'
+#
+# An 'x^r' term folds into the prefactor power of the factor that follows it
+# (consecutive powers accumulate); a trailing 'x^r' becomes a standalone
+# monomial factor.  'd(...)' differentiates its atom.  Parse errors carry the
+# byte offset of the offending token.
+
+
+class ParseError(ValueError):
+    """Expression syntax error with the byte offset of the problem."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte offset {offset})")
+        self.offset = offset
+
+
+_TOKEN_PATTERNS = (
+    ("WS", re.compile(r"\s+")),
+    ("STAR", re.compile(r"\*")),
+    ("XPOW", re.compile(r"x\^(\d+)")),
+    ("DELTA", re.compile(r"delta")),
+    ("PV", re.compile(r"pv\(1/x\)")),
+    ("PLUSI0", re.compile(r"\(x\+i0\)\^-(\d+)")),
+    ("MINUSI0", re.compile(r"\(x-i0\)\^-(\d+)")),
+    ("DOPEN", re.compile(r"d\(")),
+    ("RPAREN", re.compile(r"\)")),
+    ("ONE", re.compile(r"1")),
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    value: int | None
+    offset: int
+
+
+def _scan(text: str) -> list[_Token]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        for kind, pattern in _TOKEN_PATTERNS:
+            m = pattern.match(text, i)
+            if m:
+                if kind != "WS":
+                    value = int(m.group(1)) if m.groups() else None
+                    tokens.append(_Token(kind, value, i))
+                i = m.end()
+                break
+        else:
+            raise ParseError(f"unrecognized input {text[i:i + 12]!r}", i)
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _scan(text)
+        self.i = 0
+
+    def _peek(self) -> _Token | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def _next(self) -> _Token:
+        tok = self._peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", len(self.text))
+        self.i += 1
+        return tok
+
+    def parse(self) -> ProductExpression:
+        factors: list[HyperfunctionPair] = []
+        powers: list[int] = []
+        pending = 0
+        while True:
+            tok = self._peek()
+            if tok is None:
+                raise ParseError("expected a factor", len(self.text))
+            if tok.kind == "XPOW":
+                self._next()
+                pending += tok.value
+            else:
+                factors.append(self._atom())
+                powers.append(pending)
+                pending = 0
+            nxt = self._peek()
+            if nxt is None:
+                break
+            if nxt.kind != "STAR":
+                raise ParseError("expected '*' between factors", nxt.offset)
+            self._next()
+        if pending:
+            factors.append(catalog("monomial", pending))
+            powers.append(0)
+        return ProductExpression(tuple(factors), tuple(powers))
+
+    def _atom(self) -> HyperfunctionPair:
+        tok = self._next()
+        try:
+            if tok.kind == "DELTA":
+                return catalog("delta")
+            if tok.kind == "PV":
+                return catalog("pv_inv_x")
+            if tok.kind == "PLUSI0":
+                return catalog("plus_i0_pow", tok.value)
+            if tok.kind == "MINUSI0":
+                return catalog("minus_i0_pow", tok.value)
+            if tok.kind == "ONE":
+                return catalog("one")
+            if tok.kind == "DOPEN":
+                inner = self._atom()
+                closing = self._next()
+                if closing.kind != "RPAREN":
+                    raise ParseError("expected ')' after derivative atom", closing.offset)
+                return inner.derivative()
+        except CatalogError as exc:
+            raise ParseError(str(exc), tok.offset) from exc
+        raise ParseError(f"expected an atom, found {tok.kind}", tok.offset)
+
+
+def parse_expression(text: str) -> ProductExpression:
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +704,19 @@ def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple]:
     return ys, tuple(integrals)
 
 
+def require_resolved(phi, schedule: Schedule):
+    """Raise ValueError if phi is narrower than the schedule's smallest height.
+
+    No height resolves such a phi: each I(y) sees little more than its mass,
+    and the extrapolated limit is confidently wrong (delta pairs to 0, not
+    phi(0)).  phi is a TestFunction or a Taylor-subtracted function.
+    """
+    y_min = schedule.heights()[-1]
+    if phi.sigma < y_min:
+        raise ValueError(f"test function sigma {phi.sigma!r} is below the schedule's "
+                         f"smallest height {y_min!r}")
+
+
 def limit_pairing(expr: ProductExpression, phi,
                   schedule: Schedule = DEFAULT_SCHEDULE,
                   tol: Tolerances = DEFAULT_TOLERANCES) -> PairingResult:
@@ -584,7 +733,11 @@ def limit_pairing(expr: ProductExpression, phi,
     as y shrinks; the schedule is then truncated at the first unresolvable
     height and classification runs on the prefix (at least six heights are
     required, otherwise the quadrature failure propagates).
+
+    A phi narrower than the smallest height is refused first, with the
+    ValueError of ``require_resolved``.
     """
+    require_resolved(phi, schedule)
     ys, integrals = _evaluate_schedule(expr, phi, schedule.heights(), tol)
     diag = _richardson_diagonal(integrals, schedule.ratio)
     if _tail_stable(diag, tol.convergence):

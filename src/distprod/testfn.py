@@ -1,4 +1,4 @@
-"""Schwartz test functions with exact derivatives, plateau cutoffs, seminorms.
+"""Schwartz test functions with exact derivatives and plateau cutoffs.
 
 The working family is polynomial times Gaussian,
 
@@ -218,51 +218,3 @@ class PlateauCutoff:
             b1, b2 = t2 * b1 - b2 + c[j], b1
         rest = t * b1 - b2 + coeffs[0][j]
         return np.clip(1.0 - (left[j] + rest) / mass, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# seminorms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeminormReport:
-    """Table of sup-norm seminorms sup_x |x^k phi^(q)(x)| for k, q <= order."""
-
-    order: int
-    values: tuple[tuple[float, ...], ...]
-
-    def entry(self, k: int, q: int) -> float:
-        return self.values[k][q]
-
-    @property
-    def max_value(self) -> float:
-        return max(max(row) for row in self.values)
-
-
-def seminorm(phi: TestFunction, order: int, rtol: float = 1e-6) -> SeminormReport:
-    """Estimate sup_x |x^k phi^(q)(x)| for all k, q up to `order`.
-
-    Uses a nested refinement of a uniform grid on [-L, L] with L past the
-    decay radius; entries are monotone under refinement, so the iteration
-    stops once a doubling changes nothing to relative tolerance.
-    """
-    if order > MAX_ORDER:
-        raise OrderExceededError(f"seminorm order {order} exceeds MAX_ORDER {MAX_ORDER}")
-    L = max(phi.decay_radius(), 8.0)
-    npts = 2001
-    prev = None
-    for _ in range(8):
-        grid = np.linspace(-L, L, npts)
-        table = np.empty((order + 1, order + 1))
-        for q in range(order + 1):
-            vals = np.abs(phi(grid, q))
-            xk = np.ones_like(grid)
-            for k in range(order + 1):
-                table[k, q] = float(np.max(xk * vals))
-                xk = xk * np.abs(grid)
-        if prev is not None and np.all(table - prev <= rtol * np.maximum(table, 1e-300)):
-            break
-        prev = table
-        npts = 2 * npts - 1
-    return SeminormReport(order, tuple(tuple(row) for row in table))

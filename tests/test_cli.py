@@ -12,14 +12,12 @@ from distprod import cli, extension, pairing
 from distprod.cli import (
     ConfigError,
     Job,
-    ParseError,
     _phi_from_descriptor,
     job_from_file,
     main,
-    parse_expression,
     run_job,
 )
-from distprod.pairing import NotExtendableError, Schedule
+from distprod.pairing import NotExtendableError, ParseError, Schedule, parse_expression
 
 
 class TestParser:
@@ -390,17 +388,33 @@ class TestMain:
 
     def test_job_loads_no_scipy(self, tmp_path):
         # scipy is a benchmark dependency only; a job must run without it
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         code = ("import sys\n"
                 "from distprod.cli import main\n"
                 f"code = main(['--expr', 'delta * delta', '--c', '0.5', '--steps', '10',"
                 f" '--out', {str(tmp_path / 'report.json')!r}])\n"
                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=300)
+        done = _python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["0", "[]"]
+
+    def test_package_import_leaves_cli_unloaded(self):
+        done = _python("-c", "import sys, distprod; print('distprod.cli' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+    def test_module_run_warns_nothing(self):
+        # runpy warns when the package import has already loaded the module it runs
+        done = _python("-W", "error::RuntimeWarning", "-m", "distprod.cli",
+                       "--expr", "delta", "--steps", "8")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+
+
+def _python(*args):
+    """A fresh interpreter run with args, importing distprod from src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "delta_pv_report.json")

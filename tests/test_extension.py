@@ -16,7 +16,6 @@ from distprod.extension import (
     extension_report,
     factorization_identity_check,
     nonuniqueness_scan,
-    omega_independence_check,
 )
 from distprod import testfn
 from distprod.pairing import ProductExpression, limit_pairing, pair_at_y
@@ -179,33 +178,28 @@ def test_counterterm_additivity(c0, c1):
     assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
 
+def _cutoff_shift(expr, p, phi, omega2):
+    """|c = 0 value with OMEGA - c = 0 value with omega2|."""
+    v1 = evaluate_extension(Extension.minimal(expr, p, OMEGA), phi).value
+    v2 = evaluate_extension(Extension.minimal(expr, p, omega2), phi).value
+    return abs(v1 - v2)
+
+
 class TestOmegaIndependence:
     def test_point_supported_product(self, delta_sq):
         for a, b in ((0.5, 1.0), (2.0, 3.0)):
-            diff = omega_independence_check(
-                delta_sq, 0, GAUSS, OMEGA, PlateauCutoff(a, b)
-            )
-            assert diff <= 1e-5
+            assert _cutoff_shift(delta_sq, 0, GAUSS, PlateauCutoff(a, b)) <= 1e-5
 
     def test_derivative_product_second_order(self):
         expr = ProductExpression((catalog("delta"), catalog("delta").derivative()))
-        diff = omega_independence_check(
-            expr, 1, REFERENCE_TEST_FUNCTIONS["offset"], OMEGA,
-            PlateauCutoff(0.5, 1.0),
-        )
+        diff = _cutoff_shift(expr, 1, REFERENCE_TEST_FUNCTIONS["offset"],
+                             PlateauCutoff(0.5, 1.0))
         assert diff <= 1e-5
 
     def test_vanishing_phi_exactly_independent(self, delta_sq):
         probe = vanish_probe(0, GAUSS)
-        diff = omega_independence_check(
-            delta_sq, 0, probe, OMEGA, PlateauCutoff(0.5, 1.0)
-        )
+        diff = _cutoff_shift(delta_sq, 0, probe, PlateauCutoff(0.5, 1.0))
         assert diff == 0.0  # subtraction inactive: identical integrands, same bits
-
-    def test_identical_geometry_rejected(self, delta_sq):
-        with pytest.raises(ValueError):
-            omega_independence_check(delta_sq, 0, GAUSS, OMEGA,
-                                     PlateauCutoff(1.0, 2.0))
 
     def test_off_origin_support_shifts_by_counterterm(self):
         """pv(1/x)^2 diverges with support off the origin: a cutoff change

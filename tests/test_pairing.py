@@ -12,8 +12,7 @@ import pytest
 
 from distprod import pairing
 from distprod.boundary import RegulatorError, catalog
-from distprod.cli import parse_expression
-from distprod.extension import SubtractedFunction
+from distprod.extension import Extension, SubtractedFunction, evaluate_extension
 from distprod.pairing import (
     CHECK_RATIO,
     DEFAULT_SCHEDULE,
@@ -28,6 +27,7 @@ from distprod.pairing import (
     Tolerances,
     limit_pairing,
     pair_at_y,
+    parse_expression,
     ring_axiom_check,
     subtraction_order,
 )
@@ -182,6 +182,18 @@ class TestLimitPairing:
         assert doc["s"] is None and doc["s_ci"] is None
         assert doc["value"][0] == pytest.approx(0.5, abs=1e-6)
         assert doc["value"][1] == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("pair", [
+        limit_pairing,
+        lambda expr, phi: evaluate_extension(Extension.minimal(expr, 0), phi),
+    ], ids=["limit_pairing", "evaluate_extension"])
+    def test_sigma_below_smallest_height_refused(self, pair):
+        # no height resolves such a phi: delta paired to a "converged" 0, not 1;
+        # evaluate_extension meets the same check through phibar
+        phi = TestFunction((1.0,), sigma=1e-12)
+        with pytest.raises(ValueError, match=r"sigma 1e-12 is below the schedule's "
+                                             r"smallest height 4\.8828125e-05"):
+            pair(parse_expression("delta"), phi)
 
 
 class TestScheduleValidation:

@@ -25,3 +25,10 @@ def test_script_runs(script, args, header):
     done = _run(script, *args)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0].startswith(header)
+
+
+def test_survey_refuses_unresolvable_sigma():
+    done = _run("survey_products.py", "--sigma", "1e-12")
+    assert done.returncode == 2
+    assert "sigma 1e-12 is below the schedule's smallest height 4.8828125e-05" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -10,7 +10,6 @@ from distprod.testfn import (
     PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
     TestFunction,
-    seminorm,
     vanish_probe,
 )
 from distprod.testfn import _PIECES, _transition_antiderivative
@@ -167,39 +166,6 @@ class TestPlateauCutoff:
             assert w(0.9 * a) == 1.0
             assert w(1.1 * b) == 0.0
             assert 0.0 < w(0.5 * (a + b)) < 1.0
-
-
-class TestSeminorm:
-    def test_gauss_entry_00(self):
-        rep = seminorm(GAUSS, 0)
-        assert rep.entry(0, 0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_gauss_entry_10(self):
-        # sup |x e^{-x^2}| attained at x = 1/sqrt(2): (2e)^{-1/2}
-        rep = seminorm(GAUSS, 1)
-        assert rep.entry(1, 0) == pytest.approx(0.4288819424803534, abs=1e-6)
-
-    def test_zero_function(self):
-        rep = seminorm(TestFunction((0.0,), sigma=1.0), 2)
-        assert rep.max_value == 0.0
-
-    def test_entries_finite_and_nonnegative(self):
-        rep = seminorm(REFERENCE_TEST_FUNCTIONS["tilted"], 4)
-        arr = np.array(rep.values)
-        assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
-
-    def test_order_exceeded(self):
-        with pytest.raises(OrderExceededError):
-            seminorm(GAUSS, GAUSS.max_order + 1)
-
-    def test_monotone_under_grid_growth(self):
-        # a denser direct grid never beats the adaptive table by more than tol
-        rep = seminorm(ODD, 2)
-        xs = np.linspace(-12, 12, 30001)
-        for k in range(3):
-            for q in range(3):
-                direct = float(np.max(np.abs(xs**k * ODD(xs, q))))
-                assert direct <= rep.entry(k, q) * (1.0 + 1e-6) + 1e-12
 
 
 @settings(max_examples=25)
