@@ -51,7 +51,6 @@ from .pairing import (
 )
 from .ratfun import RationalFunction
 from .testfn import (
-    OrderExceededError,
     PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
     TestFunction,

@@ -227,8 +227,25 @@ def _loglog_slope(xs: np.ndarray, vals: np.ndarray) -> float:
     mask = vals > 1e-280
     if np.count_nonzero(mask) < 3:
         return 0.0
-    slope = np.polyfit(np.log(xs[mask]), np.log(vals[mask]), 1)[0]
-    return float(slope)
+    return _loglog_fit(xs[mask], vals[mask])[0]
+
+
+def _loglog_fit(xs, vals):
+    """OLS fit of log vals vs log xs: slope, stderr(slope), R^2."""
+    x = np.log(np.asarray(xs))
+    v = np.log(np.asarray(vals))
+    n = len(x)
+    xbar = np.mean(x)
+    vbar = np.mean(v)
+    sxx = float(np.sum((x - xbar) ** 2))
+    slope = float(np.sum((x - xbar) * (v - vbar)) / sxx)
+    intercept = vbar - slope * xbar
+    resid = v - (intercept + slope * x)
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum((v - vbar) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
+    se = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else math.inf
+    return slope, se, r2
 
 
 def required_order(alpha: float, beta: float) -> int:

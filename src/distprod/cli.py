@@ -5,7 +5,8 @@ its test functions, a height schedule and a cutoff.  Reports are single JSON
 documents, written atomically, with fixed key order and no timestamps:
 identical jobs produce byte-identical output.  Exit code 0 covers every
 classified outcome (including mathematically inconclusive pairings, which are
-reported in-band); 2 flags bad input (syntax, config, I/O); 1 is reserved for
+reported in-band); 2 flags bad input (syntax, config, I/O) and a pairing the
+quadrature cannot resolve in its first six heights; 1 is reserved for
 internal failure.
 """
 
@@ -156,6 +157,9 @@ def job_from_doc(doc) -> Job:
         if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
             raise ConfigError(f"'c_grid' must be a list of lists, got {grid!r}")
         fields["c_grid"] = [[_complex_from_json(v) for v in row] for row in grid]
+        if "p_override" in fields:
+            # a fixed p sizes every row now, before any pairing runs
+            _cgrid_rows(fields["c_grid"], fields["p_override"])
     if doc.get("out") is not None:
         if not isinstance(doc["out"], str):
             raise ConfigError(f"'out' must be a path string, got {doc['out']!r}")
@@ -163,15 +167,14 @@ def job_from_doc(doc) -> Job:
     return Job(expression=doc["expression"], schedule=Schedule(**schedule), **fields)
 
 
-def _cgrid_rows(job: Job, p: int) -> list[list[complex]]:
-    rows = []
-    for row in job.c_grid:
+def _cgrid_rows(grid: list[list[complex]], p: int) -> list[list[complex]]:
+    """The counterterm rows, each checked to hold p + 1 entries."""
+    for row in grid:
         if len(row) != p + 1:
             raise ConfigError(
                 f"counterterm vector {row} has {len(row)} entries, need {p + 1}"
             )
-        rows.append(list(row))
-    return rows
+    return grid
 
 
 def _extension_blocks(job: Job, expr: ProductExpression, phi: TestFunction,
@@ -186,7 +189,7 @@ def _extension_blocks(job: Job, expr: ProductExpression, phi: TestFunction,
     """
     omega, omega2 = omegas
     base = Extension.minimal(expr, order.p, omega, subtract=order.needed)
-    rows = _cgrid_rows(job, order.p)
+    rows = _cgrid_rows(job.c_grid, order.p)
     c0 = (evaluate_extension(base, phi, job.schedule, tol) if order.needed
           else extension_result(base, phi, pairing))
     blocks = [extension_report(base, c0)]
@@ -363,7 +366,7 @@ def main(argv=None) -> int:
         else:
             _write_atomic(job.out, text)
         return 0
-    except (ValueError, OSError) as exc:  # ParseError and ConfigError among them
+    except (ValueError, OSError, QuadratureError) as exc:  # ParseError, ConfigError
         print(f"distprod: error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - internal failure path

@@ -15,8 +15,8 @@ on c, it is paired once per phi, and every counterterm vector's value is that
 one number plus its counterterm sum; ``nonuniqueness_scan`` tabulates the
 family, and its discrepancy measures only the rounding of that addition.
 
-phibar is evaluated by value only.  The Taylor coefficients phi^(k)(0) are
-computed once per subtracted function, and omega is exactly 1 on the plateau,
+phibar is evaluated by value only.  Its Taylor polynomial is phi.taylor(p),
+taken once per subtracted function, and omega is exactly 1 on the plateau,
 so there phibar is exactly phi minus its Taylor polynomial and phibar(0) = 0.
 
 For products supported at the origin (every delta-derived catalog product)
@@ -62,10 +62,9 @@ class ExtensionError(RuntimeError):
 class SubtractedFunction:
     """phi minus its cutoff-localized Taylor polynomial through order p.
 
-    phibar(x) = phi(x) - omega(x) * T(x) with T(x) = sum_{k <= p} coeffs[k]
-    x^k / k!, coeffs[k] = phi^(k)(0).  Evaluated by value: a scalar gives a
-    float, an array an array.  p above MAX_ORDER raises OrderExceededError
-    from phi's own order check.
+    phibar(x) = phi(x) - omega(x) * T(x) with T(x) = sum_{k <= p} taylor[k]
+    x^k, taylor = phi.taylor(p).  Evaluated by value: a scalar gives a
+    float, an array an array.
     """
 
     def __init__(self, phi: TestFunction, omega: PlateauCutoff, p: int):
@@ -74,14 +73,13 @@ class SubtractedFunction:
         self.phi = phi
         self.omega = omega
         self.p = p
-        self.coeffs = tuple(phi(0.0, k) for k in range(p + 1))
-        self._taylor = [c / math.factorial(k) for k, c in enumerate(self.coeffs)]
+        self.taylor = phi.taylor(p)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        val = self.phi(x) - self.omega(x) * npoly.polyval(x, self._taylor)
+        val = self.phi(x) - self.omega(x) * npoly.polyval(x, self.taylor)
         return float(val[0]) if scalar else val
 
     @property
@@ -142,10 +140,11 @@ class ExtensionResult:
 
 
 def counterterm_value(c, phi) -> complex:
-    """sum_k c_k (delta^(k), phi) = sum_k c_k (-1)^k phi^(k)(0)."""
+    """sum_k c_k (delta^(k), phi) = sum_k c_k (-1)^k k! t_k, t = phi.taylor."""
+    jet = phi.taylor(len(c))
     total = 0j
     for k, ck in enumerate(c):
-        total += complex(ck) * (-1.0) ** k * phi(0.0, k)
+        total += complex(ck) * (-1.0) ** k * (math.factorial(k) * float(jet[k]))
     return total
 
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import CatalogError, HyperfunctionPair, RegulatorError, catalog
+from .boundary import (CatalogError, HyperfunctionPair, RegulatorError, _loglog_fit,
+                       catalog)
 from .testfn import REFERENCE_TEST_FUNCTIONS, vanish_probe
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK dqk15).
@@ -627,24 +628,6 @@ def _tail_stable(diag, atol: float) -> bool:
         and abs(a.real - b.real) <= atol
         and abs(a.imag - b.imag) <= atol
     )
-
-
-def _loglog_fit(ys, mags):
-    """OLS fit of log|I| vs log y: slope, stderr(slope), R^2."""
-    x = np.log(np.asarray(ys))
-    v = np.log(np.asarray(mags))
-    n = len(x)
-    xbar = np.mean(x)
-    vbar = np.mean(v)
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (v - vbar)) / sxx)
-    intercept = vbar - slope * xbar
-    resid = v - (intercept + slope * x)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((v - vbar) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    se = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else math.inf
-    return slope, se, r2
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
-"""Schwartz test functions with exact derivatives and plateau cutoffs.
+"""Schwartz test functions, their Taylor jets at 0, and plateau cutoffs.
 
 The working family is polynomial times Gaussian,
 
     phi(x) = p(x) * exp(-(x - mu)^2 / (2 sigma^2)),
 
-which is closed under differentiation: each derivative replaces p by
-p' - p*(x - mu)/sigma^2.  Keeping the polynomial in global-x coordinates means
-the low coefficients stay *exactly* zero under differentiation, which is what
-makes the high-order vanishing probes bitwise reliable.  phi(x, q) evaluates
-the q-th derivative for q in 0..MAX_ORDER.
+evaluated by value.  The continuations read phi's derivatives only at the
+origin: phi.taylor(n) returns its Taylor coefficients there, to any order.
+Keeping the polynomial in global-x coordinates means the low coefficients of
+x^(p+1) * phi stay *exactly* zero, which is what makes the high-order
+vanishing probes bitwise reliable.
 
 Cutoffs are C-infinity plateau functions built from the standard bump
 exp(-1/(s(1-s))): identically 1 on [-a, a], identically 0 outside [-b, b],
@@ -33,11 +33,7 @@ from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import Chebyshev
 
 
-class OrderExceededError(ValueError):
-    """A derivative of order above MAX_ORDER was requested."""
-
-
-MAX_ORDER = 12  # highest derivative order a test function or cutoff serves
+MAX_ORDER = 12  # highest subtraction order a job may set
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +52,6 @@ class TestFunction:
     """
 
     __test__ = False  # not a pytest case, despite the name
-    max_order = MAX_ORDER  # a class constant, not a field
 
     poly: tuple[float, ...]
     sigma: float
@@ -75,42 +70,40 @@ class TestFunction:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def __call__(self, x, q: int = 0):
-        """Evaluate the q-th derivative at x (scalar or array)."""
-        c = self._coeffs(q)
+    def __call__(self, x):
+        """Evaluate at x (scalar or array)."""
         x = np.asarray(x, dtype=float)
         u = x - self.mu
-        val = npoly.polyval(x, c) * np.exp(-(u * u) / (2.0 * self.sigma**2))
+        val = npoly.polyval(x, self.poly) * np.exp(-(u * u) / (2.0 * self.sigma**2))
         if val.ndim == 0:
             return float(val)
         return val
 
-    def _coeffs(self, q: int) -> tuple[float, ...]:
-        if not 0 <= q <= MAX_ORDER:
-            raise OrderExceededError(f"derivative order {q} outside [0, {MAX_ORDER}]")
-        return _derived_poly(self.poly, self.sigma, self.mu, q)
+    def taylor(self, n: int) -> np.ndarray:
+        """Taylor coefficients t_0..t_n of phi at 0, so phi^(k)(0) = k! t_k.
+
+        The coefficients e_k of exp(a x + b x^2) obey
+        (k+1) e_{k+1} = a e_k + 2b e_{k-1}; t is p convolved with e, times
+        exp(-mu^2 / (2 sigma^2)).
+        """
+        a = self.mu / self.sigma**2
+        b = -0.5 / self.sigma**2
+        e = [1.0, a]
+        for k in range(1, n):
+            e.append((a * e[k] + 2.0 * b * e[k - 1]) / (k + 1))
+        t = np.convolve(self.poly, e[:n + 1])[:n + 1]
+        return t * np.exp(-(self.mu * self.mu) / (2.0 * self.sigma**2))
 
     def decay_radius(self) -> float:
         """Radius beyond which the function is negligible at double precision."""
         return abs(self.mu) + self.sigma * (14.0 + 2.0 * len(self.poly))
 
 
-@lru_cache(maxsize=4096)
-def _derived_poly(poly: tuple, sigma: float, mu: float, q: int) -> tuple:
-    if q == 0:
-        return poly
-    c = np.asarray(_derived_poly(poly, sigma, mu, q - 1), dtype=float)
-    # d/dx [p e^g] = (p' + p g') e^g with g' = -(x - mu)/sigma^2
-    gprime = np.array([mu / sigma**2, -1.0 / sigma**2])
-    out = npoly.polyadd(npoly.polyder(c), npoly.polymul(c, gprime))
-    return tuple(np.atleast_1d(out))
-
-
 def vanish_probe(p: int, base: TestFunction) -> TestFunction:
-    """x^(p+1) * base: all derivatives through order p vanish exactly at 0.
+    """x^(p+1) * base: its Taylor coefficients through order p are exactly 0.
 
     The base must not itself vanish at the origin, otherwise the probe's
-    (p+1)-st derivative is degenerate there too and the probe proves nothing.
+    coefficient of order p+1 is zero too and the probe proves nothing.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -180,7 +173,7 @@ class PlateauCutoff:
     cutoff perturbs nothing on the plateau.
     """
 
-    max_order = MAX_ORDER
+    max_order = MAX_ORDER  # part of the key perfbench/spans.py gives a subtracted phi
 
     def __init__(self, plateau: float, support: float):
         plateau = float(plateau)

@@ -132,7 +132,7 @@ def test_format_canonical_examples():
 class TestDescriptors:
     def test_basic(self):
         phi = _phi_from_descriptor({"poly": [0.0, 1.0], "sigma": 1.0})
-        assert phi(0.0, 1) == pytest.approx(1.0)
+        assert phi.taylor(1)[1] == pytest.approx(1.0)
 
     def test_mu_optional(self):
         phi = _phi_from_descriptor({"poly": [1.0], "sigma": 2.0, "mu": 0.5})
@@ -409,6 +409,13 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
 
+    def test_stalled_pairing_exit_two(self):
+        # x^200 overflows on the radius probe, so every panel is NaN
+        done = _python("-m", "distprod.cli", "--expr", "x^200 * 1")
+        assert done.returncode == 2, done.stderr
+        assert "quadrature stalled" in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 def _python(*args):
     """A fresh interpreter run with args, importing distprod from src/."""
@@ -551,6 +558,12 @@ class TestWorkCount:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"sigma {sigma!r}" in err and "smallest height 4.8828125e-05" in err
+        assert calls["limit_pairing"] == 0
+
+    def test_wrong_width_row_with_fixed_p_runs_no_pairing(self, calls, tmp_path, capsys):
+        doc = {"expression": "delta * delta", "p": 0, "c_grid": [[1, 2]]}
+        assert _run_job_file(tmp_path, doc) == 2
+        assert "has 2 entries, need 1" in capsys.readouterr().err
         assert calls["limit_pairing"] == 0
 
     @pytest.mark.parametrize("p", [-1, 13])

@@ -20,7 +20,6 @@ from distprod.extension import (
 from distprod import testfn
 from distprod.pairing import ProductExpression, limit_pairing, pair_at_y
 from distprod.testfn import (
-    OrderExceededError,
     PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
     TestFunction,
@@ -35,15 +34,14 @@ SQRT_PI = 1.7724538509055160
 def _assert_subtraction_structure(phi, p):
     """phibar is phi minus omega * T_p, with T_p's data phi's own, bit for bit.
 
-    The coefficients are phi^(k)(0) exactly; on the plateau (omega = 1)
+    The polynomial is phi.taylor(p) exactly; on the plateau (omega = 1)
     phibar is phi minus the Taylor polynomial, so its value and its
     derivatives through order p vanish at 0; beyond the support it is phi.
     """
     bar = SubtractedFunction(phi, OMEGA, p)
-    coeffs = np.array([phi(0.0, k) for k in range(p + 1)])
-    assert np.array(bar.coeffs).tobytes() == coeffs.tobytes()
+    taylor = phi.taylor(p)
+    assert bar.taylor.tobytes() == taylor.tobytes()
     plateau = np.linspace(-OMEGA.plateau, OMEGA.plateau, 41)
-    taylor = coeffs / np.array([math.factorial(k) for k in range(p + 1)])
     assert bar(plateau).tobytes() == (phi(plateau) - npoly.polyval(plateau, taylor)).tobytes()
     assert bar(0.0) == 0.0
     beyond = np.array([-4.0, -2.5, -OMEGA.support, OMEGA.support, 2.5, 4.0])
@@ -99,10 +97,6 @@ class TestTaylorSubtract:
         pair_at_y(delta_sq, SubtractedFunction(GAUSS, OMEGA, 0), 0.1)
         assert counts["transition"] > 0
         assert counts["series"] == 0
-
-    def test_order_shortfall_rejected(self):
-        with pytest.raises(OrderExceededError):
-            SubtractedFunction(GAUSS, OMEGA, GAUSS.max_order + 1)
 
 
 class TestExtensionObject:
