@@ -87,8 +87,9 @@ class SubtractedFunction:
         """phi's width, which the schedule must resolve as for phi itself."""
         return self.phi.sigma
 
-    def decay_radius(self) -> float:
-        return max(self.phi.decay_radius(), self.omega.support + 1.0)
+    def decay_radius(self, extra_degree: int = 0) -> float:
+        """phi's radius, and at least past the cutoff's support, where phibar = phi."""
+        return max(self.phi.decay_radius(extra_degree), self.omega.support + 1.0)
 
 
 # ---------------------------------------------------------------------------

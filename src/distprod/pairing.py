@@ -9,9 +9,11 @@ at one height; ``limit_pairing`` runs a geometric schedule of heights,
 extrapolates, and classifies the outcome as converged / diverged /
 inconclusive.  Divergent pairings get a fitted power law I(y) ~ A * y^-s.
 
-Quadrature is a deterministic adaptive Gauss-Kronrod 7-15 scheme with forced
-panel boundaries at +-10y around the origin, where all the regulator-scale
-structure of the integrand lives.  Panels are refined in rounds (every panel
+Quadrature is a deterministic adaptive Gauss-Kronrod 7-15 scheme on [-L, L]
+with forced panel boundaries at +-10y around the origin, where all the
+regulator-scale structure of the integrand lives.  L comes from phi's
+closed-form decay at the integrand's polynomial growth, with no integrand
+evaluated to find it.  Panels are refined in rounds (every panel
 above its error share splits), and the final sum runs over panels sorted by
 left endpoint, so results are bit-stable for a fixed configuration.
 
@@ -32,8 +34,8 @@ Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
 integer-power error terms, so the diagonal converges rapidly; convergence is
 declared only when the last three diagonal entries agree (real and imaginary
-parts separately) and a second schedule with a different ratio lands on the
-same value.
+parts separately, relative to the limit once it exceeds 1) and a second
+schedule with a different ratio lands on the same value.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Tolerances:
-    convergence: float = 1e-7        # tail agreement of Richardson diagonal
+    # tail agreement of the Richardson diagonal, relative to max(1, |limit|)
+    convergence: float = 1e-7
 
     def __post_init__(self):
         if not (self.convergence > 0.0 and math.isfinite(self.convergence)):
@@ -551,49 +554,25 @@ def _integrand(expr: ProductExpression, phi):
     return f
 
 
-def _block_peaks(f, blocks, ys) -> np.ndarray:
-    """max |f| over each block of points, block k at height ys[k], in one call."""
-    sizes = [len(b) for b in blocks]
-    values = np.abs(f(np.concatenate(blocks), np.repeat(ys, sizes)))
-    return np.maximum.reduceat(values, np.cumsum([0] + sizes[:-1]))
-
-
-def _integration_radius(f, phi, ys) -> list[float]:
+def _integration_radius(expr: ProductExpression, phi, ys) -> list[float]:
     """Half-width L of the integration domain at every height.
 
-    L starts past phi's decay radius and 20y and doubles, up to 1e6, until
-    |f| on the tail points is below 1e-22 of its peak on a probe grid.  One
-    call probes every height, then one call per doubling round covers the
-    heights still doubling.
+    The integrand grows like |x|^d times phi, with d the prefactor power plus
+    each factor's growth exponent beta, so L is phi.decay_radius(d), and at
+    least 2 and 20y.  No integrand is evaluated.
     """
-    base = phi.decay_radius()
-    radii = [max(base, 2.0, 20.0 * y) for y in ys]
-    near = np.array([0.5, 1.0, 2.0, 5.0, -0.5, -1.0, -2.0, -5.0])
-    probes = [np.concatenate([np.linspace(-L, L, 65), near * y])
-              for y, L in zip(ys, radii)]
-    refs = _block_peaks(f, probes, ys) + 1e-300
-    live = [k for k in range(len(ys)) if radii[k] < 1e6]
-    tail = np.array([1.0, 1.2, 1.5, 1.9, -1.0, -1.2, -1.5, -1.9])
-    while live:
-        peaks = _block_peaks(f, [tail * radii[k] for k in live], [ys[k] for k in live])
-        still = []
-        for k, t in zip(live, peaks):
-            if t <= 1e-22 * refs[k]:
-                continue
-            radii[k] *= 2.0
-            if radii[k] < 1e6:
-                still.append(k)
-        live = still
-    return radii
+    base = phi.decay_radius(expr.total_power + sum(pair.beta for pair in expr.factors))
+    return [max(base, 2.0, 20.0 * y) for y in ys]
 
 
 def pair_at_y(expr: ProductExpression, phi, y: float,
               tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """Integrate x^R * prod F_i^y * phi over the line at a single height y.
 
-    phi is a TestFunction or a Taylor-subtracted function; its
-    decay_radius() bounds the domain.
-    This is the one-height case of a schedule.
+    phi is a TestFunction or a Taylor-subtracted function; the domain is
+    [-L, L] with L from phi.decay_radius, given the integrand's polynomial
+    growth (see _integration_radius).  This is the one-height case of a
+    schedule.
     """
     return _evaluate_schedule(expr, phi, (y,), tol)[1][0]
 
@@ -673,7 +652,7 @@ def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple]:
         if not (y > 0.0 and math.isfinite(y)):
             raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
     f = _integrand(expr, phi)
-    radii = _integration_radius(f, phi, ys)
+    radii = _integration_radius(expr, phi, ys)
     pointsets = [
         sorted(p for p in {-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L} if -L <= p <= L)
         for y, L in zip(ys, radii)
@@ -706,11 +685,11 @@ def limit_pairing(expr: ProductExpression, phi,
     """Run the height schedule, extrapolate, and classify the outcome.
 
     Converged requires the last three Richardson diagonal entries to agree
-    within tol.convergence (real and imaginary parts separately) and a
-    second schedule with ratio CHECK_RATIO to agree within _SCHEDULE_FACTOR
-    times that.  Diverged requires a log-log power-law fit with
-    R^2 >= _R2_MIN and rate s > _S_MIN.  Everything else is
-    inconclusive, which is a classification, not an error.
+    within tol.convergence times max(1, |last entry|) (real and imaginary
+    parts separately) and a second schedule with ratio CHECK_RATIO to agree
+    within _SCHEDULE_FACTOR times that.  Diverged requires a log-log
+    power-law fit with R^2 >= _R2_MIN and rate s > _S_MIN.  Everything else
+    is inconclusive, which is a classification, not an error.
 
     Strongly divergent integrands eventually exhaust the quadrature budget
     as y shrinks; the schedule is then truncated at the first unresolvable
@@ -723,12 +702,13 @@ def limit_pairing(expr: ProductExpression, phi,
     require_resolved(phi, schedule)
     ys, integrals = _evaluate_schedule(expr, phi, schedule.heights(), tol)
     diag = _richardson_diagonal(integrals, schedule.ratio)
-    if _tail_stable(diag, tol.convergence):
+    atol = tol.convergence * max(1.0, abs(diag[-1]))
+    if _tail_stable(diag, atol):
         value = diag[-1]
         ys2, integrals2 = _evaluate_schedule(
             expr, phi, schedule.heights(CHECK_RATIO), tol)
         diag2 = _richardson_diagonal(integrals2, CHECK_RATIO)
-        gap = _SCHEDULE_FACTOR * tol.convergence
+        gap = _SCHEDULE_FACTOR * atol
         if (abs(diag2[-1].real - value.real) <= gap
                 and abs(diag2[-1].imag - value.imag) <= gap):
             return PairingResult(ys, integrals, "converged",

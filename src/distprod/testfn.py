@@ -6,6 +6,8 @@ The working family is polynomial times Gaussian,
 
 evaluated by value.  The continuations read phi's derivatives only at the
 origin: phi.taylor(n) returns its Taylor coefficients there, to any order.
+Its Gaussian decay is known in closed form, so phi.decay_radius(d) gives the
+half-width of the integration domain of x^d * phi without sampling it.
 Keeping the polynomial in global-x coordinates means the low coefficients of
 x^(p+1) * phi stay *exactly* zero, which is what makes the high-order
 vanishing probes bitwise reliable.
@@ -34,6 +36,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 
 MAX_ORDER = 12  # highest subtraction order a job may set
+_DECAY_FLOOR = 1e-22  # share of its peak below which an integrand tail is dropped
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +97,20 @@ class TestFunction:
         t = np.convolve(self.poly, e[:n + 1])[:n + 1]
         return t * np.exp(-(self.mu * self.mu) / (2.0 * self.sigma**2))
 
-    def decay_radius(self) -> float:
-        """Radius beyond which the function is negligible at double precision."""
-        return abs(self.mu) + self.sigma * (14.0 + 2.0 * len(self.poly))
+    def decay_radius(self, extra_degree: int = 0) -> float:
+        """Radius beyond which |x|^extra_degree * phi is negligible.
+
+        The larger of |mu| + sigma (14 + 2 len(poly)) and x* + T sigma.  x* is
+        the peak of the envelope |x|^d exp(-(|x| - |mu|)^2 / (2 sigma^2)),
+        d = len(poly) - 1 + extra_degree; past it the envelope's log is
+        concave with second derivative <= -1/sigma^2, so from x* + T sigma
+        on it is below _DECAY_FLOOR of its peak, T = sqrt(2 ln(1/_DECAY_FLOOR)).
+        """
+        d = len(self.poly) - 1 + extra_degree
+        mu = abs(self.mu)
+        peak = 0.5 * (mu + math.sqrt(mu * mu + 4.0 * d * self.sigma**2))
+        return max(mu + self.sigma * (14.0 + 2.0 * len(self.poly)),
+                   peak + math.sqrt(-2.0 * math.log(_DECAY_FLOOR)) * self.sigma)
 
 
 def vanish_probe(p: int, base: TestFunction) -> TestFunction:

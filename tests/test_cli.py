@@ -410,8 +410,8 @@ class TestMain:
         assert done.stderr == ""
 
     def test_stalled_pairing_exit_two(self):
-        # x^200 overflows on the radius probe, so every panel is NaN
-        done = _python("-m", "distprod.cli", "--expr", "x^200 * 1")
+        # the kernel overflows (0.1^-400 is inf), so every panel is NaN
+        done = _python("-m", "distprod.cli", "--expr", "(x+i0)^-400")
         assert done.returncode == 2, done.stderr
         assert "quadrature stalled" in done.stderr
         assert "Traceback" not in done.stderr

@@ -75,6 +75,12 @@ class TestTaylorSubtract:
     def test_offcenter_phi_also_exact(self):
         _assert_subtraction_structure(REFERENCE_TEST_FUNCTIONS["offset"], 2)
 
+    def test_decay_radius_is_phis_past_the_support(self):
+        phibar = SubtractedFunction(GAUSS, OMEGA, 2)
+        assert phibar.decay_radius() == max(GAUSS.decay_radius(), 3.0)
+        assert phibar.decay_radius(200) == GAUSS.decay_radius(200) > 3.0
+        assert SubtractedFunction(GAUSS, PlateauCutoff(1.0, 20.0), 0).decay_radius(2) == 21.0
+
     def test_outside_support_untouched(self):
         bar = SubtractedFunction(GAUSS, OMEGA, 0)
         for x in (2.5, 3.0, -4.0):

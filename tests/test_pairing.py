@@ -5,7 +5,10 @@ Numerical reference values were computed with an independent route
 here, so the adaptive Gauss-Kronrod engine is never checked against itself.
 """
 
+import importlib.util
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +243,13 @@ class TestSubtractionOrder:
         expr = ProductExpression((catalog("delta"), catalog("delta").derivative()))
         so = subtraction_order(expr)
         assert so == SubtractionOrder(p=1, needed=True)
+
+    def test_unclassifiable_pairing_raises_with_its_result(self, delta_sq):
+        # three heights are too few for the power-law fit, and they do not settle
+        with pytest.raises(InconclusivePairingError) as info:
+            subtraction_order(delta_sq, 6, Schedule(count=3))
+        assert info.value.result.status == "inconclusive"
+        assert len(info.value.result.integrals) == 3
 
     def test_search_cap_exhausted(self):
         # (x+i0)^-4 * delta diverges too hard for a p_max=0 search
@@ -516,6 +526,57 @@ def test_schedule_work_count(integrand_calls, delta_sq, gauss):
         counts.append((len(integrand_calls), sum(integrand_calls)))
     assert counts[0] == counts[1]
     calls, points = counts[0]
-    # the points the heights need one at a time (in 120 calls), in few calls
-    assert points == 15102
-    assert calls <= 16
+    # the points the heights need one at a time, in few calls: the panels
+    # only, as the domain is taken from phi's decay without evaluating f
+    assert points == 14130
+    assert calls == 13
+
+
+# ---------------------------------------------------------------------------
+# the integration domain
+# ---------------------------------------------------------------------------
+
+
+def _survey_catalog():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "survey_products.py")
+    spec = importlib.util.spec_from_file_location("survey_products", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DEFAULT_CATALOG
+
+
+HIGHORDER_PRODUCTS = (
+    "delta * delta * delta * delta",
+    "pv(1/x) * pv(1/x) * pv(1/x) * pv(1/x)",
+    "(x+i0)^-3 * (x-i0)^-3",
+    "d(d(delta)) * d(d(delta))",
+    "d(delta) * d(delta) * d(delta)",
+    "d(d(delta)) * d(delta)",
+    "d(delta) * d(delta) * delta",
+)
+
+
+@pytest.mark.parametrize("text", [*_survey_catalog(), *HIGHORDER_PRODUCTS])
+def test_integration_radius_is_the_fixed_margin(text):
+    # these integrands grow at most like x^2, too slowly for the closed-form
+    # decay bound to pass phi's fixed margin, so every L stays what it was
+    expr = parse_expression(text)
+    ys = DEFAULT_SCHEDULE.heights() + Schedule(0.01, 0.5, 16).heights()
+    for phi in REFERENCE_TEST_FUNCTIONS.values():
+        for f in (phi, SubtractedFunction(phi, PlateauCutoff(1.0, 2.0), 2)):
+            expect = [max(f.decay_radius(), 2.0, 20.0 * y) for y in ys]
+            assert pairing._integration_radius(expr, f, ys) == expect
+
+
+def test_high_moment_converges_to_gamma(gauss):
+    # the integral of x^200 exp(-x^2) is Gamma(100.5) = 9.32e156: the domain
+    # follows phi's decay at degree 200, and convergence is judged relative
+    # to the limit's size
+    exact = math.gamma(100.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = limit_pairing(parse_expression("x^200 * 1"), gauss)
+    assert result.status == "converged"
+    for v in (*result.integrals, result.value):
+        assert abs(v - exact) <= 1e-13 * exact

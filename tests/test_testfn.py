@@ -192,3 +192,29 @@ def test_rapid_decay_on_wide_grid(sigma, mu, poly):
     vals = np.abs(xs**3 * phi(xs))
     assert np.all(np.isfinite(vals))
     assert vals[0] < 1e-40 and vals[-1] < 1e-40  # dead at the far ends
+
+
+def _log_envelope(x, d, mu, sigma):
+    """log of |x|^d * exp(-(|x| - |mu|)^2 / (2 sigma^2)), which bounds |x^d phi|."""
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        power = d * np.log(ax) if d else 0.0
+    return power - (ax - abs(mu)) ** 2 / (2.0 * sigma**2)
+
+
+@settings(max_examples=60)
+@given(st.floats(0.05, 5.0), st.floats(-3.0, 3.0), st.integers(0, 400))
+def test_decay_radius_bounds_the_envelope_tail(sigma, mu, d):
+    # past L = decay_radius(d), x^d * phi is below 1e-22 of its peak on [-L, L]
+    L = TestFunction((1.0,), sigma=sigma, mu=mu).decay_radius(d)
+    peak = _log_envelope(np.linspace(-L, L, 20001), d, mu, sigma).max()
+    t = np.array([1.0, 1.2, 1.5, 1.9])
+    tail = _log_envelope(np.concatenate([t, -t]) * L, d, mu, sigma)
+    assert np.all(tail <= math.log(1e-22) + peak)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TEST_FUNCTIONS))
+def test_decay_radius_keeps_the_fixed_margin(name):
+    phi = REFERENCE_TEST_FUNCTIONS[name]
+    assert phi.decay_radius() == abs(phi.mu) + phi.sigma * (14.0 + 2.0 * len(phi.poly))
+    assert phi.decay_radius(200) > phi.decay_radius()
