@@ -3,9 +3,9 @@
 
 Sweeps the counterterm coefficient c_0 (and c_1 when the subtraction order
 calls for it) over a grid for several test functions, prints each continued
-value next to the offset predicted by sum(c_k (-1)^k phi^(k)(0)), and then
-shows the cutoff-geometry sweep that the continued values must survive
-unchanged.
+value (Tbar, phibar) + sum(c_k (-1)^k phi^(k)(0)) with its offset from the
+c = 0 value, and then shows the cutoff-geometry sweep that the continued
+values must survive unchanged.
 
 Usage:
     python scripts/ambiguity_scan.py
@@ -16,8 +16,8 @@ import argparse
 
 import numpy as np
 
-from distprod.extension import Extension, evaluate_extension, nonuniqueness_scan
-from distprod.pairing import parse_expression, subtraction_order
+from distprod.extension import ExtensionError, counterterm_value, evaluate_extension
+from distprod.pairing import limit_pairing, parse_expression, subtraction_order
 from distprod.testfn import PlateauCutoff, REFERENCE_TEST_FUNCTIONS
 
 PHI_KEYS = ("gauss", "tilted", "offset")
@@ -44,31 +44,34 @@ def main():
         # vary c_0 along the grid, c_1 on a coarse alternation
         grid = [[t, (-1.0) ** i * args.c_span / 2] for i, t in enumerate(ticks)]
 
-    ext = Extension.minimal(expr, order.p, subtract=order.needed)
+    def tbar(phi, omega):
+        """(Tbar, phibar); without subtraction, phi's own converged pairing."""
+        if order.needed:
+            return evaluate_extension(expr, phi, order.p, omega)
+        pairing = limit_pairing(expr, phi)
+        if pairing.status != "converged":
+            raise ExtensionError(f"pairing for {expr.label!r} classified as "
+                                 f"{pairing.status}; nothing to continue")
+        return pairing.value
+
     phis = [REFERENCE_TEST_FUNCTIONS[k] for k in PHI_KEYS]
-    table = nonuniqueness_scan(ext, grid, phis)
+    omegas = [PlateauCutoff(plateau, support) for plateau, support in GEOMETRIES]
+    bases = [tbar(phi, omegas[0]) for phi in phis]
 
     print(f"\ncounterterm grid ({len(grid)} points x {len(phis)} test functions)")
-    print(f"{'phi':8s} {'c':>28s} {'value':>24s} {'offset':>13s} "
-          f"{'predicted':>13s} {'disc':>9s}")
-    for row in table.rows:
-        key = PHI_KEYS[row.phi_index]
-        c_str = ", ".join(f"{v.real:+.2f}" for v in row.c)
-        print(f"{key:8s} [{c_str:>26s}] {row.value.real:+24.12f} "
-              f"{row.offset.real:+13.6f} {row.predicted.real:+13.6f} "
-              f"{row.discrepancy:9.1e}")
-    print(f"structure holds to {table.max_discrepancy:.2e} "
-          f"(ok = {table.ok})")
+    print(f"{'phi':8s} {'c':>28s} {'value':>24s} {'offset':>13s} {'predicted':>13s}")
+    for c in grid:
+        for key, phi, base in zip(PHI_KEYS, phis, bases):
+            predicted = counterterm_value(c, phi)
+            value = base + predicted
+            offset = value - base
+            c_str = ", ".join(f"{v:+.2f}" for v in c)
+            print(f"{key:8s} [{c_str:>26s}] {value.real:+24.12f} "
+                  f"{offset.real:+13.6f} {predicted.real:+13.6f}")
 
     print("\ncutoff-geometry sweep (same continuation, c = 0)")
-    phi = phis[0]
-    values = []
-    for plateau, support in GEOMETRIES:
-        ext_g = Extension.minimal(expr, order.p,
-                                  PlateauCutoff(plateau, support),
-                                  subtract=order.needed)
-        v = evaluate_extension(ext_g, phi).value
-        values.append(v)
+    values = [bases[0]] + [tbar(phis[0], omega) for omega in omegas[1:]]
+    for (plateau, support), v in zip(GEOMETRIES, values):
         print(f"  plateau {plateau:4.2f}, support {support:4.2f} -> "
               f"{v.real:+.12f}{v.imag:+.2e}j")
     spread = max(abs(a - b) for a in values for b in values)

@@ -13,7 +13,7 @@ Usage:
 import argparse
 import math
 
-from distprod.extension import Extension, ExtensionError, evaluate_extension
+from distprod.extension import ExtensionError, evaluate_extension
 from distprod.pairing import (
     InconclusivePairingError,
     NotExtendableError,
@@ -58,8 +58,7 @@ def classify(text, phi, schedule):
         return row
     row["p"] = order.p
     try:
-        ext = Extension.minimal(expr, order.p)
-        row["cont"] = evaluate_extension(ext, phi, schedule).value
+        row["cont"] = evaluate_extension(expr, phi, order.p, schedule=schedule)
     except ExtensionError:
         row["cont"] = None
     return row
@@ -84,9 +83,9 @@ def main():
     ap.add_argument("--steps", type=int, default=12)
     args = ap.parse_args()
 
-    phi = TestFunction((1.0,), sigma=args.sigma)
-    schedule = Schedule(y0=args.y0, ratio=args.ratio, count=args.steps)
     try:
+        phi = TestFunction((1.0,), sigma=args.sigma)
+        schedule = Schedule(y0=args.y0, ratio=args.ratio, count=args.steps)
         require_resolved(phi, schedule)
     except ValueError as exc:
         ap.error(str(exc))

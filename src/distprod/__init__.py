@@ -18,18 +18,12 @@ from .boundary import (
     verify_growth_bound,
 )
 from .extension import (
-    Extension,
     ExtensionError,
-    ExtensionResult,
     FactorizationReport,
-    NonuniquenessTable,
     SubtractedFunction,
     counterterm_value,
     evaluate_extension,
-    extension_report,
-    extension_result,
     factorization_identity_check,
-    nonuniqueness_scan,
 )
 from .pairing import (
     InconclusivePairingError,

@@ -20,13 +20,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
-from .extension import (
-    Extension,
-    ExtensionError,
-    evaluate_extension,
-    extension_report,
-    extension_result,
-)
+from .extension import ExtensionError, counterterm_value, evaluate_extension
 from .pairing import (
     DEFAULT_TOLERANCES,
     InconclusivePairingError,
@@ -177,30 +171,47 @@ def _cgrid_rows(grid: list[list[complex]], p: int) -> list[list[complex]]:
     return grid
 
 
+def _cpair(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
 def _extension_blocks(job: Job, expr: ProductExpression, phi: TestFunction,
                       pairing: PairingResult, order: SubtractionOrder,
                       omegas: tuple[PlateauCutoff, PlateauCutoff],
                       tol: Tolerances) -> tuple[list, dict]:
     """The c = 0 block, one block per c_grid row, and the cutoff check.
 
-    (Tbar, phibar) does not depend on c, so every row is the c = 0 pairing
-    plus its counterterm sum, and the cutoff check pairs only at omega2.
-    Without subtraction the continuation pairs phi itself: `pairing`.
+    Every block is (Tbar, phibar) plus its counterterm sum.  (Tbar, phibar)
+    does not depend on c, so it is paired once, and the cutoff check pairs
+    only at omega2.  Without subtraction it is phi itself: `pairing`.
     """
     omega, omega2 = omegas
-    base = Extension.minimal(expr, order.p, omega, subtract=order.needed)
     rows = _cgrid_rows(job.c_grid, order.p)
-    c0 = (evaluate_extension(base, phi, job.schedule, tol) if order.needed
-          else extension_result(base, phi, pairing))
-    blocks = [extension_report(base, c0)]
-    for c in rows:
-        ext = base.with_counterterms(c)
-        blocks.append(extension_report(ext, extension_result(ext, phi, c0.pairing)))
+    if order.needed:
+        tbar = evaluate_extension(expr, phi, order.p, omega, job.schedule, tol)
+    elif pairing.status == "converged":
+        tbar = pairing.value
+    else:
+        raise ExtensionError(
+            f"pairing for {expr.label!r} classified as {pairing.status}; it did "
+            f"not diverge, so nothing was subtracted and the order p={order.p} plays "
+            "no part"
+        )
+    blocks = []
+    for c in [(0j,) * (order.p + 1), *rows]:
+        ct = counterterm_value(c, phi)
+        blocks.append({
+            "p": order.p,
+            "c": [_cpair(v) for v in c],
+            "omega": {"plateau": omega.plateau, "support": omega.support},
+            "value": _cpair(tbar + ct),
+            "Tbar_phibar": _cpair(tbar),
+            "counterterm_part": _cpair(ct),
+        })
     difference = 0.0
     if order.needed:
-        shifted = evaluate_extension(Extension.minimal(expr, order.p, omega2), phi,
-                                     job.schedule, tol)
-        difference = abs(c0.value - shifted.value)
+        difference = abs(tbar - evaluate_extension(expr, phi, order.p, omega2,
+                                                   job.schedule, tol))
     independence = {
         "geometries": [[omega.plateau, omega.support],
                        [omega2.plateau, omega2.support]],
@@ -321,7 +332,7 @@ def _build_argparser() -> argparse.ArgumentParser:
                          "(repeatable)")
     ap.add_argument("--y0", type=float, help="initial height (default 0.1)")
     ap.add_argument("--ratio", type=float, help="schedule ratio (default 0.5)")
-    ap.add_argument("--steps", type=int, help="schedule length (default 12)")
+    ap.add_argument("--steps", type=int, help="schedule length, at least 6 (default 12)")
     ap.add_argument("--plateau", type=float, help="cutoff plateau radius (default 1.0)")
     ap.add_argument("--support", type=float, help="cutoff support radius (default 2.0)")
     ap.add_argument("--p", type=int, default=None, help="override subtraction order")

@@ -10,10 +10,10 @@ where phibar(x) = phi(x) - omega(x) * sum_{k <= p} phi^(k)(0) x^k / k! is the
 subtracted test function (omega a plateau cutoff, identically 1 near 0) and
 the c_k are free constants: the entire ambiguity of the continuation is the
 span of delta derivatives through order p.  Sign convention:
-(delta^(k), phi) = (-1)^k phi^(k)(0).  Since (Tbar, phibar) does not depend
-on c, it is paired once per phi, and every counterterm vector's value is that
-one number plus its counterterm sum; ``nonuniqueness_scan`` tabulates the
-family, and its discrepancy measures only the rounding of that addition.
+(delta^(k), phi) = (-1)^k phi^(k)(0).  The first term does not depend on c
+and the second is a closed-form sum, so the two are computed apart:
+``evaluate_extension`` pairs (Tbar, phibar) once, and ``counterterm_value``
+gives each counterterm vector's sum, which a caller adds to it.
 
 phibar is evaluated by value only.  Its Taylor polynomial is phi.taylor(p),
 taken once per subtracted function, and omega is exactly 1 on the plateau,
@@ -30,7 +30,7 @@ job report's ``omega_independence`` block measures that distinction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -38,7 +38,6 @@ from numpy.polynomial import polynomial as npoly
 from .pairing import (
     DEFAULT_SCHEDULE,
     DEFAULT_TOLERANCES,
-    PairingResult,
     ProductExpression,
     Schedule,
     Tolerances,
@@ -52,11 +51,7 @@ from .testfn import (
 
 
 class ExtensionError(RuntimeError):
-    """The subtracted pairing failed to converge; carries the PairingResult."""
-
-    def __init__(self, message, pairing: PairingResult | None = None):
-        super().__init__(message)
-        self.pairing = pairing
+    """A pairing meant to be continued did not converge."""
 
 
 class SubtractedFunction:
@@ -93,51 +88,8 @@ class SubtractedFunction:
 
 
 # ---------------------------------------------------------------------------
-# extensions
+# the continuation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Extension:
-    """A continuation: expression, subtraction order, counterterms, cutoff.
-
-    subtract=False marks the degenerate case of an already convergent
-    expression: no Taylor term is removed (the pairing exists as is) and the
-    stated p only sizes the counterterm vector.
-    """
-
-    expr: ProductExpression
-    p: int
-    c: tuple[complex, ...]
-    omega: PlateauCutoff
-    subtract: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
-        if self.p < 0:
-            raise ValueError("subtraction order must be >= 0")
-        if len(self.c) != self.p + 1:
-            raise ValueError(
-                f"need {self.p + 1} counterterms for order {self.p}, got {len(self.c)}"
-            )
-
-    @classmethod
-    def minimal(cls, expr: ProductExpression, p: int,
-                omega: PlateauCutoff | None = None,
-                subtract: bool = True) -> "Extension":
-        """The c = 0 representative of the continuation family."""
-        return cls(expr, p, (0j,) * (p + 1), omega or PlateauCutoff(1.0, 2.0), subtract)
-
-    def with_counterterms(self, c) -> "Extension":
-        return replace(self, c=tuple(complex(v) for v in c))
-
-
-@dataclass(frozen=True)
-class ExtensionResult:
-    value: complex
-    tbar_phibar: complex
-    counterterm_part: complex
-    pairing: PairingResult
 
 
 def counterterm_value(c, phi) -> complex:
@@ -149,38 +101,25 @@ def counterterm_value(c, phi) -> complex:
     return total
 
 
-def extension_result(ext: Extension, phi: TestFunction,
-                     pairing: PairingResult) -> ExtensionResult:
-    """(Tbar, phibar) + counterterms, given the pairing (Tbar, phibar).
+def evaluate_extension(expr: ProductExpression, phi: TestFunction, p: int,
+                       omega: PlateauCutoff | None = None,
+                       schedule: Schedule = DEFAULT_SCHEDULE,
+                       tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
+    """(Tbar, phibar) for the order-p subtraction with cutoff omega.
 
-    `pairing` is ext.expr paired with the subtracted function (with phi
-    itself when ext.subtract is False) and must have converged.  It does not
-    depend on ext.c, so one pairing serves every counterterm vector.
+    omega defaults to PlateauCutoff(1.0, 2.0).  The pairing must converge;
+    otherwise the order is too small for the expression, or the expression
+    is outside scope, and ExtensionError is raised.
     """
-    if pairing.status != "converged" and ext.subtract:
-        raise ExtensionError(
-            f"subtracted pairing for {ext.expr.label!r} classified as "
-            f"{pairing.status}; the declared order p={ext.p} is too small or the "
-            "expression is outside scope",
-            pairing,
-        )
+    phibar = SubtractedFunction(phi, omega or PlateauCutoff(1.0, 2.0), p)
+    pairing = limit_pairing(expr, phibar, schedule, tol)
     if pairing.status != "converged":
         raise ExtensionError(
-            f"pairing for {ext.expr.label!r} classified as {pairing.status}; it did "
-            f"not diverge, so nothing was subtracted and the order p={ext.p} plays "
-            "no part",
-            pairing,
+            f"subtracted pairing for {expr.label!r} classified as "
+            f"{pairing.status}; the declared order p={p} is too small or the "
+            "expression is outside scope"
         )
-    ct = counterterm_value(ext.c, phi)
-    return ExtensionResult(pairing.value + ct, pairing.value, ct, pairing)
-
-
-def evaluate_extension(ext: Extension, phi: TestFunction,
-                       schedule: Schedule = DEFAULT_SCHEDULE,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> ExtensionResult:
-    """Evaluate (Tbar, phibar) + counterterms; the pairing must converge."""
-    phibar = SubtractedFunction(phi, ext.omega, ext.p) if ext.subtract else phi
-    return extension_result(ext, phi, limit_pairing(ext.expr, phibar, schedule, tol))
+    return pairing.value
 
 
 # ---------------------------------------------------------------------------
@@ -220,86 +159,3 @@ def factorization_identity_check(expr: ProductExpression, kappa: int,
         ok = diff <= atol
     return FactorizationReport(lhs.value, rhs.value, lhs.status, rhs.status,
                                diff, atol, ok)
-
-
-# ---------------------------------------------------------------------------
-# the counterterm family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    c: tuple[complex, ...]
-    phi_index: int
-    value: complex
-    offset: complex
-    predicted: complex
-    discrepancy: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class NonuniquenessTable:
-    rows: tuple[ScanRow, ...]
-
-    @property
-    def max_discrepancy(self) -> float:
-        return max((r.discrepancy for r in self.rows), default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def nonuniqueness_scan(ext: Extension, c_grid, phis,
-                       schedule: Schedule = DEFAULT_SCHEDULE,
-                       tol: Tolerances = DEFAULT_TOLERANCES,
-                       rtol: float = 1e-12) -> NonuniquenessTable:
-    """Tabulate the continuation over a counterterm grid.
-
-    For each test function the subtracted pairing is computed once (it does
-    not depend on c), so each row's value is that pairing plus the row's
-    counterterm sum.  The row's offset from the c = 0 row is compared with
-    the predicted sum; the discrepancy measures only the rounding of
-    (Tbar + ct) - Tbar, not the structure of the family, which holds by
-    construction.
-    """
-    ext0 = ext.with_counterterms((0j,) * (ext.p + 1))
-    base = [evaluate_extension(ext0, phi, schedule, tol) for phi in phis]
-    rows = []
-    for c in c_grid:
-        c = tuple(complex(v) for v in c)
-        if len(c) != ext.p + 1:
-            raise ValueError(f"grid entry {c} has wrong length for p={ext.p}")
-        for i, phi in enumerate(phis):
-            predicted = counterterm_value(c, phi)
-            value = extension_result(ext.with_counterterms(c), phi,
-                                     base[i].pairing).value
-            offset = value - base[i].value
-            disc = abs(offset - predicted)
-            rows.append(ScanRow(
-                c, i, value, offset, predicted, disc,
-                bool(disc <= rtol * (1.0 + abs(predicted))),
-            ))
-    return NonuniquenessTable(tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _cpair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def extension_report(ext: Extension, result: ExtensionResult) -> dict:
-    return {
-        "p": int(ext.p),
-        "c": [_cpair(v) for v in ext.c],
-        "omega": {"plateau": float(ext.omega.plateau),
-                  "support": float(ext.omega.support)},
-        "value": _cpair(result.value),
-        "Tbar_phibar": _cpair(result.tbar_phibar),
-        "counterterm_part": _cpair(result.counterterm_part),
-    }

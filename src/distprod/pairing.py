@@ -130,6 +130,10 @@ class NotExtendableError(RuntimeError):
 # Ratio of the independent second schedule that confirms a converged value
 # does not depend on the particular sequence y -> 0.
 CHECK_RATIO = 1.0 / 3.0
+# Fewest heights a pairing is classified on: a schedule must have as many,
+# and a stall before that height is an error, not a truncation.  Fewer
+# heights misread convergent pairings as inconclusive.
+MIN_HEIGHTS = 6
 # Cross-schedule agreement, in units of the convergence tolerance.
 _SCHEDULE_FACTOR = 10.0
 # Power-law fit quality and minimal rate for "diverged".
@@ -154,8 +158,8 @@ class Schedule:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
         if self.ratio == CHECK_RATIO:
             raise ValueError(f"ratio must differ from the check ratio {CHECK_RATIO}")
-        if self.count < 2:
-            raise ValueError(f"count must be >= 2, got {self.count}")
+        if self.count < MIN_HEIGHTS:
+            raise ValueError(f"count must be >= {MIN_HEIGHTS}, got {self.count}")
 
     def heights(self, ratio: float | None = None) -> tuple[float, ...]:
         r = self.ratio if ratio is None else ratio
@@ -644,8 +648,9 @@ class PairingResult:
 def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple]:
     """Pair at all heights in one quadrature, truncating where it gives out.
 
-    The first height k whose quadrature stalls ends the schedule: for k < 6
-    its QuadratureError propagates, otherwise the heights before k are kept.
+    The first height k whose quadrature stalls ends the schedule: for
+    k < MIN_HEIGHTS its QuadratureError propagates, otherwise the heights
+    before k are kept.
     """
     ys = tuple(float(y) for y in ys)
     for y in ys:
@@ -660,7 +665,7 @@ def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple]:
     try:
         integrals = _adaptive_quadrature(f, ys, pointsets, tol.quad_abs)
     except QuadratureError as exc:
-        if exc.height < 6:
+        if exc.height < MIN_HEIGHTS:
             raise
         return ys[:exc.height], exc.values
     return ys, tuple(integrals)
@@ -693,8 +698,8 @@ def limit_pairing(expr: ProductExpression, phi,
 
     Strongly divergent integrands eventually exhaust the quadrature budget
     as y shrinks; the schedule is then truncated at the first unresolvable
-    height and classification runs on the prefix (at least six heights are
-    required, otherwise the quadrature failure propagates).
+    height and classification runs on the prefix (at least MIN_HEIGHTS
+    heights are required, otherwise the quadrature failure propagates).
 
     A phi narrower than the smallest height is refused first, with the
     ValueError of ``require_resolved``.

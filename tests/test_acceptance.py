@@ -8,14 +8,15 @@ which guarantees moved.
 import math
 import sys
 
+import mpmath
 import numpy as np
 
 from distprod.boundary import catalog, required_order, verify_growth_bound
+from distprod.cli import Job, run_job
 from distprod.extension import (
-    Extension,
+    counterterm_value,
     evaluate_extension,
     factorization_identity_check,
-    nonuniqueness_scan,
 )
 from distprod.pairing import (
     ProductExpression,
@@ -89,8 +90,7 @@ def test_c05_cutoff_independence():
     expr = ProductExpression((DELTA, DELTA))
     values = []
     for plateau, support in ((1.0, 2.0), (0.5, 1.0), (2.0, 3.0)):
-        ext = Extension.minimal(expr, 0, PlateauCutoff(plateau, support))
-        values.append(evaluate_extension(ext, GAUSS).value)
+        values.append(evaluate_extension(expr, GAUSS, 0, PlateauCutoff(plateau, support)))
     spread = max(abs(a - b) for a in values for b in values)
     scale = max(1.0, max(abs(v) for v in values))
     ok = spread / scale <= 1e-5
@@ -98,14 +98,36 @@ def test_c05_cutoff_independence():
             "independent", f"rel spread {spread / scale:.2e}")
 
 
+def _mp_derivative_at_zero(phi: TestFunction, k: int):
+    """phi^(k)(0), differentiated by mpmath from phi's formula."""
+    def f(x):
+        return (mpmath.polyval(list(reversed(phi.poly)), x)
+                * mpmath.exp(-(x - phi.mu) ** 2 / (2 * mpmath.mpf(phi.sigma) ** 2)))
+    with mpmath.workdps(30):
+        return complex(mpmath.diff(f, 0, k))
+
+
 def test_c06_counterterm_structure():
-    expr = ProductExpression((DELTA, DELTA))
-    ext = Extension.minimal(expr, 0, PlateauCutoff(1.0, 2.0))
-    phis = [REFERENCE_TEST_FUNCTIONS[k] for k in ("gauss", "tilted", "offset")]
-    table = nonuniqueness_scan(ext, [[0.0], [0.75], [-1.25]], phis, rtol=1e-12)
-    ok = table.ok
-    _report("C06", ok, "counterterm offsets match sum(c_k (-1)^k phi^(k)(0))",
-            f"max discrepancy {table.max_discrepancy:.2e}, 9 rows")
+    cases = [("delta * delta", ("gauss", "tilted", "offset"), [[0.75], [-1.25 + 0.5j]]),
+             ("delta * d(delta)", ("offset",), [[0.75, 0.0], [0.0, -1.25], [1.0, 2.0j]])]
+    worst, rows, orders = 0.0, 0, []
+    for text, keys, c_grid in cases:
+        phis = [REFERENCE_TEST_FUNCTIONS[k] for k in keys]
+        report = run_job(Job(text, phis=[{"poly": list(phi.poly), "sigma": phi.sigma,
+                                          "mu": phi.mu} for phi in phis],
+                             c_grid=c_grid))
+        for phi, res in zip(phis, report["results"]):
+            orders.append(res["subtraction"]["p"])
+            base, *shifted = res["extensions"]
+            for c, block in zip(c_grid, shifted):
+                offset = complex(*block["value"]) - complex(*base["value"])
+                predicted = sum(ck * (-1) ** k * _mp_derivative_at_zero(phi, k)
+                                for k, ck in enumerate(c))
+                worst = max(worst, abs(offset - predicted) / (1.0 + abs(predicted)))
+                rows += 1
+    ok = orders == [0, 0, 0, 1] and rows == 9 and worst <= 1e-12
+    _report("C06", ok, "counterterm offsets match sum(c_k (-1)^k phi^(k)(0)), "
+            "phi^(k)(0) from mpmath", f"max rel discrepancy {worst:.2e}, {rows} rows")
 
 
 def test_c07_ring_axioms():
@@ -162,8 +184,8 @@ def test_c11_continuation_property():
         for c, (plateau, support) in (((0.0,), (1.0, 2.0)),
                                       ((2.5,), (1.0, 2.0)),
                                       ((-1.0,), (0.75, 1.5))):
-            ext = Extension(expr, 0, c, PlateauCutoff(plateau, support))
-            got = evaluate_extension(ext, probe).value
+            got = (evaluate_extension(expr, probe, 0, PlateauCutoff(plateau, support))
+                   + counterterm_value(c, probe))
             worst = max(worst, abs(got - direct))
     ok = worst <= 1e-7
     _report("C11", ok, "extension equals the naive limit on vanishing probes, "

@@ -177,6 +177,22 @@ class TestRunJob:
         assert shifted["value"][0] == pytest.approx(base["value"][0] + 1.0, abs=1e-9)
         assert res["omega_independence"]["difference"] <= 1e-5
 
+    def test_blocks_add_counterterms_to_one_pairing(self):
+        c_grid = [[0.5 + 0.25j], [-1.0]]
+        res = run_job(Job(expression="delta * delta", c_grid=c_grid))["results"][0]
+        blocks = res["extensions"]
+        assert [b["c"] for b in blocks] == [[[0.0, 0.0]], [[0.5, 0.25]], [[-1.0, 0.0]]]
+        for block in blocks:
+            assert set(block) == {"p", "c", "omega", "value", "Tbar_phibar",
+                                  "counterterm_part"}
+            assert block["p"] == 0
+            assert block["omega"] == {"plateau": 1.0, "support": 2.0}
+            assert block["Tbar_phibar"] == blocks[0]["Tbar_phibar"]
+            tbar, ct = complex(*block["Tbar_phibar"]), complex(*block["counterterm_part"])
+            assert complex(*block["value"]) == tbar + ct
+        # exp(-x^2)(0) = 1, so each counterterm part is its c_0
+        assert [b["counterterm_part"] for b in blocks] == [[0.0, 0.0], [0.5, 0.25], [-1.0, 0.0]]
+
     def test_p_override_on_convergent_expression(self):
         job = Job(expression="delta", p_override=0)
         report = run_job(job)
@@ -330,6 +346,16 @@ class TestMain:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"][0]["pairing"]["status"] == "converged"
+
+    @pytest.mark.parametrize("via", ["flags", "job_file"])
+    def test_too_short_schedule_exit_two(self, tmp_path, capsys, via):
+        # five heights read delta * delta as p = 4 (six and more: p = 0)
+        if via == "flags":
+            code = main(["--expr", "delta * delta", "--steps", "5"])
+        else:
+            code = _run_job_file(tmp_path, {"expression": "delta * delta", "steps": 5})
+        assert code == 2
+        assert "count must be >= 6, got 5" in capsys.readouterr().err
 
     def test_parse_error_exit_two(self, capsys):
         code = main(["--expr", "delta @ delta"])

@@ -8,14 +8,11 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from distprod.boundary import catalog
 from distprod.extension import (
-    Extension,
     ExtensionError,
     SubtractedFunction,
     counterterm_value,
     evaluate_extension,
-    extension_report,
     factorization_identity_check,
-    nonuniqueness_scan,
 )
 from distprod import testfn
 from distprod.pairing import ProductExpression, limit_pairing, pair_at_y
@@ -105,65 +102,49 @@ class TestTaylorSubtract:
         assert counts["series"] == 0
 
 
-class TestExtensionObject:
-    def test_counterterm_length_enforced(self, delta_sq):
-        with pytest.raises(ValueError):
-            Extension(delta_sq, 1, (0j,), OMEGA)
-
-    def test_minimal_constructor(self, delta_sq):
-        ext = Extension.minimal(delta_sq, 2)
-        assert ext.c == (0j, 0j, 0j)
-        assert ext.subtract
-
-    def test_with_counterterms(self, delta_sq):
-        ext = Extension.minimal(delta_sq, 0).with_counterterms([1 + 2j])
-        assert ext.c == (1 + 2j,)
-
-
 class TestEvaluateExtension:
     def test_counterterm_linearity(self, delta_sq):
-        base = evaluate_extension(Extension.minimal(delta_sq, 0), GAUSS)
-        shifted = evaluate_extension(
-            Extension.minimal(delta_sq, 0).with_counterterms([1.0]), GAUSS
-        )
-        # (delta, phi) = phi(0) = 1
-        assert shifted.value == pytest.approx(base.value + 1.0, abs=1e-12)
-        assert shifted.tbar_phibar == base.tbar_phibar
+        # one pairing of phibar serves every c; (delta, phi) = phi(0) = 1
+        base = evaluate_extension(delta_sq, GAUSS, 0)
+        assert base == limit_pairing(delta_sq, SubtractedFunction(GAUSS, OMEGA, 0)).value
+        for c0 in (1.0, -2.5 + 1j):
+            assert base + counterterm_value([c0], GAUSS) == pytest.approx(base + c0, abs=1e-12)
 
     def test_vanishing_phi_ignores_c_and_equals_direct_limit(self, delta_sq):
         phi = vanish_probe(0, GAUSS)
         direct = limit_pairing(delta_sq, phi).value
         for c0 in (0j, 2.0, -1.5 + 0.5j):
-            ext = Extension.minimal(delta_sq, 0).with_counterterms([c0])
-            got = evaluate_extension(ext, phi).value
+            got = evaluate_extension(delta_sq, phi, 0) + counterterm_value([c0], phi)
             assert got == pytest.approx(direct, abs=1e-7)
-
-    def test_convergent_expression_without_subtraction(self):
-        expr = ProductExpression((catalog("delta"),))
-        ext = Extension.minimal(expr, 0, subtract=False)
-        res = evaluate_extension(ext, GAUSS)
-        assert res.value.real == pytest.approx(1.0, abs=1e-6)
-        assert res.counterterm_part == 0j
 
     def test_underresolved_order_raises(self):
         # delta * d(delta) needs p = 1; p = 0 must fail loudly
         expr = ProductExpression((catalog("delta"), catalog("delta").derivative()))
-        ext = Extension.minimal(expr, 0)
-        with pytest.raises(ExtensionError):
-            evaluate_extension(ext, REFERENCE_TEST_FUNCTIONS["offset"])
+        with pytest.raises(ExtensionError, match=r"subtracted pairing for 'delta \* d\(delta\)' "
+                                                 r"classified as \w+; the declared order p=0 "
+                                                 r"is too small"):
+            evaluate_extension(expr, REFERENCE_TEST_FUNCTIONS["offset"], 0)
 
     def test_delta_prime_product_with_correct_order(self):
         expr = ProductExpression((catalog("delta"), catalog("delta").derivative()))
-        ext = Extension.minimal(expr, 1)
-        res = evaluate_extension(ext, REFERENCE_TEST_FUNCTIONS["offset"])
-        assert res.pairing.status == "converged"
+        value = evaluate_extension(expr, REFERENCE_TEST_FUNCTIONS["offset"], 1)
+        assert isinstance(value, complex) and math.isfinite(abs(value))
 
 
 def test_counterterm_value_convention():
     # (delta^(k), phi) = (-1)^k phi^(k)(0)
-    phi = TestFunction((0.0, 1.0), sigma=1.0)  # phi'(0) = 1
-    assert counterterm_value([0.0, 1.0], phi) == pytest.approx(-1.0)
-    assert counterterm_value([2.0, 0.0], phi) == pytest.approx(0.0)
+    phi = TestFunction((0.0, 1.0), sigma=1.0)  # phi(0) = 0, phi'(0) = 1
+    assert counterterm_value([0.0, 1.0], phi) == pytest.approx(-1.0, abs=1e-15)
+    assert counterterm_value([2.0, 0.0], phi) == pytest.approx(0.0, abs=1e-15)
+    # GAUSS(0) = 1: unit counterterms shift by exactly one unit
+    for c0 in (0.0, 1.0, -1.0):
+        assert counterterm_value([c0], GAUSS) == c0
+
+
+def test_counterterm_value_kernel():
+    """On a phi vanishing to order p at 0 every counterterm vector sums to exactly 0."""
+    for p, c in ((0, [0j]), (0, [3.0]), (0, [-2.0 + 1j]), (1, [1.5, -0.5j])):
+        assert counterterm_value(c, vanish_probe(p, GAUSS)) == 0j
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,9 +161,8 @@ def test_counterterm_additivity(c0, c1):
 
 def _cutoff_shift(expr, p, phi, omega2):
     """|c = 0 value with OMEGA - c = 0 value with omega2|."""
-    v1 = evaluate_extension(Extension.minimal(expr, p, OMEGA), phi).value
-    v2 = evaluate_extension(Extension.minimal(expr, p, omega2), phi).value
-    return abs(v1 - v2)
+    return abs(evaluate_extension(expr, phi, p, OMEGA)
+               - evaluate_extension(expr, phi, p, omega2))
 
 
 class TestOmegaIndependence:
@@ -209,8 +189,8 @@ class TestOmegaIndependence:
         omega2 = PlateauCutoff(0.5, 1.0)
         shifts = []
         for phi in (GAUSS, REFERENCE_TEST_FUNCTIONS["tilted"]):
-            v1 = evaluate_extension(Extension.minimal(expr, 0, OMEGA), phi).value
-            v2 = evaluate_extension(Extension.minimal(expr, 0, omega2), phi).value
+            v1 = evaluate_extension(expr, phi, 0, OMEGA)
+            v2 = evaluate_extension(expr, phi, 0, omega2)
             shifts.append((v1 - v2) / phi(0.0))
         assert abs(shifts[0]) > 1e-3  # genuinely omega-dependent
         assert shifts[0].real == pytest.approx(shifts[1].real, rel=1e-5)
@@ -243,42 +223,6 @@ class TestFactorizationIdentity:
         assert rep.ok
 
 
-class TestNonuniquenessScan:
-    def test_offsets_match_counterterms(self, delta_sq):
-        ext = Extension.minimal(delta_sq, 0)
-        phis = [GAUSS, REFERENCE_TEST_FUNCTIONS["tilted"],
-                REFERENCE_TEST_FUNCTIONS["offset"]]
-        table = nonuniqueness_scan(ext, [[0.0], [1.0], [-1.0]], phis)
-        assert table.ok
-        assert table.max_discrepancy <= 1e-12
-        assert len(table.rows) == 9
-
-    def test_unit_counterterm_offsets(self, delta_sq):
-        ext = Extension.minimal(delta_sq, 0)
-        table = nonuniqueness_scan(ext, [[0.0], [1.0], [-1.0]], [GAUSS])
-        offsets = [row.offset.real for row in table.rows]
-        # phi(0) = 1: offsets are exactly the counterterm values
-        assert offsets == pytest.approx([0.0, 1.0, -1.0], abs=1e-12)
-
-    def test_first_order_counterterm_sign(self):
-        expr = ProductExpression((catalog("delta"), catalog("delta").derivative()))
-        ext = Extension.minimal(expr, 1)
-        phi = TestFunction((0.0, 1.0), sigma=1.0)  # phi(0)=0, phi'(0)=1
-        table = nonuniqueness_scan(ext, [[0.0, 0.0], [0.0, 1.0]], [phi])
-        assert table.rows[1].offset.real == pytest.approx(-1.0, abs=1e-12)
-
-    def test_kernel_of_counterterms(self, delta_sq):
-        probe = vanish_probe(0, GAUSS)
-        ext = Extension.minimal(delta_sq, 0)
-        table = nonuniqueness_scan(ext, [[0.0], [3.0], [-2.0 + 1j]], [probe])
-        assert all(row.offset == 0j for row in table.rows)
-
-    def test_wrong_grid_arity_rejected(self, delta_sq):
-        ext = Extension.minimal(delta_sq, 0)
-        with pytest.raises(ValueError):
-            nonuniqueness_scan(ext, [[0.0, 1.0]], [GAUSS])
-
-
 class TestContinuationProperty:
     """On test functions vanishing to order p at 0 the extension must agree
     with the direct limit, whatever c and omega are."""
@@ -293,19 +237,5 @@ class TestContinuationProperty:
             probe = vanish_probe(0, base)
             direct = limit_pairing(delta_sq, probe).value
             for c0, om in ((0j, OMEGA), (1.5 - 2j, OMEGA), (0.5j, omega2)):
-                ext = Extension(delta_sq, 0, (c0,), om)
-                got = evaluate_extension(ext, probe).value
+                got = evaluate_extension(delta_sq, probe, 0, om) + counterterm_value([c0], probe)
                 assert got == pytest.approx(direct, abs=1e-7)
-
-
-def test_extension_report_shape(delta_sq):
-    ext = Extension.minimal(delta_sq, 0).with_counterterms([0.5 + 0.25j])
-    res = evaluate_extension(ext, GAUSS)
-    doc = extension_report(ext, res)
-    assert set(doc) == {"p", "c", "omega", "value", "Tbar_phibar", "counterterm_part"}
-    assert doc["p"] == 0
-    assert doc["c"] == [[0.5, 0.25]]
-    assert doc["omega"] == {"plateau": 1.0, "support": 2.0}
-    assert doc["value"][0] == pytest.approx(
-        doc["Tbar_phibar"][0] + doc["counterterm_part"][0], abs=1e-15
-    )

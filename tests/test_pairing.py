@@ -15,11 +15,12 @@ import pytest
 
 from distprod import pairing
 from distprod.boundary import RegulatorError, catalog
-from distprod.extension import Extension, SubtractedFunction, evaluate_extension
+from distprod.extension import SubtractedFunction, evaluate_extension
 from distprod.pairing import (
     CHECK_RATIO,
     DEFAULT_SCHEDULE,
     DEFAULT_TOLERANCES,
+    MIN_HEIGHTS,
     InconclusivePairingError,
     NotExtendableError,
     PairingResult,
@@ -188,7 +189,7 @@ class TestLimitPairing:
 
     @pytest.mark.parametrize("pair", [
         limit_pairing,
-        lambda expr, phi: evaluate_extension(Extension.minimal(expr, 0), phi),
+        lambda expr, phi: evaluate_extension(expr, phi, 0),
     ], ids=["limit_pairing", "evaluate_extension"])
     def test_sigma_below_smallest_height_refused(self, pair):
         # no height resolves such a phi: delta paired to a "converged" 0, not 1;
@@ -213,8 +214,13 @@ class TestScheduleValidation:
             Schedule(ratio=CHECK_RATIO)
 
     def test_heights_geometric(self):
-        h = Schedule(y0=1.0, ratio=0.5, count=4).heights()
-        assert h == (1.0, 0.5, 0.25, 0.125)
+        h = Schedule(y0=1.0, ratio=0.5, count=6).heights()
+        assert h == (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_too_few_heights_refused(self, count):
+        with pytest.raises(ValueError, match=f"count must be >= {MIN_HEIGHTS}, got {count}"):
+            Schedule(count=count)
 
 
 class TestDivergenceOrder:
@@ -244,12 +250,14 @@ class TestSubtractionOrder:
         so = subtraction_order(expr)
         assert so == SubtractionOrder(p=1, needed=True)
 
-    def test_unclassifiable_pairing_raises_with_its_result(self, delta_sq):
-        # three heights are too few for the power-law fit, and they do not settle
+    def test_unclassifiable_pairing_raises_with_its_result(self):
+        # six heights at ratio 0.8 reach only y = 0.033: the y^-1 growth
+        # neither settles nor fits a power law yet
+        expr = parse_expression("(x+i0)^-1 * (x+i0)^-1")
         with pytest.raises(InconclusivePairingError) as info:
-            subtraction_order(delta_sq, 6, Schedule(count=3))
+            subtraction_order(expr, 6, Schedule(count=6, ratio=0.8))
         assert info.value.result.status == "inconclusive"
-        assert len(info.value.result.integrals) == 3
+        assert len(info.value.result.integrals) == 6
 
     def test_search_cap_exhausted(self):
         # (x+i0)^-4 * delta diverges too hard for a p_max=0 search

@@ -27,8 +27,16 @@ def test_script_runs(script, args, header):
     assert done.stdout.splitlines()[0].startswith(header)
 
 
-def test_survey_refuses_unresolvable_sigma():
-    done = _run("survey_products.py", "--sigma", "1e-12")
+@pytest.mark.parametrize("args, message", [
+    (("--sigma", "1e-12"),
+     "sigma 1e-12 is below the schedule's smallest height 4.8828125e-05"),
+    (("--steps", "5"), "count must be >= 6, got 5"),
+    (("--ratio", "2"), "ratio must lie in (0, 1), got 2.0"),
+    (("--y0", "-1"), "y0 must be positive and finite, got -1.0"),
+    (("--sigma", "-1"), "sigma must be positive and finite, got -1.0"),
+], ids=["sigma", "steps", "ratio", "y0", "negative_sigma"])
+def test_survey_refuses_bad_input(args, message):
+    done = _run("survey_products.py", *args)
     assert done.returncode == 2
-    assert "sigma 1e-12 is below the schedule's smallest height 4.8828125e-05" in done.stderr
+    assert message in done.stderr
     assert "Traceback" not in done.stderr
