@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import Chebyshev
 
 from distprod.boundary import catalog
+from distprod.cli import Job, run_job
 from distprod.extension import (
     ExtensionError,
     SubtractedFunction,
@@ -157,6 +158,43 @@ def test_counterterm_additivity(c0, c1):
     total = counterterm_value([c0, c1], phi)
     parts = counterterm_value([c0, 0.0], phi) + counterterm_value([0.0, c1], phi)
     assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
+
+
+def _scan_offsets(text, phis, c_grid):
+    """Per phi, the report's c_grid values minus its c = 0 value."""
+    report = run_job(Job(text, phis=[{"poly": list(phi.poly), "sigma": phi.sigma,
+                                      "mu": phi.mu} for phi in phis],
+                         c_grid=c_grid))
+    table = []
+    for res in report["results"]:
+        base, *shifted = res["extensions"]
+        table.append([complex(*b["value"]) - complex(*base["value"]) for b in shifted])
+    return table
+
+
+class TestNonuniquenessScan:
+    """The report's extension blocks differ from the c = 0 block by the counterterms alone."""
+
+    def test_offsets_match_counterterms(self):
+        # (delta, phi) = phi(0), read here from phi's value, not its Taylor jet
+        phis = [GAUSS, REFERENCE_TEST_FUNCTIONS["tilted"], REFERENCE_TEST_FUNCTIONS["offset"]]
+        c_grid = [[0.0], [1.0], [-1.0]]
+        table = _scan_offsets("delta * delta", phis, c_grid)
+        assert sum(len(row) for row in table) == 9
+        for phi, offsets in zip(phis, table):
+            predicted = [c[0] * phi(0.0) for c in c_grid]
+            assert offsets == pytest.approx(predicted, abs=1e-12)
+
+    def test_unit_counterterm_offsets(self):
+        (offsets,) = _scan_offsets("delta * delta", [GAUSS], [[0.0], [1.0], [-1.0]])
+        # phi(0) = 1: offsets are exactly the counterterm values
+        assert [z.real for z in offsets] == pytest.approx([0.0, 1.0, -1.0], abs=1e-12)
+
+    def test_first_order_counterterm_sign(self):
+        phi = TestFunction((0.0, 1.0), sigma=1.0)  # phi(0) = 0, phi'(0) = 1
+        (offsets,) = _scan_offsets("delta * d(delta)", [phi], [[0.0, 0.0], [0.0, 1.0]])
+        # (delta', phi) = -phi'(0)
+        assert offsets[1].real == pytest.approx(-1.0, abs=1e-12)
 
 
 def _cutoff_shift(expr, p, phi, omega2):
