@@ -61,9 +61,7 @@ class HyperfunctionPair:
 
         y is one height for every x, or an array of heights broadcast
         against x, so one call can cover several heights.  Every height must be
-        a positive finite number.  A zero representative is not evaluated:
-        its term is left out, which changes no value (at most the sign of a
-        zero part).
+        a positive finite number.  The value is ``at(x + iy, x - iy)``.
         """
         y = np.asarray(y, dtype=float)
         bad = ~((y > 0.0) & np.isfinite(y))
@@ -71,11 +69,21 @@ class HyperfunctionPair:
             raise RegulatorError(
                 f"height must satisfy 0 < y < inf, got {float(y[bad][0])}")
         x = np.asarray(x, dtype=float)
+        return self.at(x + 1j * y, x - 1j * y)
+
+    def at(self, z_plus, z_minus):
+        """f+(z_plus) - f-(z_minus), with no check on the points.
+
+        The core of ``regulated``, for a caller that has checked the heights
+        and builds z_plus = x + iy and z_minus = x - iy once for several
+        factors.  A zero representative is not evaluated: its term is left
+        out, which changes no value (at most the sign of a zero part).
+        """
         if self.f_minus.is_zero:
-            return self.f_plus(x + 1j * y)
+            return self.f_plus(z_plus)
         if self.f_plus.is_zero:
-            return -self.f_minus(x - 1j * y)
-        return self.f_plus(x + 1j * y) - self.f_minus(x - 1j * y)
+            return -self.f_minus(z_minus)
+        return self.f_plus(z_plus) - self.f_minus(z_minus)
 
     def derivative(self) -> "HyperfunctionPair":
         """Differentiate both representatives."""

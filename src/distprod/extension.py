@@ -17,7 +17,11 @@ gives each counterterm vector's sum, which a caller adds to it.
 
 phibar is evaluated by value only.  Its Taylor polynomial is phi.taylor(p),
 taken once per subtracted function, and omega is exactly 1 on the plateau,
-so there phibar is exactly phi minus its Taylor polynomial and phibar(0) = 0.
+so there phibar is phi minus its Taylor polynomial: the tail of phi's Taylor
+series, x^(p+1) * sum_j t_(p+1+j) x^j.  Near 0 it is evaluated as that tail,
+not as the difference, which would cancel to rounding noise (0 at x = 1e-5,
+where the true value of exp(-x^2) - 1 + x^2 is 5e-21), noise that the
+kernel's growth y^-s would magnify into the pairing.
 
 For products supported at the origin (every delta-derived catalog product)
 the c = 0 value is genuinely independent of the cutoff geometry: changing
@@ -54,12 +58,21 @@ class ExtensionError(RuntimeError):
     """A pairing meant to be continued did not converge."""
 
 
+# Terms of phi's Taylor series past order p that make up phibar near 0.  On
+# |x| <= sigma / 2 a polynomial-Gaussian's terms fall faster than
+# geometrically, so the terms left out are far below rounding.
+_TAIL_TERMS = 60
+
+
 class SubtractedFunction:
     """phi minus its cutoff-localized Taylor polynomial through order p.
 
     phibar(x) = phi(x) - omega(x) * T(x) with T(x) = sum_{k <= p} taylor[k]
-    x^k, taylor = phi.taylor(p).  Evaluated by value: a scalar gives a
-    float, an array an array.
+    x^k, taylor = phi.taylor(p).  On |x| <= min(plateau, sigma / 2), where
+    omega = 1, it is evaluated as the series tail x^(p+1) * sum_j
+    tail[j] x^j, tail = phi.taylor(p + _TAIL_TERMS)[p+1:], free of the
+    difference's cancellation; elsewhere as the difference.  Evaluated by
+    value: a scalar gives a float, an array an array.
     """
 
     def __init__(self, phi: TestFunction, omega: PlateauCutoff, p: int):
@@ -69,12 +82,18 @@ class SubtractedFunction:
         self.omega = omega
         self.p = p
         self.taylor = phi.taylor(p)
+        self.tail = phi.taylor(p + _TAIL_TERMS)[p + 1:]
+        self.near = min(omega.plateau, 0.5 * phi.sigma)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        val = self.phi(x) - self.omega(x) * npoly.polyval(x, self.taylor)
+        near = np.abs(x) <= self.near
+        xn, xf = x[near], x[~near]
+        val = np.empty_like(x)
+        val[near] = xn ** (self.p + 1) * npoly.polyval(xn, self.tail)
+        val[~near] = self.phi(xf) - self.omega(xf) * npoly.polyval(xf, self.taylor)
         return float(val[0]) if scalar else val
 
     @property

@@ -8,6 +8,8 @@ integrates the product of regulated representatives against a test function
 at one height; ``limit_pairing`` runs a geometric schedule of heights,
 extrapolates, and classifies the outcome as converged / diverged /
 inconclusive.  Divergent pairings get a fitted power law I(y) ~ A * y^-s.
+An exact zero is classified first: when every I(y) of both schedules is
+within its quadrature target of 0, the pairing converged to 0.
 
 Quadrature is a deterministic adaptive Gauss-Kronrod 7-15 scheme on [-L, L]
 with forced panel boundaries at +-10y around the origin, where all the
@@ -20,15 +22,18 @@ left endpoint, so results are bit-stable for a fixed configuration.
 All heights of a schedule are integrated together, in lockstep rounds: each
 round evaluates the new panels of every height still refining in one
 integrand call, so the cost of a numpy call is paid per round, not per
-height.  The leaf panels of the live heights are the rows of one packed
-array, grouped by height in schedule order and sorted by left endpoint, so a
-round's bookkeeping (error sums, split tests, halving) is a few vector
-operations over all of them.  A round takes the longest prefix of the heights
-whose panels in flight fit a fixed budget of 2048 panels (a height over it
-goes alone), which bounds the memory of its integrand call; the heights past
-it sit the round out.  A height's sums and splits read only its own rows and
-its value is the sum of its rows in left order, so every I(y) is bitwise the
-value that height gets on its own; ``pair_at_y`` is the one-height case.
+height.  That call builds x + iy and x - iy once and evaluates each distinct
+factor once, and one contraction gives both rule sums of every panel.  The
+leaf panels of the live heights are the rows of one packed array, grouped by
+height in schedule order and sorted by left endpoint, so a round's
+bookkeeping (error sums, split tests, halving) is a few vector operations
+over all of them.  A round takes the longest prefix of the heights whose
+panels in flight fit a fixed budget of 2048 panels (a height over it goes
+alone), which bounds the memory of its integrand call; the heights past it
+sit the round out.  A panel's rule sums do not depend on the other panels of
+the call, a height's sums and splits read only its own rows, and its value is
+the sum of its rows in left order, so every I(y) is bitwise the value that
+height gets on its own; ``pair_at_y`` is the one-height case.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -79,9 +84,11 @@ _WG = np.array([
 ])
 
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # 15 nodes, ascending
-_WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_WG_FULL = np.concatenate([_WG[:-1], _WG[::-1]])
-_GAUSS_IDX = np.arange(1, 15, 2)
+# Both rules as rows of one weight matrix over the 15 nodes: Kronrod, then
+# Gauss (its 7 nodes are every other one, 0 at the others).
+_RULES = np.zeros((2, 15), dtype=complex)
+_RULES[0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_RULES[1, 1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 _MIN_PANEL_REL = 2.3e-16
 # Panels in flight over the heights refined together in one round: a
@@ -98,8 +105,9 @@ _MAX_PANELS = 4000
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to meet its target; carries the partial value.
 
-    Raised for a schedule, `height` is the index of the stalled height and
-    `values` holds the values of the heights below it.
+    Raised for a schedule, `height` is the index of the stalled height, and
+    `values` and `targets` hold the values and error targets of the heights
+    below it.
     """
 
     def __init__(self, message, partial_value, error_estimate):
@@ -108,6 +116,7 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
         self.height = 0
         self.values = ()
+        self.targets = ()
 
 
 class InconclusivePairingError(RuntimeError):
@@ -391,30 +400,20 @@ def parse_expression(text: str) -> ProductExpression:
 # ---------------------------------------------------------------------------
 
 
-def _panel_rule(f, a: np.ndarray, b: np.ndarray, ys, sizes):
-    """Apply the 7-15 rule to every panel [a[i], b[i]] in one evaluation.
+def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray):
+    """Apply the 7-15 rule to every panel [a[i], b[i]] at height y[i] in one evaluation.
 
-    The panels come in blocks, one per height: the first sizes[0] are at
-    height ys[0], the next sizes[1] at ys[1], and so on.  The weighted sums
-    run block by block, because a matrix-vector product over more rows may
-    round differently; each height's numbers are then the same whichever
-    other heights share the call.
+    Both rule sums of every row come from one einsum contraction, which does
+    not go through BLAS: each row's sums run over that row alone, in one
+    order, so a row's numbers are the same whichever rows share the call.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    v = np.asarray(f(x, np.repeat(ys, sizes)[:, None]), dtype=complex)
-    vg = v[:, _GAUSS_IDX]
-    sumk = np.empty(len(a), dtype=complex)
-    sumg = np.empty(len(a), dtype=complex)
-    start = 0
-    for n in sizes:
-        block = slice(start, start + n)
-        sumk[block] = v[block] @ _WK
-        sumg[block] = vg[block] @ _WG_FULL
-        start += n
-    resk = half * sumk
-    resg = half * sumg
+    v = np.asarray(f(x, y[:, None]), dtype=complex)
+    sums = np.einsum("ij,kj->ik", v, _RULES)
+    resk = half * sums[:, 0]
+    resg = half * sums[:, 1]
     rough = np.abs(v).sum(axis=1) * np.abs(half)
     return resk, np.abs(resk - resg), rough
 
@@ -454,7 +453,7 @@ def _leaf_sum(rows) -> complex:
     return complex(np.ascontiguousarray(rows["value"]).sum())
 
 
-def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
+def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> tuple[list, list]:
     """Deterministic adaptive refinement of all heights of a schedule at once.
 
     Height k integrates f(., ys[k]) over initial panels between
@@ -464,7 +463,9 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
     magnitude blows up as y -> 0 degrade gracefully to full relative
     precision.  A height is done when its error meets the target or after
     _MAX_ROUNDS rounds, and stalls when no panel can split or splitting
-    would pass _MAX_PANELS.
+    would pass _MAX_PANELS.  Returns each height's value and its target as
+    it stood when the height was done: a value no larger than its target is
+    indistinguishable from 0.
 
     The leaf panels of the live heights are the rows of one packed array,
     grouped by height in schedule order and sorted by left endpoint within a
@@ -479,7 +480,8 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
 
     When a height stalls, the heights above it are dropped and those below
     it finish; then the QuadratureError of the lowest stalled height is
-    raised, with `height` its index and `values` the values below it.
+    raised, with `height` its index and `values` and `targets` those of the
+    heights below it.
     """
     ys = np.asarray(ys, dtype=float)
     pts = [np.asarray(sorted(points), dtype=float) for points in pointsets]
@@ -492,6 +494,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
     rows["b"] = np.concatenate([p[1:] for p in pts])
     rows["fresh"] = True
     values: list = [None] * len(ys)
+    targets: list = [None] * len(ys)
     failure = None
     while len(live):
         n = max(1, int(np.searchsorted(np.cumsum(size + fresh // 2), _PANEL_BUDGET, "right")))
@@ -500,7 +503,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
         batch = rows[:ends[-1]]
         new = batch["fresh"]
         batch["value"][new], batch["error"][new], batch["rough"][new] = _panel_rule(
-            f, batch["a"][new], batch["b"][new], ys[live[:n]], fresh[:n])
+            f, batch["a"][new], batch["b"][new], np.repeat(ys[live[:n]], fresh[:n]))
         batch["fresh"] = False
         rounds[:n] += 1
         error = np.add.reduceat(batch["error"], starts)
@@ -514,6 +517,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
         stop = int(np.argmax(stalled)) if stalled.any() else n
         for i in np.flatnonzero(done[:stop]):
             values[live[i]] = _leaf_sum(batch[starts[i]:ends[i]])
+            targets[live[i]] = float(target[i])
         go = np.ones(len(live), dtype=bool)
         go[:n] = ~done
         if stop < n:
@@ -533,8 +537,9 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
         if not go.all():
             live, size, fresh, rounds = live[go], size[go], fresh[go], rounds[go]
     if failure is None:
-        return values
+        return values, targets
     failure.values = tuple(values[:failure.height])
+    failure.targets = tuple(targets[:failure.height])
     try:
         raise failure
     finally:
@@ -544,13 +549,29 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list[complex]:
 
 
 def _integrand(expr: ProductExpression, phi):
-    """x^R * prod F_i^y(x) * phi(x) at points x, heights y broadcast against x."""
+    """x^R * prod F_i^y(x) * phi(x) at points x, heights y broadcast against x.
+
+    The points x + iy and x - iy are built once per call, and each distinct
+    factor is evaluated once (delta^4 evaluates one Poisson kernel); the
+    values multiply in slot order, so the product is bitwise that of the
+    ``regulated`` values.  The heights are not checked here:
+    ``_evaluate_schedule`` checks them once per schedule.
+    """
+    distinct: list[HyperfunctionPair] = []
+    slots = []
+    for pair in expr.factors:
+        if pair not in distinct:
+            distinct.append(pair)
+        slots.append(distinct.index(pair))
+    r = expr.total_power
+
     def f(x, y):
         x = np.asarray(x, dtype=float)
-        v = expr.factors[0].regulated(x, y)
-        for pair in expr.factors[1:]:
-            v = v * pair.regulated(x, y)
-        r = expr.total_power
+        z_plus, z_minus = x + 1j * y, x - 1j * y
+        values = [pair.at(z_plus, z_minus) for pair in distinct]
+        v = values[slots[0]]
+        for k in slots[1:]:
+            v = v * values[k]
         if r:
             v = v * x**r
         return v * phi(x)
@@ -645,10 +666,11 @@ class PairingResult:
         }
 
 
-def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple]:
+def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple, tuple]:
     """Pair at all heights in one quadrature, truncating where it gives out.
 
-    The first height k whose quadrature stalls ends the schedule: for
+    Returns the heights, their values and their quadrature targets.  The
+    first height k whose quadrature stalls ends the schedule: for
     k < MIN_HEIGHTS its QuadratureError propagates, otherwise the heights
     before k are kept.
     """
@@ -663,12 +685,17 @@ def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple]:
         for y, L in zip(ys, radii)
     ]
     try:
-        integrals = _adaptive_quadrature(f, ys, pointsets, tol.quad_abs)
+        integrals, targets = _adaptive_quadrature(f, ys, pointsets, tol.quad_abs)
     except QuadratureError as exc:
         if exc.height < MIN_HEIGHTS:
             raise
-        return ys[:exc.height], exc.values
-    return ys, tuple(integrals)
+        return ys[:exc.height], exc.values, exc.targets
+    return ys, tuple(integrals), tuple(targets)
+
+
+def _all_noise(integrals, targets) -> bool:
+    """True when every value is within its quadrature target of 0."""
+    return all(abs(v) <= t for v, t in zip(integrals, targets))
 
 
 def require_resolved(phi, schedule: Schedule):
@@ -689,12 +716,16 @@ def limit_pairing(expr: ProductExpression, phi,
                   tol: Tolerances = DEFAULT_TOLERANCES) -> PairingResult:
     """Run the height schedule, extrapolate, and classify the outcome.
 
-    Converged requires the last three Richardson diagonal entries to agree
-    within tol.convergence times max(1, |last entry|) (real and imaginary
-    parts separately) and a second schedule with ratio CHECK_RATIO to agree
-    within _SCHEDULE_FACTOR times that.  Diverged requires a log-log
-    power-law fit with R^2 >= _R2_MIN and rate s > _S_MIN.  Everything else
-    is inconclusive, which is a classification, not an error.
+    An exact zero comes first: when every I(y_k) of the schedule and of a
+    second schedule with ratio CHECK_RATIO is within its quadrature target
+    of 0 (a parity zero, say, whose I(y) is rounding noise), the pairing
+    converged to 0.  Otherwise converged requires the last three Richardson
+    diagonal entries to agree within tol.convergence times
+    max(1, |last entry|) (real and imaginary parts separately) and the
+    second schedule to agree within _SCHEDULE_FACTOR times that.  Diverged
+    requires a log-log power-law fit with R^2 >= _R2_MIN and rate
+    s > _S_MIN.  Everything else is inconclusive, which is a
+    classification, not an error.
 
     Strongly divergent integrands eventually exhaust the quadrature budget
     as y shrinks; the schedule is then truncated at the first unresolvable
@@ -705,12 +736,17 @@ def limit_pairing(expr: ProductExpression, phi,
     ValueError of ``require_resolved``.
     """
     require_resolved(phi, schedule)
-    ys, integrals = _evaluate_schedule(expr, phi, schedule.heights(), tol)
+    ys, integrals, targets = _evaluate_schedule(expr, phi, schedule.heights(), tol)
+    check = None
+    if _all_noise(integrals, targets):
+        check = _evaluate_schedule(expr, phi, schedule.heights(CHECK_RATIO), tol)
+        if _all_noise(*check[1:]):
+            return PairingResult(ys, integrals, "converged", value=0j, check_value=0j)
     diag = _richardson_diagonal(integrals, schedule.ratio)
     atol = tol.convergence * max(1.0, abs(diag[-1]))
     if _tail_stable(diag, atol):
         value = diag[-1]
-        ys2, integrals2 = _evaluate_schedule(
+        _, integrals2, _ = check or _evaluate_schedule(
             expr, phi, schedule.heights(CHECK_RATIO), tol)
         diag2 = _richardson_diagonal(integrals2, CHECK_RATIO)
         gap = _SCHEDULE_FACTOR * atol

@@ -208,19 +208,28 @@ class TestRunJob:
         assert a == b
 
     def test_p_override_without_divergence_subtracts_nothing(self):
-        res = run_job(Job(expression="delta * d(delta)", p_override=1))["results"][0]
+        res = run_job(Job(**INCONCLUSIVE, p_override=1))["results"][0]
         assert res["subtraction"]["error"] == (
-            "pairing for 'delta * d(delta)' classified as inconclusive; it did not "
+            "pairing for '(x+i0)^-1 * (x+i0)^-1' classified as inconclusive; it did not "
             "diverge, so nothing was subtracted and the order p=1 plays no part")
 
     def test_ignored_counterterms_are_noted(self):
-        res = run_job(Job(expression="delta * d(delta)", c_grid=[[1, 2]]))["results"][0]
+        res = run_job(Job(**INCONCLUSIVE, c_grid=[[1, 2]]))["results"][0]
         assert res["pairing"]["status"] == "inconclusive"
         assert res["extensions"] is None
         assert res["notes"] == [
             "c_grid ignored: the pairing is inconclusive, so nothing is continued"]
-        plain = run_job(Job(expression="delta * d(delta)"))["results"][0]
+        plain = run_job(Job(**INCONCLUSIVE))["results"][0]
         assert "notes" not in plain
+
+    def test_parity_zero_converges_to_zero(self):
+        # delta * d(delta) is odd, so exp(-x^2) pairs to exactly 0 at every
+        # height; with p given, the continuation is that 0, nothing subtracted
+        res = run_job(Job(expression="delta * d(delta)", p_override=1))["results"][0]
+        assert res["pairing"]["status"] == "converged"
+        assert res["pairing"]["value"] == [0.0, 0.0]
+        assert res["subtraction"] == {"p": 1, "needed": False}
+        assert [b["value"] for b in res["extensions"]] == [[0.0, 0.0]]
 
     def test_narrow_sigma_above_smallest_height_converges(self):
         res = run_job(Job(expression="delta", phis=[{"poly": [1], "sigma": 0.01}]))
@@ -443,6 +452,12 @@ class TestMain:
         assert "Traceback" not in done.stderr
 
 
+# Six heights at ratio 0.8 reach only y = 0.033, where this pairing neither
+# settles nor fits a power law: a genuinely inconclusive classification.
+INCONCLUSIVE = {"expression": "(x+i0)^-1 * (x+i0)^-1",
+                "schedule": Schedule(count=6, ratio=0.8)}
+
+
 def _python(*args):
     """A fresh interpreter run with args, importing distprod from src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -455,6 +470,8 @@ GOLDEN_DELTA_DELTA = os.path.join(os.path.dirname(__file__), "golden",
                                   "delta_delta_report.json")
 GOLDEN_POLE_POWER = os.path.join(os.path.dirname(__file__), "golden",
                                  "pole_power_derivative_report.json")
+GOLDEN_D_DELTA_SQUARED = os.path.join(os.path.dirname(__file__), "golden",
+                                      "d_delta_squared_report.json")
 
 
 def _compare_structurally(got, want, path=""):
@@ -502,6 +519,14 @@ def test_golden_pole_power_derivative_report():
                     {"poly": [1.0], "sigma": 0.7071067811865476, "mu": 0.0}])
     got = run_job(job)
     with open(GOLDEN_POLE_POWER, encoding="utf-8") as fh:
+        want = json.load(fh)
+    _compare_structurally(got, want)
+
+
+def test_golden_d_delta_squared_report():
+    """Frozen continuation of d(delta)^2: p = 2, value 0 and a second-order counterterm."""
+    got = run_job(Job(expression="d(delta) * d(delta)", c_grid=[[0, 0, 1]]))
+    with open(GOLDEN_D_DELTA_SQUARED, encoding="utf-8") as fh:
         want = json.load(fh)
     _compare_structurally(got, want)
 
@@ -605,7 +630,7 @@ class TestWorkCount:
         assert report["results"][0]["extensions"][0]["value"][0] == pytest.approx(1.0)
 
     def test_p_override_on_inconclusive_pairing_still_fails(self, calls):
-        report = run_job(Job(expression="delta * d(delta)", p_override=1))
+        report = run_job(Job(**INCONCLUSIVE, p_override=1))
         res = report["results"][0]
         assert res["pairing"]["status"] == "inconclusive"
         assert "classified as inconclusive" in res["subtraction"]["error"]

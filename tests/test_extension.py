@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,18 +33,38 @@ SQRT_PI = 1.7724538509055160
 def _assert_subtraction_structure(phi, p):
     """phibar is phi minus omega * T_p, with T_p's data phi's own, bit for bit.
 
-    The polynomial is phi.taylor(p) exactly; on the plateau (omega = 1)
-    phibar is phi minus the Taylor polynomial, so its value and its
-    derivatives through order p vanish at 0; beyond the support it is phi.
+    The polynomial is phi.taylor(p) exactly.  Near 0 (|x| <= sigma / 2, on
+    the plateau) phibar is the tail of phi's Taylor series past order p,
+    x^(p+1) times a polynomial, so its value and its derivatives through
+    order p vanish at 0; on the rest of the plateau it is phi minus the
+    Taylor polynomial; beyond the support it is phi.
     """
     bar = SubtractedFunction(phi, OMEGA, p)
     taylor = phi.taylor(p)
     assert bar.taylor.tobytes() == taylor.tobytes()
     plateau = np.linspace(-OMEGA.plateau, OMEGA.plateau, 41)
-    assert bar(plateau).tobytes() == (phi(plateau) - npoly.polyval(plateau, taylor)).tobytes()
+    near = np.abs(plateau) <= 0.5 * phi.sigma
+    assert 0 < near.sum() < len(plateau)
+    xn, xf = plateau[near], plateau[~near]
+    tail = phi.taylor(p + 60)[p + 1:]
+    assert bar(xn).tobytes() == (xn ** (p + 1) * npoly.polyval(xn, tail)).tobytes()
+    assert bar(xf).tobytes() == (phi(xf) - npoly.polyval(xf, taylor)).tobytes()
     assert bar(0.0) == 0.0
     beyond = np.array([-4.0, -2.5, -OMEGA.support, OMEGA.support, 2.5, 4.0])
     assert bar(beyond).tobytes() == phi(beyond).tobytes()
+
+
+def _phibar_mpmath(phi, p, x):
+    """phi(x) minus its Taylor polynomial through order p, in 100-digit arithmetic."""
+    with mpmath.workdps(100):
+        x = mpmath.mpf(x)
+
+        def f(t):
+            poly = sum(mpmath.mpf(c) * t**k for k, c in enumerate(phi.poly))
+            return poly * mpmath.exp(-(t - phi.mu) ** 2 / (2 * mpmath.mpf(phi.sigma) ** 2))
+
+        jet = mpmath.taylor(f, 0, p)
+        return float(f(x) - sum(c * x**k for k, c in enumerate(jet)))
 
 
 class TestTaylorSubtract:
@@ -72,6 +93,17 @@ class TestTaylorSubtract:
 
     def test_offcenter_phi_also_exact(self):
         _assert_subtraction_structure(REFERENCE_TEST_FUNCTIONS["offset"], 2)
+
+    @pytest.mark.parametrize("name", ["gauss", "tilted", "offset"])
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_no_cancellation_near_origin(self, name, p):
+        # the plain difference phi - T_p cancels to noise here: exp(-x^2)
+        # minus 1 - x^2 is 0, not 5e-21, at x = 1e-5
+        phi = REFERENCE_TEST_FUNCTIONS[name]
+        bar = SubtractedFunction(phi, OMEGA, p)
+        for x in (1e-8, -1e-5, 1e-3, -0.05, 0.3, 0.5 * phi.sigma):
+            want = _phibar_mpmath(phi, p, x)
+            assert bar(x) == pytest.approx(want, rel=1e-13, abs=0.0), x
 
     def test_decay_radius_is_phis_past_the_support(self):
         phibar = SubtractedFunction(GAUSS, OMEGA, 2)

@@ -35,6 +35,7 @@ from distprod.pairing import (
     ring_axiom_check,
     subtraction_order,
 )
+from distprod.ratfun import RationalFunction
 from distprod.testfn import REFERENCE_TEST_FUNCTIONS, PlateauCutoff, TestFunction
 
 SQRT_PI = 1.7724538509055160
@@ -363,11 +364,25 @@ def _one_at_a_time(expr, phi, ys):
 
 
 def _schedule(expr, phi, ys):
-    return pairing._evaluate_schedule(expr, phi, ys, DEFAULT_TOLERANCES)
+    """The heights and values of one lockstep schedule."""
+    return pairing._evaluate_schedule(expr, phi, ys, DEFAULT_TOLERANCES)[:2]
 
 
-def _subtracted_gauss(p):
-    return SubtractedFunction(REFERENCE_TEST_FUNCTIONS["gauss"], PlateauCutoff(1.0, 2.0), p)
+class _CancellingPhibar(SubtractedFunction):
+    """phibar as the plain difference phi - omega * T_p everywhere.
+
+    Near 0 the difference cancels to rounding noise, which the kernel's
+    growth magnifies until the quadrature stalls: a source of stalls for the
+    schedule tests.  SubtractedFunction evaluates the series tail there.
+    """
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.phi(x) - self.omega(x) * np.polynomial.polynomial.polyval(x, self.taylor)
+
+
+def _cancelling_gauss(p):
+    return _CancellingPhibar(REFERENCE_TEST_FUNCTIONS["gauss"], PlateauCutoff(1.0, 2.0), p)
 
 
 @pytest.mark.parametrize("phi_name", ["gauss", "offset"])
@@ -389,13 +404,14 @@ def test_schedule_equals_heights_one_at_a_time(text, phi_name):
 def _lone_height(f, y, points, epsabs):
     """One height refined on its own by the plain loop: panels kept in the
     order [kept, lower halves, upper halves], every sum pairwise in that
-    order, the value summed over the panels sorted by left endpoint."""
+    order, the value summed over the panels sorted by left endpoint.
+    Returns the value and the target."""
     pts = np.asarray(sorted(points), dtype=float)
     a, b = pts[:-1], pts[1:]
-    vals, errs, roughs = pairing._panel_rule(f, a, b, [y], [len(a)])
-    for _ in range(pairing._MAX_ROUNDS):
+    vals, errs, roughs = pairing._panel_rule(f, a, b, np.full(len(a), y))
+    for rounds in range(pairing._MAX_ROUNDS + 1):
         target = max(epsabs, 2e-14 * roughs.sum())
-        if errs.sum() <= target:
+        if errs.sum() <= target or rounds == pairing._MAX_ROUNDS:
             break
         floor = pairing._MIN_PANEL_REL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         split = (errs > target / (2.0 * len(a))) & (b - a > floor)
@@ -403,13 +419,13 @@ def _lone_height(f, y, points, epsabs):
         mids = 0.5 * (a[split] + b[split])
         na = np.concatenate([a[split], mids])
         nb = np.concatenate([mids, b[split]])
-        nvals, nerrs, nroughs = pairing._panel_rule(f, na, nb, [y], [len(na)])
+        nvals, nerrs, nroughs = pairing._panel_rule(f, na, nb, np.full(len(na), y))
         keep = ~split
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         vals = np.concatenate([vals[keep], nvals])
         errs = np.concatenate([errs[keep], nerrs])
         roughs = np.concatenate([roughs[keep], nroughs])
-    return complex(vals[np.argsort(a, kind="stable")].sum())
+    return complex(vals[np.argsort(a, kind="stable")].sum()), target
 
 
 @pytest.mark.parametrize("phi_name", ["gauss", "offset"])
@@ -425,14 +441,17 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
     expr = parse_expression(text)
     phi = REFERENCE_TEST_FUNCTIONS[phi_name]
     ys = DEFAULT_SCHEDULE.heights()
-    got = _schedule(expr, phi, ys)
+    got = pairing._evaluate_schedule(expr, phi, ys, DEFAULT_TOLERANCES)
 
     def reference(f, ys, pointsets, epsabs):
-        return [_lone_height(f, y, points, epsabs) for y, points in zip(ys, pointsets)]
+        pairs = [_lone_height(f, y, points, epsabs) for y, points in zip(ys, pointsets)]
+        return [v for v, _ in pairs], [t for _, t in pairs]
 
     monkeypatch.setattr(pairing, "_adaptive_quadrature", reference)
-    want = _schedule(expr, phi, ys)
+    want = pairing._evaluate_schedule(expr, phi, ys, DEFAULT_TOLERANCES)
     assert [repr(v) for v in got[1]] == [repr(v) for v in want[1]]
+    # the targets' roughness sums run in another order too: equal to rounding
+    assert got[2] == pytest.approx(want[2], rel=1e-12)
 
 
 @pytest.mark.parametrize("text", ["delta * delta", "d(delta) * d(delta)"])
@@ -447,9 +466,9 @@ def test_waiting_heights_equal_heights_one_at_a_time(monkeypatch, text):
     heights_per_call = []
     rule = pairing._panel_rule
 
-    def counting(f, a, b, ys, sizes):
-        heights_per_call.append(len(sizes))
-        return rule(f, a, b, ys, sizes)
+    def counting(f, a, b, y):
+        heights_per_call.append(len(np.unique(y)))
+        return rule(f, a, b, y)
 
     monkeypatch.setattr(pairing, "_PANEL_BUDGET", 64)
     monkeypatch.setattr(pairing, "_panel_rule", counting)
@@ -460,18 +479,18 @@ def test_waiting_heights_equal_heights_one_at_a_time(monkeypatch, text):
 
 
 def test_budget_refines_lower_heights_first(monkeypatch):
-    # d(delta)^2 against its order-2 subtraction needs more than the real
-    # budget: rounds take heights in schedule order while they fit, so the
-    # small heights, where the schedule stalls and is cut to 6, wait for rows
-    # to leave instead of being refined in every round
+    # d(delta)^2 against a cancelling order-2 subtraction needs more than the
+    # real budget: rounds take heights in schedule order while they fit, so
+    # the small heights, where the schedule stalls and is cut to 6, wait for
+    # rows to leave instead of being refined in every round
     expr = parse_expression("d(delta) * d(delta)")
-    phi = _subtracted_gauss(2)
+    phi = _cancelling_gauss(2)
     calls = []
     rule = pairing._panel_rule
 
-    def counting(f, a, b, ys, sizes):
-        calls.append((len(sizes), len(a)))
-        return rule(f, a, b, ys, sizes)
+    def counting(f, a, b, y):
+        calls.append((len(np.unique(y)), len(a)))
+        return rule(f, a, b, y)
 
     monkeypatch.setattr(pairing, "_panel_rule", counting)
     got_ys, _ = _schedule(expr, phi, DEFAULT_SCHEDULE.heights())
@@ -482,9 +501,10 @@ def test_budget_refines_lower_heights_first(monkeypatch):
 
 
 def test_truncated_schedule_equals_heights_one_at_a_time():
-    # delta^3 against its order-2 subtraction stalls at the tenth check height
+    # delta^3 against a cancelling order-2 subtraction stalls at the tenth
+    # check height
     expr = parse_expression("delta * delta * delta")
-    phi = _subtracted_gauss(2)
+    phi = _cancelling_gauss(2)
     ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
     want_ys, want = _one_at_a_time(expr, phi, ys)
     assert 6 <= len(want_ys) < len(ys)
@@ -494,9 +514,10 @@ def test_truncated_schedule_equals_heights_one_at_a_time():
 
 
 def test_failing_schedule_raises_like_heights_one_at_a_time():
-    # d(delta)^2 against its order-2 subtraction stalls before the sixth check height
+    # d(delta)^2 against a cancelling order-2 subtraction stalls before the
+    # sixth check height
     expr = parse_expression("d(delta) * d(delta)")
-    phi = _subtracted_gauss(2)
+    phi = _cancelling_gauss(2)
     ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
     with pytest.raises(QuadratureError) as want:
         _one_at_a_time(expr, phi, ys)
@@ -505,6 +526,71 @@ def test_failing_schedule_raises_like_heights_one_at_a_time():
     assert str(got.value) == str(want.value)
     assert repr(got.value.partial_value) == repr(want.value.partial_value)
     assert got.value.height < 6
+
+
+def test_panel_rule_rows_do_not_depend_on_the_batch():
+    # a row's rule value, error and roughness are bitwise the same whether
+    # it is evaluated alone, within its height's block, or in a batch of
+    # several heights at any offset
+    expr = parse_expression("d(delta) * pv(1/x)")
+    f = pairing._integrand(expr, REFERENCE_TEST_FUNCTIONS["offset"])
+    ys = (0.1, 0.013, 0.002)
+    edges = [np.linspace(-2.0, 2.0, n + 1) for n in (5, 11, 8)]
+    blocks = [(e[:-1], e[1:], np.full(len(e) - 1, y)) for e, y in zip(edges, ys)]
+    batch = [np.concatenate(parts) for parts in zip(*blocks)]
+    together = pairing._panel_rule(f, *batch)
+    start = 0
+    for a, b, y in blocks:
+        rows = slice(start, start + len(a))
+        block = pairing._panel_rule(f, a, b, y)
+        for got, want in zip(together, block):
+            assert got[rows].tobytes() == want.tobytes()
+        for i in range(len(a)):
+            alone = pairing._panel_rule(f, a[i:i + 1], b[i:i + 1], y[i:i + 1])
+            for got, want in zip(alone, block):
+                assert got.tobytes() == want[i:i + 1].tobytes()
+        start += len(a)
+    shifted = pairing._panel_rule(f, *(x[1:] for x in batch))
+    for got, want in zip(shifted, together):
+        assert got.tobytes() == want[1:].tobytes()
+
+
+_ATOMS = (catalog("delta"), catalog("pv_inv_x"), catalog("plus_i0_pow", 1),
+          catalog("plus_i0_pow", 2), catalog("minus_i0_pow", 1), catalog("minus_i0_pow", 3),
+          catalog("monomial", 2), catalog("one"))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("atom", _ATOMS, ids=[a.label for a in _ATOMS])
+def test_integrand_is_the_product_of_regulated_values(atom, order):
+    # the atom twice, around another factor: its one evaluation serves both
+    # slots, and the values multiply in slot order
+    for _ in range(order):
+        atom = atom.derivative()
+    other = catalog("pv_inv_x").derivative()
+    expr = ProductExpression((atom, other, atom), (1, 0, 2))
+    phi = REFERENCE_TEST_FUNCTIONS["tilted"]
+    x = np.linspace(-1.5, 1.5, 45).reshape(3, 15)
+    y = np.array([0.2, 0.01, 3e-5])[:, None]
+    want = atom.regulated(x, y) * other.regulated(x, y) * atom.regulated(x, y)
+    want = want * x**3 * phi(x)
+    assert pairing._integrand(expr, phi)(x, y).tobytes() == want.tobytes()
+
+
+def test_each_distinct_factor_is_evaluated_once(monkeypatch, integrand_calls):
+    # delta^4: one Poisson kernel, its two single terms, per integrand call
+    terms = []
+    call = RationalFunction.__call__
+
+    def counting(self, z):
+        terms.append(self)
+        return call(self, z)
+
+    monkeypatch.setattr(RationalFunction, "__call__", counting)
+    pair_at_y(parse_expression("delta * delta * delta * delta"),
+              REFERENCE_TEST_FUNCTIONS["gauss"], 0.01)
+    assert len(integrand_calls) > 1
+    assert len(terms) == 2 * len(integrand_calls)
 
 
 @pytest.fixture
@@ -543,6 +629,45 @@ def test_schedule_work_count(integrand_calls, delta_sq, gauss):
 # ---------------------------------------------------------------------------
 # the integration domain
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# exact zeros
+# ---------------------------------------------------------------------------
+
+HIGHORDER_SCHEDULE = Schedule(0.01, 0.5, 16)
+
+
+@pytest.mark.parametrize("text, schedule, rate", [
+    ("delta * d(delta)", DEFAULT_SCHEDULE, 1),
+    ("d(delta) * d(delta) * d(delta)", HIGHORDER_SCHEDULE, 4),
+    ("d(d(delta)) * d(delta)", HIGHORDER_SCHEDULE, 3),
+])
+def test_parity_zero_converges_to_zero(text, schedule, rate):
+    # the kernel is odd, so an even phi pairs to exactly 0 at every height:
+    # each I(y) is rounding noise within its quadrature target, on both
+    # schedules, and the pairing converged to 0 (it read as inconclusive or
+    # as a divergence from the noise)
+    expr = parse_expression(text)
+    even = limit_pairing(expr, REFERENCE_TEST_FUNCTIONS["gauss"], schedule)
+    assert even.status == "converged"
+    assert even.value == 0j and even.check_value == 0j
+    assert len(even.integrals) == schedule.count
+    # off-center phi sees the odd kernel: the divergence stays, at its rate
+    offset = limit_pairing(expr, REFERENCE_TEST_FUNCTIONS["offset"], schedule)
+    assert offset.status == "diverged"
+    assert offset.s == pytest.approx(rate, abs=0.05)
+
+
+def test_targets_bound_the_noise_of_an_exact_zero():
+    ys, integrals, targets = pairing._evaluate_schedule(
+        parse_expression("delta * d(delta)"), REFERENCE_TEST_FUNCTIONS["gauss"],
+        DEFAULT_SCHEDULE.heights(), DEFAULT_TOLERANCES)
+    assert len(targets) == len(ys) == 12
+    # the smallest heights' noise passes the absolute target; the round-off
+    # floor, scaled to the integrand's size, still covers it
+    assert max(abs(v) for v in integrals) > DEFAULT_TOLERANCES.quad_abs
+    assert all(abs(v) <= t for v, t in zip(integrals, targets))
 
 
 def _survey_catalog():
