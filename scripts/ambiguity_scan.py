@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Map the counterterm ambiguity of one continued product.
 
-Sweeps the counterterm coefficient c_0 (and c_1 when the subtraction order
-calls for it) over a grid for several test functions, prints each continued
-value (Tbar, phibar) + sum(c_k (-1)^k phi^(k)(0)) with its offset from the
-c = 0 value, and then shows the cutoff-geometry sweep that the continued
-values must survive unchanged.
+Formats `distprod.cli.run_job` reports.  One job finds the subtraction order
+p; one job per cutoff geometry then continues the product at p for three
+test functions over a counterterm grid (c_0 swept, c_1 alternating, higher
+c_k zero), and checks each cutoff against its halved one.  A failed
+continuation prints its error; bad input and a stalled quadrature exit 2,
+as in `distprod`.
 
 Usage:
     python scripts/ambiguity_scan.py
@@ -16,12 +17,12 @@ import argparse
 
 import numpy as np
 
-from distprod.extension import ExtensionError, counterterm_value, evaluate_extension
-from distprod.pairing import limit_pairing, parse_expression, subtraction_order
-from distprod.testfn import PlateauCutoff, REFERENCE_TEST_FUNCTIONS
+from distprod.cli import Job, run_job
+from distprod.pairing import QuadratureError
+from distprod.testfn import REFERENCE_TEST_FUNCTIONS
 
 PHI_KEYS = ("gauss", "tilted", "offset")
-GEOMETRIES = ((1.0, 2.0), (0.5, 1.0), (2.0, 3.0))
+GEOMETRIES = ((1.0, 2.0), (2.0, 3.0))
 
 
 def main():
@@ -32,50 +33,52 @@ def main():
     ap.add_argument("--c-num", type=int, default=5, help="grid points per c_k")
     args = ap.parse_args()
 
-    expr = parse_expression(args.expr)
-    order = subtraction_order(expr)
-    print(f"expression        : {expr.label}")
-    print(f"subtraction order : p = {order.p} (needed: {order.needed})")
+    phis = [{"poly": list(phi.poly), "sigma": phi.sigma, "mu": phi.mu}
+            for phi in (REFERENCE_TEST_FUNCTIONS[k] for k in PHI_KEYS)]
+    try:
+        probe = run_job(Job(args.expr, phis))
+        # the search is shared by every phi, so any subtraction block holds
+        # its outcome; a product that converges for every phi needs p = 0
+        order = next((e["subtraction"] for e in probe["results"] if e["subtraction"]),
+                     {"p": 0, "needed": False})
+        print(f"expression        : {probe['normalized']}")
+        if "p" not in order:
+            print(f"subtraction order : {order['error']}")
+            return 0
+        p = order["p"]
+        print(f"subtraction order : p = {p} (needed: {order['needed']})")
+        ticks = np.linspace(-args.c_span, args.c_span, args.c_num)
+        grid = [([t, (-1.0) ** i * args.c_span / 2] + [0.0] * p)[:p + 1]
+                for i, t in enumerate(ticks)]
+        reports = [run_job(Job(args.expr, phis, plateau=plateau, support=support,
+                               p_override=p, c_grid=grid))
+                   for plateau, support in GEOMETRIES]
+    except (ValueError, QuadratureError) as exc:
+        ap.error(str(exc))
 
-    ticks = np.linspace(-args.c_span, args.c_span, args.c_num)
-    if order.p == 0:
-        grid = [[t] for t in ticks]
-    else:
-        # vary c_0 along the grid, c_1 on a coarse alternation
-        grid = [[t, (-1.0) ** i * args.c_span / 2] for i, t in enumerate(ticks)]
-
-    def tbar(phi, omega):
-        """(Tbar, phibar); without subtraction, phi's own converged pairing."""
-        if order.needed:
-            return evaluate_extension(expr, phi, order.p, omega)
-        pairing = limit_pairing(expr, phi)
-        if pairing.status != "converged":
-            raise ExtensionError(f"pairing for {expr.label!r} classified as "
-                                 f"{pairing.status}; nothing to continue")
-        return pairing.value
-
-    phis = [REFERENCE_TEST_FUNCTIONS[k] for k in PHI_KEYS]
-    omegas = [PlateauCutoff(plateau, support) for plateau, support in GEOMETRIES]
-    bases = [tbar(phi, omegas[0]) for phi in phis]
-
+    results = reports[0]["results"]
     print(f"\ncounterterm grid ({len(grid)} points x {len(phis)} test functions)")
-    print(f"{'phi':8s} {'c':>28s} {'value':>24s} {'offset':>13s} {'predicted':>13s}")
-    for c in grid:
-        for key, phi, base in zip(PHI_KEYS, phis, bases):
-            predicted = counterterm_value(c, phi)
-            value = base + predicted
-            offset = value - base
-            c_str = ", ".join(f"{v:+.2f}" for v in c)
-            print(f"{key:8s} [{c_str:>26s}] {value.real:+24.12f} "
-                  f"{offset.real:+13.6f} {predicted.real:+13.6f}")
+    print(f"{'phi':8s} {'c':>28s} {'value':>24s} {'counterterm':>13s}")
+    for row in range(1, len(grid) + 1):
+        for key, entry in zip(PHI_KEYS, results):
+            if entry["extensions"]:
+                block = entry["extensions"][row]
+                c_str = ", ".join(f"{re:+.2f}" for re, _ in block["c"])
+                print(f"{key:8s} [{c_str:>26s}] {block['value'][0]:+24.12f} "
+                      f"{block['counterterm_part'][0]:+13.6f}")
+    for key, entry in zip(PHI_KEYS, results):
+        if not entry["extensions"]:
+            print(f"{key:8s} not continued: {entry['subtraction']['error']}")
 
-    print("\ncutoff-geometry sweep (same continuation, c = 0)")
-    values = [bases[0]] + [tbar(phis[0], omega) for omega in omegas[1:]]
-    for (plateau, support), v in zip(GEOMETRIES, values):
-        print(f"  plateau {plateau:4.2f}, support {support:4.2f} -> "
-              f"{v.real:+.12f}{v.imag:+.2e}j")
-    spread = max(abs(a - b) for a in values for b in values)
-    print(f"spread across geometries: {spread:.2e}")
+    print("\ncutoff-geometry sweep (c = 0; difference from the halved cutoff)")
+    for i, key in enumerate(PHI_KEYS):
+        for (plateau, support), report in zip(GEOMETRIES, reports):
+            entry = report["results"][i]
+            if entry["extensions"]:
+                re, im = entry["extensions"][0]["value"]
+                print(f"  {key:8s} plateau {plateau:4.2f}, support {support:4.2f} -> "
+                      f"{re:+.12f}{im:+.2e}j, difference "
+                      f"{entry['omega_independence']['difference']:.2e}")
     return 0
 
 

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Classify a catalog of distribution products in one table.
 
-For every expression the smeared pairing is driven down the height
-schedule and classified; divergent products additionally get their fitted
-rate, subtraction order, and the value of the minimal (c = 0) continuation.
+Each row formats the report of one `distprod.cli.run_job` job: the pairing's
+status, its limit or fitted rate, and for a divergent product the
+subtraction order and the minimal (c = 0) continuation.  A search that
+fails prints p as "?", a continuation that fails prints "-", and the table
+is followed by each failure's message.  Bad input, and a pairing the
+quadrature cannot resolve, exit 2 as they do in `distprod`.
 
 Usage:
     python scripts/survey_products.py
@@ -13,17 +16,8 @@ Usage:
 import argparse
 import math
 
-from distprod.extension import ExtensionError, evaluate_extension
-from distprod.pairing import (
-    InconclusivePairingError,
-    NotExtendableError,
-    Schedule,
-    limit_pairing,
-    parse_expression,
-    require_resolved,
-    subtraction_order,
-)
-from distprod.testfn import TestFunction
+from distprod.cli import Job, run_job
+from distprod.pairing import QuadratureError, Schedule
 
 DEFAULT_CATALOG = [
     "1",
@@ -42,34 +36,23 @@ DEFAULT_CATALOG = [
 ]
 
 
-def classify(text, phi, schedule):
-    expr = parse_expression(text)
-    result = limit_pairing(expr, phi, schedule)
-    row = {"expr": text, "status": result.status, "value": result.value,
-           "s": result.s, "p": None, "cont": None}
-    if result.status == "converged":
-        return row
-    # order determination probes with its own parity-safe test function, so
-    # it also settles products this phi is blind to (inconclusive rows)
-    try:
-        order = subtraction_order(expr, 6, schedule)
-    except (InconclusivePairingError, NotExtendableError) as exc:
-        row["p"] = f"? ({type(exc).__name__})"
-        return row
-    row["p"] = order.p
-    try:
-        row["cont"] = evaluate_extension(expr, phi, order.p, schedule=schedule)
-    except ExtensionError:
-        row["cont"] = None
-    return row
-
-
-def fmt_complex(z):
-    if z is None:
+def fmt_complex(pair):
+    if pair is None:
         return "-"
+    z = complex(*pair)
     if abs(z.imag) < 1e-10:
         return f"{z.real:+.6f}"
     return f"{z.real:+.4f}{z.imag:+.4f}j"
+
+
+def fmt_row(text, entry):
+    pairing, subtraction = entry["pairing"], entry["subtraction"] or {}
+    s = f"{pairing['s']:.3f}" if pairing["s"] is not None else "-"
+    p = str(subtraction.get("p", "?")) if subtraction else "-"
+    value = fmt_complex(pairing["value"]) if pairing["status"] != "diverged" else "-"
+    cont = fmt_complex(entry["extensions"][0]["value"]) if entry["extensions"] else "-"
+    return (f"{text:28s} {pairing['status']:13s} {value:>22s} "
+            f"{s:>7s} {p:>4s} {cont:>22s}")
 
 
 def main():
@@ -83,23 +66,25 @@ def main():
     ap.add_argument("--steps", type=int, default=12)
     args = ap.parse_args()
 
+    catalog = DEFAULT_CATALOG + args.expr
     try:
-        phi = TestFunction((1.0,), sigma=args.sigma)
         schedule = Schedule(y0=args.y0, ratio=args.ratio, count=args.steps)
-        require_resolved(phi, schedule)
-    except ValueError as exc:
+        phi = {"poly": [1.0], "sigma": args.sigma}
+        reports = [run_job(Job(text, [phi], schedule)) for text in catalog]
+    except (ValueError, QuadratureError) as exc:
         ap.error(str(exc))
 
     print(f"{'expression':28s} {'status':13s} {'value':>22s} "
           f"{'s':>7s} {'p':>4s} {'c=0 continuation':>22s}")
     print("-" * 100)
-    for text in DEFAULT_CATALOG + args.expr:
-        row = classify(text, phi, schedule)
-        s = f"{row['s']:.3f}" if row["s"] is not None else "-"
-        p = str(row["p"]) if row["p"] is not None else "-"
-        value = fmt_complex(row["value"]) if row["status"] != "diverged" else "-"
-        print(f"{row['expr']:28s} {row['status']:13s} {value:>22s} "
-              f"{s:>7s} {p:>4s} {fmt_complex(row['cont']):>22s}")
+    errors = []
+    for text, report in zip(catalog, reports):
+        entry = report["results"][0]
+        print(fmt_row(text, entry))
+        if "error" in (entry["subtraction"] or {}):
+            errors.append(f"{text}: {entry['subtraction']['error']}")
+    if errors:
+        print("\n" + "\n".join(errors))
     return 0
 
 

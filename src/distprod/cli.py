@@ -227,7 +227,7 @@ def _subtraction_search(expr: ProductExpression, job: Job, tol: Tolerances):
     so one outcome serves every phi of the job.
     """
     try:
-        return subtraction_order(expr, 6, job.schedule, tol)
+        return subtraction_order(expr, schedule=job.schedule, tol=tol)
     except (InconclusivePairingError, NotExtendableError, QuadratureError) as exc:
         return exc
 
@@ -273,7 +273,8 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
                 entry["omega_independence"] = independence
             except (InconclusivePairingError, NotExtendableError,
                     ExtensionError, QuadratureError) as exc:
-                entry["subtraction"] = {"error": str(exc)}
+                # a failed continuation keeps its order; a failed search has none
+                entry["subtraction"] = dict(entry["subtraction"] or {}, error=str(exc))
         results.append(entry)
     return {
         "expression": job.expression,

@@ -103,17 +103,15 @@ _MAX_PANELS = 4000
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to meet its target; carries the partial value.
+    """Adaptive quadrature failed to meet its target.
 
     Raised for a schedule, `height` is the index of the stalled height, and
     `values` and `targets` hold the values and error targets of the heights
     below it.
     """
 
-    def __init__(self, message, partial_value, error_estimate):
+    def __init__(self, message):
         super().__init__(message)
-        self.partial_value = partial_value
-        self.error_estimate = error_estimate
         self.height = 0
         self.values = ()
         self.targets = ()
@@ -523,10 +521,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> tuple[list, list]:
         if stop < n:
             failure = QuadratureError(
                 f"quadrature stalled at error {error[stop]:.3e} "
-                f"(target {target[stop]:.3e}, {size[stop]} panels)",
-                _leaf_sum(batch[starts[stop]:ends[stop]]),
-                float(error[stop]),
-            )
+                f"(target {target[stop]:.3e}, {size[stop]} panels)")
             failure.height = int(live[stop])
             go[stop:] = False
         copies = np.repeat(go, size).astype(int)

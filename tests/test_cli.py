@@ -213,6 +213,18 @@ class TestRunJob:
             "pairing for '(x+i0)^-1 * (x+i0)^-1' classified as inconclusive; it did not "
             "diverge, so nothing was subtracted and the order p=1 plays no part")
 
+    def test_failed_continuation_keeps_its_order(self):
+        # the search finds p = 2, but the subtracted pairing on exp(-x^2)
+        # reads inconclusive (ROADMAP item 2 makes it continue: move it then)
+        searched = run_job(Job(expression="d(delta) * d(delta) * delta"))["results"][0]
+        given = run_job(Job(**INCONCLUSIVE, p_override=1))["results"][0]
+        for res, order in ((searched, {"p": 2, "needed": True}),
+                           (given, {"p": 1, "needed": False})):
+            assert res["extensions"] is None
+            error = res["subtraction"].pop("error")
+            assert res["subtraction"] == order
+            assert "classified as inconclusive" in error
+
     def test_ignored_counterterms_are_noted(self):
         res = run_job(Job(**INCONCLUSIVE, c_grid=[[1, 2]]))["results"][0]
         assert res["pairing"]["status"] == "inconclusive"
@@ -579,7 +591,7 @@ class TestWorkCount:
                    for r in report["results"])
 
     def test_search_error_shared_by_every_phi(self, calls, monkeypatch):
-        def refuse(expr, *args):
+        def refuse(expr, *args, **kwargs):
             calls["subtraction_order"] += 1
             raise NotExtendableError(f"no subtraction order tames {expr.label!r}")
 

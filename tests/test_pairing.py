@@ -524,7 +524,6 @@ def test_failing_schedule_raises_like_heights_one_at_a_time():
     with pytest.raises(QuadratureError) as got:
         _schedule(expr, phi, ys)
     assert str(got.value) == str(want.value)
-    assert repr(got.value.partial_value) == repr(want.value.partial_value)
     assert got.value.height < 6
 
 

@@ -40,3 +40,27 @@ def test_survey_refuses_bad_input(args, message):
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("script, expr, message", [
+    ("survey_products.py", "(x+i0)^-400", "quadrature stalled"),
+    ("survey_products.py", "delta *", "expected a factor (byte offset 7)"),
+    ("ambiguity_scan.py", "(x+i0)^-400", "quadrature stalled"),
+], ids=["survey_stall", "survey_parse", "scan_stall"])
+def test_scripts_exit_2_like_the_cli(script, expr, message):
+    done = _run(script, "--expr", expr)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_scan_reports_a_failed_continuation_in_band():
+    # the subtracted pairing on exp(-x^2) reads inconclusive at the searched
+    # p = 2; ROADMAP item 2 makes it continue, so this case moves with it
+    done = _run("ambiguity_scan.py", "--expr", "d(delta) * d(delta) * delta", "--c-num", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "subtraction order : p = 2 (needed: True)" in lines
+    assert [line.split()[0] for line in lines if "[" in line] == ["tilted", "offset"] * 2
+    assert any(line.startswith("gauss    not continued: subtracted pairing")
+               and "p=2 is too small" in line for line in lines)
