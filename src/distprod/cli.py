@@ -20,18 +20,17 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
-from .extension import ExtensionError, counterterm_value, evaluate_extension
+from .extension import ExtensionError, counterterm_value, evaluate_extensions
 from .pairing import (
     DEFAULT_TOLERANCES,
     InconclusivePairingError,
     NotExtendableError,
-    PairingResult,
     ProductExpression,
     QuadratureError,
     Schedule,
     SubtractionOrder,
     Tolerances,
-    limit_pairing,
+    limit_pairings,
     parse_expression,
     require_resolved,
     subtraction_order,
@@ -161,57 +160,40 @@ def job_from_doc(doc) -> Job:
     return Job(expression=doc["expression"], schedule=Schedule(**schedule), **fields)
 
 
-def _cgrid_rows(grid: list[list[complex]], p: int) -> list[list[complex]]:
-    """The counterterm rows, each checked to hold p + 1 entries."""
+def _cgrid_rows(grid: list[list[complex]], p: int):
+    """Raise ConfigError unless every counterterm row holds p + 1 entries."""
     for row in grid:
         if len(row) != p + 1:
             raise ConfigError(
                 f"counterterm vector {row} has {len(row)} entries, need {p + 1}"
             )
-    return grid
 
 
 def _cpair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _extension_blocks(job: Job, expr: ProductExpression, phi: TestFunction,
-                      pairing: PairingResult, order: SubtractionOrder,
-                      omegas: tuple[PlateauCutoff, PlateauCutoff],
-                      tol: Tolerances) -> tuple[list, dict]:
+def _extension_blocks(job: Job, phi: TestFunction, p: int,
+                      tbar: complex, difference: float,
+                      omegas: tuple[PlateauCutoff, PlateauCutoff]) -> tuple[list, dict]:
     """The c = 0 block, one block per c_grid row, and the cutoff check.
 
-    Every block is (Tbar, phibar) plus its counterterm sum.  (Tbar, phibar)
-    does not depend on c, so it is paired once, and the cutoff check pairs
-    only at omega2.  Without subtraction it is phi itself: `pairing`.
+    Every block is (Tbar, phibar) plus its counterterm sum: (Tbar, phibar)
+    does not depend on c, so it is paired once, as `tbar`, and `difference`
+    is its distance from the pairing at omega2.
     """
     omega, omega2 = omegas
-    rows = _cgrid_rows(job.c_grid, order.p)
-    if order.needed:
-        tbar = evaluate_extension(expr, phi, order.p, omega, job.schedule, tol)
-    elif pairing.status == "converged":
-        tbar = pairing.value
-    else:
-        raise ExtensionError(
-            f"pairing for {expr.label!r} classified as {pairing.status}; it did "
-            f"not diverge, so nothing was subtracted and the order p={order.p} plays "
-            "no part"
-        )
     blocks = []
-    for c in [(0j,) * (order.p + 1), *rows]:
+    for c in [(0j,) * (p + 1), *job.c_grid]:
         ct = counterterm_value(c, phi)
         blocks.append({
-            "p": order.p,
+            "p": p,
             "c": [_cpair(v) for v in c],
             "omega": {"plateau": omega.plateau, "support": omega.support},
             "value": _cpair(tbar + ct),
             "Tbar_phibar": _cpair(tbar),
             "counterterm_part": _cpair(ct),
         })
-    difference = 0.0
-    if order.needed:
-        difference = abs(tbar - evaluate_extension(expr, phi, order.p, omega2,
-                                                   job.schedule, tol))
     independence = {
         "geometries": [[omega.plateau, omega.support],
                        [omega2.plateau, omega2.support]],
@@ -233,7 +215,15 @@ def _subtraction_search(expr: ProductExpression, job: Job, tol: Tolerances):
 
 
 def run_job(job: Job, tol: Tolerances | None = None) -> dict:
-    """Execute a job and return the report document (not yet serialized)."""
+    """Execute a job and return the report document (not yet serialized).
+
+    The pairings run in three batched stages: every phi's pairing in one
+    ``limit_pairings`` batch; the subtraction search, once per job, with the
+    three probes of each order in one batch; and (Tbar, phibar) at both
+    cutoffs of every phi continued by a subtraction in one batch.  Each
+    entry is what its phi gets alone, and the first phi whose pairing raises
+    raises it, as phi after phi would.
+    """
     if tol is None:
         tol = _tolerances_from_env()
     expr = parse_expression(job.expression)
@@ -243,11 +233,14 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     for phi in phis:
         # every phi is checked before the first pairing runs
         require_resolved(phi, job.schedule)
+    pairings = limit_pairings([(expr, phi) for phi in phis], job.schedule, tol)
     search = None
     results = []
-    for desc, phi in zip(job.phis, phis):
+    subtracted = []     # (entry, phi) of the phi continued by a subtraction
+    for desc, phi, pairing in zip(job.phis, phis, pairings):
+        if isinstance(pairing, Exception):
+            raise pairing
         entry: dict = {"phi": desc}
-        pairing = limit_pairing(expr, phi, job.schedule, tol)
         entry["pairing"] = pairing.to_json_dict()
         entry["subtraction"] = None
         entry["extensions"] = None
@@ -267,15 +260,38 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
                         raise search
                     order = search
                 entry["subtraction"] = {"p": order.p, "needed": order.needed}
-                blocks, independence = _extension_blocks(job, expr, phi, pairing,
-                                                         order, omegas, tol)
-                entry["extensions"] = blocks
-                entry["omega_independence"] = independence
+                _cgrid_rows(job.c_grid, order.p)
+                if order.needed:
+                    subtracted.append((entry, phi))
+                elif pairing.status == "converged":
+                    # nothing subtracted: (Tbar, phibar) is the pairing itself
+                    entry["extensions"], entry["omega_independence"] = _extension_blocks(
+                        job, phi, order.p, pairing.value, 0.0, omegas)
+                else:
+                    raise ExtensionError(
+                        f"pairing for {expr.label!r} classified as {pairing.status}; "
+                        f"it did not diverge, so nothing was subtracted and the order "
+                        f"p={order.p} plays no part"
+                    )
             except (InconclusivePairingError, NotExtendableError,
                     ExtensionError, QuadratureError) as exc:
                 # a failed continuation keeps its order; a failed search has none
                 entry["subtraction"] = dict(entry["subtraction"] or {}, error=str(exc))
         results.append(entry)
+    if subtracted:
+        # every continued phi has the job's one order
+        p = job.p_override if job.p_override is not None else search.p
+        tbars = evaluate_extensions(expr, p,
+                                    [(phi, omega) for omega in omegas for _, phi in subtracted],
+                                    job.schedule, tol)
+        for (entry, phi), tbar, tbar2 in zip(subtracted, tbars, tbars[len(subtracted):]):
+            # the pairing at omega runs first, so its error is the one reported
+            error = next((v for v in (tbar, tbar2) if isinstance(v, Exception)), None)
+            if error is None:
+                entry["extensions"], entry["omega_independence"] = _extension_blocks(
+                    job, phi, p, tbar, abs(tbar - tbar2), omegas)
+            else:
+                entry["subtraction"]["error"] = str(error)
     return {
         "expression": job.expression,
         "normalized": expr.label,

@@ -14,6 +14,10 @@ span of delta derivatives through order p.  Sign convention:
 and the second is a closed-form sum, so the two are computed apart:
 ``evaluate_extension`` pairs (Tbar, phibar) once, and ``counterterm_value``
 gives each counterterm vector's sum, which a caller adds to it.
+``evaluate_extensions`` pairs several (phi, omega) at one order in one
+``limit_pairings`` batch, a lockstep quadrature over all their schedules in
+which a stall is its own schedule's: a job's report pairs every continued
+phi at both of its cutoffs this way.
 
 phibar is evaluated by value only.  Its Taylor polynomial is phi.taylor(p),
 taken once per subtracted function, and omega is exactly 1 on the plateau,
@@ -21,7 +25,8 @@ so there phibar is phi minus its Taylor polynomial: the tail of phi's Taylor
 series, x^(p+1) * sum_j t_(p+1+j) x^j.  Near 0 it is evaluated as that tail,
 not as the difference, which would cancel to rounding noise (0 at x = 1e-5,
 where the true value of exp(-x^2) - 1 + x^2 is 5e-21), noise that the
-kernel's growth y^-s would magnify into the pairing.
+kernel's growth y^-s would magnify into the pairing.  The tail's Horner
+sum runs numpy's ``polyval`` operations in its order, in place.
 
 For products supported at the origin (every delta-derived catalog product)
 the c = 0 value is genuinely independent of the cutoff geometry: changing
@@ -37,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .pairing import (
     DEFAULT_SCHEDULE,
@@ -46,6 +50,7 @@ from .pairing import (
     Schedule,
     Tolerances,
     limit_pairing,
+    limit_pairings,
 )
 from .testfn import (
     PlateauCutoff,
@@ -62,6 +67,21 @@ class ExtensionError(RuntimeError):
 # |x| <= sigma / 2 a polynomial-Gaussian's terms fall faster than
 # geometrically, so the terms left out are far below rounding.
 _TAIL_TERMS = 60
+
+
+def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_j c[j] x^j by Horner's rule, bitwise numpy's ``polyval``.
+
+    The same operations in the same order, from c[-1] + x * 0 (so the signs
+    of zeros match too), but as in-place multiply-adds on one array: polyval
+    allocates two arrays per coefficient.
+    """
+    acc = x * 0.0
+    acc += c[-1]
+    for coeff in c[-2::-1]:
+        acc *= x
+        acc += coeff
+    return acc
 
 
 class SubtractedFunction:
@@ -92,8 +112,8 @@ class SubtractedFunction:
         near = np.abs(x) <= self.near
         xn, xf = x[near], x[~near]
         val = np.empty_like(x)
-        val[near] = xn ** (self.p + 1) * npoly.polyval(xn, self.tail)
-        val[~near] = self.phi(xf) - self.omega(xf) * npoly.polyval(xf, self.taylor)
+        val[near] = xn ** (self.p + 1) * _polyval(xn, self.tail)
+        val[~near] = self.phi(xf) - self.omega(xf) * _polyval(xf, self.taylor)
         return float(val[0]) if scalar else val
 
     @property
@@ -128,17 +148,39 @@ def evaluate_extension(expr: ProductExpression, phi: TestFunction, p: int,
 
     omega defaults to PlateauCutoff(1.0, 2.0).  The pairing must converge;
     otherwise the order is too small for the expression, or the expression
-    is outside scope, and ExtensionError is raised.
+    is outside scope, and ExtensionError is raised.  This is the one-item
+    case of ``evaluate_extensions``.
     """
-    phibar = SubtractedFunction(phi, omega or PlateauCutoff(1.0, 2.0), p)
-    pairing = limit_pairing(expr, phibar, schedule, tol)
-    if pairing.status != "converged":
-        raise ExtensionError(
-            f"subtracted pairing for {expr.label!r} classified as "
-            f"{pairing.status}; the declared order p={p} is too small or the "
-            "expression is outside scope"
-        )
-    return pairing.value
+    [value] = evaluate_extensions(expr, p, [(phi, omega or PlateauCutoff(1.0, 2.0))],
+                                  schedule, tol)
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def evaluate_extensions(expr: ProductExpression, p: int, items,
+                        schedule: Schedule = DEFAULT_SCHEDULE,
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> list:
+    """``evaluate_extension`` of every (phi, omega) of items, in one batch.
+
+    The subtracted pairings run through ``limit_pairings``, so each entry is
+    exactly what the item gets alone: (Tbar, phibar), or the exception it
+    raises (ExtensionError or a QuadratureError), returned, not raised.
+    """
+    phibars = [SubtractedFunction(phi, omega, p) for phi, omega in items]
+    values = []
+    for pairing in limit_pairings([(expr, bar) for bar in phibars], schedule, tol):
+        if isinstance(pairing, Exception):
+            values.append(pairing)
+        elif pairing.status != "converged":
+            values.append(ExtensionError(
+                f"subtracted pairing for {expr.label!r} classified as "
+                f"{pairing.status}; the declared order p={p} is too small or the "
+                "expression is outside scope"
+            ))
+        else:
+            values.append(pairing.value)
+    return values
 
 
 # ---------------------------------------------------------------------------

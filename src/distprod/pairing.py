@@ -19,21 +19,32 @@ evaluated to find it.  Panels are refined in rounds (every panel
 above its error share splits), and the final sum runs over panels sorted by
 left endpoint, so results are bit-stable for a fixed configuration.
 
-All heights of a schedule are integrated together, in lockstep rounds: each
-round evaluates the new panels of every height still refining in one
-integrand call, so the cost of a numpy call is paid per round, not per
-height.  That call builds x + iy and x - iy once and evaluates each distinct
-factor once, and one contraction gives both rule sums of every panel.  The
-leaf panels of the live heights are the rows of one packed array, grouped by
-height in schedule order and sorted by left endpoint, so a round's
-bookkeeping (error sums, split tests, halving) is a few vector operations
-over all of them.  A round takes the longest prefix of the heights whose
-panels in flight fit a fixed budget of 2048 panels (a height over it goes
-alone), which bounds the memory of its integrand call; the heights past it
-sit the round out.  A panel's rule sums do not depend on the other panels of
-the call, a height's sums and splits read only its own rows, and its value is
-the sum of its rows in left order, so every I(y) is bitwise the value that
-height gets on its own; ``pair_at_y`` is the one-height case.
+All heights of a schedule, and all schedules of a batch, are integrated
+together, in lockstep rounds: each round evaluates the new panels of every
+height still refining in one integrand call, so the cost of a numpy call is
+paid per round, not per height or per pairing.  That call builds x + iy and
+x - iy once per distinct expression, evaluates its kernel once over the rows
+of every schedule that shares it (each distinct factor once), and multiplies
+each schedule's rows by that schedule's phi; one contraction gives both rule
+sums of every panel.  The leaf panels of the live heights are the rows of
+one packed array, grouped by schedule, then by height in schedule order, and
+sorted by left endpoint, so a round's bookkeeping (error sums, split tests,
+halving) is a few vector operations over all of them.  A round takes the
+longest prefix of the heights whose panels in flight fit a fixed budget of
+2048 panels (a height over it goes alone), which bounds the memory of its
+integrand call; the heights past it sit the round out.  A panel's rule sums
+do not depend on the other panels of the call, a height's sums and splits
+read only its own rows, and its value is the sum of its rows in left order,
+so every I(y) is bitwise the value that height gets on its own;
+``pair_at_y`` is the one-height case.  A stall is its schedule's own: it
+cuts or refuses that schedule and no other.
+
+``limit_pairings`` classifies a batch of pairings from two such
+quadratures, one over their main schedules and one over the check schedules
+of those that need one, and gives each pairing exactly what
+``limit_pairing``, its one-pair case, gives it alone.  ``run_job`` batches
+its independent pairings this way, and ``subtraction_order`` the three
+probes of each order.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -398,17 +409,19 @@ def parse_expression(text: str) -> ProductExpression:
 # ---------------------------------------------------------------------------
 
 
-def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray):
+def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
     """Apply the 7-15 rule to every panel [a[i], b[i]] at height y[i] in one evaluation.
 
-    Both rule sums of every row come from one einsum contraction, which does
-    not go through BLAS: each row's sums run over that row alone, in one
-    order, so a row's numbers are the same whichever rows share the call.
+    `rows` counts the panels of each group of the integrand f, in group
+    order.  Both rule sums of every row come from one einsum contraction,
+    which does not go through BLAS: each row's sums run over that row alone,
+    in one order, so a row's numbers are the same whichever rows share the
+    call.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    v = np.asarray(f(x, y[:, None]), dtype=complex)
+    v = np.asarray(f(x, y[:, None], rows), dtype=complex)
     sums = np.einsum("ij,kj->ik", v, _RULES)
     resk = half * sums[:, 0]
     resg = half * sums[:, 1]
@@ -451,39 +464,43 @@ def _leaf_sum(rows) -> complex:
     return complex(np.ascontiguousarray(rows["value"]).sum())
 
 
-def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> tuple[list, list]:
-    """Deterministic adaptive refinement of all heights of a schedule at once.
+def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
+    """Deterministic adaptive refinement of the heights of several schedules at once.
 
-    Height k integrates f(., ys[k]) over initial panels between
-    pointsets[k].  Every round splits all panels whose error exceeds an equal
-    share of the target; the target is the max of `epsabs` and a round-off
-    floor scaled to the integrand's total variation, so pairings whose
-    magnitude blows up as y -> 0 degrade gracefully to full relative
-    precision.  A height is done when its error meets the target or after
-    _MAX_ROUNDS rounds, and stalls when no panel can split or splitting
-    would pass _MAX_PANELS.  Returns each height's value and its target as
-    it stood when the height was done: a value no larger than its target is
-    indistinguishable from 0.
+    Schedule g is group g of the integrand f, at the heights ys: its height
+    k integrates f's group g at ys[k] over initial panels between
+    pointsets[g][k].  Every round splits all panels whose error
+    exceeds an equal share of the target; the target is the max of `epsabs`
+    and a round-off floor scaled to the integrand's total variation, so
+    pairings whose magnitude blows up as y -> 0 degrade gracefully to full
+    relative precision.  A height is done when its error meets the target or
+    after _MAX_ROUNDS rounds, and stalls when no panel can split or
+    splitting would pass _MAX_PANELS.  Returns, per schedule, each height's
+    value and its target as it stood when the height was done: a value no
+    larger than its target is indistinguishable from 0.
 
     The leaf panels of the live heights are the rows of one packed array,
-    grouped by height in schedule order and sorted by left endpoint within a
-    height.  A round takes the longest prefix of heights whose panels in
-    flight fit _PANEL_BUDGET (a height over it on its own goes alone): its
-    rows, plus the parent of each pair of fresh halves.  It evaluates the
-    prefix's fresh rows in one `_panel_rule` call, and before it ends it
-    replaces every row it marks by its two fresh halves and drops the rows
-    of the heights that are done.  A height's sums and splits read its own
-    rows only, and its value is the sum of its rows in left order, so every
-    value is the one the height gets alone.
+    grouped by schedule, then by height in schedule order, and sorted by left
+    endpoint within a height.  A round takes the longest prefix of heights
+    whose panels in flight fit _PANEL_BUDGET (a height over it on its own
+    goes alone): its rows, plus the parent of each pair of fresh halves.  It
+    evaluates the prefix's fresh rows in one `_panel_rule` call, and before
+    it ends it replaces every row it marks by its two fresh halves and drops
+    the rows of the heights that are done.  A height's sums and splits read
+    its own rows only, and its value is the sum of its rows in left order, so
+    every value is the one the height gets alone.
 
-    When a height stalls, the heights above it are dropped and those below
-    it finish; then the QuadratureError of the lowest stalled height is
-    raised, with `height` its index and `values` and `targets` those of the
-    heights below it.
+    A stall is a schedule's own: when a height stalls, the heights above it
+    in its schedule are dropped and those below it finish.  That schedule's
+    entry is then the QuadratureError of its lowest stalled height, with
+    `height` its index and `values` and `targets` those of the heights below
+    it; the other schedules run on.
     """
-    ys = np.asarray(ys, dtype=float)
-    pts = [np.asarray(sorted(points), dtype=float) for points in pointsets]
-    live = np.arange(len(ys))          # live heights, in schedule order
+    count, groups = len(ys), len(pointsets)
+    ys = np.tile(np.asarray(ys, dtype=float), groups)
+    pts = [np.asarray(sorted(points), dtype=float) for heights in pointsets for points in heights]
+    live = np.arange(len(ys))          # live heights, schedule by schedule
+    group = live // count              # schedule of each live height
     size = np.array([len(p) - 1 for p in pts])  # rows per live height
     fresh = size.copy()                # of them, rows waiting for the rule
     rounds = np.full_like(size, -1)    # refinement rounds; -1 before the first rule
@@ -493,15 +510,19 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> tuple[list, list]:
     rows["fresh"] = True
     values: list = [None] * len(ys)
     targets: list = [None] * len(ys)
-    failure = None
+    failures: list = [None] * groups
     while len(live):
         n = max(1, int(np.searchsorted(np.cumsum(size + fresh // 2), _PANEL_BUDGET, "right")))
         ends = np.cumsum(size[:n])
         starts = ends - size[:n]
         batch = rows[:ends[-1]]
         new = batch["fresh"]
+        a, b = batch["a"][new], batch["b"][new]
+        # the fresh rows of each schedule (the lone schedule's are all of them)
+        per_group = ((len(a),) if groups == 1
+                     else np.bincount(group[:n], fresh[:n], groups).astype(int))
         batch["value"][new], batch["error"][new], batch["rough"][new] = _panel_rule(
-            f, batch["a"][new], batch["b"][new], np.repeat(ys[live[:n]], fresh[:n]))
+            f, a, b, np.repeat(ys[live[:n]], fresh[:n]), per_group)
         batch["fresh"] = False
         rounds[:n] += 1
         error = np.add.reduceat(batch["error"], starts)
@@ -511,46 +532,51 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> tuple[list, list]:
         done = (rounds[:n] == _MAX_ROUNDS) | (error <= target)
         stalled = ~done & ((m == 0) | (size[:n] + m > _MAX_PANELS))
 
-        # the lowest stall drops every height above it, in the batch or not
-        stop = int(np.argmax(stalled)) if stalled.any() else n
-        for i in np.flatnonzero(done[:stop]):
-            values[live[i]] = _leaf_sum(batch[starts[i]:ends[i]])
-            targets[live[i]] = float(target[i])
         go = np.ones(len(live), dtype=bool)
         go[:n] = ~done
-        if stop < n:
+        # a stall drops the heights above it in its schedule, in the batch or not
+        for i in stalled.nonzero()[0] if stalled.any() else ():
+            if not go[i]:
+                continue                       # above a lower stall of its schedule
+            g = group[i]
             failure = QuadratureError(
-                f"quadrature stalled at error {error[stop]:.3e} "
-                f"(target {target[stop]:.3e}, {size[stop]} panels)")
-            failure.height = int(live[stop])
-            go[stop:] = False
+                f"quadrature stalled at error {error[i]:.3e} "
+                f"(target {target[i]:.3e}, {size[i]} panels)")
+            failure.height = int(live[i] - g * count)
+            failures[g] = failure
+            above = slice(i, int(np.searchsorted(group, g, "right")))
+            go[above] = False
+            done[above] = False
+        for i in done.nonzero()[0]:
+            values[live[i]] = _leaf_sum(batch[starts[i]:ends[i]])
+            targets[live[i]] = float(target[i])
         copies = np.repeat(go, size).astype(int)
         copies[:len(batch)] *= 1 + split
         rows = _halved(rows, copies)
         size[:n] += m
         fresh[:n] = 2 * m
         if not go.all():
-            live, size, fresh, rounds = live[go], size[go], fresh[go], rounds[go]
-    if failure is None:
-        return values, targets
-    failure.values = tuple(values[:failure.height])
-    failure.targets = tuple(targets[:failure.height])
-    try:
-        raise failure
-    finally:
-        # the traceback holds this frame; drop the frame's reference back to
-        # the error so that the frame's arrays go as soon as it is handled
-        del failure
+            live, group, size, fresh, rounds = (
+                live[go], group[go], size[go], fresh[go], rounds[go])
+    out: list = []
+    for g, failure in enumerate(failures):
+        lo = g * count
+        if failure is None:
+            out.append((values[lo:lo + count], targets[lo:lo + count]))
+        else:
+            failure.values = tuple(values[lo:lo + failure.height])
+            failure.targets = tuple(targets[lo:lo + failure.height])
+            out.append(failure)
+    return out
 
 
-def _integrand(expr: ProductExpression, phi):
-    """x^R * prod F_i^y(x) * phi(x) at points x, heights y broadcast against x.
+def _kernel(expr: ProductExpression):
+    """x^R * prod F_i^y(x) at points x, heights y broadcast against x.
 
     The points x + iy and x - iy are built once per call, and each distinct
     factor is evaluated once (delta^4 evaluates one Poisson kernel); the
     values multiply in slot order, so the product is bitwise that of the
-    ``regulated`` values.  The heights are not checked here:
-    ``_evaluate_schedule`` checks them once per schedule.
+    ``regulated`` values.
     """
     distinct: list[HyperfunctionPair] = []
     slots = []
@@ -560,8 +586,7 @@ def _integrand(expr: ProductExpression, phi):
         slots.append(distinct.index(pair))
     r = expr.total_power
 
-    def f(x, y):
-        x = np.asarray(x, dtype=float)
+    def kernel(x, y):
         z_plus, z_minus = x + 1j * y, x - 1j * y
         values = [pair.at(z_plus, z_minus) for pair in distinct]
         v = values[slots[0]]
@@ -569,7 +594,49 @@ def _integrand(expr: ProductExpression, phi):
             v = v * values[k]
         if r:
             v = v * x**r
-        return v * phi(x)
+        return v
+
+    return kernel
+
+
+def _integrand(pairs):
+    """The integrand x^R * prod F_i^y(x) * phi(x) of each (expr, phi) of pairs.
+
+    Each pair is one group.  The callable takes points x, heights y broadcast
+    against x, and `rows`: how many of x's rows belong to each group, the
+    rows grouped in group order.  Each distinct expression's kernel (see
+    ``_kernel``) is evaluated once, over the rows of every group that shares
+    it, and then multiplied by each group's phi on that group's rows, so
+    every value is bitwise the one its group gets alone.  The heights are not
+    checked here: ``_evaluate_schedules`` checks them once per schedule.
+    """
+    exprs: list[ProductExpression] = []
+    members: list[list[int]] = []       # the groups of each distinct expression
+    for g, (expr, _) in enumerate(pairs):
+        if expr not in exprs:
+            exprs.append(expr)
+            members.append([])
+        members[exprs.index(expr)].append(g)
+    kernels = [_kernel(expr) for expr in exprs]
+    phis = [phi for _, phi in pairs]
+
+    def f(x, y, rows):
+        x = np.asarray(x, dtype=float)
+        if len(kernels) == 1:
+            v = kernels[0](x, y)
+        else:
+            ends = np.cumsum(rows)
+            v = np.empty(x.shape, dtype=complex)
+            for kernel, groups in zip(kernels, members):
+                idx = np.concatenate([np.arange(ends[g] - rows[g], ends[g]) for g in groups])
+                v[idx] = kernel(x[idx], y[idx])
+        start = 0
+        for phi, n in zip(phis, rows):
+            if n:
+                part = v[start:start + n]    # a view: multiplied in place
+                part *= phi(x[start:start + n])
+                start += n
+        return v
 
     return f
 
@@ -594,7 +661,10 @@ def pair_at_y(expr: ProductExpression, phi, y: float,
     growth (see _integration_radius).  This is the one-height case of a
     schedule.
     """
-    return _evaluate_schedule(expr, phi, (y,), tol)[1][0]
+    [outcome] = _evaluate_schedules([(expr, phi)], (y,), tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -661,31 +731,37 @@ class PairingResult:
         }
 
 
-def _evaluate_schedule(expr, phi, ys, tol) -> tuple[tuple, tuple, tuple]:
-    """Pair at all heights in one quadrature, truncating where it gives out.
+def _evaluate_schedules(pairs, ys, tol) -> list:
+    """Pair every (expr, phi) of pairs at all heights ys in one quadrature.
 
-    Returns the heights, their values and their quadrature targets.  The
-    first height k whose quadrature stalls ends the schedule: for
-    k < MIN_HEIGHTS its QuadratureError propagates, otherwise the heights
+    Returns, per pair, its heights, their values and their quadrature
+    targets, truncated where its quadrature gives out: the first height k
+    whose quadrature stalls ends the pair's schedule.  For k < MIN_HEIGHTS
+    the pair's entry is that QuadratureError instead; otherwise the heights
     before k are kept.
     """
     ys = tuple(float(y) for y in ys)
     for y in ys:
         if not (y > 0.0 and math.isfinite(y)):
             raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
-    f = _integrand(expr, phi)
-    radii = _integration_radius(expr, phi, ys)
     pointsets = [
-        sorted(p for p in {-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L} if -L <= p <= L)
-        for y, L in zip(ys, radii)
+        [sorted(p for p in {-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L} if -L <= p <= L)
+         for y, L in zip(ys, _integration_radius(expr, phi, ys))]
+        for expr, phi in pairs
     ]
-    try:
-        integrals, targets = _adaptive_quadrature(f, ys, pointsets, tol.quad_abs)
-    except QuadratureError as exc:
-        if exc.height < MIN_HEIGHTS:
-            raise
-        return ys[:exc.height], exc.values, exc.targets
-    return ys, tuple(integrals), tuple(targets)
+    # an overflowing kernel gives inf or NaN panels, which stall their height:
+    # numpy's warnings about them would only be noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        quadrature = _adaptive_quadrature(_integrand(pairs), ys, pointsets, tol.quad_abs)
+    outcomes = []
+    for out in quadrature:
+        if not isinstance(out, QuadratureError):
+            outcomes.append((ys, tuple(out[0]), tuple(out[1])))
+        elif out.height < MIN_HEIGHTS:
+            outcomes.append(out)
+        else:
+            outcomes.append((ys[:out.height], out.values, out.targets))
+    return outcomes
 
 
 def _all_noise(integrals, targets) -> bool:
@@ -728,22 +804,73 @@ def limit_pairing(expr: ProductExpression, phi,
     heights are required, otherwise the quadrature failure propagates).
 
     A phi narrower than the smallest height is refused first, with the
-    ValueError of ``require_resolved``.
+    ValueError of ``require_resolved``.  This is the one-pair case of
+    ``limit_pairings``.
     """
-    require_resolved(phi, schedule)
-    ys, integrals, targets = _evaluate_schedule(expr, phi, schedule.heights(), tol)
-    check = None
-    if _all_noise(integrals, targets):
-        check = _evaluate_schedule(expr, phi, schedule.heights(CHECK_RATIO), tol)
-        if _all_noise(*check[1:]):
-            return PairingResult(ys, integrals, "converged", value=0j, check_value=0j)
-    diag = _richardson_diagonal(integrals, schedule.ratio)
-    atol = tol.convergence * max(1.0, abs(diag[-1]))
+    [result] = limit_pairings([(expr, phi)], schedule, tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def limit_pairings(pairs, schedule: Schedule = DEFAULT_SCHEDULE,
+                   tol: Tolerances = DEFAULT_TOLERANCES) -> list:
+    """``limit_pairing`` of every (expr, phi) of pairs, in two quadratures.
+
+    The main schedules of all pairs share one lockstep quadrature, and the
+    check schedules of the pairs that need one share a second.  Every I(y)
+    is bitwise the one its height gets alone, so each entry is exactly what
+    ``limit_pairing`` gives that pair on its own: a PairingResult, or the
+    exception it raises (the ValueError of ``require_resolved``, or a
+    QuadratureError), returned, not raised.
+    """
+    pairs = list(pairs)
+    results: list = [None] * len(pairs)
+    for i, (_, phi) in enumerate(pairs):
+        try:
+            require_resolved(phi, schedule)
+        except ValueError as exc:
+            results[i] = exc
+    todo = [i for i, r in enumerate(results) if r is None]
+    mains = _evaluate_schedules([pairs[i] for i in todo], schedule.heights(), tol) if todo else []
+    staged = {}         # pairs whose classification reads the check schedule
+    for i, main in zip(todo, mains):
+        if isinstance(main, Exception):
+            results[i] = main
+            continue
+        diag = _richardson_diagonal(main[1], schedule.ratio)
+        if _all_noise(*main[1:]) or _tail_stable(diag, _tail_atol(diag, tol)):
+            staged[i] = main, diag
+        else:
+            results[i] = _classify(main, diag, None, schedule.ratio, tol)
+    if staged:
+        checks = _evaluate_schedules([pairs[i] for i in staged],
+                                     schedule.heights(CHECK_RATIO), tol)
+        for (i, (main, diag)), check in zip(staged.items(), checks):
+            results[i] = (check if isinstance(check, Exception)
+                          else _classify(main, diag, check, schedule.ratio, tol))
+    return results
+
+
+def _tail_atol(diag, tol: Tolerances) -> float:
+    return tol.convergence * max(1.0, abs(diag[-1]))
+
+
+def _classify(main, diag, check, ratio: float, tol: Tolerances) -> PairingResult:
+    """The classification that ``limit_pairing`` describes.
+
+    main is the main schedule's (ys, values, targets) and diag its
+    Richardson diagonal.  check is the check schedule's (ys, values,
+    targets) when the main values are all noise or the diagonal's tail is
+    stable, the two cases that read it, and None otherwise.
+    """
+    ys, integrals, targets = main
+    if _all_noise(integrals, targets) and _all_noise(*check[1:]):
+        return PairingResult(ys, integrals, "converged", value=0j, check_value=0j)
+    atol = _tail_atol(diag, tol)
     if _tail_stable(diag, atol):
         value = diag[-1]
-        _, integrals2, _ = check or _evaluate_schedule(
-            expr, phi, schedule.heights(CHECK_RATIO), tol)
-        diag2 = _richardson_diagonal(integrals2, CHECK_RATIO)
+        diag2 = _richardson_diagonal(check[1], CHECK_RATIO)
         gap = _SCHEDULE_FACTOR * atol
         if (abs(diag2[-1].real - value.real) <= gap
                 and abs(diag2[-1].imag - value.imag) <= gap):
@@ -757,7 +884,7 @@ def limit_pairing(expr: ProductExpression, phi,
         slope, se, r2 = _loglog_fit(np.asarray(ys)[usable], mags[usable])
         s = -slope
         if s > _S_MIN and r2 >= _R2_MIN:
-            coeff = _leading_coefficient(ys, integrals, s, schedule.ratio)
+            coeff = _leading_coefficient(ys, integrals, s, ratio)
             return PairingResult(
                 ys, integrals, "diverged",
                 s=s, s_ci=(s - 2.0 * se, s + 2.0 * se), leading_coeff=coeff,
@@ -807,7 +934,9 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
     A candidate p qualifies when the expression with total prefactor power
     raised by p+1 converges against a parity-free reference function AND the
     unmodified expression converges against every order-p vanishing probe.
-    Already convergent expressions return p=0 with needed=False.
+    Already convergent expressions return p=0 with needed=False.  The three
+    probes of an order are paired as one ``limit_pairings`` batch, read in
+    order as if paired one at a time.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
@@ -823,15 +952,29 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
                                 schedule, tol)
         if boosted.status != "converged":
             continue
-        if all(
-            limit_pairing(expr, vanish_probe(p, REFERENCE_TEST_FUNCTIONS[name]),
-                          schedule, tol).status == "converged"
-            for name in _PROBE_BASES
-        ):
+        probes = limit_pairings(
+            [(expr, vanish_probe(p, REFERENCE_TEST_FUNCTIONS[name])) for name in _PROBE_BASES],
+            schedule, tol)
+        if _all_converged(probes):
             return SubtractionOrder(p, needed=True)
     raise NotExtendableError(
         f"no subtraction order <= {p_max} tames {expr.label!r}"
     )
+
+
+def _all_converged(results) -> bool:
+    """True when every entry of ``limit_pairings`` converged.
+
+    The entries are read in order, as pairings run one at a time would be:
+    the first that did not converge makes it False, and an error met before
+    it is raised.
+    """
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        if result.status != "converged":
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

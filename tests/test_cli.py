@@ -254,6 +254,25 @@ class TestRunJob:
         with pytest.raises(ConfigError):
             run_job(job)
 
+    def test_stalling_phi_raises_in_phi_order(self):
+        # phi after phi, the first phi whose pairing stalled raised its
+        # error; with every phi's pairing in one batch, it still does
+        expr = parse_expression("delta * delta")
+        big = {"poly": [1e305], "sigma": 0.7}      # phi times the kernel overflows
+        bigger = {"poly": [1e308], "sigma": 0.7}
+        alone = {}
+        for name, desc in (("big", big), ("bigger", bigger)):
+            with pytest.raises(pairing.QuadratureError) as exc:
+                pairing.limit_pairing(expr, _phi_from_descriptor(desc))
+            alone[name] = str(exc.value)
+        assert alone["big"] != alone["bigger"]
+        for phis, first in (([cli._DEFAULT_PHI, big], "big"),
+                            ([cli._DEFAULT_PHI, bigger, big], "bigger"),
+                            ([big, bigger], "big")):
+            with pytest.raises(pairing.QuadratureError) as exc:
+                run_job(Job(expression="delta * delta", phis=phis))
+            assert str(exc.value) == alone[first]
+
 
 class TestJobFile:
     def test_full_round(self, tmp_path):
@@ -457,11 +476,12 @@ class TestMain:
         assert done.stderr == ""
 
     def test_stalled_pairing_exit_two(self):
-        # the kernel overflows (0.1^-400 is inf), so every panel is NaN
+        # the kernel overflows (0.1^-400 is inf), so every panel is NaN; the
+        # error line is all there is, with no numpy warning about the NaN
         done = _python("-m", "distprod.cli", "--expr", "(x+i0)^-400")
         assert done.returncode == 2, done.stderr
-        assert "quadrature stalled" in done.stderr
-        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("distprod: error: quadrature stalled")
 
 
 # Six heights at ratio 0.8 reach only y = 0.033, where this pairing neither
@@ -557,7 +577,10 @@ class TestWorkCount:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"limit_pairing": 0, "subtraction_order": 0}
+        # "limit_pairing" counts pairings: one per pair of a limit_pairings
+        # batch (limit_pairing is the one-pair batch); "quadrature" counts
+        # lockstep quadratures
+        counts = {"limit_pairing": 0, "subtraction_order": 0, "quadrature": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -565,11 +588,19 @@ class TestWorkCount:
                 return fn(*args, **kwargs)
             return wrapper
 
-        lp = counting("limit_pairing", pairing.limit_pairing)
+        batch = pairing.limit_pairings
+
+        def counting_pairs(pairs, *args, **kwargs):
+            pairs = list(pairs)
+            counts["limit_pairing"] += len(pairs)
+            return batch(pairs, *args, **kwargs)
+
         for module in (cli, extension, pairing):
-            monkeypatch.setattr(module, "limit_pairing", lp)
+            monkeypatch.setattr(module, "limit_pairings", counting_pairs)
         monkeypatch.setattr(cli, "subtraction_order",
                             counting("subtraction_order", cli.subtraction_order))
+        monkeypatch.setattr(pairing, "_adaptive_quadrature",
+                            counting("quadrature", pairing._adaptive_quadrature))
         return counts
 
     def test_counterterm_rows_add_no_pairings(self, calls):
@@ -581,6 +612,16 @@ class TestWorkCount:
         # phi, the search (base, boosted, three probes), c = 0 and omega2
         assert without_rows == 8
         assert calls["limit_pairing"] == without_rows
+
+    @pytest.mark.parametrize("n_phi", [1, 4])
+    def test_job_stages_share_quadratures(self, calls, n_phi):
+        # every phi's pairing in one quadrature, the three probes in one and
+        # their checks in another, both cutoffs of every phi in one and their
+        # checks in another: 8 quadratures whatever the number of phi
+        phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)[:n_phi]]
+        run_job(Job(expression="delta * delta", phis=phis))
+        assert calls["limit_pairing"] == 5 + 3 * n_phi
+        assert calls["quadrature"] == 8
 
     def test_one_subtraction_search_per_job(self, calls):
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)]

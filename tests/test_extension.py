@@ -16,7 +16,7 @@ from distprod.extension import (
     evaluate_extension,
     factorization_identity_check,
 )
-from distprod import testfn
+from distprod import extension, testfn
 from distprod.pairing import ProductExpression, limit_pairing, pair_at_y
 from distprod.testfn import (
     PlateauCutoff,
@@ -104,6 +104,18 @@ class TestTaylorSubtract:
         for x in (1e-8, -1e-5, 1e-3, -0.05, 0.3, 0.5 * phi.sigma):
             want = _phibar_mpmath(phi, p, x)
             assert bar(x) == pytest.approx(want, rel=1e-13, abs=0.0), x
+
+    @pytest.mark.parametrize("name", ["gauss", "tilted", "offset"])
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_tail_is_numpy_polyval_bitwise(self, name, p):
+        # the in-place Horner loop runs numpy's polyval operations in its
+        # order, so phibar near 0 keeps its bits, signs of zeros included
+        bar = SubtractedFunction(REFERENCE_TEST_FUNCTIONS[name], OMEGA, p)
+        x = np.concatenate([np.linspace(-bar.near, bar.near, 449), [0.0, -0.0, 1e-300, -1e-12]])
+        for points in (x, x.reshape(151, 3)):
+            want = npoly.polyval(points, bar.tail)
+            assert extension._polyval(points, bar.tail).tobytes() == want.tobytes()
+            assert bar(points).tobytes() == (points ** (p + 1) * want).tobytes()
 
     def test_decay_radius_is_phis_past_the_support(self):
         phibar = SubtractedFunction(GAUSS, OMEGA, 2)

@@ -363,9 +363,17 @@ def _one_at_a_time(expr, phi, ys):
     return tuple(ys), tuple(values)
 
 
+def _evaluated(expr, phi, ys):
+    """The heights, values and targets of one lockstep schedule, or its error."""
+    [outcome] = pairing._evaluate_schedules([(expr, phi)], ys, DEFAULT_TOLERANCES)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _schedule(expr, phi, ys):
     """The heights and values of one lockstep schedule."""
-    return pairing._evaluate_schedule(expr, phi, ys, DEFAULT_TOLERANCES)[:2]
+    return _evaluated(expr, phi, ys)[:2]
 
 
 class _CancellingPhibar(SubtractedFunction):
@@ -408,7 +416,7 @@ def _lone_height(f, y, points, epsabs):
     Returns the value and the target."""
     pts = np.asarray(sorted(points), dtype=float)
     a, b = pts[:-1], pts[1:]
-    vals, errs, roughs = pairing._panel_rule(f, a, b, np.full(len(a), y))
+    vals, errs, roughs = pairing._panel_rule(f, a, b, np.full(len(a), y), [len(a)])
     for rounds in range(pairing._MAX_ROUNDS + 1):
         target = max(epsabs, 2e-14 * roughs.sum())
         if errs.sum() <= target or rounds == pairing._MAX_ROUNDS:
@@ -419,7 +427,7 @@ def _lone_height(f, y, points, epsabs):
         mids = 0.5 * (a[split] + b[split])
         na = np.concatenate([a[split], mids])
         nb = np.concatenate([mids, b[split]])
-        nvals, nerrs, nroughs = pairing._panel_rule(f, na, nb, np.full(len(na), y))
+        nvals, nerrs, nroughs = pairing._panel_rule(f, na, nb, np.full(len(na), y), [len(na)])
         keep = ~split
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         vals = np.concatenate([vals[keep], nvals])
@@ -441,14 +449,15 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
     expr = parse_expression(text)
     phi = REFERENCE_TEST_FUNCTIONS[phi_name]
     ys = DEFAULT_SCHEDULE.heights()
-    got = pairing._evaluate_schedule(expr, phi, ys, DEFAULT_TOLERANCES)
+    got = _evaluated(expr, phi, ys)
 
     def reference(f, ys, pointsets, epsabs):
-        pairs = [_lone_height(f, y, points, epsabs) for y, points in zip(ys, pointsets)]
-        return [v for v, _ in pairs], [t for _, t in pairs]
+        [heights] = pointsets
+        pairs = [_lone_height(f, y, points, epsabs) for y, points in zip(ys, heights)]
+        return [([v for v, _ in pairs], [t for _, t in pairs])]
 
     monkeypatch.setattr(pairing, "_adaptive_quadrature", reference)
-    want = pairing._evaluate_schedule(expr, phi, ys, DEFAULT_TOLERANCES)
+    want = _evaluated(expr, phi, ys)
     assert [repr(v) for v in got[1]] == [repr(v) for v in want[1]]
     # the targets' roughness sums run in another order too: equal to rounding
     assert got[2] == pytest.approx(want[2], rel=1e-12)
@@ -466,9 +475,9 @@ def test_waiting_heights_equal_heights_one_at_a_time(monkeypatch, text):
     heights_per_call = []
     rule = pairing._panel_rule
 
-    def counting(f, a, b, y):
+    def counting(f, a, b, y, rows):
         heights_per_call.append(len(np.unique(y)))
-        return rule(f, a, b, y)
+        return rule(f, a, b, y, rows)
 
     monkeypatch.setattr(pairing, "_PANEL_BUDGET", 64)
     monkeypatch.setattr(pairing, "_panel_rule", counting)
@@ -488,9 +497,9 @@ def test_budget_refines_lower_heights_first(monkeypatch):
     calls = []
     rule = pairing._panel_rule
 
-    def counting(f, a, b, y):
+    def counting(f, a, b, y, rows):
         calls.append((len(np.unique(y)), len(a)))
-        return rule(f, a, b, y)
+        return rule(f, a, b, y, rows)
 
     monkeypatch.setattr(pairing, "_panel_rule", counting)
     got_ys, _ = _schedule(expr, phi, DEFAULT_SCHEDULE.heights())
@@ -527,29 +536,79 @@ def test_failing_schedule_raises_like_heights_one_at_a_time():
     assert got.value.height < 6
 
 
+def _outcome(entry):
+    """A pairing's result by repr, or the type and message of its error."""
+    if isinstance(entry, Exception):
+        return type(entry), str(entry)
+    return repr(entry)
+
+
+def _alone(expr, phi):
+    try:
+        return _outcome(limit_pairing(expr, phi))
+    except Exception as exc:
+        return _outcome(exc)
+
+
+def _mixed_batch():
+    return [
+        (parse_expression("delta * delta"), REFERENCE_TEST_FUNCTIONS["gauss"]),
+        # inconclusive: the check schedule disagrees
+        (parse_expression("x^1 * delta * delta * delta"), REFERENCE_TEST_FUNCTIONS["offset"]),
+        # converged, with a check schedule that stalls at its tenth height
+        (parse_expression("delta * delta * delta"), _cancelling_gauss(2)),
+        # the main schedule is cut to 6 heights, the check one stalls at its fifth
+        (parse_expression("d(delta) * d(delta)"), _cancelling_gauss(2)),
+        # narrower than the smallest height
+        (parse_expression("delta"), TestFunction((1.0,), 1e-5)),
+    ]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_batch_entries_equal_pairings_alone(reverse):
+    # distinct expressions and phi, truncations, stalls and a refusal in one
+    # batch: each entry is what limit_pairing gives its pair alone
+    items = _mixed_batch()[::-1] if reverse else _mixed_batch()
+    want = [_alone(expr, phi) for expr, phi in items]
+    assert {w[0] for w in want if isinstance(w, tuple)} == {QuadratureError, ValueError}
+    assert sum("'inconclusive'" in w for w in want if isinstance(w, str)) == 1
+    assert [_outcome(r) for r in pairing.limit_pairings(items)] == want
+
+
+def test_batch_keeps_each_schedules_truncation_and_stall():
+    # the two cancelling subtractions stall in the check quadrature they
+    # share: one truncated to 9 heights, the other refused below height 6
+    items = _mixed_batch()[2:4]
+    ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
+    truncated, failed = pairing._evaluate_schedules(items, ys, DEFAULT_TOLERANCES)
+    assert truncated[0] == ys[:9]
+    assert [repr(v) for v in truncated[1]] == [repr(v) for v in _schedule(*items[0], ys)[1]]
+    assert isinstance(failed, QuadratureError) and failed.height == 4
+
+
 def test_panel_rule_rows_do_not_depend_on_the_batch():
     # a row's rule value, error and roughness are bitwise the same whether
     # it is evaluated alone, within its height's block, or in a batch of
     # several heights at any offset
     expr = parse_expression("d(delta) * pv(1/x)")
-    f = pairing._integrand(expr, REFERENCE_TEST_FUNCTIONS["offset"])
+    f = pairing._integrand([(expr, REFERENCE_TEST_FUNCTIONS["offset"])])
     ys = (0.1, 0.013, 0.002)
     edges = [np.linspace(-2.0, 2.0, n + 1) for n in (5, 11, 8)]
     blocks = [(e[:-1], e[1:], np.full(len(e) - 1, y)) for e, y in zip(edges, ys)]
     batch = [np.concatenate(parts) for parts in zip(*blocks)]
-    together = pairing._panel_rule(f, *batch)
+    together = pairing._panel_rule(f, *batch, [len(batch[0])])
     start = 0
     for a, b, y in blocks:
         rows = slice(start, start + len(a))
-        block = pairing._panel_rule(f, a, b, y)
+        block = pairing._panel_rule(f, a, b, y, [len(a)])
         for got, want in zip(together, block):
             assert got[rows].tobytes() == want.tobytes()
         for i in range(len(a)):
-            alone = pairing._panel_rule(f, a[i:i + 1], b[i:i + 1], y[i:i + 1])
+            alone = pairing._panel_rule(f, a[i:i + 1], b[i:i + 1], y[i:i + 1], [1])
             for got, want in zip(alone, block):
                 assert got.tobytes() == want[i:i + 1].tobytes()
         start += len(a)
-    shifted = pairing._panel_rule(f, *(x[1:] for x in batch))
+    shifted = pairing._panel_rule(f, *(x[1:] for x in batch), [len(batch[0]) - 1])
     for got, want in zip(shifted, together):
         assert got.tobytes() == want[1:].tobytes()
 
@@ -573,7 +632,7 @@ def test_integrand_is_the_product_of_regulated_values(atom, order):
     y = np.array([0.2, 0.01, 3e-5])[:, None]
     want = atom.regulated(x, y) * other.regulated(x, y) * atom.regulated(x, y)
     want = want * x**3 * phi(x)
-    assert pairing._integrand(expr, phi)(x, y).tobytes() == want.tobytes()
+    assert pairing._integrand([(expr, phi)])(x, y, [3]).tobytes() == want.tobytes()
 
 
 def test_each_distinct_factor_is_evaluated_once(monkeypatch, integrand_calls):
@@ -601,9 +660,9 @@ def integrand_calls(monkeypatch):
     def counting(*args):
         f = factory(*args)
 
-        def counted(x, y):
+        def counted(x, y, rows):
             sizes.append(np.size(x))
-            return f(x, y)
+            return f(x, y, rows)
 
         return counted
 
@@ -659,9 +718,9 @@ def test_parity_zero_converges_to_zero(text, schedule, rate):
 
 
 def test_targets_bound_the_noise_of_an_exact_zero():
-    ys, integrals, targets = pairing._evaluate_schedule(
+    ys, integrals, targets = _evaluated(
         parse_expression("delta * d(delta)"), REFERENCE_TEST_FUNCTIONS["gauss"],
-        DEFAULT_SCHEDULE.heights(), DEFAULT_TOLERANCES)
+        DEFAULT_SCHEDULE.heights())
     assert len(targets) == len(ys) == 12
     # the smallest heights' noise passes the absolute target; the round-off
     # floor, scaled to the integrand's size, still covers it

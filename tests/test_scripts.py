@@ -48,10 +48,13 @@ def test_survey_refuses_bad_input(args, message):
     ("ambiguity_scan.py", "(x+i0)^-400", "quadrature stalled"),
 ], ids=["survey_stall", "survey_parse", "scan_stall"])
 def test_scripts_exit_2_like_the_cli(script, expr, message):
+    # argparse's usage block, then one error line: no traceback, and no numpy
+    # warning about the NaN panels of a stalled quadrature
     done = _run(script, "--expr", expr)
     assert done.returncode == 2
-    assert message in done.stderr
-    assert "Traceback" not in done.stderr
+    usage, _, error = done.stderr.rstrip("\n").rpartition("\n")
+    assert usage.startswith(f"usage: {script}") and "error" not in usage
+    assert error.startswith(f"{script}: error: ") and message in error
 
 
 def test_scan_reports_a_failed_continuation_in_band():
