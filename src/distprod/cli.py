@@ -233,7 +233,7 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     for phi in phis:
         # every phi is checked before the first pairing runs
         require_resolved(phi, job.schedule)
-    pairings = limit_pairings([(expr, phi) for phi in phis], job.schedule, tol)
+    pairings = limit_pairings(expr, phis, job.schedule, tol)
     search = None
     results = []
     subtracted = []     # (entry, phi) of the phi continued by a subtraction

@@ -169,7 +169,7 @@ def evaluate_extensions(expr: ProductExpression, p: int, items,
     """
     phibars = [SubtractedFunction(phi, omega, p) for phi, omega in items]
     values = []
-    for pairing in limit_pairings([(expr, bar) for bar in phibars], schedule, tol):
+    for pairing in limit_pairings(expr, phibars, schedule, tol):
         if isinstance(pairing, Exception):
             values.append(pairing)
         elif pairing.status != "converged":

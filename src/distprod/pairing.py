@@ -19,30 +19,31 @@ evaluated to find it.  Panels are refined in rounds (every panel
 above its error share splits), and the final sum runs over panels sorted by
 left endpoint, so results are bit-stable for a fixed configuration.
 
-All heights of a schedule, and all schedules of a batch, are integrated
-together, in lockstep rounds: each round evaluates the new panels of every
-height still refining in one integrand call, so the cost of a numpy call is
-paid per round, not per height or per pairing.  That call builds x + iy and
-x - iy once per distinct expression, evaluates its kernel once over the rows
-of every schedule that shares it (each distinct factor once), and multiplies
-each schedule's rows by that schedule's phi; one contraction gives both rule
-sums of every panel.  The leaf panels of the live heights are the rows of
-one packed array, grouped by schedule, then by height in schedule order, and
-sorted by left endpoint, so a round's bookkeeping (error sums, split tests,
-halving) is a few vector operations over all of them.  A round takes the
-longest prefix of the heights whose panels in flight fit a fixed budget of
-2048 panels (a height over it goes alone), which bounds the memory of its
-integrand call; the heights past it sit the round out.  A panel's rule sums
-do not depend on the other panels of the call, a height's sums and splits
-read only its own rows, and its value is the sum of its rows in left order,
-so every I(y) is bitwise the value that height gets on its own;
-``pair_at_y`` is the one-height case.  A stall is its schedule's own: it
-cuts or refuses that schedule and no other.
+A batch is one expression against several test functions, one group and
+one schedule per phi.  All heights of a schedule, and all schedules of a
+batch, are integrated together, in lockstep rounds: each round evaluates the
+new panels of every height still refining in one integrand call, so the cost
+of a numpy call is paid per round, not per height or per pairing.  That call
+builds x + iy and x - iy once, evaluates each distinct factor of the
+expression once over all rows, and multiplies each schedule's rows by that
+schedule's phi; one contraction gives both rule sums of every panel.  The
+leaf panels of the live heights are the rows of one packed array, grouped by
+schedule, then by height in schedule order, and sorted by left endpoint, so
+a round's bookkeeping (error sums, split tests, halving) is a few vector
+operations over all of them.  A round takes the longest prefix of the
+heights whose panels in flight fit a fixed budget of 2048 panels (a height
+over it goes alone), which bounds the memory of its integrand call; the
+heights past it sit the round out.  A panel's rule sums do not depend on the
+other panels of the call, a height's sums and splits read only its own rows,
+and its value is the sum of its rows in left order, so every I(y) is bitwise
+the value that height gets on its own; ``pair_at_y`` is the one-height case.
+A stall is its schedule's own: it cuts or refuses that schedule and no
+other.
 
-``limit_pairings`` classifies a batch of pairings from two such
-quadratures, one over their main schedules and one over the check schedules
-of those that need one, and gives each pairing exactly what
-``limit_pairing``, its one-pair case, gives it alone.  ``run_job`` batches
+``limit_pairings`` classifies the pairings of one expression with several
+phi from two such quadratures, one over their main schedules and one over
+the check schedules of those that need one, and gives each phi exactly what
+``limit_pairing``, its one-phi case, gives it alone.  ``run_job`` batches
 its independent pairings this way, and ``subtraction_order`` the three
 probes of each order.
 
@@ -116,16 +117,12 @@ _MAX_PANELS = 4000
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to meet its target.
 
-    Raised for a schedule, `height` is the index of the stalled height, and
-    `values` and `targets` hold the values and error targets of the heights
-    below it.
+    `height` is the index, in its schedule, of the height that stalled.
     """
 
-    def __init__(self, message):
+    def __init__(self, message, height: int):
         super().__init__(message)
-        self.height = 0
-        self.values = ()
-        self.targets = ()
+        self.height = height
 
 
 class InconclusivePairingError(RuntimeError):
@@ -377,7 +374,26 @@ class _Parser:
         return ProductExpression(tuple(factors), tuple(powers))
 
     def _atom(self) -> HyperfunctionPair:
+        """A run of 'd(' openers, the base atom, then one derivative per ')'.
+
+        The openers are counted in a loop, not a recursion, so any nesting
+        depth parses.
+        """
+        depth = 0
         tok = self._next()
+        while tok.kind == "DOPEN":
+            depth += 1
+            tok = self._next()
+        atom = self._base_atom(tok)
+        for _ in range(depth):
+            closing = self._next()
+            if closing.kind != "RPAREN":
+                raise ParseError("expected ')' after derivative atom", closing.offset)
+            atom = atom.derivative()
+        return atom
+
+    @staticmethod
+    def _base_atom(tok: _Token) -> HyperfunctionPair:
         try:
             if tok.kind == "DELTA":
                 return catalog("delta")
@@ -389,12 +405,6 @@ class _Parser:
                 return catalog("minus_i0_pow", tok.value)
             if tok.kind == "ONE":
                 return catalog("one")
-            if tok.kind == "DOPEN":
-                inner = self._atom()
-                closing = self._next()
-                if closing.kind != "RPAREN":
-                    raise ParseError("expected ')' after derivative atom", closing.offset)
-                return inner.derivative()
         except CatalogError as exc:
             raise ParseError(str(exc), tok.offset) from exc
         raise ParseError(f"expected an atom, found {tok.kind}", tok.offset)
@@ -467,17 +477,20 @@ def _leaf_sum(rows) -> complex:
 def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     """Deterministic adaptive refinement of the heights of several schedules at once.
 
-    Schedule g is group g of the integrand f, at the heights ys: its height
-    k integrates f's group g at ys[k] over initial panels between
-    pointsets[g][k].  Every round splits all panels whose error
+    Schedule g is group g of the integrand f (one group per phi), at the
+    heights ys: its height k integrates f's group g at ys[k] over initial
+    panels between pointsets[g][k].  Every round splits all panels whose error
     exceeds an equal share of the target; the target is the max of `epsabs`
     and a round-off floor scaled to the integrand's total variation, so
     pairings whose magnitude blows up as y -> 0 degrade gracefully to full
     relative precision.  A height is done when its error meets the target or
     after _MAX_ROUNDS rounds, and stalls when no panel can split or
-    splitting would pass _MAX_PANELS.  Returns, per schedule, each height's
-    value and its target as it stood when the height was done: a value no
-    larger than its target is indistinguishable from 0.
+    splitting would pass _MAX_PANELS.  Returns, per schedule, (values,
+    targets, failure): each height's value and its target as it stood when
+    the height was done (a value no larger than its target is
+    indistinguishable from 0), and failure None, or the QuadratureError of
+    the schedule's lowest stalled height, in which case values and targets
+    cover the heights below it.
 
     The leaf panels of the live heights are the rows of one packed array,
     grouped by schedule, then by height in schedule order, and sorted by left
@@ -491,10 +504,8 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     every value is the one the height gets alone.
 
     A stall is a schedule's own: when a height stalls, the heights above it
-    in its schedule are dropped and those below it finish.  That schedule's
-    entry is then the QuadratureError of its lowest stalled height, with
-    `height` its index and `values` and `targets` those of the heights below
-    it; the other schedules run on.
+    in its schedule are dropped and those below it finish; the other
+    schedules run on.
     """
     count, groups = len(ys), len(pointsets)
     ys = np.tile(np.asarray(ys, dtype=float), groups)
@@ -539,11 +550,9 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
             if not go[i]:
                 continue                       # above a lower stall of its schedule
             g = group[i]
-            failure = QuadratureError(
+            failures[g] = QuadratureError(
                 f"quadrature stalled at error {error[i]:.3e} "
-                f"(target {target[i]:.3e}, {size[i]} panels)")
-            failure.height = int(live[i] - g * count)
-            failures[g] = failure
+                f"(target {target[i]:.3e}, {size[i]} panels)", int(live[i] - g * count))
             above = slice(i, int(np.searchsorted(group, g, "right")))
             go[above] = False
             done[above] = False
@@ -558,25 +567,25 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
         if not go.all():
             live, group, size, fresh, rounds = (
                 live[go], group[go], size[go], fresh[go], rounds[go])
-    out: list = []
+    out = []
     for g, failure in enumerate(failures):
         lo = g * count
-        if failure is None:
-            out.append((values[lo:lo + count], targets[lo:lo + count]))
-        else:
-            failure.values = tuple(values[lo:lo + failure.height])
-            failure.targets = tuple(targets[lo:lo + failure.height])
-            out.append(failure)
+        hi = lo + (count if failure is None else failure.height)
+        out.append((tuple(values[lo:hi]), tuple(targets[lo:hi]), failure))
     return out
 
 
-def _kernel(expr: ProductExpression):
-    """x^R * prod F_i^y(x) at points x, heights y broadcast against x.
+def _integrand(expr: ProductExpression, phis):
+    """The integrand x^R * prod F_i^y(x) * phi(x) of expr against each phi of phis.
 
-    The points x + iy and x - iy are built once per call, and each distinct
-    factor is evaluated once (delta^4 evaluates one Poisson kernel); the
-    values multiply in slot order, so the product is bitwise that of the
-    ``regulated`` values.
+    Each phi is one group.  The callable takes points x, heights y broadcast
+    against x, and `rows`: how many of x's rows belong to each group, the
+    rows grouped in group order.  It builds x + iy and x - iy once per call
+    and evaluates each distinct factor once (delta^4 evaluates one Poisson
+    kernel) over all rows; the values multiply in slot order, so the product
+    is bitwise that of the ``regulated`` values, and each group's rows are
+    then multiplied by its phi.  The heights are not checked here:
+    ``_evaluate_schedules`` checks them once per schedule.
     """
     distinct: list[HyperfunctionPair] = []
     slots = []
@@ -586,7 +595,8 @@ def _kernel(expr: ProductExpression):
         slots.append(distinct.index(pair))
     r = expr.total_power
 
-    def kernel(x, y):
+    def f(x, y, rows):
+        x = np.asarray(x, dtype=float)
         z_plus, z_minus = x + 1j * y, x - 1j * y
         values = [pair.at(z_plus, z_minus) for pair in distinct]
         v = values[slots[0]]
@@ -594,42 +604,6 @@ def _kernel(expr: ProductExpression):
             v = v * values[k]
         if r:
             v = v * x**r
-        return v
-
-    return kernel
-
-
-def _integrand(pairs):
-    """The integrand x^R * prod F_i^y(x) * phi(x) of each (expr, phi) of pairs.
-
-    Each pair is one group.  The callable takes points x, heights y broadcast
-    against x, and `rows`: how many of x's rows belong to each group, the
-    rows grouped in group order.  Each distinct expression's kernel (see
-    ``_kernel``) is evaluated once, over the rows of every group that shares
-    it, and then multiplied by each group's phi on that group's rows, so
-    every value is bitwise the one its group gets alone.  The heights are not
-    checked here: ``_evaluate_schedules`` checks them once per schedule.
-    """
-    exprs: list[ProductExpression] = []
-    members: list[list[int]] = []       # the groups of each distinct expression
-    for g, (expr, _) in enumerate(pairs):
-        if expr not in exprs:
-            exprs.append(expr)
-            members.append([])
-        members[exprs.index(expr)].append(g)
-    kernels = [_kernel(expr) for expr in exprs]
-    phis = [phi for _, phi in pairs]
-
-    def f(x, y, rows):
-        x = np.asarray(x, dtype=float)
-        if len(kernels) == 1:
-            v = kernels[0](x, y)
-        else:
-            ends = np.cumsum(rows)
-            v = np.empty(x.shape, dtype=complex)
-            for kernel, groups in zip(kernels, members):
-                idx = np.concatenate([np.arange(ends[g] - rows[g], ends[g]) for g in groups])
-                v[idx] = kernel(x[idx], y[idx])
         start = 0
         for phi, n in zip(phis, rows):
             if n:
@@ -661,7 +635,7 @@ def pair_at_y(expr: ProductExpression, phi, y: float,
     growth (see _integration_radius).  This is the one-height case of a
     schedule.
     """
-    [outcome] = _evaluate_schedules([(expr, phi)], (y,), tol)
+    [outcome] = _evaluate_schedules(expr, [phi], (y,), tol)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[1][0]
@@ -731,13 +705,13 @@ class PairingResult:
         }
 
 
-def _evaluate_schedules(pairs, ys, tol) -> list:
-    """Pair every (expr, phi) of pairs at all heights ys in one quadrature.
+def _evaluate_schedules(expr: ProductExpression, phis, ys, tol) -> list:
+    """Pair expr with every phi of phis at all heights ys in one quadrature.
 
-    Returns, per pair, its heights, their values and their quadrature
+    Returns, per phi, its heights, their values and their quadrature
     targets, truncated where its quadrature gives out: the first height k
-    whose quadrature stalls ends the pair's schedule.  For k < MIN_HEIGHTS
-    the pair's entry is that QuadratureError instead; otherwise the heights
+    whose quadrature stalls ends the phi's schedule.  For k < MIN_HEIGHTS
+    the phi's entry is that QuadratureError instead; otherwise the heights
     before k are kept.
     """
     ys = tuple(float(y) for y in ys)
@@ -747,21 +721,15 @@ def _evaluate_schedules(pairs, ys, tol) -> list:
     pointsets = [
         [sorted(p for p in {-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L} if -L <= p <= L)
          for y, L in zip(ys, _integration_radius(expr, phi, ys))]
-        for expr, phi in pairs
+        for phi in phis
     ]
     # an overflowing kernel gives inf or NaN panels, which stall their height:
     # numpy's warnings about them would only be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        quadrature = _adaptive_quadrature(_integrand(pairs), ys, pointsets, tol.quad_abs)
-    outcomes = []
-    for out in quadrature:
-        if not isinstance(out, QuadratureError):
-            outcomes.append((ys, tuple(out[0]), tuple(out[1])))
-        elif out.height < MIN_HEIGHTS:
-            outcomes.append(out)
-        else:
-            outcomes.append((ys[:out.height], out.values, out.targets))
-    return outcomes
+        quadrature = _adaptive_quadrature(_integrand(expr, phis), ys, pointsets, tol.quad_abs)
+    return [failure if failure is not None and failure.height < MIN_HEIGHTS
+            else (ys[:len(values)], values, targets)
+            for values, targets, failure in quadrature]
 
 
 def _all_noise(integrals, targets) -> bool:
@@ -804,36 +772,37 @@ def limit_pairing(expr: ProductExpression, phi,
     heights are required, otherwise the quadrature failure propagates).
 
     A phi narrower than the smallest height is refused first, with the
-    ValueError of ``require_resolved``.  This is the one-pair case of
+    ValueError of ``require_resolved``.  This is the one-phi case of
     ``limit_pairings``.
     """
-    [result] = limit_pairings([(expr, phi)], schedule, tol)
+    [result] = limit_pairings(expr, [phi], schedule, tol)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def limit_pairings(pairs, schedule: Schedule = DEFAULT_SCHEDULE,
+def limit_pairings(expr: ProductExpression, phis, schedule: Schedule = DEFAULT_SCHEDULE,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """``limit_pairing`` of every (expr, phi) of pairs, in two quadratures.
+    """``limit_pairing`` of expr against every phi of phis, in two quadratures.
 
-    The main schedules of all pairs share one lockstep quadrature, and the
-    check schedules of the pairs that need one share a second.  Every I(y)
-    is bitwise the one its height gets alone, so each entry is exactly what
-    ``limit_pairing`` gives that pair on its own: a PairingResult, or the
-    exception it raises (the ValueError of ``require_resolved``, or a
-    QuadratureError), returned, not raised.
+    The main schedules of all phi share one lockstep quadrature, one group
+    per phi, and the check schedules of the phi that need one share a
+    second.  Every I(y) is bitwise the one its height gets alone, so each
+    entry is exactly what ``limit_pairing`` gives that phi on its own: a
+    PairingResult, or the exception it raises (the ValueError of
+    ``require_resolved``, or a QuadratureError), returned, not raised.
     """
-    pairs = list(pairs)
-    results: list = [None] * len(pairs)
-    for i, (_, phi) in enumerate(pairs):
+    phis = list(phis)
+    results: list = [None] * len(phis)
+    for i, phi in enumerate(phis):
         try:
             require_resolved(phi, schedule)
         except ValueError as exc:
             results[i] = exc
     todo = [i for i, r in enumerate(results) if r is None]
-    mains = _evaluate_schedules([pairs[i] for i in todo], schedule.heights(), tol) if todo else []
-    staged = {}         # pairs whose classification reads the check schedule
+    mains = (_evaluate_schedules(expr, [phis[i] for i in todo], schedule.heights(), tol)
+             if todo else [])
+    staged = {}         # phi whose classification reads the check schedule
     for i, main in zip(todo, mains):
         if isinstance(main, Exception):
             results[i] = main
@@ -844,7 +813,7 @@ def limit_pairings(pairs, schedule: Schedule = DEFAULT_SCHEDULE,
         else:
             results[i] = _classify(main, diag, None, schedule.ratio, tol)
     if staged:
-        checks = _evaluate_schedules([pairs[i] for i in staged],
+        checks = _evaluate_schedules(expr, [phis[i] for i in staged],
                                      schedule.heights(CHECK_RATIO), tol)
         for (i, (main, diag)), check in zip(staged.items(), checks):
             results[i] = (check if isinstance(check, Exception)
@@ -953,7 +922,7 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
         if boosted.status != "converged":
             continue
         probes = limit_pairings(
-            [(expr, vanish_probe(p, REFERENCE_TEST_FUNCTIONS[name])) for name in _PROBE_BASES],
+            expr, [vanish_probe(p, REFERENCE_TEST_FUNCTIONS[name]) for name in _PROBE_BASES],
             schedule, tol)
         if _all_converged(probes):
             return SubtractionOrder(p, needed=True)

@@ -27,6 +27,7 @@ as much).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,6 +73,10 @@ class TestFunction:
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        # sigma^2 divides and scales throughout: it must neither overflow nor
+        # underflow to a subnormal or 0
+        if not sys.float_info.min <= self.sigma * self.sigma < math.inf:
+            raise ValueError(f"sigma {self.sigma!r} has no finite, normal square")
 
     def __call__(self, x):
         """Evaluate at x (scalar or array)."""
@@ -186,8 +191,6 @@ class PlateauCutoff:
     transition machinery is never evaluated there), so multiplying by the
     cutoff perturbs nothing on the plateau.
     """
-
-    max_order = MAX_ORDER  # part of the key perfbench/spans.py gives a subtracted phi
 
     def __init__(self, plateau: float, support: float):
         plateau = float(plateau)

@@ -53,6 +53,13 @@ class TestParser:
         expr = parse_expression("d(d(pv(1/x)))")
         assert expr.factors[0].label == "d(d(pv(1/x)))"
 
+    def test_deep_nesting_parses(self):
+        # far past the interpreter's recursion limit
+        text = "d(" * 5000 + "delta" + ")" * 5000
+        [pair] = parse_expression(text).factors
+        assert pair.label == text
+        assert pair.f_plus.power == -5001
+
     def test_trailing_power_becomes_monomial(self):
         expr = parse_expression("delta * x^2")
         assert [f.label for f in expr.factors] == ["delta", "x^2"]
@@ -90,6 +97,11 @@ class TestParseErrors:
     def test_missing_closing_paren(self):
         with pytest.raises(ParseError):
             parse_expression("d(delta")
+
+    def test_nested_missing_closing_paren_offset(self):
+        with pytest.raises(ParseError, match="expected '\\)'") as err:
+            parse_expression("d(d(delta) * delta")
+        assert err.value.offset == 11
 
     def test_zero_inverse_power(self):
         with pytest.raises(ParseError):
@@ -475,6 +487,13 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
 
+    def test_deep_nesting_exit_two(self, capsys):
+        # a pole of order 1201: it overflows, and the quadrature stalls
+        code = main(["--expr", "d(" * 1200 + "delta" + ")" * 1200])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("distprod: error: quadrature stalled")
+
     def test_stalled_pairing_exit_two(self):
         # the kernel overflows (0.1^-400 is inf), so every panel is NaN; the
         # error line is all there is, with no numpy warning about the NaN
@@ -577,8 +596,8 @@ class TestWorkCount:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # "limit_pairing" counts pairings: one per pair of a limit_pairings
-        # batch (limit_pairing is the one-pair batch); "quadrature" counts
+        # "limit_pairing" counts pairings: one per phi of a limit_pairings
+        # batch (limit_pairing is the one-phi batch); "quadrature" counts
         # lockstep quadratures
         counts = {"limit_pairing": 0, "subtraction_order": 0, "quadrature": 0}
 
@@ -590,10 +609,10 @@ class TestWorkCount:
 
         batch = pairing.limit_pairings
 
-        def counting_pairs(pairs, *args, **kwargs):
-            pairs = list(pairs)
-            counts["limit_pairing"] += len(pairs)
-            return batch(pairs, *args, **kwargs)
+        def counting_pairs(expr, phis, *args, **kwargs):
+            phis = list(phis)
+            counts["limit_pairing"] += len(phis)
+            return batch(expr, phis, *args, **kwargs)
 
         for module in (cli, extension, pairing):
             monkeypatch.setattr(module, "limit_pairings", counting_pairs)
@@ -651,7 +670,7 @@ class TestWorkCount:
         assert "sigma" in capsys.readouterr().err
         assert calls["limit_pairing"] == 0
 
-    @pytest.mark.parametrize("sigma", [1e-300, 1e-12])
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-12])
     def test_sigma_below_smallest_height_runs_no_pairing(self, calls, tmp_path, capsys, sigma):
         # such a phi is flat at every height: delta paired to [0, 0], "converged"
         doc = {"expression": "delta", "phi": [{"poly": [1], "sigma": sigma}]}
@@ -662,6 +681,19 @@ class TestWorkCount:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"sigma {sigma!r}" in err and "smallest height 4.8828125e-05" in err
+        assert calls["limit_pairing"] == 0
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e160])
+    def test_sigma_without_a_normal_square_runs_no_pairing(self, calls, tmp_path, capsys,
+                                                           sigma):
+        # sigma^2 underflows to 0 or overflows: one error line, no traceback
+        doc = {"expression": "delta * delta", "phi": [{"poly": [1], "sigma": sigma}]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run_job_file(tmp_path, doc) == 2
+        assert caught == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"distprod: error: sigma {sigma!r} has no finite, normal square"
         assert calls["limit_pairing"] == 0
 
     def test_wrong_width_row_with_fixed_p_runs_no_pairing(self, calls, tmp_path, capsys):

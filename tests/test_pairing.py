@@ -365,7 +365,7 @@ def _one_at_a_time(expr, phi, ys):
 
 def _evaluated(expr, phi, ys):
     """The heights, values and targets of one lockstep schedule, or its error."""
-    [outcome] = pairing._evaluate_schedules([(expr, phi)], ys, DEFAULT_TOLERANCES)
+    [outcome] = pairing._evaluate_schedules(expr, [phi], ys, DEFAULT_TOLERANCES)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -389,8 +389,8 @@ class _CancellingPhibar(SubtractedFunction):
         return self.phi(x) - self.omega(x) * np.polynomial.polynomial.polyval(x, self.taylor)
 
 
-def _cancelling_gauss(p):
-    return _CancellingPhibar(REFERENCE_TEST_FUNCTIONS["gauss"], PlateauCutoff(1.0, 2.0), p)
+def _cancelling(name, p):
+    return _CancellingPhibar(REFERENCE_TEST_FUNCTIONS[name], PlateauCutoff(1.0, 2.0), p)
 
 
 @pytest.mark.parametrize("phi_name", ["gauss", "offset"])
@@ -454,7 +454,7 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
     def reference(f, ys, pointsets, epsabs):
         [heights] = pointsets
         pairs = [_lone_height(f, y, points, epsabs) for y, points in zip(ys, heights)]
-        return [([v for v, _ in pairs], [t for _, t in pairs])]
+        return [(tuple(v for v, _ in pairs), tuple(t for _, t in pairs), None)]
 
     monkeypatch.setattr(pairing, "_adaptive_quadrature", reference)
     want = _evaluated(expr, phi, ys)
@@ -493,7 +493,7 @@ def test_budget_refines_lower_heights_first(monkeypatch):
     # the small heights, where the schedule stalls and is cut to 6, wait for
     # rows to leave instead of being refined in every round
     expr = parse_expression("d(delta) * d(delta)")
-    phi = _cancelling_gauss(2)
+    phi = _cancelling("gauss", 2)
     calls = []
     rule = pairing._panel_rule
 
@@ -513,7 +513,7 @@ def test_truncated_schedule_equals_heights_one_at_a_time():
     # delta^3 against a cancelling order-2 subtraction stalls at the tenth
     # check height
     expr = parse_expression("delta * delta * delta")
-    phi = _cancelling_gauss(2)
+    phi = _cancelling("gauss", 2)
     ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
     want_ys, want = _one_at_a_time(expr, phi, ys)
     assert 6 <= len(want_ys) < len(ys)
@@ -526,7 +526,7 @@ def test_failing_schedule_raises_like_heights_one_at_a_time():
     # d(delta)^2 against a cancelling order-2 subtraction stalls before the
     # sixth check height
     expr = parse_expression("d(delta) * d(delta)")
-    phi = _cancelling_gauss(2)
+    phi = _cancelling("gauss", 2)
     ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
     with pytest.raises(QuadratureError) as want:
         _one_at_a_time(expr, phi, ys)
@@ -550,40 +550,57 @@ def _alone(expr, phi):
         return _outcome(exc)
 
 
-def _mixed_batch():
+def _one_expression_batches():
+    """(expr, phis) batches whose entries cover every outcome of a pairing."""
+    gauss = REFERENCE_TEST_FUNCTIONS["gauss"]
+    narrow = TestFunction((1.0,), 1e-5)         # narrower than the smallest height
     return [
-        (parse_expression("delta * delta"), REFERENCE_TEST_FUNCTIONS["gauss"]),
-        # inconclusive: the check schedule disagrees
-        (parse_expression("x^1 * delta * delta * delta"), REFERENCE_TEST_FUNCTIONS["offset"]),
-        # converged, with a check schedule that stalls at its tenth height
-        (parse_expression("delta * delta * delta"), _cancelling_gauss(2)),
-        # the main schedule is cut to 6 heights, the check one stalls at its fifth
-        (parse_expression("d(delta) * d(delta)"), _cancelling_gauss(2)),
-        # narrower than the smallest height
-        (parse_expression("delta"), TestFunction((1.0,), 1e-5)),
+        # diverged; diverged on a main schedule cut to 11 heights; a main
+        # schedule cut to 6 heights whose check schedule stalls at its fifth;
+        # a refusal
+        (parse_expression("d(delta) * d(delta)"),
+         [gauss, _cancelling("tilted", 0), _cancelling("gauss", 2), narrow]),
+        # converged; inconclusive, as the check schedule disagrees
+        (parse_expression("x^1 * delta * delta * delta"),
+         [gauss, REFERENCE_TEST_FUNCTIONS["offset"]]),
+        # diverged; converged, with a check schedule that stalls at its tenth height
+        (parse_expression("delta * delta * delta"), [gauss, _cancelling("gauss", 2)]),
     ]
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_batch_entries_equal_pairings_alone(reverse):
-    # distinct expressions and phi, truncations, stalls and a refusal in one
-    # batch: each entry is what limit_pairing gives its pair alone
-    items = _mixed_batch()[::-1] if reverse else _mixed_batch()
-    want = [_alone(expr, phi) for expr, phi in items]
-    assert {w[0] for w in want if isinstance(w, tuple)} == {QuadratureError, ValueError}
-    assert sum("'inconclusive'" in w for w in want if isinstance(w, str)) == 1
-    assert [_outcome(r) for r in pairing.limit_pairings(items)] == want
+    # truncations, stalls and a refusal among one expression's phi: each
+    # entry is what limit_pairing gives that phi alone
+    entries = []
+    for expr, phis in _one_expression_batches():
+        phis = phis[::-1] if reverse else phis
+        want = [_alone(expr, phi) for phi in phis]
+        got = pairing.limit_pairings(expr, phis)
+        assert [_outcome(r) for r in got] == want
+        entries += got
+    errors = [e for e in entries if isinstance(e, Exception)]
+    assert {type(e) for e in errors} == {QuadratureError, ValueError}
+    assert all(e.height < MIN_HEIGHTS for e in errors if isinstance(e, QuadratureError))
+    results = [r for r in entries if not isinstance(r, Exception)]
+    assert {r.status for r in results} == {"converged", "diverged", "inconclusive"}
+    assert sum(r.status == "inconclusive" for r in results) == 1
+    assert any(len(r.y_values) < DEFAULT_SCHEDULE.count for r in results)
 
 
 def test_batch_keeps_each_schedules_truncation_and_stall():
     # the two cancelling subtractions stall in the check quadrature they
-    # share: one truncated to 9 heights, the other refused below height 6
-    items = _mixed_batch()[2:4]
+    # share: one truncated to 7 heights, the other refused below height 6
+    expr = parse_expression("d(delta) * d(delta)")
+    phis = [_cancelling("tilted", 0), _cancelling("gauss", 2)]
     ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
-    truncated, failed = pairing._evaluate_schedules(items, ys, DEFAULT_TOLERANCES)
-    assert truncated[0] == ys[:9]
-    assert [repr(v) for v in truncated[1]] == [repr(v) for v in _schedule(*items[0], ys)[1]]
+    truncated, failed = pairing._evaluate_schedules(expr, phis, ys, DEFAULT_TOLERANCES)
+    assert truncated[0] == ys[:7]
+    assert [repr(v) for v in truncated[1]] == [repr(v) for v in _schedule(expr, phis[0], ys)[1]]
     assert isinstance(failed, QuadratureError) and failed.height == 4
+    with pytest.raises(QuadratureError) as alone:
+        _schedule(expr, phis[1], ys)
+    assert str(failed) == str(alone.value)
 
 
 def test_panel_rule_rows_do_not_depend_on_the_batch():
@@ -591,7 +608,7 @@ def test_panel_rule_rows_do_not_depend_on_the_batch():
     # it is evaluated alone, within its height's block, or in a batch of
     # several heights at any offset
     expr = parse_expression("d(delta) * pv(1/x)")
-    f = pairing._integrand([(expr, REFERENCE_TEST_FUNCTIONS["offset"])])
+    f = pairing._integrand(expr, [REFERENCE_TEST_FUNCTIONS["offset"]])
     ys = (0.1, 0.013, 0.002)
     edges = [np.linspace(-2.0, 2.0, n + 1) for n in (5, 11, 8)]
     blocks = [(e[:-1], e[1:], np.full(len(e) - 1, y)) for e, y in zip(edges, ys)]
@@ -632,7 +649,7 @@ def test_integrand_is_the_product_of_regulated_values(atom, order):
     y = np.array([0.2, 0.01, 3e-5])[:, None]
     want = atom.regulated(x, y) * other.regulated(x, y) * atom.regulated(x, y)
     want = want * x**3 * phi(x)
-    assert pairing._integrand([(expr, phi)])(x, y, [3]).tobytes() == want.tobytes()
+    assert pairing._integrand(expr, [phi])(x, y, [3]).tobytes() == want.tobytes()
 
 
 def test_each_distinct_factor_is_evaluated_once(monkeypatch, integrand_calls):

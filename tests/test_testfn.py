@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distprod.testfn import (
-    MAX_ORDER,
     PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
     TestFunction,
@@ -36,6 +36,19 @@ class TestEvaluation:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             TestFunction((1.0,), sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-154, 1.4e154, 1e160])
+    def test_sigma_without_a_normal_square(self, sigma):
+        # sigma^2 overflows (sigma**2 raised OverflowError) or is subnormal or
+        # 0 (taylor divided by it)
+        with pytest.raises(ValueError, match=re.escape(f"sigma {sigma!r} has no finite")):
+            TestFunction((1.0,), sigma)
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1.3e154])
+    def test_sigma_with_a_normal_square(self, sigma):
+        phi = TestFunction((1.0,), sigma)
+        assert np.all(np.isfinite(phi.taylor(2)))
+        assert math.isfinite(phi.decay_radius())
 
     @pytest.mark.parametrize("poly, mu", [
         ((1.0,), math.nan), ((1.0,), math.inf), ((math.nan,), 0.0), ((1.0, -math.inf), 0.0),
@@ -153,9 +166,6 @@ class TestPlateauCutoff:
         xs = np.linspace(-3, 3, 601)
         vals = self.w(xs)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-
-    def test_order_cap_is_the_shared_constant(self):
-        assert self.w.max_order == MAX_ORDER
 
     def test_table_matches_degree_256_series(self):
         anti, mass = _transition_antiderivative()
