@@ -20,19 +20,16 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
-from .extension import ExtensionError, counterterm_value, evaluate_extensions
+from .extension import counterterm_value, evaluate_extensions
 from .pairing import (
     DEFAULT_TOLERANCES,
     InconclusivePairingError,
     NotExtendableError,
-    ProductExpression,
     QuadratureError,
     Schedule,
-    SubtractionOrder,
     Tolerances,
     limit_pairings,
     parse_expression,
-    require_resolved,
     subtraction_order,
 )
 from .testfn import MAX_ORDER, PlateauCutoff, TestFunction
@@ -180,12 +177,16 @@ def _extension_blocks(job: Job, phi: TestFunction, p: int,
 
     Every block is (Tbar, phibar) plus its counterterm sum: (Tbar, phibar)
     does not depend on c, so it is paired once, as `tbar`, and `difference`
-    is its distance from the pairing at omega2.
+    is its distance from the pairing at omega2.  A row whose counterterm sum
+    or block value is not finite is a ConfigError: a report holds numbers.
     """
     omega, omega2 = omegas
     blocks = []
     for c in [(0j,) * (p + 1), *job.c_grid]:
         ct = counterterm_value(c, phi)
+        if not (cmath.isfinite(ct) and cmath.isfinite(tbar + ct)):
+            raise ConfigError(f"counterterm vector {list(c)} gives the non-finite "
+                              f"value {tbar + ct} on test function {phi}")
         blocks.append({
             "p": p,
             "c": [_cpair(v) for v in c],
@@ -202,27 +203,20 @@ def _extension_blocks(job: Job, phi: TestFunction, p: int,
     return blocks, independence
 
 
-def _subtraction_search(expr: ProductExpression, job: Job, tol: Tolerances):
-    """subtraction_order's outcome: the order, or the error it raised.
-
-    The search pairs only reference functions and probes, never a job's phi,
-    so one outcome serves every phi of the job.
-    """
-    try:
-        return subtraction_order(expr, schedule=job.schedule, tol=tol)
-    except (InconclusivePairingError, NotExtendableError, QuadratureError) as exc:
-        return exc
-
-
 def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     """Execute a job and return the report document (not yet serialized).
 
-    The pairings run in three batched stages: every phi's pairing in one
-    ``limit_pairings`` batch; the subtraction search, once per job, with the
-    three probes of each order in one batch; and (Tbar, phibar) at both
-    cutoffs of every phi continued by a subtraction in one batch.  Each
-    entry is what its phi gets alone, and the first phi whose pairing raises
-    raises it, as phi after phi would.
+    The job runs in three stages, each one batch:
+      1. every phi's pairing, in one ``limit_pairings`` batch, which refuses
+         the job if the schedule cannot resolve a phi; the first phi whose
+         pairing raises raises it, as phi after phi would;
+      2. the job's one subtraction order: ``p_override``, or else one
+         ``subtraction_order`` search if any pairing diverged (the search
+         pairs only reference functions and probes, so one outcome, the
+         order or the error it raised, serves every phi);
+      3. (Tbar, phibar) at both cutoffs of every phi that needs a
+         subtraction, in one ``evaluate_extensions`` batch.
+    One pass then builds each phi's report entry.
     """
     if tol is None:
         tol = _tolerances_from_env()
@@ -230,68 +224,59 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     omegas = (PlateauCutoff(job.plateau, job.support),
               PlateauCutoff(job.plateau / 2.0, job.support / 2.0))
     phis = [_phi_from_descriptor(desc) for desc in job.phis]
-    for phi in phis:
-        # every phi is checked before the first pairing runs
-        require_resolved(phi, job.schedule)
     pairings = limit_pairings(expr, phis, job.schedule, tol)
-    search = None
-    results = []
-    subtracted = []     # (entry, phi) of the phi continued by a subtraction
-    for desc, phi, pairing in zip(job.phis, phis, pairings):
+    for pairing in pairings:
         if isinstance(pairing, Exception):
             raise pairing
-        entry: dict = {"phi": desc}
-        entry["pairing"] = pairing.to_json_dict()
-        entry["subtraction"] = None
-        entry["extensions"] = None
-        entry["omega_independence"] = None
-        if job.c_grid and pairing.status != "diverged" and job.p_override is None:
-            entry["notes"] = [f"c_grid ignored: the pairing is {pairing.status}, "
-                              "so nothing is continued"]
-        if pairing.status == "diverged" or job.p_override is not None:
-            try:
-                if job.p_override is not None:
-                    order = SubtractionOrder(job.p_override,
-                                             needed=pairing.status == "diverged")
-                else:
-                    if search is None:
-                        search = _subtraction_search(expr, job, tol)
-                    if isinstance(search, Exception):
-                        raise search
-                    order = search
-                entry["subtraction"] = {"p": order.p, "needed": order.needed}
-                _cgrid_rows(job.c_grid, order.p)
-                if order.needed:
-                    subtracted.append((entry, phi))
-                elif pairing.status == "converged":
-                    # nothing subtracted: (Tbar, phibar) is the pairing itself
-                    entry["extensions"], entry["omega_independence"] = _extension_blocks(
-                        job, phi, order.p, pairing.value, 0.0, omegas)
-                else:
-                    raise ExtensionError(
-                        f"pairing for {expr.label!r} classified as {pairing.status}; "
-                        f"it did not diverge, so nothing was subtracted and the order "
-                        f"p={order.p} plays no part"
-                    )
-            except (InconclusivePairingError, NotExtendableError,
-                    ExtensionError, QuadratureError) as exc:
-                # a failed continuation keeps its order; a failed search has none
-                entry["subtraction"] = dict(entry["subtraction"] or {}, error=str(exc))
-        results.append(entry)
-    if subtracted:
-        # every continued phi has the job's one order
-        p = job.p_override if job.p_override is not None else search.p
-        tbars = evaluate_extensions(expr, p,
-                                    [(phi, omega) for omega in omegas for _, phi in subtracted],
-                                    job.schedule, tol)
-        for (entry, phi), tbar, tbar2 in zip(subtracted, tbars, tbars[len(subtracted):]):
-            # the pairing at omega runs first, so its error is the one reported
-            error = next((v for v in (tbar, tbar2) if isinstance(v, Exception)), None)
+    diverged = [pairing.status == "diverged" for pairing in pairings]
+
+    # a fixed p is subtracted from every phi that diverged
+    p, needed, search_error = job.p_override, True, None
+    if p is None and any(diverged):
+        try:
+            order = subtraction_order(expr, schedule=job.schedule, tol=tol)
+            p, needed = order.p, order.needed
+        except (InconclusivePairingError, NotExtendableError, QuadratureError) as exc:
+            search_error = str(exc)
+    if p is not None:
+        _cgrid_rows(job.c_grid, p)
+
+    subtracted = [phi for phi, d in zip(phis, diverged) if p is not None and needed and d]
+    tbars = (evaluate_extensions(expr, p, [(phi, omega) for omega in omegas
+                                           for phi in subtracted], job.schedule, tol)
+             if subtracted else [])
+    cutoff_pairs = iter(zip(tbars, tbars[len(subtracted):]))
+
+    results = []
+    for desc, phi, pairing, d in zip(job.phis, phis, pairings, diverged):
+        entry: dict = {"phi": desc, "pairing": pairing.to_json_dict(), "subtraction": None,
+                       "extensions": None, "omega_independence": None}
+        if job.p_override is None and not d:
+            if job.c_grid:
+                entry["notes"] = [f"c_grid ignored: the pairing is {pairing.status}, "
+                                  "so nothing is continued"]
+        elif search_error is not None:
+            entry["subtraction"] = {"error": search_error}
+        else:
+            entry["subtraction"] = {"p": p, "needed": needed and d}
+            if needed and d:
+                tbar, tbar2 = next(cutoff_pairs)
+                # the pairing at omega runs first, so its error is the one reported
+                error = next((v for v in (tbar, tbar2) if isinstance(v, Exception)), None)
+            elif pairing.status == "converged":
+                # nothing subtracted: (Tbar, phibar) is the pairing itself
+                tbar = tbar2 = pairing.value
+                error = None
+            else:
+                error = (f"pairing for {expr.label!r} classified as {pairing.status}; "
+                         f"it did not diverge, so nothing was subtracted and the order "
+                         f"p={p} plays no part")
             if error is None:
                 entry["extensions"], entry["omega_independence"] = _extension_blocks(
                     job, phi, p, tbar, abs(tbar - tbar2), omegas)
             else:
                 entry["subtraction"]["error"] = str(error)
+        results.append(entry)
     return {
         "expression": job.expression,
         "normalized": expr.label,

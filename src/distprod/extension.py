@@ -165,7 +165,8 @@ def evaluate_extensions(expr: ProductExpression, p: int, items,
 
     The subtracted pairings run through ``limit_pairings``, so each entry is
     exactly what the item gets alone: (Tbar, phibar), or the exception it
-    raises (ExtensionError or a QuadratureError), returned, not raised.
+    raises (ExtensionError or a QuadratureError), returned, not raised.  A
+    phi the schedule cannot resolve refuses the whole batch, as it does there.
     """
     phibars = [SubtractedFunction(phi, omega, p) for phi, omega in items]
     values = []

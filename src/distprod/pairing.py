@@ -108,9 +108,7 @@ _MIN_PANEL_REL = 2.3e-16
 # memory of a round's integrand call, not the work: a height over the budget
 # on its own is refined alone.
 _PANEL_BUDGET = 2048
-# One height's caps: refinement rounds (the value is taken as it stands after
-# the last), and panels (past them the height stalls).
-_MAX_ROUNDS = 60
+# One height's panel cap: past it the height stalls.
 _MAX_PANELS = 4000
 
 
@@ -483,11 +481,12 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     exceeds an equal share of the target; the target is the max of `epsabs`
     and a round-off floor scaled to the integrand's total variation, so
     pairings whose magnitude blows up as y -> 0 degrade gracefully to full
-    relative precision.  A height is done when its error meets the target or
-    after _MAX_ROUNDS rounds, and stalls when no panel can split or
-    splitting would pass _MAX_PANELS.  Returns, per schedule, (values,
-    targets, failure): each height's value and its target as it stood when
-    the height was done (a value no larger than its target is
+    relative precision.  A height is done when its error meets the target,
+    and stalls when no panel can split or splitting would pass _MAX_PANELS:
+    a round that refines a height and leaves it neither done nor stalled
+    splits one of its panels, so every height ends.  Returns, per schedule,
+    (values, targets, failure): each height's value and its target as it
+    stood when the height was done (a value no larger than its target is
     indistinguishable from 0), and failure None, or the QuadratureError of
     the schedule's lowest stalled height, in which case values and targets
     cover the heights below it.
@@ -514,7 +513,6 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     group = live // count              # schedule of each live height
     size = np.array([len(p) - 1 for p in pts])  # rows per live height
     fresh = size.copy()                # of them, rows waiting for the rule
-    rounds = np.full_like(size, -1)    # refinement rounds; -1 before the first rule
     rows = np.zeros(size.sum(), _LEAF)
     rows["a"] = np.concatenate([p[:-1] for p in pts])
     rows["b"] = np.concatenate([p[1:] for p in pts])
@@ -535,12 +533,11 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
         batch["value"][new], batch["error"][new], batch["rough"][new] = _panel_rule(
             f, a, b, np.repeat(ys[live[:n]], fresh[:n]), per_group)
         batch["fresh"] = False
-        rounds[:n] += 1
         error = np.add.reduceat(batch["error"], starts)
         target = np.maximum(epsabs, 2e-14 * np.add.reduceat(batch["rough"], starts))
         split = _over_share(batch, np.repeat(target / (2.0 * size[:n]), size[:n]))
         m = np.add.reduceat(split, starts)
-        done = (rounds[:n] == _MAX_ROUNDS) | (error <= target)
+        done = error <= target
         stalled = ~done & ((m == 0) | (size[:n] + m > _MAX_PANELS))
 
         go = np.ones(len(live), dtype=bool)
@@ -565,8 +562,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
         size[:n] += m
         fresh[:n] = 2 * m
         if not go.all():
-            live, group, size, fresh, rounds = (
-                live[go], group[go], size[go], fresh[go], rounds[go])
+            live, group, size, fresh = live[go], group[go], size[go], fresh[go]
     out = []
     for g, failure in enumerate(failures):
         lo = g * count
@@ -785,27 +781,22 @@ def limit_pairings(expr: ProductExpression, phis, schedule: Schedule = DEFAULT_S
                    tol: Tolerances = DEFAULT_TOLERANCES) -> list:
     """``limit_pairing`` of expr against every phi of phis, in two quadratures.
 
-    The main schedules of all phi share one lockstep quadrature, one group
-    per phi, and the check schedules of the phi that need one share a
-    second.  Every I(y) is bitwise the one its height gets alone, so each
-    entry is exactly what ``limit_pairing`` gives that phi on its own: a
-    PairingResult, or the exception it raises (the ValueError of
-    ``require_resolved``, or a QuadratureError), returned, not raised.
+    The batch is refused first: the first phi, in order, that
+    ``require_resolved`` refuses raises its ValueError before anything is
+    integrated.  The main schedules of all phi then share one lockstep
+    quadrature, one group per phi, and the check schedules of the phi that
+    need one share a second.  Every I(y) is bitwise the one its height gets
+    alone, so each entry is exactly what ``limit_pairing`` gives that phi on
+    its own: a PairingResult, or the QuadratureError it raises, returned, not
+    raised.
     """
     phis = list(phis)
-    results: list = [None] * len(phis)
-    for i, phi in enumerate(phis):
-        try:
-            require_resolved(phi, schedule)
-        except ValueError as exc:
-            results[i] = exc
-    todo = [i for i, r in enumerate(results) if r is None]
-    mains = (_evaluate_schedules(expr, [phis[i] for i in todo], schedule.heights(), tol)
-             if todo else [])
+    for phi in phis:
+        require_resolved(phi, schedule)
+    results = _evaluate_schedules(expr, phis, schedule.heights(), tol) if phis else []
     staged = {}         # phi whose classification reads the check schedule
-    for i, main in zip(todo, mains):
+    for i, main in enumerate(results):
         if isinstance(main, Exception):
-            results[i] = main
             continue
         diag = _richardson_diagonal(main[1], schedule.ratio)
         if _all_noise(*main[1:]) or _tail_stable(diag, _tail_atol(diag, tol)):
@@ -934,9 +925,10 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
 def _all_converged(results) -> bool:
     """True when every entry of ``limit_pairings`` converged.
 
-    The entries are read in order, as pairings run one at a time would be:
-    the first that did not converge makes it False, and an error met before
-    it is raised.
+    The batch has already refused any phi the schedule cannot resolve, so an
+    entry is a PairingResult or a QuadratureError.  The entries are read in
+    order, as pairings run one at a time would be: the first that did not
+    converge makes it False, and a QuadratureError met before it is raised.
     """
     for result in results:
         if isinstance(result, Exception):

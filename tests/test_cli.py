@@ -375,6 +375,17 @@ class TestJobValues:
         assert code == 2
         assert "not finite" in capsys.readouterr().err
 
+    def test_overflowing_counterterm_row_exit_two(self, capsys):
+        # each entry is finite, but c_2 * phi''(0) overflows: the report would
+        # hold -Infinity, which is not JSON
+        code = main(["--expr", "d(delta) * d(delta)", "--c", "0", "--c", "0", "--c", "1e308"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("distprod: error: counterterm vector [0j, 0j, (1e+308+0j)] "
+                               "gives the non-finite value (-inf+0j)")
+
     def test_flags_and_file_give_identical_reports(self, tmp_path):
         phi = '{"poly": [1, 0.5], "sigma": 0.8, "mu": 0.1}'
         flag_out, file_out, both_out = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
@@ -523,6 +534,8 @@ GOLDEN_POLE_POWER = os.path.join(os.path.dirname(__file__), "golden",
                                  "pole_power_derivative_report.json")
 GOLDEN_D_DELTA_SQUARED = os.path.join(os.path.dirname(__file__), "golden",
                                       "d_delta_squared_report.json")
+GOLDEN_MIXED_STATUS = os.path.join(os.path.dirname(__file__), "golden",
+                                   "mixed_status_report.json")
 
 
 def _compare_structurally(got, want, path=""):
@@ -579,6 +592,21 @@ def test_golden_d_delta_squared_report():
     got = run_job(Job(expression="d(delta) * d(delta)", c_grid=[[0, 0, 1]]))
     with open(GOLDEN_D_DELTA_SQUARED, encoding="utf-8") as fh:
         want = json.load(fh)
+    _compare_structurally(got, want)
+
+
+def test_golden_mixed_status_report():
+    """Frozen report whose phi differ: with p = 1 fixed, exp(-x^2) converges and
+    its blocks come from the pairing, while tilted diverges and is continued."""
+    job = Job(expression="delta * d(delta)",
+              phis=[{"poly": [1.0], "sigma": 0.7071067811865476, "mu": 0.0},
+                    {"poly": [1, 1, 0.25], "sigma": 1}],
+              p_override=1, c_grid=[[1, 1]])
+    got = run_job(job)
+    with open(GOLDEN_MIXED_STATUS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert [r["subtraction"] for r in want["results"]] == [{"p": 1, "needed": False},
+                                                           {"p": 1, "needed": True}]
     _compare_structurally(got, want)
 
 
@@ -681,7 +709,8 @@ class TestWorkCount:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"sigma {sigma!r}" in err and "smallest height 4.8828125e-05" in err
-        assert calls["limit_pairing"] == 0
+        # limit_pairings refuses the batch before its first quadrature
+        assert calls["quadrature"] == 0
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e160])
     def test_sigma_without_a_normal_square_runs_no_pairing(self, calls, tmp_path, capsys,

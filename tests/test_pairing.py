@@ -417,9 +417,9 @@ def _lone_height(f, y, points, epsabs):
     pts = np.asarray(sorted(points), dtype=float)
     a, b = pts[:-1], pts[1:]
     vals, errs, roughs = pairing._panel_rule(f, a, b, np.full(len(a), y), [len(a)])
-    for rounds in range(pairing._MAX_ROUNDS + 1):
+    while True:
         target = max(epsabs, 2e-14 * roughs.sum())
-        if errs.sum() <= target or rounds == pairing._MAX_ROUNDS:
+        if errs.sum() <= target:
             break
         floor = pairing._MIN_PANEL_REL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         split = (errs > target / (2.0 * len(a))) & (b - a > floor)
@@ -553,13 +553,11 @@ def _alone(expr, phi):
 def _one_expression_batches():
     """(expr, phis) batches whose entries cover every outcome of a pairing."""
     gauss = REFERENCE_TEST_FUNCTIONS["gauss"]
-    narrow = TestFunction((1.0,), 1e-5)         # narrower than the smallest height
     return [
         # diverged; diverged on a main schedule cut to 11 heights; a main
-        # schedule cut to 6 heights whose check schedule stalls at its fifth;
-        # a refusal
+        # schedule cut to 6 heights whose check schedule stalls at its fifth
         (parse_expression("d(delta) * d(delta)"),
-         [gauss, _cancelling("tilted", 0), _cancelling("gauss", 2), narrow]),
+         [gauss, _cancelling("tilted", 0), _cancelling("gauss", 2)]),
         # converged; inconclusive, as the check schedule disagrees
         (parse_expression("x^1 * delta * delta * delta"),
          [gauss, REFERENCE_TEST_FUNCTIONS["offset"]]),
@@ -570,8 +568,8 @@ def _one_expression_batches():
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_batch_entries_equal_pairings_alone(reverse):
-    # truncations, stalls and a refusal among one expression's phi: each
-    # entry is what limit_pairing gives that phi alone
+    # truncations and stalls among one expression's phi: each entry is what
+    # limit_pairing gives that phi alone
     entries = []
     for expr, phis in _one_expression_batches():
         phis = phis[::-1] if reverse else phis
@@ -580,12 +578,33 @@ def test_batch_entries_equal_pairings_alone(reverse):
         assert [_outcome(r) for r in got] == want
         entries += got
     errors = [e for e in entries if isinstance(e, Exception)]
-    assert {type(e) for e in errors} == {QuadratureError, ValueError}
-    assert all(e.height < MIN_HEIGHTS for e in errors if isinstance(e, QuadratureError))
+    assert {type(e) for e in errors} == {QuadratureError}
+    assert all(e.height < MIN_HEIGHTS for e in errors)
     results = [r for r in entries if not isinstance(r, Exception)]
     assert {r.status for r in results} == {"converged", "diverged", "inconclusive"}
     assert sum(r.status == "inconclusive" for r in results) == 1
     assert any(len(r.y_values) < DEFAULT_SCHEDULE.count for r in results)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_batch_with_an_unresolved_phi_is_refused(monkeypatch, first):
+    # a phi narrower than the smallest height refuses the whole batch with
+    # the ValueError it gets alone, before anything is integrated
+    expr = parse_expression("d(delta) * d(delta)")
+    narrow = TestFunction((1.0,), 1e-5)
+    phis = [REFERENCE_TEST_FUNCTIONS["gauss"], _cancelling("tilted", 0)]
+    phis = [narrow, *phis] if first else [*phis, narrow]
+    with pytest.raises(ValueError) as alone:
+        limit_pairing(expr, narrow)
+
+    def integrate(*args):
+        raise AssertionError("a refused batch integrates nothing")
+
+    monkeypatch.setattr(pairing, "_adaptive_quadrature", integrate)
+    with pytest.raises(ValueError) as batch:
+        pairing.limit_pairings(expr, phis)
+    assert str(batch.value) == str(alone.value)
+    assert "below the schedule's smallest height" in str(batch.value)
 
 
 def test_batch_keeps_each_schedules_truncation_and_stall():
