@@ -166,6 +166,16 @@ def _cgrid_rows(grid: list[list[complex]], p: int):
             )
 
 
+def _finite_counterterms(grid: list[list[complex]], phis):
+    """Raise ConfigError unless every row's counterterm sum on every phi is finite."""
+    for phi in phis:
+        for c in grid:
+            ct = counterterm_value(c, phi)
+            if not cmath.isfinite(ct):
+                raise ConfigError(f"counterterm vector {c} gives the non-finite "
+                                  f"value {ct} on test function {phi}")
+
+
 def _cpair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -177,14 +187,15 @@ def _extension_blocks(job: Job, phi: TestFunction, p: int,
 
     Every block is (Tbar, phibar) plus its counterterm sum: (Tbar, phibar)
     does not depend on c, so it is paired once, as `tbar`, and `difference`
-    is its distance from the pairing at omega2.  A row whose counterterm sum
-    or block value is not finite is a ConfigError: a report holds numbers.
+    is its distance from the pairing at omega2.  ``run_job`` has refused a
+    row whose counterterm sum is not finite; a row whose block value is not
+    is a ConfigError here: a report holds numbers.
     """
     omega, omega2 = omegas
     blocks = []
     for c in [(0j,) * (p + 1), *job.c_grid]:
         ct = counterterm_value(c, phi)
-        if not (cmath.isfinite(ct) and cmath.isfinite(tbar + ct)):
+        if not cmath.isfinite(tbar + ct):
             raise ConfigError(f"counterterm vector {list(c)} gives the non-finite "
                               f"value {tbar + ct} on test function {phi}")
         blocks.append({
@@ -213,7 +224,9 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
       2. the job's one subtraction order: ``p_override``, or else one
          ``subtraction_order`` search if any pairing diverged (the search
          pairs only reference functions and probes, so one outcome, the
-         order or the error it raised, serves every phi);
+         order or the error it raised, serves every phi); with the order
+         fixed, a c_grid row of the wrong width, or whose counterterm sum on
+         a phi the order applies to is not finite, refuses the job;
       3. (Tbar, phibar) at both cutoffs of every phi that needs a
          subtraction, in one ``evaluate_extensions`` batch.
     One pass then builds each phi's report entry.
@@ -240,6 +253,9 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
             search_error = str(exc)
     if p is not None:
         _cgrid_rows(job.c_grid, p)
+        # a row's counterterm sum depends on the row and phi's jet alone
+        _finite_counterterms(job.c_grid, [phi for phi, d in zip(phis, diverged)
+                                          if job.p_override is not None or d])
 
     subtracted = [phi for phi, d in zip(phis, diverged) if p is not None and needed and d]
     tbars = (evaluate_extensions(expr, p, [(phi, omega) for omega in omegas

@@ -67,6 +67,10 @@ class ExtensionError(RuntimeError):
 # |x| <= sigma / 2 a polynomial-Gaussian's terms fall faster than
 # geometrically, so the terms left out are far below rounding.
 _TAIL_TERMS = 60
+# Of those, the trailing terms whose size |t_j| near^j is below this share of
+# the largest one's are dropped as well: far below rounding, they change no bit
+# of the sum.
+_TAIL_FLOOR = 1e-30
 
 
 def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -84,15 +88,30 @@ def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _trimmed(tail: np.ndarray, near: float) -> np.ndarray:
+    """tail without the trailing terms that _TAIL_FLOOR drops on |x| <= near.
+
+    The sizes are compared as logarithms, so no power of near overflows or
+    underflows; the whole tail is kept when a size is not finite.
+    """
+    size = (np.log(np.abs(tail), out=np.full(len(tail), -np.inf), where=tail != 0.0)
+            + np.arange(len(tail)) * math.log(near))
+    top = size.max()
+    if not math.isfinite(top):
+        return tail
+    return tail[:np.flatnonzero(size >= top + math.log(_TAIL_FLOOR))[-1] + 1]
+
+
 class SubtractedFunction:
     """phi minus its cutoff-localized Taylor polynomial through order p.
 
     phibar(x) = phi(x) - omega(x) * T(x) with T(x) = sum_{k <= p} taylor[k]
     x^k, taylor = phi.taylor(p).  On |x| <= min(plateau, sigma / 2), where
     omega = 1, it is evaluated as the series tail x^(p+1) * sum_j
-    tail[j] x^j, tail = phi.taylor(p + _TAIL_TERMS)[p+1:], free of the
-    difference's cancellation; elsewhere as the difference.  Evaluated by
-    value: a scalar gives a float, an array an array.
+    tail[j] x^j, tail = phi.taylor(p + _TAIL_TERMS)[p+1:] less its trailing
+    terms below rounding there (``_trimmed``), free of the difference's
+    cancellation; elsewhere as the difference.  Evaluated by value: a scalar
+    gives a float, an array an array.
     """
 
     def __init__(self, phi: TestFunction, omega: PlateauCutoff, p: int):
@@ -102,8 +121,8 @@ class SubtractedFunction:
         self.omega = omega
         self.p = p
         self.taylor = phi.taylor(p)
-        self.tail = phi.taylor(p + _TAIL_TERMS)[p + 1:]
         self.near = min(omega.plateau, 0.5 * phi.sigma)
+        self.tail = _trimmed(phi.taylor(p + _TAIL_TERMS)[p + 1:], self.near)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -44,8 +44,8 @@ other.
 phi from two such quadratures, one over their main schedules and one over
 the check schedules of those that need one, and gives each phi exactly what
 ``limit_pairing``, its one-phi case, gives it alone.  ``run_job`` batches
-its independent pairings this way, and ``subtraction_order`` the three
-probes of each order.
+its independent pairings this way, and ``subtraction_order`` its search: one
+batch up to the order that the scaling degree bounds, then one per order.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -57,6 +57,7 @@ schedule with a different ratio lands on the same value.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -235,6 +236,20 @@ class ProductExpression:
         return sum(self.powers)
 
     @property
+    def scaling_degree(self) -> int:
+        """sd = -(sum_i n_i + R), read off the representatives.
+
+        n_i is the power that factor i's nonzero representatives share (0 for
+        a zero factor such as d(1)) and R the total prefactor power.  The
+        integrand is y^-sd times a function of x/y, so a local principal part
+        needs Taylor orders q <= sd - 2: ``subtraction_order`` batches its
+        search up to that order.
+        """
+        return -(self.total_power + sum(
+            next((rep.power for rep in (pair.f_plus, pair.f_minus) if not rep.is_zero), 0)
+            for pair in self.factors))
+
+    @property
     def label(self) -> str:
         """Canonical text form; parses back to an identical expression."""
         parts = []
@@ -374,20 +389,28 @@ class _Parser:
     def _atom(self) -> HyperfunctionPair:
         """A run of 'd(' openers, the base atom, then one derivative per ')'.
 
-        The openers are counted in a loop, not a recursion, so any nesting
-        depth parses.
+        The openers are collected in a loop, not a recursion, so any nesting
+        depth is read.  A derivative whose coefficient is not a finite float
+        (d^171 of delta is n! / (2 pi) past the largest double) is refused at
+        the offset of its 'd('.
         """
-        depth = 0
+        openers = []
         tok = self._next()
         while tok.kind == "DOPEN":
-            depth += 1
+            openers.append(tok.offset)
             tok = self._next()
         atom = self._base_atom(tok)
-        for _ in range(depth):
+        for opener in reversed(openers):
             closing = self._next()
             if closing.kind != "RPAREN":
                 raise ParseError("expected ')' after derivative atom", closing.offset)
-            atom = atom.derivative()
+            try:
+                atom = atom.derivative()
+                finite = cmath.isfinite(atom.f_plus.coeff) and cmath.isfinite(atom.f_minus.coeff)
+            except OverflowError:              # a pole order past the largest double
+                finite = False
+            if not finite:
+                raise ParseError("derivative coefficient is not finite", opener)
         return atom
 
     @staticmethod
@@ -891,16 +914,42 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> SubtractionOrder:
     """Determine the subtraction order by direct search.
 
-    A candidate p qualifies when the expression with total prefactor power
-    raised by p+1 converges against a parity-free reference function AND the
-    unmodified expression converges against every order-p vanishing probe.
-    Already convergent expressions return p=0 with needed=False.  The three
-    probes of an order are paired as one ``limit_pairings`` batch, read in
-    order as if paired one at a time.
+    A candidate p qualifies when the expression converges against
+    x^(p+1) times a parity-free reference function (the boosted check, the
+    pairing of x^(p+1) T with that function) AND against every order-p
+    vanishing probe.  Already convergent expressions, against the reference
+    function itself (the base), return p=0 with needed=False.
+
+    The entries are read in that order: the base, then for each p its
+    boosted check and then its three probes; the first entry that did not
+    converge ends its order, and a QuadratureError met before it is raised.
+    They are paired in ``limit_pairings`` batches sized by the a-priori
+    bound p <= sd - 2 (``ProductExpression.scaling_degree``), capped at
+    p_max: the first batch holds the base, the boosted check of every order
+    up to the bound and the probes of the bound's order; an order below the
+    bound whose boosted check converged pairs its probes alone, and an order
+    past it pairs its boosted check with its probes.  The bound decides only
+    what runs together, never the answer.  Probes the schedule cannot resolve
+    are left to their own batch, which refuses them when it is reached, as a
+    search one pairing at a time would.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
-    base = limit_pairing(expr, _GENERIC_PHI, schedule, tol)
+    bound = min(p_max, max(0, expr.scaling_degree - 2))
+    y_min = schedule.heights()[-1]
+    joined = all(REFERENCE_TEST_FUNCTIONS[name].sigma >= y_min for name in _PROBE_BASES)
+
+    def probes(p):
+        return [vanish_probe(p, REFERENCE_TEST_FUNCTIONS[name]) for name in _PROBE_BASES]
+
+    def paired(phis):
+        return limit_pairings(expr, phis, schedule, tol)
+
+    base, *first = paired([_GENERIC_PHI,
+                           *(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)),
+                           *(probes(bound) if joined else ())])
+    if isinstance(base, Exception):
+        raise base
     if base.status == "converged":
         return SubtractionOrder(0, needed=False)
     if base.status == "inconclusive":
@@ -908,14 +957,14 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
             f"cannot classify {expr.label!r} before ordering subtraction", base
         )
     for p in range(p_max + 1):
-        boosted = limit_pairing(expr.with_extra_power(p + 1), _GENERIC_PHI,
-                                schedule, tol)
-        if boosted.status != "converged":
+        if p <= bound:
+            boosted, found = first[p], first[bound + 1:] if p == bound else []
+        else:
+            boosted, *found = paired([vanish_probe(p, _GENERIC_PHI),
+                                      *(probes(p) if joined else ())])
+        if not _all_converged([boosted]):
             continue
-        probes = limit_pairings(
-            expr, [vanish_probe(p, REFERENCE_TEST_FUNCTIONS[name]) for name in _PROBE_BASES],
-            schedule, tol)
-        if _all_converged(probes):
+        if _all_converged(found or paired(probes(p))):
             return SubtractionOrder(p, needed=True)
     raise NotExtendableError(
         f"no subtraction order <= {p_max} tames {expr.label!r}"

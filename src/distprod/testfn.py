@@ -222,9 +222,11 @@ class PlateauCutoff:
         j = np.minimum(u.astype(np.intp), _PIECES - 1)
         t = 2.0 * (u - j) - 1.0
         t2 = 2.0 * t
-        # Clenshaw on piece j, one gathered coefficient per step
-        b1, b2 = coeffs[-1][j], 0.0
-        for c in coeffs[-2:0:-1]:
-            b1, b2 = t2 * b1 - b2 + c[j], b1
-        rest = t * b1 - b2 + coeffs[0][j]
-        return np.clip(1.0 - (left[j] + rest) / mass, 0.0, 1.0)
+        # Clenshaw on piece j, its coefficients gathered once for every point
+        c = coeffs[:, j]
+        b1, b2 = c[-1], 0.0
+        for cm in c[-2:0:-1]:
+            b1, b2 = t2 * b1 - b2 + cm, b1
+        rest = t * b1 - b2 + c[0]
+        # np.clip's values, without its overhead
+        return np.minimum(np.maximum(1.0 - (left[j] + rest) / mass, 0.0), 1.0)

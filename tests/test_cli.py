@@ -54,11 +54,12 @@ class TestParser:
         assert expr.factors[0].label == "d(d(pv(1/x)))"
 
     def test_deep_nesting_parses(self):
-        # far past the interpreter's recursion limit
-        text = "d(" * 5000 + "delta" + ")" * 5000
+        # far past the interpreter's recursion limit; every derivative of 1
+        # is the zero pair, whose coefficient stays finite
+        text = "d(" * 5000 + "1" + ")" * 5000
         [pair] = parse_expression(text).factors
         assert pair.label == text
-        assert pair.f_plus.power == -5001
+        assert pair.f_plus.is_zero and pair.f_minus.is_zero
 
     def test_trailing_power_becomes_monomial(self):
         expr = parse_expression("delta * x^2")
@@ -110,6 +111,20 @@ class TestParseErrors:
     def test_empty_expression(self):
         with pytest.raises(ParseError):
             parse_expression("")
+
+    def test_overflowing_derivative_refused_at_its_opener(self):
+        # d^170 of delta has the coefficient 170!/(2 pi) = 1.2e306; d^171
+        # overflows, and the 'd(' that takes it is named
+        deep = parse_expression("d(" * 170 + "delta" + ")" * 170).factors[0]
+        assert deep.f_plus.coeff == pytest.approx(math.factorial(170) / (2 * math.pi) * 1j)
+        for depth, offset in ((171, 0), (172, 2), (5000, 2 * (5000 - 171))):
+            with pytest.raises(ParseError, match="derivative coefficient is not finite") as err:
+                parse_expression("d(" * depth + "delta" + ")" * depth)
+            assert err.value.offset == offset
+        # a pole order past the largest double overflows the first derivative
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse_expression("delta * d((x-i0)^-" + "9" * 400 + ")")
+        assert err.value.offset == 8
 
     def test_missing_separator(self):
         with pytest.raises(ParseError) as err:
@@ -499,11 +514,20 @@ class TestMain:
         assert done.stderr == ""
 
     def test_deep_nesting_exit_two(self, capsys):
-        # a pole of order 1201: it overflows, and the quadrature stalls
+        # the 171st derivative's coefficient overflows: the parser names the
+        # 'd(' that takes it, before any pairing
         code = main(["--expr", "d(" * 1200 + "delta" + ")" * 1200])
         assert code == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("distprod: error: quadrature stalled")
+        assert line == "distprod: error: derivative coefficient is not finite (byte offset 2058)"
+
+    def test_overflowing_derivative_exit_two(self, capsys):
+        # the coefficient of d^172 of delta is (nan+infj); it used to reach the
+        # quadrature, which stalled "at error nan"
+        code = main(["--expr", "d(" * 172 + "delta" + ")" * 172])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "distprod: error: derivative coefficient is not finite (byte offset 2)"
 
     def test_stalled_pairing_exit_two(self):
         # the kernel overflows (0.1^-400 is inf), so every panel is NaN; the
@@ -656,19 +680,47 @@ class TestWorkCount:
         calls["limit_pairing"] = 0
         run_job(Job(expression="delta * delta",
                     c_grid=[[complex(k, -k)] for k in range(16)]))
-        # phi, the search (base, boosted, three probes), c = 0 and omega2
+        # phi, the search (base, its order-0 check against x * offset, three
+        # probes), c = 0 and omega2
         assert without_rows == 8
         assert calls["limit_pairing"] == without_rows
 
     @pytest.mark.parametrize("n_phi", [1, 4])
     def test_job_stages_share_quadratures(self, calls, n_phi):
-        # every phi's pairing in one quadrature, the three probes in one and
-        # their checks in another, both cutoffs of every phi in one and their
-        # checks in another: 8 quadratures whatever the number of phi
+        # every phi's pairing in one quadrature, the whole search (base,
+        # order-0 check, three probes) in one and its checks in another, both
+        # cutoffs of every phi in one and their checks in another: 5
+        # quadratures whatever the number of phi
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)[:n_phi]]
         run_job(Job(expression="delta * delta", phis=phis))
         assert calls["limit_pairing"] == 5 + 3 * n_phi
-        assert calls["quadrature"] == 8
+        assert calls["quadrature"] == 5
+
+    def test_search_up_to_the_bound_is_one_batch(self, calls):
+        # sd = 4 bounds the order by 2: the base, the checks of orders 0, 1
+        # and 2 and the order-2 probes share one batch, and the search finds 2
+        report = run_job(Job(expression="d(delta) * d(delta)"))
+        assert report["results"][0]["subtraction"] == {"p": 2, "needed": True}
+        assert calls["limit_pairing"] == 1 + 7 + 2
+        assert calls["quadrature"] == 5
+
+    def test_overflowing_counterterm_row_runs_no_continuation(self, calls, monkeypatch,
+                                                               capsys):
+        # the row's sum depends on the row and phi alone: it is refused once
+        # the order is fixed, before any (Tbar, phibar) is built or paired
+        built = []
+        monkeypatch.setattr(cli, "evaluate_extensions",
+                            lambda *args, **kwargs: built.append(args) or [])
+        monkeypatch.setattr(extension, "SubtractedFunction",
+                            lambda *args: built.append(args))
+        code = main(["--expr", "d(delta) * d(delta)", "--c", "0", "--c", "0", "--c", "1e308"])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("distprod: error: counterterm vector [0j, 0j, (1e+308+0j)] "
+                               "gives the non-finite value (-inf")
+        assert built == []
+        # the pairing and the search, nothing more
+        assert calls["quadrature"] == 1 + 2
 
     def test_one_subtraction_search_per_job(self, calls):
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -116,6 +117,33 @@ class TestTaylorSubtract:
             want = npoly.polyval(points, bar.tail)
             assert extension._polyval(points, bar.tail).tobytes() == want.tobytes()
             assert bar(points).tobytes() == (points ** (p + 1) * want).tobytes()
+
+    @pytest.mark.parametrize("name", ["gauss", "gauss_wide", "tilted", "offset"])
+    @pytest.mark.parametrize("p", [0, 2, 4, 12])
+    def test_trimmed_tail_keeps_the_60_term_bits(self, name, p):
+        # the tail's trailing terms below 1e-30 of its largest are dropped;
+        # phibar keeps every bit of the 60-term sum near 0, and the
+        # difference on the rest of the cutoff's transition is untouched
+        phi = REFERENCE_TEST_FUNCTIONS[name]
+        bar = SubtractedFunction(phi, OMEGA, p)
+        assert len(bar.tail) < 60
+        x = np.concatenate([np.linspace(-bar.near, bar.near, 20001),
+                            np.linspace(-OMEGA.support - 0.5, OMEGA.support + 0.5, 20001),
+                            [0.0, -0.0, 1e-300, -1e-12]])
+        near = np.abs(x) <= bar.near
+        want = np.empty_like(x)
+        want[near] = x[near] ** (p + 1) * npoly.polyval(x[near], phi.taylor(p + 60)[p + 1:])
+        far = x[~near]
+        want[~near] = phi(far) - OMEGA(far) * npoly.polyval(far, phi.taylor(p))
+        assert bar(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-12, 1e-5, 1.0, 1e5, 1e150])
+    def test_tail_trim_warns_nothing(self, sigma):
+        # a tail coefficient may overflow and a power of near underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bar = SubtractedFunction(TestFunction((1.0, 2.0), sigma), OMEGA, 2)
+        assert 1 <= len(bar.tail) <= 60
 
     def test_decay_radius_is_phis_past_the_support(self):
         phibar = SubtractedFunction(GAUSS, OMEGA, 2)

@@ -237,6 +237,36 @@ class TestDivergenceOrder:
                 assert result.s == pytest.approx(1.0 - q, abs=0.1)
 
 
+# subtraction_order with its defaults: (p, needed), or the error it raises
+_ORDERS = {
+    (0, False): ["1", "delta", "pv(1/x)", "x^1 * delta", "delta * pv(1/x)",
+                 "(x+i0)^-1 * (x+i0)^-1", "(x-i0)^-1 * (x-i0)^-1", "x^2 * delta * delta"],
+    (0, True): ["(x+i0)^-1 * (x-i0)^-1", "delta * delta", "pv(1/x) * pv(1/x)",
+                "(x-i0)^-2 * x^2 * d(delta)"],
+    (1, True): ["delta * d(delta)"],
+    (2, True): ["delta * delta * delta", "d(delta) * d(delta)", "delta * delta * delta * delta",
+                "pv(1/x) * pv(1/x) * pv(1/x) * pv(1/x)", "d(delta) * d(delta) * delta"],
+    (3, True): ["d(delta) * d(delta) * d(delta)", "d(d(delta)) * d(delta)"],
+    (4, True): ["(x+i0)^-3 * (x-i0)^-3", "d(d(delta)) * d(d(delta))"],
+    InconclusivePairingError: ["x^1 * delta * delta * delta"],
+    QuadratureError: ["(x+i0)^-400"],
+}
+# their scaling degrees
+_SCALING_DEGREES = {
+    0: ["1", "x^1 * delta", "x^2 * delta * delta"],
+    1: ["delta", "pv(1/x)"],
+    2: ["delta * pv(1/x)", "(x+i0)^-1 * (x+i0)^-1", "(x-i0)^-1 * (x-i0)^-1",
+        "(x+i0)^-1 * (x-i0)^-1", "delta * delta", "pv(1/x) * pv(1/x)",
+        "(x-i0)^-2 * x^2 * d(delta)", "x^1 * delta * delta * delta"],
+    3: ["delta * d(delta)", "delta * delta * delta"],
+    4: ["d(delta) * d(delta)", "delta * delta * delta * delta",
+        "pv(1/x) * pv(1/x) * pv(1/x) * pv(1/x)"],
+    5: ["d(delta) * d(delta) * delta", "d(d(delta)) * d(delta)"],
+    6: ["d(delta) * d(delta) * d(delta)", "(x+i0)^-3 * (x-i0)^-3", "d(d(delta)) * d(d(delta))"],
+    400: ["(x+i0)^-400"],
+}
+
+
 class TestSubtractionOrder:
     def test_delta_squared(self, delta_sq):
         so = subtraction_order(delta_sq)
@@ -265,6 +295,28 @@ class TestSubtractionOrder:
         expr = ProductExpression((catalog("plus_i0_pow", 4), catalog("delta")))
         with pytest.raises(NotExtendableError):
             subtraction_order(expr, p_max=0)
+
+    @pytest.mark.parametrize("text, want", [
+        (text, want) for want, texts in _ORDERS.items() for text in texts])
+    def test_orders_of_the_catalog(self, text, want):
+        # the bound sd - 2 sizes the search's batches, not its answer:
+        # delta^3 (bound 1) and d(delta)^3 (bound 4) find 2 and 3
+        expr = parse_expression(text)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                subtraction_order(expr)
+        else:
+            got = subtraction_order(expr)
+            assert (got.p, got.needed) == want
+
+    def test_unresolved_probes_refused_only_when_reached(self):
+        # the smallest height 0.94 resolves the offset function (sigma 1)
+        # but not the gauss probe (0.71); no order's check converges, so the
+        # probes are never reached and the search ends as one pairing at a
+        # time would
+        with pytest.raises(NotExtendableError):
+            subtraction_order(parse_expression("delta * delta"),
+                              schedule=Schedule(y0=30.0, count=6))
 
 
 class TestRingAxioms:
@@ -316,6 +368,25 @@ class TestProductExpression:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             ProductExpression((catalog("delta"),), (-1,))
+
+    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("atom, sd", [
+        ("delta", 1), ("pv(1/x)", 1), ("(x+i0)^-1", 1), ("(x-i0)^-1", 1),
+        ("(x+i0)^-3", 3), ("(x-i0)^-2", 2), ("1", 0)])
+    def test_scaling_degree_of_atoms(self, atom, sd, depth):
+        # each derivative lowers the shared power by one; every derivative of
+        # 1 is the zero pair, which counts 0
+        text = "d(" * depth + atom + ")" * depth
+        want = sd + depth if atom != "1" else 0
+        assert parse_expression(text).scaling_degree == want
+        # the prefactor power lowers it, and a trailing x^r is a factor of power r
+        assert parse_expression(f"x^2 * {text}").scaling_degree == want - 2
+        assert parse_expression(f"{text} * x^3").scaling_degree == want - 3
+
+    @pytest.mark.parametrize("text, sd", [
+        (text, sd) for sd, texts in _SCALING_DEGREES.items() for text in texts])
+    def test_scaling_degree_of_the_catalog(self, text, sd):
+        assert parse_expression(text).scaling_degree == sd
 
     def test_label_round_trips_structure(self):
         expr = ProductExpression(

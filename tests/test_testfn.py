@@ -12,7 +12,7 @@ from distprod.testfn import (
     TestFunction,
     vanish_probe,
 )
-from distprod.testfn import _PIECES, _transition_antiderivative
+from distprod.testfn import _PIECES, _transition_antiderivative, _transition_table
 
 GAUSS = TestFunction((1.0,), sigma=math.sqrt(0.5))          # exp(-x^2)
 ODD = TestFunction((0.0, 1.0), sigma=1.0)                   # x exp(-x^2/2)
@@ -176,6 +176,21 @@ class TestPlateauCutoff:
     def test_table_nonincreasing_on_dense_grid(self):
         vals = self.w(_dense_transition_grid())
         assert np.all(np.diff(vals) <= 1e-15)
+
+    def test_transition_equals_the_clip_form_bitwise(self):
+        # gathering each step's coefficients per step and clamping with
+        # np.clip: the same operations on the same values
+        left, coeffs, mass = _transition_table()
+        s = _dense_transition_grid() - 1.0
+        u = s * _PIECES
+        j = np.minimum(u.astype(np.intp), _PIECES - 1)
+        t = 2.0 * (u - j) - 1.0
+        b1, b2 = coeffs[-1][j], 0.0
+        for c in coeffs[-2:0:-1]:
+            b1, b2 = 2.0 * t * b1 - b2 + c[j], b1
+        want = np.clip(1.0 - (left[j] + (t * b1 - b2 + coeffs[0][j])) / mass, 0.0, 1.0)
+        assert PlateauCutoff._transition(s).tobytes() == want.tobytes()
+        assert self.w(s + 1.0).tobytes() == want.tobytes()
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
