@@ -56,6 +56,35 @@ class HyperfunctionPair:
         """Growth exponent in |x|: the highest power of z, at least 0."""
         return max(0, self.f_plus.power, self.f_minus.power)
 
+    @property
+    def parity(self) -> int | None:
+        """+1 when F_y is even in x at every height, -1 when odd, None otherwise.
+
+        With f+- = c+- z^n, F_y(-x) = (-1)^n (c+ (x - iy)^n - c- (x + iy)^n),
+        which is s F_y(x) exactly when c- = -s (-1)^n c+.  The zero pair is even.
+        """
+        fp, fm = self.f_plus, self.f_minus
+        if fp.is_zero and fm.is_zero:
+            return 1
+        if fp.is_zero or fm.is_zero or fp.power != fm.power:
+            return None
+        sign = (-1) ** fp.power
+        if fm.coeff == -sign * fp.coeff:
+            return 1
+        if fm.coeff == sign * fp.coeff:
+            return -1
+        return None
+
+    @property
+    def side(self) -> str | None:
+        """'+' for a boundary value from the upper half-plane alone (f- = 0),
+        '-' from the lower one alone (f+ = 0), None when both terms are there."""
+        if self.f_minus.is_zero and not self.f_plus.is_zero:
+            return "+"
+        if self.f_plus.is_zero and not self.f_minus.is_zero:
+            return "-"
+        return None
+
     def regulated(self, x, y):
         """F_y(x) = f+(x + iy) - f-(x - iy) at heights y > 0.
 

@@ -55,6 +55,7 @@ from .pairing import (
 from .testfn import (
     PlateauCutoff,
     TestFunction,
+    _polyval,
     vanish_probe,
 )
 
@@ -71,21 +72,6 @@ _TAIL_TERMS = 60
 # the largest one's are dropped as well: far below rounding, they change no bit
 # of the sum.
 _TAIL_FLOOR = 1e-30
-
-
-def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_j c[j] x^j by Horner's rule, bitwise numpy's ``polyval``.
-
-    The same operations in the same order, from c[-1] + x * 0 (so the signs
-    of zeros match too), but as in-place multiply-adds on one array: polyval
-    allocates two arrays per coefficient.
-    """
-    acc = x * 0.0
-    acc += c[-1]
-    for coeff in c[-2::-1]:
-        acc *= x
-        acc += coeff
-    return acc
 
 
 def _trimmed(tail: np.ndarray, near: float) -> np.ndarray:
@@ -139,6 +125,16 @@ class SubtractedFunction:
     def sigma(self) -> float:
         """phi's width, which the schedule must resolve as for phi itself."""
         return self.phi.sigma
+
+    @property
+    def vanishing_order(self) -> int:
+        """p + 1: phibar's Taylor coefficients through order p are 0."""
+        return self.p + 1
+
+    @property
+    def parity(self) -> int | None:
+        """phi's: omega is even, and phi's Taylor terms have phi's parity."""
+        return self.phi.parity
 
     def decay_radius(self, extra_degree: int = 0) -> float:
         """phi's radius, and at least past the cutoff's support, where phibar = phi."""

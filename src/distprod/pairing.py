@@ -19,14 +19,16 @@ evaluated to find it.  Panels are refined in rounds (every panel
 above its error share splits), and the final sum runs over panels sorted by
 left endpoint, so results are bit-stable for a fixed configuration.
 
-A batch is one expression against several test functions, one group and
-one schedule per phi.  All heights of a schedule, and all schedules of a
-batch, are integrated together, in lockstep rounds: each round evaluates the
-new panels of every height still refining in one integrand call, so the cost
-of a numpy call is paid per round, not per height or per pairing.  That call
-builds x + iy and x - iy once, evaluates each distinct factor of the
-expression once over all rows, and multiplies each schedule's rows by that
-schedule's phi; one contraction gives both rule sums of every panel.  The
+A batch is one expression against several test functions, one group per
+schedule, each schedule a phi and its own heights; a phi's main and check
+schedules sit next to each other.  All heights of a schedule, and all
+schedules of a batch, are integrated together, in lockstep rounds: each
+round evaluates the new panels of every height still refining in one
+integrand call, so the cost of a numpy call is paid per round, not per
+height or per pairing.  That call builds x + iy and x - iy once, evaluates
+each distinct factor of the expression once over all rows, and multiplies
+the rows of each run of schedules sharing a phi by that phi, evaluated once
+over them; one contraction gives both rule sums of every panel.  The
 leaf panels of the live heights are the rows of one packed array, grouped by
 schedule, then by height in schedule order, and sorted by left endpoint, so
 a round's bookkeeping (error sums, split tests, halving) is a few vector
@@ -41,11 +43,17 @@ A stall is its schedule's own: it cuts or refuses that schedule and no
 other.
 
 ``limit_pairings`` classifies the pairings of one expression with several
-phi from two such quadratures, one over their main schedules and one over
-the check schedules of those that need one, and gives each phi exactly what
-``limit_pairing``, its one-phi case, gives it alone.  ``run_job`` batches
-its independent pairings this way, and ``subtraction_order`` its search: one
-batch up to the order that the scaling degree bounds, then one per order.
+phi from one such quadrature, and gives each phi exactly what
+``limit_pairing``, its one-phi case, gives it alone.  A pairing whose
+classification reads the check schedule, a second schedule of another ratio,
+is one that converges, and ``ProductExpression.converges_against`` proves
+that before any quadrature for most of them, from the scaling degree, the
+side of the singular factors and the kernel's parity: those run their check
+schedule beside their main one, and the few it misses share a second
+quadrature.  ``run_job`` batches its independent pairings this way, and
+``subtraction_order`` its search: one batch up to the order that the
+scaling degree bounds, then one per order, or the base alone when it is
+proved convergent.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -248,6 +256,44 @@ class ProductExpression:
         return -(self.total_power + sum(
             next((rep.power for rep in (pair.f_plus, pair.f_minus) if not rep.is_zero), 0)
             for pair in self.factors))
+
+    @property
+    def parity(self) -> int | None:
+        """The kernel x^R * prod F_i's parity in x: +1, -1, or None when a factor has none."""
+        parity = (-1) ** self.total_power
+        for pair in self.factors:
+            if pair.parity is None:
+                return None
+            parity *= pair.parity
+        return parity
+
+    def converges_against(self, phi) -> bool:
+        """True when the pairing with phi is proved convergent before any quadrature.
+
+        m is phi's vanishing order at 0 (``vanishing_order``): its Taylor
+        orders below m are 0, so the kernel meets x^m psi, and psi's Taylor
+        order q gives a term y^(q + 1 - (sd - m)) times the q-th moment of
+        the scaled x^m * kernel.  The pairing converges when no such term
+        grows: sd - m <= 1; or every singular factor is a boundary value
+        from the same side, so the product is one too (Hormander, ALPDO I,
+        Thm 8.2.10); or the kernel has a parity and every q <= sd - m - 2
+        has the other parity than x^m * kernel, so each growing moment is 0;
+        or the integrand is odd, an exact parity zero.  ``limit_pairings``
+        reads it only to decide which schedules run together, never a
+        classification.
+        """
+        m = phi.vanishing_order
+        sd = self.scaling_degree
+        if sd - m <= 1:
+            return True
+        if {pair.side for pair in self.factors if pair.alpha} in ({"+"}, {"-"}):
+            return True
+        parity = self.parity
+        if parity is None:
+            return False
+        if all((-1) ** q != parity * (-1) ** m for q in range(sd - m - 1)):
+            return True
+        return phi.parity == -parity
 
     @property
     def label(self) -> str:
@@ -498,13 +544,13 @@ def _leaf_sum(rows) -> complex:
 def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     """Deterministic adaptive refinement of the heights of several schedules at once.
 
-    Schedule g is group g of the integrand f (one group per phi), at the
-    heights ys: its height k integrates f's group g at ys[k] over initial
-    panels between pointsets[g][k].  Every round splits all panels whose error
-    exceeds an equal share of the target; the target is the max of `epsabs`
-    and a round-off floor scaled to the integrand's total variation, so
-    pairings whose magnitude blows up as y -> 0 degrade gracefully to full
-    relative precision.  A height is done when its error meets the target,
+    Schedule g is group g of the integrand f (one group per schedule), at
+    its own heights ys[g]: its height k integrates f's group g at ys[g][k]
+    over initial panels between pointsets[g][k].  Every round splits all
+    panels whose error exceeds an equal share of the target; the target is
+    the max of `epsabs` and a round-off floor scaled to the integrand's total
+    variation, so pairings whose magnitude blows up as y -> 0 degrade
+    gracefully to full relative precision.  A height is done when its error meets the target,
     and stalls when no panel can split or splitting would pass _MAX_PANELS:
     a round that refines a height and leaves it neither done nor stalled
     splits one of its panels, so every height ends.  Returns, per schedule,
@@ -529,11 +575,13 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     in its schedule are dropped and those below it finish; the other
     schedules run on.
     """
-    count, groups = len(ys), len(pointsets)
-    ys = np.tile(np.asarray(ys, dtype=float), groups)
+    groups = len(ys)
+    counts = [len(heights) for heights in ys]
+    first = np.cumsum([0, *counts])    # each schedule's first height in ys
+    ys = np.concatenate([np.asarray(heights, dtype=float) for heights in ys])
     pts = [np.asarray(sorted(points), dtype=float) for heights in pointsets for points in heights]
     live = np.arange(len(ys))          # live heights, schedule by schedule
-    group = live // count              # schedule of each live height
+    group = np.repeat(np.arange(groups), counts)   # schedule of each live height
     size = np.array([len(p) - 1 for p in pts])  # rows per live height
     fresh = size.copy()                # of them, rows waiting for the rule
     rows = np.zeros(size.sum(), _LEAF)
@@ -572,7 +620,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
             g = group[i]
             failures[g] = QuadratureError(
                 f"quadrature stalled at error {error[i]:.3e} "
-                f"(target {target[i]:.3e}, {size[i]} panels)", int(live[i] - g * count))
+                f"(target {target[i]:.3e}, {size[i]} panels)", int(live[i] - first[g]))
             above = slice(i, int(np.searchsorted(group, g, "right")))
             go[above] = False
             done[above] = False
@@ -588,8 +636,8 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
             live, group, size, fresh = live[go], group[go], size[go], fresh[go]
     out = []
     for g, failure in enumerate(failures):
-        lo = g * count
-        hi = lo + (count if failure is None else failure.height)
+        lo = first[g]
+        hi = lo + (counts[g] if failure is None else failure.height)
         out.append((tuple(values[lo:hi]), tuple(targets[lo:hi]), failure))
     return out
 
@@ -602,9 +650,11 @@ def _integrand(expr: ProductExpression, phis):
     rows grouped in group order.  It builds x + iy and x - iy once per call
     and evaluates each distinct factor once (delta^4 evaluates one Poisson
     kernel) over all rows; the values multiply in slot order, so the product
-    is bitwise that of the ``regulated`` values, and each group's rows are
-    then multiplied by its phi.  The heights are not checked here:
-    ``_evaluate_schedules`` checks them once per schedule.
+    is bitwise that of the ``regulated`` values.  Each run of adjacent groups
+    that share one phi (a pairing's main and check schedules) then has its
+    rows multiplied by that phi, evaluated once over them: phi acts point by
+    point, so every row gets the bits it gets alone.  The heights are not
+    checked here: ``_evaluate_schedules`` checks them once per schedule.
     """
     distinct: list[HyperfunctionPair] = []
     slots = []
@@ -613,6 +663,12 @@ def _integrand(expr: ProductExpression, phis):
             distinct.append(pair)
         slots.append(distinct.index(pair))
     r = expr.total_power
+    runs = []           # [phi, how many adjacent groups share it]
+    for phi in phis:
+        if runs and runs[-1][0] is phi:
+            runs[-1][1] += 1
+        else:
+            runs.append([phi, 1])
 
     def f(x, y, rows):
         x = np.asarray(x, dtype=float)
@@ -623,8 +679,10 @@ def _integrand(expr: ProductExpression, phis):
             v = v * values[k]
         if r:
             v = v * x**r
-        start = 0
-        for phi, n in zip(phis, rows):
+        start = group = 0
+        for phi, shared in runs:
+            n = int(sum(rows[group:group + shared]))
+            group += shared
             if n:
                 part = v[start:start + n]    # a view: multiplied in place
                 part *= phi(x[start:start + n])
@@ -654,7 +712,7 @@ def pair_at_y(expr: ProductExpression, phi, y: float,
     growth (see _integration_radius).  This is the one-height case of a
     schedule.
     """
-    [outcome] = _evaluate_schedules(expr, [phi], (y,), tol)
+    [outcome] = _evaluate_schedules(expr, [phi], [(y,)], tol)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[1][0]
@@ -724,31 +782,33 @@ class PairingResult:
         }
 
 
-def _evaluate_schedules(expr: ProductExpression, phis, ys, tol) -> list:
-    """Pair expr with every phi of phis at all heights ys in one quadrature.
+def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
+    """Pair expr with phis[i] at the heights heights[i], for every i, in one quadrature.
 
-    Returns, per phi, its heights, their values and their quadrature
-    targets, truncated where its quadrature gives out: the first height k
-    whose quadrature stalls ends the phi's schedule.  For k < MIN_HEIGHTS
-    the phi's entry is that QuadratureError instead; otherwise the heights
-    before k are kept.
+    Each (phi, heights) is one schedule; a phi may have several.  Returns,
+    per schedule, its heights, their values and their quadrature targets,
+    truncated where its quadrature gives out: the first height k whose
+    quadrature stalls ends the schedule.  For k < MIN_HEIGHTS the entry is
+    that QuadratureError instead; otherwise the heights before k are kept.
     """
-    ys = tuple(float(y) for y in ys)
-    for y in ys:
-        if not (y > 0.0 and math.isfinite(y)):
-            raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
+    heights = [tuple(float(y) for y in ys) for ys in heights]
+    for ys in heights:
+        for y in ys:
+            if not (y > 0.0 and math.isfinite(y)):
+                raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
     pointsets = [
         [sorted(p for p in {-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L} if -L <= p <= L)
          for y, L in zip(ys, _integration_radius(expr, phi, ys))]
-        for phi in phis
+        for phi, ys in zip(phis, heights)
     ]
     # an overflowing kernel gives inf or NaN panels, which stall their height:
     # numpy's warnings about them would only be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        quadrature = _adaptive_quadrature(_integrand(expr, phis), ys, pointsets, tol.quad_abs)
+        quadrature = _adaptive_quadrature(_integrand(expr, phis), heights, pointsets,
+                                          tol.quad_abs)
     return [failure if failure is not None and failure.height < MIN_HEIGHTS
             else (ys[:len(values)], values, targets)
-            for values, targets, failure in quadrature]
+            for ys, (values, targets, failure) in zip(heights, quadrature)]
 
 
 def _all_noise(integrals, targets) -> bool:
@@ -802,36 +862,51 @@ def limit_pairing(expr: ProductExpression, phi,
 
 def limit_pairings(expr: ProductExpression, phis, schedule: Schedule = DEFAULT_SCHEDULE,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """``limit_pairing`` of expr against every phi of phis, in two quadratures.
+    """``limit_pairing`` of expr against every phi of phis, in one quadrature.
 
     The batch is refused first: the first phi, in order, that
     ``require_resolved`` refuses raises its ValueError before anything is
-    integrated.  The main schedules of all phi then share one lockstep
-    quadrature, one group per phi, and the check schedules of the phi that
-    need one share a second.  Every I(y) is bitwise the one its height gets
-    alone, so each entry is exactly what ``limit_pairing`` gives that phi on
-    its own: a PairingResult, or the QuadratureError it raises, returned, not
-    raised.
+    integrated.  One lockstep quadrature then runs the main schedule of
+    every phi and, next to it, the check schedule of every phi that
+    ``ProductExpression.converges_against`` proves convergent, since its
+    classification will read one.  A check schedule whose main schedule
+    does not read it is dropped, and the phi whose main schedule reads a
+    check schedule that did not run share a second quadrature.  Every I(y)
+    is bitwise the one its height gets alone, so each entry is exactly what
+    ``limit_pairing`` gives that phi on its own: a PairingResult, or the
+    QuadratureError it raises, returned, not raised.
     """
     phis = list(phis)
     for phi in phis:
         require_resolved(phi, schedule)
-    results = _evaluate_schedules(expr, phis, schedule.heights(), tol) if phis else []
+    main_ys, check_ys = schedule.heights(), schedule.heights(CHECK_RATIO)
+    proved = [expr.converges_against(phi) for phi in phis]
+    schedules = [(phi, ys) for phi, both in zip(phis, proved)
+                 for ys in ((main_ys, check_ys) if both else (main_ys,))]
+    outcomes = iter(_evaluate_schedules(expr, *zip(*schedules), tol) if schedules else ())
+    results: list = [None] * len(phis)
+    checks = {}         # phi index -> its check schedule's outcome, where one ran
     staged = {}         # phi whose classification reads the check schedule
-    for i, main in enumerate(results):
+    for i, both in enumerate(proved):
+        main = next(outcomes)
+        if both:
+            checks[i] = next(outcomes)
         if isinstance(main, Exception):
+            results[i] = main
             continue
         diag = _richardson_diagonal(main[1], schedule.ratio)
         if _all_noise(*main[1:]) or _tail_stable(diag, _tail_atol(diag, tol)):
             staged[i] = main, diag
         else:
             results[i] = _classify(main, diag, None, schedule.ratio, tol)
-    if staged:
-        checks = _evaluate_schedules(expr, [phis[i] for i in staged],
-                                     schedule.heights(CHECK_RATIO), tol)
-        for (i, (main, diag)), check in zip(staged.items(), checks):
-            results[i] = (check if isinstance(check, Exception)
-                          else _classify(main, diag, check, schedule.ratio, tol))
+    missed = [i for i in staged if i not in checks]
+    if missed:
+        checks.update(zip(missed, _evaluate_schedules(
+            expr, [phis[i] for i in missed], [check_ys] * len(missed), tol)))
+    for i, (main, diag) in staged.items():
+        check = checks[i]
+        results[i] = (check if isinstance(check, Exception)
+                      else _classify(main, diag, check, schedule.ratio, tol))
     return results
 
 
@@ -928,10 +1003,14 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
     p_max: the first batch holds the base, the boosted check of every order
     up to the bound and the probes of the bound's order; an order below the
     bound whose boosted check converged pairs its probes alone, and an order
-    past it pairs its boosted check with its probes.  The bound decides only
-    what runs together, never the answer.  Probes the schedule cannot resolve
-    are left to their own batch, which refuses them when it is reached, as a
-    search one pairing at a time would.
+    past it pairs its boosted check with its probes.  A base that
+    ``ProductExpression.converges_against`` proves convergent is paired
+    alone first, and the rest of the first batch only if it does not
+    converge after all.  The bound and the proof decide only what runs
+    together, never the answer.  Probes the schedule cannot resolve are left
+    to their own batch, which refuses them when it is reached, as a search
+    one pairing at a time would; a reference function or probe the schedule
+    cannot resolve is refused with a ValueError that names the search.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
@@ -943,11 +1022,21 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
         return [vanish_probe(p, REFERENCE_TEST_FUNCTIONS[name]) for name in _PROBE_BASES]
 
     def paired(phis):
+        for phi in phis:
+            try:
+                require_resolved(phi, schedule)
+            except ValueError as exc:
+                raise ValueError(f"the subtraction-order search needs a finer schedule "
+                                 f"or a fixed p: its reference {exc}") from None
         return limit_pairings(expr, phis, schedule, tol)
 
-    base, *first = paired([_GENERIC_PHI,
-                           *(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)),
-                           *(probes(bound) if joined else ())])
+    rest = [*(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)),
+            *(probes(bound) if joined else ())]
+    if expr.converges_against(_GENERIC_PHI):
+        # proved convergent: the base alone decides, unless it does not converge
+        [base], first = paired([_GENERIC_PHI]), None
+    else:
+        base, *first = paired([_GENERIC_PHI, *rest])
     if isinstance(base, Exception):
         raise base
     if base.status == "converged":
@@ -956,6 +1045,8 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
         raise InconclusivePairingError(
             f"cannot classify {expr.label!r} before ordering subtraction", base
         )
+    if first is None:
+        first = paired(rest)
     for p in range(p_max + 1):
         if p <= bound:
             boosted, found = first[p], first[bound + 1:] if p == bound else []

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import Chebyshev
 
 
@@ -82,10 +81,27 @@ class TestFunction:
         """Evaluate at x (scalar or array)."""
         x = np.asarray(x, dtype=float)
         u = x - self.mu
-        val = npoly.polyval(x, self.poly) * np.exp(-(u * u) / (2.0 * self.sigma**2))
+        val = _polyval(x, self.poly) * np.exp(-(u * u) / (2.0 * self.sigma**2))
         if val.ndim == 0:
             return float(val)
         return val
+
+    @property
+    def vanishing_order(self) -> int:
+        """m, the order of phi's zero at 0: its poly's leading zero coefficients."""
+        return next((k for k, c in enumerate(self.poly) if c != 0.0), len(self.poly))
+
+    @property
+    def parity(self) -> int | None:
+        """+1 for an even phi, -1 for an odd one, None otherwise.
+
+        phi has a parity when mu = 0 and its poly's nonzero coefficients all
+        have orders of one parity.
+        """
+        orders = {k % 2 for k, c in enumerate(self.poly) if c != 0.0}
+        if self.mu != 0.0 or len(orders) > 1:
+            return None
+        return -1 if orders == {1} else 1
 
     def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficients t_0..t_n of phi at 0, so phi^(k)(0) = k! t_k.
@@ -116,6 +132,21 @@ class TestFunction:
         peak = 0.5 * (mu + math.sqrt(mu * mu + 4.0 * d * self.sigma**2))
         return max(mu + self.sigma * (14.0 + 2.0 * len(self.poly)),
                    peak + math.sqrt(-2.0 * math.log(_DECAY_FLOOR)) * self.sigma)
+
+
+def _polyval(x: np.ndarray, c) -> np.ndarray:
+    """sum_j c[j] x^j by Horner's rule, bitwise numpy's ``polyval``.
+
+    The same operations in the same order, from c[-1] + x * 0 (so the signs
+    of zeros match too), but as in-place multiply-adds on one array: polyval
+    allocates two arrays per coefficient.
+    """
+    acc = x * 0.0
+    acc += c[-1]
+    for coeff in c[-2::-1]:
+        acc *= x
+        acc += coeff
+    return acc
 
 
 def vanish_probe(p: int, base: TestFunction) -> TestFunction:

@@ -537,6 +537,25 @@ class TestMain:
         [line] = done.stderr.splitlines()
         assert line.startswith("distprod: error: quadrature stalled")
 
+    def test_coarse_schedule_refusal_names_the_search(self, capsys):
+        # the schedule resolves the job's phi (sigma 5) but not the search's
+        # reference function (sigma 1): the error says so, not that the
+        # user's test function is too narrow
+        job = Job("delta * delta", phis=[{"poly": [1], "sigma": 5}],
+                  schedule=Schedule(y0=96, count=6))
+        with pytest.raises(ValueError, match="subtraction-order search needs a finer "
+                                             "schedule or a fixed p"):
+            run_job(job)
+        code = main(["--expr", "delta * delta", "--phi", '{"poly": [1], "sigma": 5}',
+                     "--y0", "96", "--steps", "6"])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("distprod: error: the subtraction-order search needs")
+        assert "sigma 1.0" in line and "smallest height 3.0" in line
+        # a fixed p runs no search: the job reports
+        job.p_override = 0
+        assert run_job(job)["results"][0]["subtraction"]["p"] == 0
+
 
 # Six heights at ratio 0.8 reach only y = 0.033, where this pairing neither
 # settles nor fits a power law: a genuinely inconclusive classification.
@@ -688,21 +707,23 @@ class TestWorkCount:
     @pytest.mark.parametrize("n_phi", [1, 4])
     def test_job_stages_share_quadratures(self, calls, n_phi):
         # every phi's pairing in one quadrature, the whole search (base,
-        # order-0 check, three probes) in one and its checks in another, both
-        # cutoffs of every phi in one and their checks in another: 5
-        # quadratures whatever the number of phi
+        # order-0 check, three probes) in one, both cutoffs of every phi in
+        # one: the subtracted pairings and the search's vanishing functions
+        # are proved convergent, so their check schedules run in the same
+        # quadrature as their main ones.  3 quadratures whatever the number of phi
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)[:n_phi]]
         run_job(Job(expression="delta * delta", phis=phis))
         assert calls["limit_pairing"] == 5 + 3 * n_phi
-        assert calls["quadrature"] == 5
+        assert calls["quadrature"] == 3
 
     def test_search_up_to_the_bound_is_one_batch(self, calls):
         # sd = 4 bounds the order by 2: the base, the checks of orders 0, 1
-        # and 2 and the order-2 probes share one batch, and the search finds 2
+        # and 2 and the order-2 probes share one batch, and the search finds
+        # 2; the order-2 pairings' check schedules share that quadrature too
         report = run_job(Job(expression="d(delta) * d(delta)"))
         assert report["results"][0]["subtraction"] == {"p": 2, "needed": True}
         assert calls["limit_pairing"] == 1 + 7 + 2
-        assert calls["quadrature"] == 5
+        assert calls["quadrature"] == 3
 
     def test_overflowing_counterterm_row_runs_no_continuation(self, calls, monkeypatch,
                                                                capsys):
@@ -720,7 +741,7 @@ class TestWorkCount:
                                "gives the non-finite value (-inf")
         assert built == []
         # the pairing and the search, nothing more
-        assert calls["quadrature"] == 1 + 2
+        assert calls["quadrature"] == 1 + 1
 
     def test_one_subtraction_search_per_job(self, calls):
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)]

@@ -115,7 +115,7 @@ class TestTaylorSubtract:
         x = np.concatenate([np.linspace(-bar.near, bar.near, 449), [0.0, -0.0, 1e-300, -1e-12]])
         for points in (x, x.reshape(151, 3)):
             want = npoly.polyval(points, bar.tail)
-            assert extension._polyval(points, bar.tail).tobytes() == want.tobytes()
+            assert testfn._polyval(points, bar.tail).tobytes() == want.tobytes()
             assert bar(points).tobytes() == (points ** (p + 1) * want).tobytes()
 
     @pytest.mark.parametrize("name", ["gauss", "gauss_wide", "tilted", "offset"])

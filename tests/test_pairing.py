@@ -36,7 +36,7 @@ from distprod.pairing import (
     subtraction_order,
 )
 from distprod.ratfun import RationalFunction
-from distprod.testfn import REFERENCE_TEST_FUNCTIONS, PlateauCutoff, TestFunction
+from distprod.testfn import REFERENCE_TEST_FUNCTIONS, PlateauCutoff, TestFunction, vanish_probe
 
 SQRT_PI = 1.7724538509055160
 
@@ -436,7 +436,7 @@ def _one_at_a_time(expr, phi, ys):
 
 def _evaluated(expr, phi, ys):
     """The heights, values and targets of one lockstep schedule, or its error."""
-    [outcome] = pairing._evaluate_schedules(expr, [phi], ys, DEFAULT_TOLERANCES)
+    [outcome] = pairing._evaluate_schedules(expr, [phi], [ys], DEFAULT_TOLERANCES)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -523,8 +523,8 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
     got = _evaluated(expr, phi, ys)
 
     def reference(f, ys, pointsets, epsabs):
-        [heights] = pointsets
-        pairs = [_lone_height(f, y, points, epsabs) for y, points in zip(ys, heights)]
+        [heights], [points] = ys, pointsets
+        pairs = [_lone_height(f, y, p, epsabs) for y, p in zip(heights, points)]
         return [(tuple(v for v, _ in pairs), tuple(t for _, t in pairs), None)]
 
     monkeypatch.setattr(pairing, "_adaptive_quadrature", reference)
@@ -684,7 +684,7 @@ def test_batch_keeps_each_schedules_truncation_and_stall():
     expr = parse_expression("d(delta) * d(delta)")
     phis = [_cancelling("tilted", 0), _cancelling("gauss", 2)]
     ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
-    truncated, failed = pairing._evaluate_schedules(expr, phis, ys, DEFAULT_TOLERANCES)
+    truncated, failed = pairing._evaluate_schedules(expr, phis, [ys, ys], DEFAULT_TOLERANCES)
     assert truncated[0] == ys[:7]
     assert [repr(v) for v in truncated[1]] == [repr(v) for v in _schedule(expr, phis[0], ys)[1]]
     assert isinstance(failed, QuadratureError) and failed.height == 4
@@ -878,3 +878,150 @@ def test_high_moment_converges_to_gamma(gauss):
     assert result.status == "converged"
     for v in (*result.integrals, result.value):
         assert abs(v - exact) <= 1e-13 * exact
+
+
+# ---------------------------------------------------------------------------
+# a-priori convergence: which schedules run together
+# ---------------------------------------------------------------------------
+
+# the benchmark's classify catalog: the survey's products and d(delta)^2
+CLASSIFY_PRODUCTS = (*_survey_catalog(), "d(delta) * d(delta)")
+_ORDER_TABLE = [text for texts in _ORDERS.values() for text in texts]
+_PROBES = [vanish_probe(p, phi) for p in range(3) for phi in REFERENCE_TEST_FUNCTIONS.values()]
+
+
+def _staged(monkeypatch, expr, phis):
+    """Per phi, whether its classification reads the check schedule, and its entry.
+
+    With nothing proved convergent, the phi that read one are exactly those
+    of the second quadrature.
+    """
+    batches = []
+    evaluate = pairing._evaluate_schedules
+
+    def recording(expr, phis, heights, tol):
+        batches.append(list(phis))
+        return evaluate(expr, phis, heights, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(ProductExpression, "converges_against", lambda self, phi: False)
+        m.setattr(pairing, "_evaluate_schedules", recording)
+        results = pairing.limit_pairings(expr, phis)
+    late = batches[1] if len(batches) > 1 else []
+    return [any(phi is other for other in late) for phi in phis], results
+
+
+@pytest.mark.parametrize("text", _ORDER_TABLE)
+def test_proved_convergent_pairings_read_their_check(monkeypatch, text):
+    # a check schedule run speculatively is read: the prediction costs no
+    # work on the catalog, the reference functions and the vanishing probes
+    # of orders <= 2, but for (x+i0)^-400, whose main and check schedules
+    # both stall at their first height; on the classify catalog it also
+    # misses none
+    expr = parse_expression(text)
+    phis = [*REFERENCE_TEST_FUNCTIONS.values(), *_PROBES]
+    staged, results = _staged(monkeypatch, expr, phis)
+    proved = [expr.converges_against(phi) for phi in phis]
+    wasted = [p and not s for p, s in zip(proved, staged)]
+    stalled = [isinstance(r, QuadratureError) and r.height == 0 for r in results]
+    assert wasted == (stalled if text == "(x+i0)^-400" else [False] * len(phis))
+    if text in CLASSIFY_PRODUCTS:
+        refs = len(REFERENCE_TEST_FUNCTIONS)
+        assert staged[:refs] == proved[:refs]
+
+
+@pytest.mark.parametrize("forced", [None, True, False], ids=["default", "always", "never"])
+def test_prediction_decides_no_result(monkeypatch, forced):
+    # every result is the same whichever check schedules run speculatively
+    phis = list(REFERENCE_TEST_FUNCTIONS.values())
+    want = [[_outcome(r) for r in pairing.limit_pairings(parse_expression(text), phis)]
+            for text in CLASSIFY_PRODUCTS]
+    if forced is not None:
+        monkeypatch.setattr(ProductExpression, "converges_against",
+                            lambda self, phi: forced)
+    got = [[_outcome(r) for r in pairing.limit_pairings(parse_expression(text), phis)]
+           for text in CLASSIFY_PRODUCTS]
+    assert got == want
+
+
+@pytest.mark.parametrize("text, phi, want", [
+    # sd - m <= 1
+    ("delta * delta", vanish_probe(0, REFERENCE_TEST_FUNCTIONS["offset"]), True),
+    ("delta * delta", REFERENCE_TEST_FUNCTIONS["offset"], False),
+    # every singular factor a boundary value from one side
+    ("(x-i0)^-3 * (x-i0)^-2 * x^2", REFERENCE_TEST_FUNCTIONS["offset"], True),
+    ("(x+i0)^-1 * (x-i0)^-1", REFERENCE_TEST_FUNCTIONS["offset"], False),
+    # the only growing moment, of order 0, vanishes: the kernel is odd
+    ("delta * pv(1/x)", REFERENCE_TEST_FUNCTIONS["offset"], True),
+    ("x^1 * delta * delta * delta", REFERENCE_TEST_FUNCTIONS["tilted"], True),
+    # orders 0 and 1 grow, and one of them has the kernel's parity
+    ("delta * d(delta)", REFERENCE_TEST_FUNCTIONS["offset"], False),
+    # an exact parity zero: odd kernel, even phi
+    ("delta * d(delta)", REFERENCE_TEST_FUNCTIONS["gauss"], True),
+    ("delta * d(delta)", TestFunction((0.0, 1.0), 1.0), False),
+    ("d(delta) * d(delta) * d(delta)", TestFunction((0.0, 0.0, 1.0), 1.0), True),
+])
+def test_converges_against(text, phi, want):
+    assert parse_expression(text).converges_against(phi) is want
+
+
+def _atoms_through_depth(depth):
+    atoms = [catalog("delta"), catalog("pv_inv_x"), catalog("one"), catalog("monomial", 2),
+             *(catalog(name, k) for name in ("plus_i0_pow", "minus_i0_pow") for k in (1, 2, 3))]
+    for _ in range(depth):
+        atoms += [a.derivative() for a in atoms[-9:]]
+    return atoms
+
+
+@pytest.mark.parametrize("atom", _atoms_through_depth(3), ids=lambda a: a.label)
+def test_atom_parity_and_side(atom):
+    # parity: F_y(-x) against F_y(x) at every height.  Side: a boundary
+    # value from above alone is a function of x + iy, so dF/dy = i dF/dx;
+    # from below, of x - iy, so dF/dy = -i dF/dx (central differences)
+    x = np.linspace(0.2, 2.0, 10)
+    for y in (1.0, 0.1, 1e-3):
+        plus, minus = atom.regulated(x, y), atom.regulated(-x, y)
+        even = np.allclose(minus, plus, rtol=1e-13, atol=0.0)
+        odd = np.allclose(minus, -plus, rtol=1e-13, atol=0.0)
+        assert (even, odd) == (atom.parity == 1, atom.parity == -1) or not plus.any()
+    if not atom.alpha:
+        return                 # only the side of a singular factor is read
+    x, y, h = np.linspace(0.3, 2.0, 7), 0.5, 1e-5
+    d_dy = (atom.regulated(x, y + h) - atom.regulated(x, y - h)) / (2 * h)
+    d_dx = (atom.regulated(x + h, y) - atom.regulated(x - h, y)) / (2 * h)
+    sides = {"+": np.allclose(d_dy, 1j * d_dx, rtol=1e-6),
+             "-": np.allclose(d_dy, -1j * d_dx, rtol=1e-6)}
+    assert sides == {"+": atom.side == "+", "-": atom.side == "-"}
+
+
+@pytest.mark.parametrize("text", ["delta", "delta * pv(1/x)", "x^2 * delta * delta"])
+def test_convergent_search_pairs_its_base_alone(monkeypatch, text):
+    # the base is proved convergent against the reference function: it is
+    # the search's one pairing
+    paired = []
+    batch = pairing.limit_pairings
+
+    def counting(expr, phis, *args):
+        paired.extend(phis)
+        return batch(expr, phis, *args)
+
+    monkeypatch.setattr(pairing, "limit_pairings", counting)
+    assert subtraction_order(parse_expression(text)) == SubtractionOrder(0, needed=False)
+    assert paired == [REFERENCE_TEST_FUNCTIONS["offset"]]
+
+
+def test_search_falls_back_when_a_proved_base_diverges(monkeypatch):
+    # a base wrongly proved convergent pairs alone, then the rest of the
+    # first batch runs as it would have: the answer stays
+    batches = []
+    batch = pairing.limit_pairings
+
+    def counting(expr, phis, *args):
+        batches.append(len(phis))
+        return batch(expr, phis, *args)
+
+    monkeypatch.setattr(ProductExpression, "converges_against", lambda self, phi: True)
+    monkeypatch.setattr(pairing, "limit_pairings", counting)
+    assert subtraction_order(parse_expression("delta * delta")) == SubtractionOrder(0, True)
+    assert batches == [1, 4]
+

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from distprod.testfn import (
     PlateauCutoff,
@@ -61,6 +62,31 @@ class TestEvaluation:
         phi = TestFunction((1.0,), sigma=1.0, mu=2.0)
         assert phi(2.0) == pytest.approx(1.0)
         assert phi(0.0) == pytest.approx(math.exp(-2.0))
+
+    @pytest.mark.parametrize("phi", [
+        *REFERENCE_TEST_FUNCTIONS.values(), vanish_probe(2, REFERENCE_TEST_FUNCTIONS["offset"]),
+    ], ids=[*REFERENCE_TEST_FUNCTIONS, "probe"])
+    def test_values_are_numpy_polyval_bitwise(self, phi):
+        # the in-place Horner loop runs numpy's polyval operations in its order
+        x = np.concatenate([np.linspace(-6.0, 6.0, 449), [0.0, -0.0, 1e-300, -1e-12]])
+        for points in (x, x.reshape(151, 3)):
+            u = points - phi.mu
+            want = npoly.polyval(points, phi.poly) * np.exp(-(u * u) / (2.0 * phi.sigma**2))
+            assert phi(points).tobytes() == want.tobytes()
+        assert phi(0.3) == float(npoly.polyval(0.3, phi.poly)
+                                 * np.exp(-(0.3 - phi.mu) ** 2 / (2.0 * phi.sigma**2)))
+
+    @pytest.mark.parametrize("poly, mu, m, parity", [
+        ((1.0,), 0.0, 0, 1), ((0.0, 2.0), 0.0, 1, -1), ((0.0, 0.0, 1.0, 0.0, 3.0), 0.0, 2, 1),
+        ((1.0, 1.0, 0.25), 0.0, 0, None), ((0.0, 1.0), 0.7, 1, None), ((0.0, 0.0), 0.0, 2, 1),
+    ])
+    def test_vanishing_order_and_parity(self, poly, mu, m, parity):
+        phi = TestFunction(poly, 1.0, mu)
+        assert (phi.vanishing_order, phi.parity) == (m, parity)
+        x = np.linspace(0.1, 3.0, 30)
+        if parity is not None:
+            assert phi(-x).tobytes() == (parity * phi(x)).tobytes()
+        assert all(c == 0.0 for c in phi.taylor(m + 2)[:m])
 
 
 def _mp_taylor(phi: TestFunction, n: int) -> list:
