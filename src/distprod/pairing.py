@@ -8,8 +8,11 @@ integrates the product of regulated representatives against a test function
 at one height; ``limit_pairing`` runs a geometric schedule of heights,
 extrapolates, and classifies the outcome as converged / diverged /
 inconclusive.  Divergent pairings get a fitted power law I(y) ~ A * y^-s.
-An exact zero is classified first: when every I(y) of both schedules is
-within its quadrature target of 0, the pairing converged to 0.
+Exact zeros are classified first.  A kernel of one parity against a phi of
+the other (``ProductExpression.vanishes_against``) makes the integrand odd,
+so every I(y) is exactly 0 and the pairing converged to 0 with no
+quadrature.  Otherwise, when every I(y) of both schedules is within its
+quadrature target of 0, the pairing converged to 0.
 
 Quadrature is a deterministic adaptive Gauss-Kronrod 7-15 scheme on [-L, L]
 with forced panel boundaries at +-10y around the origin, where all the
@@ -50,10 +53,10 @@ is one that converges, and ``ProductExpression.converges_against`` proves
 that before any quadrature for most of them, from the scaling degree, the
 side of the singular factors and the kernel's parity: those run their check
 schedule beside their main one, and the few it misses share a second
-quadrature.  ``run_job`` batches its independent pairings this way, and
-``subtraction_order`` its search: one batch up to the order that the
-scaling degree bounds, then one per order, or the base alone when it is
-proved convergent.
+quadrature.  A pairing proved to vanish runs no schedule.  ``run_job``
+batches its independent pairings this way, and ``subtraction_order`` its
+search: one batch up to the order that the scaling degree bounds, then one
+per order, or the base alone when it is proved convergent.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -278,7 +281,7 @@ class ProductExpression:
         from the same side, so the product is one too (Hormander, ALPDO I,
         Thm 8.2.10); or the kernel has a parity and every q <= sd - m - 2
         has the other parity than x^m * kernel, so each growing moment is 0;
-        or the integrand is odd, an exact parity zero.  ``limit_pairings``
+        or the pairing vanishes (``vanishes_against``).  ``limit_pairings``
         reads it only to decide which schedules run together, never a
         classification.
         """
@@ -289,11 +292,21 @@ class ProductExpression:
         if {pair.side for pair in self.factors if pair.alpha} in ({"+"}, {"-"}):
             return True
         parity = self.parity
-        if parity is None:
-            return False
-        if all((-1) ** q != parity * (-1) ** m for q in range(sd - m - 1)):
+        if parity is not None and all(
+                (-1) ** q != parity * (-1) ** m for q in range(sd - m - 1)):
             return True
-        return phi.parity == -parity
+        return self.vanishes_against(phi)
+
+    def vanishes_against(self, phi) -> bool:
+        """True when the pairing with phi is exactly 0 at every height: a parity zero.
+
+        The kernel has a parity and phi the other one, so x^R * prod F_i^y * phi
+        is odd at every height (F_y(-x) = +-F_y(x) holds exactly, see
+        ``HyperfunctionPair.parity``) and its integral over [-L, L], or over
+        the line, is 0.  ``limit_pairings`` pairs it without quadrature.
+        """
+        parity = self.parity
+        return parity is not None and phi.parity == -parity
 
     @property
     def label(self) -> str:
@@ -834,16 +847,17 @@ def limit_pairing(expr: ProductExpression, phi,
                   tol: Tolerances = DEFAULT_TOLERANCES) -> PairingResult:
     """Run the height schedule, extrapolate, and classify the outcome.
 
-    An exact zero comes first: when every I(y_k) of the schedule and of a
-    second schedule with ratio CHECK_RATIO is within its quadrature target
-    of 0 (a parity zero, say, whose I(y) is rounding noise), the pairing
-    converged to 0.  Otherwise converged requires the last three Richardson
-    diagonal entries to agree within tol.convergence times
-    max(1, |last entry|) (real and imaginary parts separately) and the
-    second schedule to agree within _SCHEDULE_FACTOR times that.  Diverged
-    requires a log-log power-law fit with R^2 >= _R2_MIN and rate
-    s > _S_MIN.  Everything else is inconclusive, which is a
-    classification, not an error.
+    Exact zeros come first.  When ``ProductExpression.vanishes_against``
+    proves the integrand odd, every I(y_k) is exactly 0 and the pairing
+    converged to 0; no quadrature runs.  When every I(y_k) of the schedule
+    and of a second schedule with ratio CHECK_RATIO is within its quadrature
+    target of 0, the pairing converged to 0 too.  Otherwise converged
+    requires the last three Richardson diagonal entries to agree within
+    tol.convergence times max(1, |last entry|) (real and imaginary parts
+    separately) and the second schedule to agree within _SCHEDULE_FACTOR
+    times that.  Diverged requires a log-log power-law fit with
+    R^2 >= _R2_MIN and rate s > _S_MIN.  Everything else is inconclusive,
+    which is a classification, not an error.
 
     Strongly divergent integrands eventually exhaust the quadrature budget
     as y shrinks; the schedule is then truncated at the first unresolvable
@@ -866,28 +880,37 @@ def limit_pairings(expr: ProductExpression, phis, schedule: Schedule = DEFAULT_S
 
     The batch is refused first: the first phi, in order, that
     ``require_resolved`` refuses raises its ValueError before anything is
-    integrated.  One lockstep quadrature then runs the main schedule of
-    every phi and, next to it, the check schedule of every phi that
-    ``ProductExpression.converges_against`` proves convergent, since its
-    classification will read one.  A check schedule whose main schedule
-    does not read it is dropped, and the phi whose main schedule reads a
-    check schedule that did not run share a second quadrature.  Every I(y)
-    is bitwise the one its height gets alone, so each entry is exactly what
-    ``limit_pairing`` gives that phi on its own: a PairingResult, or the
-    QuadratureError it raises, returned, not raised.
+    integrated, a proved zero included.  A phi that
+    ``ProductExpression.vanishes_against`` proves then gets its exact 0 (the
+    main heights, every I(y) 0j, converged to 0) and runs no schedule; a
+    batch of only such phi runs no quadrature.  One lockstep quadrature runs
+    the main schedule of every other phi and, next to it, the check schedule
+    of every phi that ``ProductExpression.converges_against`` proves
+    convergent, since its classification will read one.  A check schedule
+    whose main schedule does not read it is dropped, and the phi whose main
+    schedule reads a check schedule that did not run share a second
+    quadrature.  Every I(y) is bitwise the one its height gets alone, so
+    each entry is exactly what ``limit_pairing`` gives that phi on its own:
+    a PairingResult, or the QuadratureError it raises, returned, not raised.
     """
     phis = list(phis)
     for phi in phis:
         require_resolved(phi, schedule)
     main_ys, check_ys = schedule.heights(), schedule.heights(CHECK_RATIO)
-    proved = [expr.converges_against(phi) for phi in phis]
-    schedules = [(phi, ys) for phi, both in zip(phis, proved)
+    results: list = [None] * len(phis)
+    proved = {}         # phi index -> whether its check schedule runs beside its main one
+    for i, phi in enumerate(phis):
+        if expr.vanishes_against(phi):
+            results[i] = PairingResult(main_ys, (0j,) * len(main_ys), "converged",
+                                       value=0j, check_value=0j)
+        else:
+            proved[i] = expr.converges_against(phi)
+    schedules = [(phis[i], ys) for i, both in proved.items()
                  for ys in ((main_ys, check_ys) if both else (main_ys,))]
     outcomes = iter(_evaluate_schedules(expr, *zip(*schedules), tol) if schedules else ())
-    results: list = [None] * len(phis)
     checks = {}         # phi index -> its check schedule's outcome, where one ran
     staged = {}         # phi whose classification reads the check schedule
-    for i, both in enumerate(proved):
+    for i, both in proved.items():
         main = next(outcomes)
         if both:
             checks[i] = next(outcomes)
@@ -970,7 +993,7 @@ def _leading_coefficient(ys, integrals, s: float, ratio: float) -> complex:
 # ---------------------------------------------------------------------------
 
 # An even phi is blind to products whose divergent part is odd (the integrand
-# is exactly odd and I(y) is pure quadrature noise), so order determination
+# is exactly odd and every I(y) exactly 0), so order determination
 # classifies against an off-center function with no parity zeros.
 _GENERIC_PHI = REFERENCE_TEST_FUNCTIONS["offset"]
 _PROBE_BASES = ("gauss", "gauss_wide", "tilted")

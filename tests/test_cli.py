@@ -270,6 +270,16 @@ class TestRunJob:
         assert res["subtraction"] == {"p": 1, "needed": False}
         assert [b["value"] for b in res["extensions"]] == [[0.0, 0.0]]
 
+    def test_deep_parity_zero_converges_to_zero(self):
+        # d^101 of delta is odd: against exp(-x^2) every I(y) is exactly 0,
+        # which no quadrature computes (its kernel overflows at the first
+        # height, and integrating it stalled "at error nan")
+        res = run_job(Job(expression="d(" * 101 + "delta" + ")" * 101))["results"][0]
+        assert res["pairing"]["status"] == "converged"
+        assert res["pairing"]["value"] == [0.0, 0.0]
+        assert res["pairing"]["I_re"] == res["pairing"]["I_im"] == [0.0] * 12
+        assert res["subtraction"] is None
+
     def test_narrow_sigma_above_smallest_height_converges(self):
         res = run_job(Job(expression="delta", phis=[{"poly": [1], "sigma": 0.01}]))
         pairing = res["results"][0]["pairing"]
@@ -528,6 +538,15 @@ class TestMain:
         assert code == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line == "distprod: error: derivative coefficient is not finite (byte offset 2)"
+
+    def test_parity_zero_prints_exact_zeros(self, capsys):
+        # d^15 of delta is odd: against exp(-x^2) every printed I(y) is 0,
+        # not the quadrature's rounding noise, which reached 6.1e54
+        code = main(["--expr", "d(" * 15 + "delta" + ")" * 15])
+        assert code == 0
+        [res] = json.loads(capsys.readouterr().out)["results"]
+        assert res["pairing"]["status"] == "converged"
+        assert res["pairing"]["I_re"] == [0.0] * 12
 
     def test_stalled_pairing_exit_two(self):
         # the kernel overflows (0.1^-400 is inf), so every panel is NaN; the

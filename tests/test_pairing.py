@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distprod import pairing
 from distprod.boundary import RegulatorError, catalog
@@ -678,6 +679,63 @@ def test_batch_with_an_unresolved_phi_is_refused(monkeypatch, first):
     assert "below the schedule's smallest height" in str(batch.value)
 
 
+def _zero_batch():
+    """delta * d(delta), whose kernel is odd, against two even phi (exact
+    zeros) and three that it pairs by quadrature."""
+    phis = [REFERENCE_TEST_FUNCTIONS["gauss"], REFERENCE_TEST_FUNCTIONS["offset"],
+            _cancelling("gauss", 2), TestFunction((0.0, 1.0), 1.0),
+            REFERENCE_TEST_FUNCTIONS["tilted"]]
+    return parse_expression("delta * d(delta)"), phis
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_batch_of_zeros_and_quadratures_equals_pairings_alone(reverse):
+    expr, phis = _zero_batch()
+    phis = phis[::-1] if reverse else phis
+    want = [_alone(expr, phi) for phi in phis]
+    got = pairing.limit_pairings(expr, phis)
+    assert [_outcome(r) for r in got] == want
+    zero = PairingResult(DEFAULT_SCHEDULE.heights(), (0j,) * DEFAULT_SCHEDULE.count,
+                         "converged", value=0j, check_value=0j)
+    assert [r == zero for r in got] == [expr.vanishes_against(phi) for phi in phis]
+    assert sum(r == zero for r in got) == 2
+
+
+def test_batch_of_proved_zeros_runs_no_quadrature(monkeypatch):
+    expr, phis = _zero_batch()
+    zeros = [phi for phi in phis if expr.vanishes_against(phi)]
+
+    def integrate(*args):
+        raise AssertionError("a batch of proved zeros integrates nothing")
+
+    monkeypatch.setattr(pairing, "_adaptive_quadrature", integrate)
+    assert [r.integrals for r in pairing.limit_pairings(expr, zeros)] == [(0j,) * 12] * 2
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["zero first", "zero last"])
+def test_unresolved_proved_zero_is_refused_in_batch_order(monkeypatch, first):
+    # an even phi narrower than the smallest height is refused, although the
+    # odd kernel pairs with it to exactly 0: a batch raises the ValueError of
+    # its first unresolved phi, before anything is integrated
+    expr = parse_expression("delta * d(delta)")
+    narrow_zero = TestFunction((1.0,), 1e-5)
+    narrow = TestFunction((1.0,), 2e-5, mu=0.1)
+    assert expr.vanishes_against(narrow_zero) and not expr.vanishes_against(narrow)
+    unresolved = [narrow_zero, narrow] if first else [narrow, narrow_zero]
+    with pytest.raises(ValueError) as alone:
+        limit_pairing(expr, unresolved[0])
+    assert "below the schedule's smallest height" in str(alone.value)
+
+    def integrate(*args):
+        raise AssertionError("a refused batch integrates nothing")
+
+    monkeypatch.setattr(pairing, "_adaptive_quadrature", integrate)
+    for phis in ([REFERENCE_TEST_FUNCTIONS["gauss"], *unresolved], unresolved[:1]):
+        with pytest.raises(ValueError) as batch:
+            pairing.limit_pairings(expr, phis)
+        assert str(batch.value) == str(alone.value)
+
+
 def test_batch_keeps_each_schedules_truncation_and_stall():
     # the two cancelling subtractions stall in the check quadrature they
     # share: one truncated to 7 heights, the other refused below height 6
@@ -810,14 +868,13 @@ HIGHORDER_SCHEDULE = Schedule(0.01, 0.5, 16)
 ])
 def test_parity_zero_converges_to_zero(text, schedule, rate):
     # the kernel is odd, so an even phi pairs to exactly 0 at every height:
-    # each I(y) is rounding noise within its quadrature target, on both
-    # schedules, and the pairing converged to 0 (it read as inconclusive or
-    # as a divergence from the noise)
+    # the pairing converged to 0 with every I(y) exactly 0 (it read as
+    # inconclusive or as a divergence from the quadrature's noise)
     expr = parse_expression(text)
     even = limit_pairing(expr, REFERENCE_TEST_FUNCTIONS["gauss"], schedule)
     assert even.status == "converged"
     assert even.value == 0j and even.check_value == 0j
-    assert len(even.integrals) == schedule.count
+    assert even.integrals == (0j,) * schedule.count
     # off-center phi sees the odd kernel: the divergence stays, at its rate
     offset = limit_pairing(expr, REFERENCE_TEST_FUNCTIONS["offset"], schedule)
     assert offset.status == "diverged"
@@ -891,7 +948,8 @@ _PROBES = [vanish_probe(p, phi) for p in range(3) for phi in REFERENCE_TEST_FUNC
 
 
 def _staged(monkeypatch, expr, phis):
-    """Per phi, whether its classification reads the check schedule, and its entry.
+    """Per phi, whether it ran any schedule, whether its classification reads
+    the check schedule, and its entry.
 
     With nothing proved convergent, the phi that read one are exactly those
     of the second quadrature.
@@ -908,7 +966,8 @@ def _staged(monkeypatch, expr, phis):
         m.setattr(pairing, "_evaluate_schedules", recording)
         results = pairing.limit_pairings(expr, phis)
     late = batches[1] if len(batches) > 1 else []
-    return [any(phi is other for other in late) for phi in phis], results
+    ran = [any(phi is other for batch in batches for other in batch) for phi in phis]
+    return ran, [any(phi is other for other in late) for phi in phis], results
 
 
 @pytest.mark.parametrize("text", _ORDER_TABLE)
@@ -917,11 +976,13 @@ def test_proved_convergent_pairings_read_their_check(monkeypatch, text):
     # work on the catalog, the reference functions and the vanishing probes
     # of orders <= 2, but for (x+i0)^-400, whose main and check schedules
     # both stall at their first height; on the classify catalog it also
-    # misses none
+    # misses none.  A proved zero runs no schedule at all
     expr = parse_expression(text)
     phis = [*REFERENCE_TEST_FUNCTIONS.values(), *_PROBES]
-    staged, results = _staged(monkeypatch, expr, phis)
-    proved = [expr.converges_against(phi) for phi in phis]
+    ran, staged, results = _staged(monkeypatch, expr, phis)
+    zero = [expr.vanishes_against(phi) for phi in phis]
+    assert ran == [not z for z in zero]
+    proved = [expr.converges_against(phi) and not z for phi, z in zip(phis, zero)]
     wasted = [p and not s for p, s in zip(proved, staged)]
     stalled = [isinstance(r, QuadratureError) and r.height == 0 for r in results]
     assert wasted == (stalled if text == "(x+i0)^-400" else [False] * len(phis))
@@ -971,6 +1032,54 @@ def _atoms_through_depth(depth):
     for _ in range(depth):
         atoms += [a.derivative() for a in atoms[-9:]]
     return atoms
+
+
+@pytest.mark.parametrize("text, phi, want", [
+    ("delta * d(delta)", REFERENCE_TEST_FUNCTIONS["gauss"], True),
+    ("d(delta) * d(delta) * d(delta)", TestFunction((0.0, 0.0, 1.0), 1.0), True),
+    ("x^1 * delta", REFERENCE_TEST_FUNCTIONS["gauss_wide"], True),
+    # an even kernel against an odd phi
+    ("delta", TestFunction((0.0, 1.0), 1.0), True),
+    # a subtracted phi keeps phi's parity
+    ("pv(1/x)", SubtractedFunction(REFERENCE_TEST_FUNCTIONS["gauss"], PlateauCutoff(1.0, 2.0), 2),
+     True),
+    # the integrand is even, or phi or a factor has no parity
+    ("delta * d(delta)", TestFunction((0.0, 1.0), 1.0), False),
+    ("delta * d(delta)", REFERENCE_TEST_FUNCTIONS["offset"], False),
+    ("pv(1/x)", REFERENCE_TEST_FUNCTIONS["tilted"], False),
+    ("(x+i0)^-1 * (x-i0)^-1", TestFunction((0.0, 1.0), 1.0), False),
+])
+def test_vanishes_against(text, phi, want):
+    expr = parse_expression(text)
+    assert expr.vanishes_against(phi) is want
+    if want:
+        assert expr.converges_against(phi)
+
+
+_DEPTH_2_TERMS = ("delta", "pv(1/x)", "d(delta)", "d(pv(1/x))", "d(d(delta))",
+                  "d(d(pv(1/x)))", "1", "x^1", "x^2")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(terms=st.lists(st.sampled_from(_DEPTH_2_TERMS), min_size=1, max_size=4),
+       coeffs=st.tuples(st.floats(0.25, 2.0), st.floats(-2.0, 2.0)),
+       sigma=st.floats(0.3, 2.0))
+def test_proved_zeros_read_as_noise(terms, coeffs, sigma):
+    # a pairing that vanishes_against proves 0, and that limit_pairings pairs
+    # without quadrature, reads every I(y) of its main and check schedules
+    # within its quadrature target of 0: a proved zero that is not noise
+    # would be a defect
+    expr = parse_expression(" * ".join(terms))
+    poly = (0.0, coeffs[0]) if expr.parity == 1 else (coeffs[0], 0.0, coeffs[1])
+    phi = TestFunction(poly, sigma)
+    assert expr.vanishes_against(phi)
+    ys = [DEFAULT_SCHEDULE.heights(), DEFAULT_SCHEDULE.heights(CHECK_RATIO)]
+    for heights, outcome in zip(ys, pairing._evaluate_schedules(expr, [phi, phi], ys,
+                                                                DEFAULT_TOLERANCES)):
+        assert not isinstance(outcome, Exception)
+        got, values, targets = outcome
+        assert got == heights
+        assert pairing._all_noise(values, targets)
 
 
 @pytest.mark.parametrize("atom", _atoms_through_depth(3), ids=lambda a: a.label)
