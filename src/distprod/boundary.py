@@ -9,7 +9,11 @@ y > 0 is
 and u is the limit of F_y as y -> 0+ in the sense of distributions.  The
 catalog below fixes one concrete pair per supported atom (delta, principal
 value of 1/x, one-sided powers (x +- i0)^-k, monomials); derivatives stay in
-the same class.
+the same class.  Every two-sided atom and its derivatives has
+f- = -conj(c+) z^n, so its F_y = 2 Re(c+ (x + iy)^n) is real, and is
+evaluated as a float: bit for bit the real part of the complex formula,
+whose imaginary part is 0, up to the sign of an exact zero.  One-sided atoms
+give complex values.
 
 The growth exponents (alpha, beta) of a pair are read off its
 representatives: away from the real axis F_y is bounded by
@@ -76,6 +80,19 @@ class HyperfunctionPair:
         return None
 
     @property
+    def is_real(self) -> bool:
+        """True when F_y is real at every height: f- = -conj(c+) z^n, both there.
+
+        Then F_y = w + w with w = Re f+(x + iy).  numpy's complex product and
+        quotient (Smith's method) are symmetric under conjugation and sign, so
+        f-(x - iy) is -conj(f+(x + iy)) and f+ - f- is (w + w, 0), bit for bit
+        up to the sign of a zero part: where a part of f+(x + iy) is an exact
+        0, the two terms' zeros may carry either sign.
+        """
+        fp, fm = self.f_plus, self.f_minus
+        return not fp.is_zero and fm == RationalFunction(-fp.coeff.conjugate(), fp.power)
+
+    @property
     def side(self) -> str | None:
         """'+' for a boundary value from the upper half-plane alone (f- = 0),
         '-' from the lower one alone (f+ = 0), None when both terms are there."""
@@ -90,7 +107,9 @@ class HyperfunctionPair:
 
         y is one height for every x, or an array of heights broadcast
         against x, so one call can cover several heights.  Every height must be
-        a positive finite number.  The value is ``at(x + iy, x - iy)``.
+        a positive finite number.  The value is ``at(x + iy, x - iy)``: a float
+        array for an ``is_real`` pair, bit for bit the complex formula's real
+        part up to the sign of an exact zero, and complex otherwise.
         """
         y = np.asarray(y, dtype=float)
         bad = ~((y > 0.0) & np.isfinite(y))
@@ -106,12 +125,17 @@ class HyperfunctionPair:
         The core of ``regulated``, for a caller that has checked the heights
         and builds z_plus = x + iy and z_minus = x - iy once for several
         factors.  A zero representative is not evaluated: its term is left
-        out, which changes no value (at most the sign of a zero part).
+        out, which changes no value (at most the sign of a zero part).  A
+        pair that ``is_real`` evaluates f+ alone and returns the float w + w,
+        w = Re f+(z_plus), and does not read z_minus, which may then be None.
         """
         if self.f_minus.is_zero:
             return self.f_plus(z_plus)
         if self.f_plus.is_zero:
             return -self.f_minus(z_minus)
+        if self.is_real:
+            w = self.f_plus(z_plus).real
+            return w + w
         return self.f_plus(z_plus) - self.f_minus(z_minus)
 
     def derivative(self) -> "HyperfunctionPair":

@@ -28,10 +28,12 @@ schedules sit next to each other.  All heights of a schedule, and all
 schedules of a batch, are integrated together, in lockstep rounds: each
 round evaluates the new panels of every height still refining in one
 integrand call, so the cost of a numpy call is paid per round, not per
-height or per pairing.  That call builds x + iy and x - iy once, evaluates
-each distinct factor of the expression once over all rows, and multiplies
-the rows of each run of schedules sharing a phi by that phi, evaluated once
-over them; one contraction gives both rule sums of every panel.  The
+height or per pairing.  That call builds x + iy once (and x - iy once, when
+a factor evaluates f- there), evaluates each distinct factor of the
+expression once over all rows, in real arithmetic for the two-sided
+factors, whose F_y is real, and multiplies the rows of each run of
+schedules sharing a phi by that phi, evaluated once over them; one
+contraction gives both rule sums of every panel.  The
 leaf panels of the live heights are the rows of one packed array, grouped by
 schedule, then by height in schedule order, and sorted by left endpoint, so
 a round's bookkeeping (error sums, split tests, halving) is a few vector
@@ -262,13 +264,27 @@ class ProductExpression:
 
     @property
     def parity(self) -> int | None:
-        """The kernel x^R * prod F_i's parity in x: +1, -1, or None when a factor has none."""
+        """The kernel x^R * prod F_i's parity in x: +1, -1, or None when it has none.
+
+        Each two-sided factor brings its own parity, and one without makes it
+        None.  The one-sided factors together are c (x + iy)^P (x - iy)^M, P
+        the sum of the (+)-side powers and M of the (-)-side ones; x -> -x
+        maps that to (-1)^(P + M) c (x - iy)^P (x + iy)^M, which is +- itself
+        exactly when P = M, and then it is c (x^2 + y^2)^P, even.
+        """
         parity = (-1) ** self.total_power
+        balance = 0
         for pair in self.factors:
-            if pair.parity is None:
+            side = pair.side
+            if side == "+":
+                balance += pair.f_plus.power
+            elif side == "-":
+                balance -= pair.f_minus.power
+            elif pair.parity is None:
                 return None
-            parity *= pair.parity
-        return parity
+            else:
+                parity *= pair.parity
+        return parity if balance == 0 else None
 
     def converges_against(self, phi) -> bool:
         """True when the pairing with phi is proved convergent before any quadrature.
@@ -300,10 +316,11 @@ class ProductExpression:
     def vanishes_against(self, phi) -> bool:
         """True when the pairing with phi is exactly 0 at every height: a parity zero.
 
-        The kernel has a parity and phi the other one, so x^R * prod F_i^y * phi
-        is odd at every height (F_y(-x) = +-F_y(x) holds exactly, see
-        ``HyperfunctionPair.parity``) and its integral over [-L, L], or over
-        the line, is 0.  ``limit_pairings`` pairs it without quadrature.
+        The kernel has a parity (``parity``) and phi the other one, so
+        x^R * prod F_i^y * phi is odd at every height (for a two-sided factor
+        F_y(-x) = +-F_y(x) holds exactly, see ``HyperfunctionPair.parity``)
+        and its integral over [-L, L], or over the line, is 0.
+        ``limit_pairings`` pairs it without quadrature.
         """
         parity = self.parity
         return parity is not None and phi.parity == -parity
@@ -503,15 +520,18 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
     """Apply the 7-15 rule to every panel [a[i], b[i]] at height y[i] in one evaluation.
 
     `rows` counts the panels of each group of the integrand f, in group
-    order.  Both rule sums of every row come from one einsum contraction,
-    which does not go through BLAS: each row's sums run over that row alone,
-    in one order, so a row's numbers are the same whichever rows share the
-    call.
+    order.  f's values are a float array for a real kernel and complex
+    otherwise.  Both rule sums of every row come from one einsum contraction
+    with the complex rules, which does not go through BLAS: each row's sums
+    run over that row alone, in one order, so a row's numbers are the same
+    whichever rows share the call.  It casts a float row to complex, so its
+    sums are bitwise those of the row as (r, +0); a real contraction would
+    round differently.  |f| of a float row is bitwise |(r, +0)|.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    v = np.asarray(f(x, y[:, None], rows), dtype=complex)
+    v = f(x, y[:, None], rows)
     sums = np.einsum("ij,kj->ik", v, _RULES)
     resk = half * sums[:, 0]
     resg = half * sums[:, 1]
@@ -533,15 +553,20 @@ def _over_share(rows, share) -> np.ndarray:
     return (rows["error"] > share) & (b - a > width_floor)
 
 
-def _halved(rows, copies) -> np.ndarray:
+def _halved(rows, copies, left=None) -> np.ndarray:
     """Each row taken copies[i] times (0, 1 or 2), a row taken twice as its two
-    fresh halves."""
+    fresh halves.
+
+    `left` is where the left halves land, in row order, when the caller
+    knows it; by default it is read off the running count of copies.
+    """
     split = copies == 2
     mids = 0.5 * (rows["a"][split] + rows["b"][split])
     out = np.repeat(rows, copies)
-    after = np.cumsum(copies)[split]
-    out["b"][after - 2] = out["a"][after - 1] = mids
-    out["fresh"][after - 2] = out["fresh"][after - 1] = True
+    if left is None:
+        left = np.cumsum(copies)[split] - 2
+    out["b"][left] = out["a"][left + 1] = mids
+    out["fresh"][left] = out["fresh"][left + 1] = True
     return out
 
 
@@ -604,6 +629,13 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     values: list = [None] * len(ys)
     targets: list = [None] * len(ys)
     failures: list = [None] * groups
+    # _over_share's width floor is at most _MIN_PANEL_REL * max(1, |x|) over
+    # every endpoint x.  Halving a panel wider than four times that leaves
+    # halves wider than twice it, less the midpoint's rounding (under half
+    # of it), so while every initial panel and every panel split so far is
+    # that wide, the floor passes every row and is not tested.
+    wide = 4.0 * _MIN_PANEL_REL * max(1.0, np.abs(rows["a"]).max(), np.abs(rows["b"]).max())
+    floored = not (rows["b"] - rows["a"] > wide).all()
     while len(live):
         n = max(1, int(np.searchsorted(np.cumsum(size + fresh // 2), _PANEL_BUDGET, "right")))
         ends = np.cumsum(size[:n])
@@ -619,30 +651,43 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
         batch["fresh"] = False
         error = np.add.reduceat(batch["error"], starts)
         target = np.maximum(epsabs, 2e-14 * np.add.reduceat(batch["rough"], starts))
-        split = _over_share(batch, np.repeat(target / (2.0 * size[:n]), size[:n]))
+        share = np.repeat(target / (2.0 * size[:n]), size[:n])
+        if floored:
+            split = _over_share(batch, share)
+        else:
+            split = batch["error"] > share
+            if split.any():
+                floored = not (batch["b"][split] - batch["a"][split] > wide).all()
         m = np.add.reduceat(split, starts)
         done = error <= target
-        stalled = ~done & ((m == 0) | (size[:n] + m > _MAX_PANELS))
 
         go = np.ones(len(live), dtype=bool)
         go[:n] = ~done
-        # a stall drops the heights above it in its schedule, in the batch or not
-        for i in stalled.nonzero()[0] if stalled.any() else ():
-            if not go[i]:
-                continue                       # above a lower stall of its schedule
-            g = group[i]
-            failures[g] = QuadratureError(
-                f"quadrature stalled at error {error[i]:.3e} "
-                f"(target {target[i]:.3e}, {size[i]} panels)", int(live[i] - first[g]))
-            above = slice(i, int(np.searchsorted(group, g, "right")))
-            go[above] = False
-            done[above] = False
+        if not done.all():
+            stalled = ~done & ((m == 0) | (size[:n] + m > _MAX_PANELS))
+            # a stall drops the heights above it in its schedule, in the batch or not
+            for i in stalled.nonzero()[0]:
+                if not go[i]:
+                    continue                       # above a lower stall of its schedule
+                g = group[i]
+                failures[g] = QuadratureError(
+                    f"quadrature stalled at error {error[i]:.3e} "
+                    f"(target {target[i]:.3e}, {size[i]} panels)", int(live[i] - first[g]))
+                above = slice(i, int(np.searchsorted(group, g, "right")))
+                go[above] = False
+                done[above] = False
         for i in done.nonzero()[0]:
             values[live[i]] = _leaf_sum(batch[starts[i]:ends[i]])
             targets[live[i]] = float(target[i])
-        copies = np.repeat(go, size).astype(int)
-        copies[:len(batch)] *= 1 + split
-        rows = _halved(rows, copies)
+        if n == len(live) and go.all():
+            # every row is in the batch and stays: a left half lands one row
+            # further on for each row split before it
+            k = split.nonzero()[0]
+            rows = _halved(rows, 1 + split, k + np.arange(len(k)))
+        else:
+            copies = np.repeat(go, size).astype(int)
+            copies[:len(batch)] *= 1 + split
+            rows = _halved(rows, copies)
         size[:n] += m
         fresh[:n] = 2 * m
         if not go.all():
@@ -660,10 +705,13 @@ def _integrand(expr: ProductExpression, phis):
 
     Each phi is one group.  The callable takes points x, heights y broadcast
     against x, and `rows`: how many of x's rows belong to each group, the
-    rows grouped in group order.  It builds x + iy and x - iy once per call
-    and evaluates each distinct factor once (delta^4 evaluates one Poisson
-    kernel) over all rows; the values multiply in slot order, so the product
-    is bitwise that of the ``regulated`` values.  Each run of adjacent groups
+    rows grouped in group order.  It builds x + iy once per call, and x - iy
+    only when a factor evaluates f-, and evaluates each distinct factor once
+    (delta^4 evaluates one single term) over all rows; the values multiply in
+    slot order, so the product is bitwise that of the ``regulated`` values.
+    A product of real factors (``HyperfunctionPair.is_real``) stays a float
+    array, through x^R and phi, and a one-sided factor makes it complex as
+    (r, +0) times that factor does.  Each run of adjacent groups
     that share one phi (a pairing's main and check schedules) then has its
     rows multiplied by that phi, evaluated once over them: phi acts point by
     point, so every row gets the bits it gets alone.  The heights are not
@@ -675,6 +723,7 @@ def _integrand(expr: ProductExpression, phis):
         if pair not in distinct:
             distinct.append(pair)
         slots.append(distinct.index(pair))
+    minus = any(not (pair.f_minus.is_zero or pair.is_real) for pair in distinct)
     r = expr.total_power
     runs = []           # [phi, how many adjacent groups share it]
     for phi in phis:
@@ -685,7 +734,7 @@ def _integrand(expr: ProductExpression, phis):
 
     def f(x, y, rows):
         x = np.asarray(x, dtype=float)
-        z_plus, z_minus = x + 1j * y, x - 1j * y
+        z_plus, z_minus = x + 1j * y, x - 1j * y if minus else None
         values = [pair.at(z_plus, z_minus) for pair in distinct]
         v = values[slots[0]]
         for k in slots[1:]:

@@ -149,6 +149,53 @@ def test_zero_representative_not_evaluated():
     assert spy.calls == []
 
 
+def _through_depth(atoms, depth):
+    for _ in range(depth):
+        atoms += [a.derivative() for a in atoms[-4:]]
+    return atoms
+
+
+# delta, pv(1/x), 1, x^2 and their derivatives; d(1), d(d(1)) and d^3(x^2)
+# are the zero pair, left out
+_TWO_SIDED = [a for a in _through_depth(
+    [catalog("delta"), catalog("pv_inv_x"), catalog("one"), catalog("monomial", 2)], 3)
+    if not a.f_plus.is_zero]
+_ONE_SIDED = _through_depth([catalog(name, k) for name, k in (
+    ("plus_i0_pow", 1), ("plus_i0_pow", 2), ("minus_i0_pow", 1), ("minus_i0_pow", 3))], 3)
+_GRID = np.concatenate([np.linspace(-10.0, 10.0, 41), [1e-8, -1e-8, 0.37, -2.9, 1e-3, 3e-7]])
+
+
+@pytest.mark.parametrize("pair", _TWO_SIDED, ids=lambda a: a.label)
+def test_two_sided_pair_is_real_bit_for_bit(pair):
+    # f- = -conj(c+) z^n, so f+(x + iy) - f-(x - iy) is exactly (2w, 0) with
+    # w = Re f+(x + iy): regulated returns the float 2w, and never reads
+    # x - iy.  Bit for bit up to the sign of a zero: where a part of
+    # f+(x + iy) is an exact 0 (x = 0 for d(pv(1/x)), x = +-y for d(delta)
+    # and d(d(d(delta)))), the complex formula's zero parts may carry either
+    # sign, and 2w = -0.0 where the formula reads +0.0
+    assert pair.is_real
+    for y in (3.0, 0.1, 1e-3, 3e-7):
+        got = pair.regulated(_GRID, y)
+        assert got.dtype == np.float64
+        old = pair.f_plus(_GRID + 1j * y) - pair.f_minus(_GRID - 1j * y)
+        assert np.array_equal(got, old.real)       # bitwise where nonzero
+        assert (old.imag == 0.0).all()
+        assert pair.at(_GRID + 1j * y, None).tobytes() == got.tobytes()
+        assert isinstance(pair.regulated(0.37, y), float)
+
+
+@pytest.mark.parametrize("pair", _ONE_SIDED, ids=lambda a: a.label)
+def test_one_sided_pair_is_complex(pair):
+    assert not pair.is_real
+    assert pair.regulated(_GRID, 0.1).dtype == np.complex128
+
+
+def test_zero_pair_is_complex():
+    zero = catalog("one").derivative()
+    assert not zero.is_real
+    assert zero.regulated(_GRID, 0.1).tobytes() == np.zeros(len(_GRID), complex).tobytes()
+
+
 class TestDerivative:
     def test_pv_derivative_closed_form(self):
         dpv = catalog("pv_inv_x").derivative()
