@@ -93,6 +93,12 @@ class HyperfunctionPair:
         return not fp.is_zero and fm == RationalFunction(-fp.coeff.conjugate(), fp.power)
 
     @property
+    def reads_minus(self) -> bool:
+        """True when ``at`` evaluates f- at z_minus: f- is there and the pair is
+        not ``is_real``."""
+        return not (self.f_minus.is_zero or self.is_real)
+
+    @property
     def side(self) -> str | None:
         """'+' for a boundary value from the upper half-plane alone (f- = 0),
         '-' from the lower one alone (f+ = 0), None when both terms are there."""
@@ -127,15 +133,16 @@ class HyperfunctionPair:
         factors.  A zero representative is not evaluated: its term is left
         out, which changes no value (at most the sign of a zero part).  A
         pair that ``is_real`` evaluates f+ alone and returns the float w + w,
-        w = Re f+(z_plus), and does not read z_minus, which may then be None.
+        w = Re f+(z_plus).  A pair that does not ``reads_minus`` does not read
+        z_minus, which may then be None.
         """
-        if self.f_minus.is_zero:
-            return self.f_plus(z_plus)
-        if self.f_plus.is_zero:
-            return -self.f_minus(z_minus)
-        if self.is_real:
+        if not self.reads_minus:
+            if self.f_minus.is_zero:
+                return self.f_plus(z_plus)
             w = self.f_plus(z_plus).real
             return w + w
+        if self.f_plus.is_zero:
+            return -self.f_minus(z_minus)
         return self.f_plus(z_plus) - self.f_minus(z_minus)
 
     def derivative(self) -> "HyperfunctionPair":

@@ -553,20 +553,15 @@ def _over_share(rows, share) -> np.ndarray:
     return (rows["error"] > share) & (b - a > width_floor)
 
 
-def _halved(rows, copies, left=None) -> np.ndarray:
+def _halved(rows, copies) -> np.ndarray:
     """Each row taken copies[i] times (0, 1 or 2), a row taken twice as its two
-    fresh halves.
-
-    `left` is where the left halves land, in row order, when the caller
-    knows it; by default it is read off the running count of copies.
-    """
+    fresh halves."""
     split = copies == 2
     mids = 0.5 * (rows["a"][split] + rows["b"][split])
     out = np.repeat(rows, copies)
-    if left is None:
-        left = np.cumsum(copies)[split] - 2
-    out["b"][left] = out["a"][left + 1] = mids
-    out["fresh"][left] = out["fresh"][left + 1] = True
+    after = np.cumsum(copies)[split]
+    out["b"][after - 2] = out["a"][after - 1] = mids
+    out["fresh"][after - 2] = out["fresh"][after - 1] = True
     return out
 
 
@@ -629,13 +624,6 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     values: list = [None] * len(ys)
     targets: list = [None] * len(ys)
     failures: list = [None] * groups
-    # _over_share's width floor is at most _MIN_PANEL_REL * max(1, |x|) over
-    # every endpoint x.  Halving a panel wider than four times that leaves
-    # halves wider than twice it, less the midpoint's rounding (under half
-    # of it), so while every initial panel and every panel split so far is
-    # that wide, the floor passes every row and is not tested.
-    wide = 4.0 * _MIN_PANEL_REL * max(1.0, np.abs(rows["a"]).max(), np.abs(rows["b"]).max())
-    floored = not (rows["b"] - rows["a"] > wide).all()
     while len(live):
         n = max(1, int(np.searchsorted(np.cumsum(size + fresh // 2), _PANEL_BUDGET, "right")))
         ends = np.cumsum(size[:n])
@@ -651,13 +639,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
         batch["fresh"] = False
         error = np.add.reduceat(batch["error"], starts)
         target = np.maximum(epsabs, 2e-14 * np.add.reduceat(batch["rough"], starts))
-        share = np.repeat(target / (2.0 * size[:n]), size[:n])
-        if floored:
-            split = _over_share(batch, share)
-        else:
-            split = batch["error"] > share
-            if split.any():
-                floored = not (batch["b"][split] - batch["a"][split] > wide).all()
+        split = _over_share(batch, np.repeat(target / (2.0 * size[:n]), size[:n]))
         m = np.add.reduceat(split, starts)
         done = error <= target
 
@@ -679,15 +661,9 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
         for i in done.nonzero()[0]:
             values[live[i]] = _leaf_sum(batch[starts[i]:ends[i]])
             targets[live[i]] = float(target[i])
-        if n == len(live) and go.all():
-            # every row is in the batch and stays: a left half lands one row
-            # further on for each row split before it
-            k = split.nonzero()[0]
-            rows = _halved(rows, 1 + split, k + np.arange(len(k)))
-        else:
-            copies = np.repeat(go, size).astype(int)
-            copies[:len(batch)] *= 1 + split
-            rows = _halved(rows, copies)
+        copies = np.repeat(go, size).astype(int)
+        copies[:len(batch)] *= 1 + split
+        rows = _halved(rows, copies)
         size[:n] += m
         fresh[:n] = 2 * m
         if not go.all():
@@ -706,7 +682,7 @@ def _integrand(expr: ProductExpression, phis):
     Each phi is one group.  The callable takes points x, heights y broadcast
     against x, and `rows`: how many of x's rows belong to each group, the
     rows grouped in group order.  It builds x + iy once per call, and x - iy
-    only when a factor evaluates f-, and evaluates each distinct factor once
+    only when a factor ``reads_minus``, and evaluates each distinct factor once
     (delta^4 evaluates one single term) over all rows; the values multiply in
     slot order, so the product is bitwise that of the ``regulated`` values.
     A product of real factors (``HyperfunctionPair.is_real``) stays a float
@@ -723,7 +699,7 @@ def _integrand(expr: ProductExpression, phis):
         if pair not in distinct:
             distinct.append(pair)
         slots.append(distinct.index(pair))
-    minus = any(not (pair.f_minus.is_zero or pair.is_real) for pair in distinct)
+    minus = any(pair.reads_minus for pair in distinct)
     r = expr.total_power
     runs = []           # [phi, how many adjacent groups share it]
     for phi in phis:

@@ -173,7 +173,7 @@ def test_two_sided_pair_is_real_bit_for_bit(pair):
     # f+(x + iy) is an exact 0 (x = 0 for d(pv(1/x)), x = +-y for d(delta)
     # and d(d(d(delta)))), the complex formula's zero parts may carry either
     # sign, and 2w = -0.0 where the formula reads +0.0
-    assert pair.is_real
+    assert pair.is_real and not pair.reads_minus
     for y in (3.0, 0.1, 1e-3, 3e-7):
         got = pair.regulated(_GRID, y)
         assert got.dtype == np.float64
@@ -187,12 +187,13 @@ def test_two_sided_pair_is_real_bit_for_bit(pair):
 @pytest.mark.parametrize("pair", _ONE_SIDED, ids=lambda a: a.label)
 def test_one_sided_pair_is_complex(pair):
     assert not pair.is_real
+    assert pair.reads_minus == (pair.side == "-")
     assert pair.regulated(_GRID, 0.1).dtype == np.complex128
 
 
 def test_zero_pair_is_complex():
     zero = catalog("one").derivative()
-    assert not zero.is_real
+    assert not (zero.is_real or zero.reads_minus)
     assert zero.regulated(_GRID, 0.1).tobytes() == np.zeros(len(_GRID), complex).tobytes()
 
 

@@ -755,8 +755,7 @@ def test_width_floor_stalls_a_jump(monkeypatch):
     # a jump at x = 1/3 with no absolute target: the panel holding it halves
     # down to round-off width, where _over_share's width floor stops it
     # splitting, and its height stalls there, far below the panel cap.  The
-    # smooth heights below it finish.  Pinned when the floor was tested in
-    # every round.
+    # smooth heights below it finish.
     def f(x, y, rows):
         return np.where(y < 0.3, np.where(x < 1 / 3, 1.0, 0.0), np.exp(-x * x))
 
@@ -774,6 +773,17 @@ def test_width_floor_stalls_a_jump(monkeypatch):
     monkeypatch.setattr(pairing, "_MAX_PANELS", 10**6)
     again = integrate()
     assert again[:2] == (values, targets) and str(again[2]) == str(failure)
+
+
+def test_overflowing_real_kernel_stalls_at_an_infinite_target():
+    # x^300 * delta overflows past |x| of about 10.7 at the first height.  Its
+    # kernel is real, so the rows read inf there where complex rows read
+    # nan + nan j: the roughness, and with it the target, sums to inf, and
+    # the error is nan
+    with pytest.raises(QuadratureError) as stall:
+        limit_pairing(parse_expression("x^300 * delta"), REFERENCE_TEST_FUNCTIONS["gauss"])
+    assert stall.value.height == 0
+    assert str(stall.value) == "quadrature stalled at error nan (target inf, 4 panels)"
 
 
 def test_panel_rule_rows_do_not_depend_on_the_batch():
