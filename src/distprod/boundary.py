@@ -93,6 +93,15 @@ class HyperfunctionPair:
         return not fp.is_zero and fm == RationalFunction(-fp.coeff.conjugate(), fp.power)
 
     @property
+    def supported_at_origin(self) -> bool:
+        """True when f+ = f-: delta, its derivatives and the zero pairs d(1), d(d(1)), ...
+
+        Then F_y(x) = f(x + iy) - f(x - iy) is O(y) uniformly on compact sets
+        away from 0, so the boundary value vanishes off the origin.
+        """
+        return self.f_plus == self.f_minus
+
+    @property
     def reads_minus(self) -> bool:
         """True when ``at`` evaluates f- at z_minus: f- is there and the pair is
         not ``is_real``."""

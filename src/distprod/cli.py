@@ -181,15 +181,17 @@ def _cpair(z: complex) -> list[float]:
 
 
 def _extension_blocks(job: Job, phi: TestFunction, p: int,
-                      tbar: complex, difference: float,
+                      tbar: complex, shift: complex,
                       omegas: tuple[PlateauCutoff, PlateauCutoff]) -> tuple[list, dict]:
     """The c = 0 block, one block per c_grid row, and the cutoff check.
 
     Every block is (Tbar, phibar) plus its counterterm sum: (Tbar, phibar)
-    does not depend on c, so it is paired once, as `tbar`, and `difference`
-    is its distance from the pairing at omega2.  ``run_job`` has refused a
-    row whose counterterm sum is not finite; a row whose block value is not
-    is a ConfigError here: a report holds numbers.
+    does not depend on c, so it is paired once, as `tbar`.  `shift` is what
+    moving the cutoff from omega to omega2 adds to it (see
+    ``evaluate_extensions``), and the check prints its size as the
+    difference.  ``run_job`` has refused a row whose counterterm sum is not
+    finite; a row whose block value is not is a ConfigError here: a report
+    holds numbers.
     """
     omega, omega2 = omegas
     blocks = []
@@ -209,7 +211,7 @@ def _extension_blocks(job: Job, phi: TestFunction, p: int,
     independence = {
         "geometries": [[omega.plateau, omega.support],
                        [omega2.plateau, omega2.support]],
-        "difference": difference,
+        "difference": abs(shift),
     }
     return blocks, independence
 
@@ -227,8 +229,10 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
          order or the error it raised, serves every phi); with the order
          fixed, a c_grid row of the wrong width, or whose counterterm sum on
          a phi the order applies to is not finite, refuses the job;
-      3. (Tbar, phibar) at both cutoffs of every phi that needs a
-         subtraction, in one ``evaluate_extensions`` batch.
+      3. (Tbar, phibar) of every phi that needs a subtraction, with the
+         shift a change to the halved cutoff gives it, in one
+         ``evaluate_extensions`` batch: the shift is its cutoff-change
+         pairing, or exactly 0 for a product supported at the origin.
     One pass then builds each phi's report entry.
     """
     if tol is None:
@@ -258,10 +262,8 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
                                           if job.p_override is not None or d])
 
     subtracted = [phi for phi, d in zip(phis, diverged) if p is not None and needed and d]
-    tbars = (evaluate_extensions(expr, p, [(phi, omega) for omega in omegas
-                                           for phi in subtracted], job.schedule, tol)
-             if subtracted else [])
-    cutoff_pairs = iter(zip(tbars, tbars[len(subtracted):]))
+    continued = iter(evaluate_extensions(expr, p, subtracted, omegas, job.schedule, tol)
+                     if subtracted else ())
 
     results = []
     for desc, phi, pairing, d in zip(job.phis, phis, pairings, diverged):
@@ -276,22 +278,19 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
         else:
             entry["subtraction"] = {"p": p, "needed": needed and d}
             if needed and d:
-                tbar, tbar2 = next(cutoff_pairs)
-                # the pairing at omega runs first, so its error is the one reported
-                error = next((v for v in (tbar, tbar2) if isinstance(v, Exception)), None)
+                outcome = next(continued)
             elif pairing.status == "converged":
-                # nothing subtracted: (Tbar, phibar) is the pairing itself
-                tbar = tbar2 = pairing.value
-                error = None
+                # nothing subtracted: (Tbar, phibar) is the pairing itself, at any cutoff
+                outcome = pairing.value, 0j
             else:
-                error = (f"pairing for {expr.label!r} classified as {pairing.status}; "
-                         f"it did not diverge, so nothing was subtracted and the order "
-                         f"p={p} plays no part")
-            if error is None:
+                outcome = (f"pairing for {expr.label!r} classified as {pairing.status}; "
+                           f"it did not diverge, so nothing was subtracted and the order "
+                           f"p={p} plays no part")
+            if isinstance(outcome, tuple):
                 entry["extensions"], entry["omega_independence"] = _extension_blocks(
-                    job, phi, p, tbar, abs(tbar - tbar2), omegas)
+                    job, phi, p, *outcome, omegas)
             else:
-                entry["subtraction"]["error"] = str(error)
+                entry["subtraction"]["error"] = str(outcome)
         results.append(entry)
     return {
         "expression": job.expression,

@@ -14,10 +14,18 @@ span of delta derivatives through order p.  Sign convention:
 and the second is a closed-form sum, so the two are computed apart:
 ``evaluate_extension`` pairs (Tbar, phibar) once, and ``counterterm_value``
 gives each counterterm vector's sum, which a caller adds to it.
-``evaluate_extensions`` pairs several (phi, omega) at one order in one
-``limit_pairings`` batch, a lockstep quadrature over all their schedules in
-which a stall is its own schedule's: a job's report pairs every continued
-phi at both of its cutoffs this way.
+
+A cutoff change moves the continuation by a pairing of T alone: phibar at a
+second cutoff omega2 is phibar at omega plus (omega - omega2) * T_p, T_p
+phi's Taylor polynomial through order p, so (Tbar, phibar) at omega2 is
+(Tbar, phibar) at omega plus the shift (T, (omega - omega2) * T_p)
+(``CutoffChange``).  That function is 0 where both cutoffs are 1, so the
+shift is a regular integral, a local counterterm (Brunetti and
+Fredenhagen, CMP 208, 2000).  ``evaluate_extensions`` pairs every phi's
+phibar and cutoff change, at one order, in one ``limit_pairings`` batch, a
+lockstep quadrature over all their schedules in which a stall is its own
+schedule's: a job's report gets each continued phi's (Tbar, phibar) and
+shift this way.
 
 phibar is evaluated by value only.  Its Taylor polynomial is phi.taylor(p),
 taken once per subtracted function, and omega is exactly 1 on the plateau,
@@ -28,12 +36,13 @@ where the true value of exp(-x^2) - 1 + x^2 is 5e-21), noise that the
 kernel's growth y^-s would magnify into the pairing.  The tail's Horner
 sum runs numpy's ``polyval`` operations in its order, in place.
 
-For products supported at the origin (every delta-derived catalog product)
-the c = 0 value is genuinely independent of the cutoff geometry: changing
-omega only alters the subtraction where the product's boundary value already
-vanishes.  For divergent products with support off the origin a cutoff change
-shifts the value by a counterterm, i.e. reparametrizes the same family; a
-job report's ``omega_independence`` block measures that distinction.
+For a product supported at the origin (some factor is delta, a derivative
+of it or a zero pair: ``ProductExpression.supported_at_origin``) the shift
+is exactly 0: that factor's F_y is O(y) on the cutoff change's support,
+where every other factor stays bounded.  ``evaluate_extensions`` gives it
+0 and pairs no cutoff change.  A product with support off the origin, such
+as pv(1/x)^2, shifts by a counterterm, i.e. reparametrizes the same family;
+a job report's ``omega_independence`` block prints |shift|.
 """
 
 from __future__ import annotations
@@ -141,6 +150,53 @@ class SubtractedFunction:
         return max(self.phi.decay_radius(extra_degree), self.omega.support + 1.0)
 
 
+class CutoffChange:
+    """(omega - omega2) * T_p, the change of phibar from cutoff omega to omega2.
+
+    T_p(x) = sum_{k <= p} taylor[k] x^k with taylor = phi.taylor(p), as in
+    ``SubtractedFunction``.  Identically 0 on |x| <= the smaller plateau,
+    where both cutoffs are 1, and evaluated only past it.  Evaluated by value:
+    a scalar gives a float, an array an array.
+    """
+
+    def __init__(self, phi: TestFunction, omega: PlateauCutoff, omega2: PlateauCutoff,
+                 p: int):
+        self.phi = phi
+        self.omega = omega
+        self.omega2 = omega2
+        self.taylor = phi.taylor(p)
+        self.near = min(omega.plateau, omega2.plateau)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        far = np.abs(x) > self.near
+        xf = x[far]
+        val = np.zeros_like(x)
+        val[far] = (self.omega(xf) - self.omega2(xf)) * _polyval(xf, self.taylor)
+        return float(val[0]) if scalar else val
+
+    @property
+    def sigma(self) -> float:
+        """phi's width: a schedule refuses it where it refuses phibar."""
+        return self.phi.sigma
+
+    @property
+    def vanishing_order(self) -> float:
+        """Unbounded: the function is identically 0 near 0."""
+        return math.inf
+
+    @property
+    def parity(self) -> int | None:
+        """phi's: both cutoffs are even, and phi's Taylor terms have phi's parity."""
+        return self.phi.parity
+
+    def decay_radius(self, extra_degree: int = 0) -> float:
+        """Past the cutoffs' supports, where the function is 0."""
+        return max(self.omega.support, self.omega2.support) + 1.0
+
+
 # ---------------------------------------------------------------------------
 # the continuation
 # ---------------------------------------------------------------------------
@@ -163,31 +219,57 @@ def evaluate_extension(expr: ProductExpression, phi: TestFunction, p: int,
 
     omega defaults to PlateauCutoff(1.0, 2.0).  The pairing must converge;
     otherwise the order is too small for the expression, or the expression
-    is outside scope, and ExtensionError is raised.  This is the one-item
-    case of ``evaluate_extensions``.
+    is outside scope, and ExtensionError is raised.
     """
-    [value] = evaluate_extensions(expr, p, [(phi, omega or PlateauCutoff(1.0, 2.0))],
-                                  schedule, tol)
+    phibar = SubtractedFunction(phi, omega or PlateauCutoff(1.0, 2.0), p)
+    [value] = _limits(expr, p, [phibar], schedule, tol)
     if isinstance(value, Exception):
         raise value
     return value
 
 
-def evaluate_extensions(expr: ProductExpression, p: int, items,
+def evaluate_extensions(expr: ProductExpression, p: int, phis,
+                        omegas: tuple[PlateauCutoff, PlateauCutoff],
                         schedule: Schedule = DEFAULT_SCHEDULE,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """``evaluate_extension`` of every (phi, omega) of items, in one batch.
+    """(Tbar, shift) of every phi of phis at the order-p subtraction, in one batch.
 
-    The subtracted pairings run through ``limit_pairings``, so each entry is
-    exactly what the item gets alone: (Tbar, phibar), or the exception it
-    raises (ExtensionError or a QuadratureError), returned, not raised.  A
-    phi the schedule cannot resolve refuses the whole batch, as it does there.
+    With omegas = (omega, omega2), Tbar is (Tbar, phibar) at omega, exactly
+    ``evaluate_extension``'s value, and shift is the pairing of the
+    ``CutoffChange`` from omega to omega2, so that Tbar + shift is the
+    continuation at omega2.  Both run in one ``limit_pairings`` batch.  When
+    ``expr.supported_at_origin`` the shift is exactly 0j and only phibar is
+    paired.  An entry whose pairing fails is the exception instead (an
+    ExtensionError or a QuadratureError), returned, not raised: phibar's
+    when both fail.  A phi the schedule cannot resolve refuses the whole
+    batch, as it does there.
     """
-    phibars = [SubtractedFunction(phi, omega, p) for phi, omega in items]
+    omega, omega2 = omegas
+    functions = [SubtractedFunction(phi, omega, p) for phi in phis]
+    if not expr.supported_at_origin:
+        functions += [CutoffChange(phi, omega, omega2, p) for phi in phis]
+    values = _limits(expr, p, functions, schedule, tol)
+    shifts = values[len(phis):] or [0j] * len(phis)
+    return [next((v for v in pair if isinstance(v, Exception)), pair)
+            for pair in zip(values, shifts)]
+
+
+def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule,
+            tol: Tolerances) -> list:
+    """The limit of expr's pairing with each function, from one ``limit_pairings`` batch.
+
+    A pairing that raises gives its exception, and one that does not converge
+    an ExtensionError, returned, not raised.
+    """
     values = []
-    for pairing in limit_pairings(expr, phibars, schedule, tol):
+    for function, pairing in zip(functions, limit_pairings(expr, functions, schedule, tol)):
         if isinstance(pairing, Exception):
             values.append(pairing)
+        elif isinstance(function, CutoffChange) and pairing.status != "converged":
+            values.append(ExtensionError(
+                f"cutoff-change pairing for {expr.label!r} classified as "
+                f"{pairing.status}; the schedule does not resolve the cutoff shift"
+            ))
         elif pairing.status != "converged":
             values.append(ExtensionError(
                 f"subtracted pairing for {expr.label!r} classified as "

@@ -286,6 +286,16 @@ class ProductExpression:
                 parity *= pair.parity
         return parity if balance == 0 else None
 
+    @property
+    def supported_at_origin(self) -> bool:
+        """True when some factor is (``HyperfunctionPair.supported_at_origin``).
+
+        Away from 0 that factor's F_y is O(y) and every other factor and x^R
+        stay bounded, so the product's pairing with a test function that
+        vanishes near 0 tends to exactly 0, though no I(y) at y > 0 need be 0.
+        """
+        return any(pair.supported_at_origin for pair in self.factors)
+
     def converges_against(self, phi) -> bool:
         """True when the pairing with phi is proved convergent before any quadrature.
 

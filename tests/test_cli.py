@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -251,6 +252,35 @@ class TestRunJob:
             error = res["subtraction"].pop("error")
             assert res["subtraction"] == order
             assert "classified as inconclusive" in error
+
+    def test_failing_cutoff_change_keeps_the_order(self, monkeypatch):
+        # the cutoff change's pairing stalls on NaN values: its error is the
+        # job's, with the order kept
+        monkeypatch.setattr(extension.CutoffChange, "__call__",
+                            lambda self, x: np.full(np.shape(x), np.nan))
+        res = run_job(Job(expression="pv(1/x) * pv(1/x)"))["results"][0]
+        assert res["subtraction"] == {"p": 0, "needed": True, "error": (
+            "quadrature stalled at error nan (target nan, 4 panels)")}
+        assert res["extensions"] is None and res["omega_independence"] is None
+        # a product supported at the origin pairs no cutoff change
+        res = run_job(Job(expression="delta * delta"))["results"][0]
+        assert res["omega_independence"]["difference"] == 0.0
+        # with phibar left unsubtracted its pairing diverges too, and phibar's
+        # error is the one reported
+        monkeypatch.setattr(extension.SubtractedFunction, "__call__",
+                            lambda self, x: self.phi(x))
+        res = run_job(Job(expression="pv(1/x) * pv(1/x)"))["results"][0]
+        assert res["subtraction"] == {"p": 0, "needed": True, "error": (
+            "subtracted pairing for 'pv(1/x) * pv(1/x)' classified as diverged; the "
+            "declared order p=0 is too small or the expression is outside scope")}
+
+    def test_unconverged_cutoff_change_is_named(self, monkeypatch):
+        # a cutoff change that kept phi near 0 would diverge against pv(1/x)^2
+        monkeypatch.setattr(extension.CutoffChange, "__call__", lambda self, x: self.phi(x))
+        res = run_job(Job(expression="pv(1/x) * pv(1/x)"))["results"][0]
+        assert res["subtraction"] == {"p": 0, "needed": True, "error": (
+            "cutoff-change pairing for 'pv(1/x) * pv(1/x)' classified as diverged; the "
+            "schedule does not resolve the cutoff shift")}
 
     def test_ignored_counterterms_are_noted(self):
         res = run_job(Job(**INCONCLUSIVE, c_grid=[[1, 2]]))["results"][0]
@@ -719,29 +749,34 @@ class TestWorkCount:
         run_job(Job(expression="delta * delta",
                     c_grid=[[complex(k, -k)] for k in range(16)]))
         # phi, the search (base, its order-0 check against x * offset, three
-        # probes), c = 0 and omega2
-        assert without_rows == 8
+        # probes) and c = 0; delta is supported at the origin, so the cutoff
+        # shift is 0 and pairs nothing
+        assert without_rows == 7
         assert calls["limit_pairing"] == without_rows
 
     @pytest.mark.parametrize("n_phi", [1, 4])
     def test_job_stages_share_quadratures(self, calls, n_phi):
         # every phi's pairing in one quadrature, the whole search (base,
-        # order-0 check, three probes) in one, both cutoffs of every phi in
-        # one: the subtracted pairings and the search's vanishing functions
-        # are proved convergent, so their check schedules run in the same
-        # quadrature as their main ones.  3 quadratures whatever the number of phi
+        # order-0 check, three probes) in one, every phi's (Tbar, phibar) in
+        # one (delta * delta is supported at the origin: no cutoff change is
+        # paired): the subtracted pairings and the search's vanishing
+        # functions are proved convergent, so their check schedules run in
+        # the same quadrature as their main ones.  3 quadratures whatever the
+        # number of phi
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)[:n_phi]]
         run_job(Job(expression="delta * delta", phis=phis))
-        assert calls["limit_pairing"] == 5 + 3 * n_phi
+        assert calls["limit_pairing"] == 5 + 2 * n_phi
         assert calls["quadrature"] == 3
 
     def test_search_up_to_the_bound_is_one_batch(self, calls):
         # sd = 4 bounds the order by 2: the base, the checks of orders 0, 1
         # and 2 and the order-2 probes share one batch, and the search finds
-        # 2; the order-2 pairings' check schedules share that quadrature too
+        # 2; the order-2 pairings' check schedules share that quadrature too.
+        # Besides it, phi's pairing and (Tbar, phibar), and no cutoff change:
+        # d(delta) is supported at the origin
         report = run_job(Job(expression="d(delta) * d(delta)"))
         assert report["results"][0]["subtraction"] == {"p": 2, "needed": True}
-        assert calls["limit_pairing"] == 1 + 7 + 2
+        assert calls["limit_pairing"] == 1 + 7 + 1
         assert calls["quadrature"] == 3
 
     def test_overflowing_counterterm_row_runs_no_continuation(self, calls, monkeypatch,
@@ -766,7 +801,7 @@ class TestWorkCount:
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)]
         report = run_job(Job(expression="delta * delta", phis=phis))
         assert calls["subtraction_order"] == 1
-        assert calls["limit_pairing"] == 5 + 3 * len(phis)
+        assert calls["limit_pairing"] == 5 + 2 * len(phis)
         assert all(r["subtraction"] == {"p": 0, "needed": True}
                    for r in report["results"])
 

@@ -18,7 +18,13 @@ from distprod.extension import (
     factorization_identity_check,
 )
 from distprod import extension, testfn
-from distprod.pairing import ProductExpression, limit_pairing, pair_at_y
+from distprod.pairing import (
+    DEFAULT_TOLERANCES,
+    ProductExpression,
+    limit_pairing,
+    pair_at_y,
+    parse_expression,
+)
 from distprod.testfn import (
     PlateauCutoff,
     REFERENCE_TEST_FUNCTIONS,
@@ -305,6 +311,74 @@ class TestOmegaIndependence:
         assert abs(shifts[0]) > 1e-3  # genuinely omega-dependent
         assert shifts[0].real == pytest.approx(shifts[1].real, rel=1e-5)
         assert abs(shifts[0].imag) < 1e-8 and abs(shifts[1].imag) < 1e-8
+
+
+OMEGA2 = PlateauCutoff(0.5, 1.0)     # a job's halved cutoff
+
+
+def _job_result(text, phi):
+    return run_job(Job(text, phis=[{"poly": list(phi.poly), "sigma": phi.sigma,
+                                    "mu": phi.mu}]))["results"][0]
+
+
+def _pv_squared_shift():
+    """2 * int_{1/2}^{2} (OMEGA - OMEGA2)(x) / x^2 dx, to 20 digits, with the package's cutoffs.
+
+    pv(1/x)^2 tends to 1/x^2 off the origin, and on exp(-x^2) or tilted,
+    phi(0) = 1 is the order-0 Taylor polynomial.
+    """
+    with mpmath.workdps(20):
+        return float(2 * mpmath.quad(lambda x: (OMEGA(float(x)) - OMEGA2(float(x))) / x**2,
+                                     [0.5, 1.0, 2.0]))
+
+
+class TestCutoffShift:
+    """A job's cutoff difference is the pairing of the cutoff change, not a
+    second continuation."""
+
+    @pytest.mark.parametrize("name", ["gauss", "tilted", "offset"])
+    @pytest.mark.parametrize("text", ["pv(1/x) * pv(1/x)", "(x+i0)^-1 * (x-i0)^-1"])
+    def test_shift_is_the_distance_of_two_continuations(self, text, name):
+        phi = REFERENCE_TEST_FUNCTIONS[name]
+        res = _job_result(text, phi)
+        assert res["subtraction"] == {"p": 0, "needed": True}
+        tbar = complex(*res["extensions"][0]["Tbar_phibar"])
+        assert res["omega_independence"]["geometries"] == [[1.0, 2.0], [0.5, 1.0]]
+        old = _cutoff_shift(parse_expression(text), 0, phi, OMEGA2)
+        assert res["omega_independence"]["difference"] == pytest.approx(
+            old, rel=0.0, abs=10 * DEFAULT_TOLERANCES.convergence * max(1.0, abs(tbar)))
+
+    @pytest.mark.parametrize("text", ["delta * delta", "d(delta) * d(delta)",
+                                      "delta * d(delta)"])
+    def test_origin_support_shifts_by_exactly_zero(self, text):
+        phi = REFERENCE_TEST_FUNCTIONS["tilted"]
+        expr = parse_expression(text)
+        assert expr.supported_at_origin
+        res = _job_result(text, phi)
+        assert res["omega_independence"]["difference"] == 0.0
+        # the two continuations the exact 0 replaces agree as closely
+        assert _cutoff_shift(expr, res["subtraction"]["p"], phi, OMEGA2) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["gauss", "tilted"])
+    @pytest.mark.parametrize("text", ["pv(1/x) * pv(1/x)", "(x+i0)^-1 * (x-i0)^-1"])
+    def test_pv_squared_shift_against_mpmath(self, text, name):
+        res = _job_result(text, REFERENCE_TEST_FUNCTIONS[name])
+        assert res["omega_independence"]["difference"] == pytest.approx(
+            _pv_squared_shift(), rel=1e-12)
+
+    def test_cutoff_change_values(self):
+        phi = REFERENCE_TEST_FUNCTIONS["offset"]
+        change = extension.CutoffChange(phi, OMEGA, OMEGA2, 2)
+        x = np.linspace(-3.0, 3.0, 121)
+        # phibar at omega2 is phibar at omega plus the change
+        phibar, phibar2 = SubtractedFunction(phi, OMEGA, 2), SubtractedFunction(phi, OMEGA2, 2)
+        assert change(x) == pytest.approx(phibar2(x) - phibar(x), abs=1e-15)
+        assert (change(x[np.abs(x) <= 0.5]) == 0.0).all()
+        assert (change(x[np.abs(x) >= 2.0]) == 0.0).all()
+        assert change(0.75) == change(np.array([0.75]))[0] != 0.0
+        assert (change.sigma, change.parity) == (phi.sigma, phi.parity)
+        assert change.vanishing_order == math.inf
+        assert change.decay_radius() == change.decay_radius(50) == 3.0
 
 
 class TestFactorizationIdentity:

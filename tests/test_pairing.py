@@ -1187,6 +1187,32 @@ def test_atom_parity_and_side(atom):
     assert sides == {"+": atom.side == "+", "-": atom.side == "-"}
 
 
+# every parseable atom through derivative depth 3, with whether it is
+# supported at the origin: delta, its derivatives and the zero pairs d(1),
+# d(d(1)), d(d(d(1)))
+_ORIGIN_ATOMS = {f"{'d(' * k}{base}{')' * k}": base == "delta" or (base == "1" and k > 0)
+                 for base in ("delta", "pv(1/x)", "1", "(x+i0)^-1", "(x-i0)^-2")
+                 for k in range(4)}
+
+
+@pytest.mark.parametrize("text, want", [*_ORIGIN_ATOMS.items(), ("delta * x^2", False)])
+def test_atom_supported_at_origin(text, want):
+    # off the origin the F_y of a pair supported there is O(y), and the
+    # others' are not small; a trailing x^2 is the product's last factor
+    pair = parse_expression(text).factors[-1]
+    assert pair.supported_at_origin is want
+    size = np.abs(pair.regulated(np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]), 1e-8))
+    assert (size <= 1e-5).all() if want else (size >= 1e-2).all()
+
+
+@pytest.mark.parametrize("left", list(_ORIGIN_ATOMS)[::2])
+@pytest.mark.parametrize("right", [*list(_ORIGIN_ATOMS)[1::2], "x^2"])
+def test_product_supported_at_origin(left, right):
+    # true iff some factor is
+    expr = parse_expression(f"{left} * {right}")
+    assert expr.supported_at_origin is (_ORIGIN_ATOMS[left] or _ORIGIN_ATOMS.get(right, False))
+
+
 @pytest.mark.parametrize("text", ["delta", "delta * pv(1/x)", "x^2 * delta * delta"])
 def test_convergent_search_pairs_its_base_alone(monkeypatch, text):
     # the base is proved convergent against the reference function: it is
