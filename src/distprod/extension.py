@@ -56,6 +56,7 @@ from .pairing import (
     DEFAULT_SCHEDULE,
     DEFAULT_TOLERANCES,
     ProductExpression,
+    QuadratureError,
     Schedule,
     Tolerances,
     limit_pairing,
@@ -258,24 +259,24 @@ def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule,
             tol: Tolerances) -> list:
     """The limit of expr's pairing with each function, from one ``limit_pairings`` batch.
 
-    A pairing that raises gives its exception, and one that does not converge
-    an ExtensionError, returned, not raised.
+    A pairing that raises gives its exception, a stall as a QuadratureError
+    at the same height whose message names the pairing, and one that does not
+    converge an ExtensionError, returned, not raised.
     """
     values = []
     for function, pairing in zip(functions, limit_pairings(expr, functions, schedule, tol)):
-        if isinstance(pairing, Exception):
+        name = "cutoff-change" if isinstance(function, CutoffChange) else "subtracted"
+        if isinstance(pairing, QuadratureError):
+            values.append(QuadratureError(f"{name} pairing for {expr.label!r}: {pairing}",
+                                          pairing.height))
+        elif isinstance(pairing, Exception):
             values.append(pairing)
-        elif isinstance(function, CutoffChange) and pairing.status != "converged":
-            values.append(ExtensionError(
-                f"cutoff-change pairing for {expr.label!r} classified as "
-                f"{pairing.status}; the schedule does not resolve the cutoff shift"
-            ))
         elif pairing.status != "converged":
+            why = ("the schedule does not resolve the cutoff shift"
+                   if isinstance(function, CutoffChange) else
+                   f"the declared order p={p} is too small or the expression is outside scope")
             values.append(ExtensionError(
-                f"subtracted pairing for {expr.label!r} classified as "
-                f"{pairing.status}; the declared order p={p} is too small or the "
-                "expression is outside scope"
-            ))
+                f"{name} pairing for {expr.label!r} classified as {pairing.status}; {why}"))
         else:
             values.append(pairing.value)
     return values

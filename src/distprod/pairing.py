@@ -37,13 +37,11 @@ contraction gives both rule sums of every panel.  The
 leaf panels of the live heights are the rows of one packed array, grouped by
 schedule, then by height in schedule order, and sorted by left endpoint, so
 a round's bookkeeping (error sums, split tests, halving) is a few vector
-operations over all of them.  A round takes the longest prefix of the
-heights whose panels in flight fit a fixed budget of 2048 panels (a height
-over it goes alone), which bounds the memory of its integrand call; the
-heights past it sit the round out.  A panel's rule sums do not depend on the
-other panels of the call, a height's sums and splits read only its own rows,
-and its value is the sum of its rows in left order, so every I(y) is bitwise
-the value that height gets on its own; ``pair_at_y`` is the one-height case.
+operations over all of them.  Every round refines every live height.  A
+panel's rule sums do not depend on the other panels of the call, a height's
+sums and splits read only its own rows, and its value is the sum of its rows
+in left order, so every I(y) is bitwise the value that height gets on its
+own; ``pair_at_y`` is the one-height case.
 A stall is its schedule's own: it cuts or refuses that schedule and no
 other.
 
@@ -117,11 +115,6 @@ _RULES[0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _RULES[1, 1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 _MIN_PANEL_REL = 2.3e-16
-# Panels in flight over the heights refined together in one round: a
-# height's rows, plus the parent of each pair of fresh halves.  It bounds the
-# memory of a round's integrand call, not the work: a height over the budget
-# on its own is refined alone.
-_PANEL_BUDGET = 2048
 # One height's panel cap: past it the height stalls.
 _MAX_PANELS = 4000
 
@@ -605,24 +598,22 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
 
     The leaf panels of the live heights are the rows of one packed array,
     grouped by schedule, then by height in schedule order, and sorted by left
-    endpoint within a height.  A round takes the longest prefix of heights
-    whose panels in flight fit _PANEL_BUDGET (a height over it on its own
-    goes alone): its rows, plus the parent of each pair of fresh halves.  It
-    evaluates the prefix's fresh rows in one `_panel_rule` call, and before
-    it ends it replaces every row it marks by its two fresh halves and drops
-    the rows of the heights that are done.  A height's sums and splits read
-    its own rows only, and its value is the sum of its rows in left order, so
-    every value is the one the height gets alone.
+    endpoint within a height, so each pointsets[g][k] must be sorted.  Every
+    round evaluates the fresh rows of every live height in one `_panel_rule`
+    call, and before it ends it replaces every row it marks by its two fresh
+    halves and drops the rows of the heights that are done.  A height's sums
+    and splits read its own rows only, and its value is the sum of its rows
+    in left order, so every value is the one the height gets alone.
 
     A stall is a schedule's own: when a height stalls, the heights above it
     in its schedule are dropped and those below it finish; the other
-    schedules run on.
+    schedules run on.  Its QuadratureError names the height and its y.
     """
     groups = len(ys)
     counts = [len(heights) for heights in ys]
     first = np.cumsum([0, *counts])    # each schedule's first height in ys
     ys = np.concatenate([np.asarray(heights, dtype=float) for heights in ys])
-    pts = [np.asarray(sorted(points), dtype=float) for heights in pointsets for points in heights]
+    pts = [np.asarray(points, dtype=float) for heights in pointsets for points in heights]
     live = np.arange(len(ys))          # live heights, schedule by schedule
     group = np.repeat(np.arange(groups), counts)   # schedule of each live height
     size = np.array([len(p) - 1 for p in pts])  # rows per live height
@@ -635,49 +626,35 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     targets: list = [None] * len(ys)
     failures: list = [None] * groups
     while len(live):
-        n = max(1, int(np.searchsorted(np.cumsum(size + fresh // 2), _PANEL_BUDGET, "right")))
-        ends = np.cumsum(size[:n])
-        starts = ends - size[:n]
-        batch = rows[:ends[-1]]
-        new = batch["fresh"]
-        a, b = batch["a"][new], batch["b"][new]
-        # the fresh rows of each schedule (the lone schedule's are all of them)
-        per_group = ((len(a),) if groups == 1
-                     else np.bincount(group[:n], fresh[:n], groups).astype(int))
-        batch["value"][new], batch["error"][new], batch["rough"][new] = _panel_rule(
-            f, a, b, np.repeat(ys[live[:n]], fresh[:n]), per_group)
-        batch["fresh"] = False
-        error = np.add.reduceat(batch["error"], starts)
-        target = np.maximum(epsabs, 2e-14 * np.add.reduceat(batch["rough"], starts))
-        split = _over_share(batch, np.repeat(target / (2.0 * size[:n]), size[:n]))
+        ends = np.cumsum(size)
+        starts = ends - size
+        new = rows["fresh"]
+        rows["value"][new], rows["error"][new], rows["rough"][new] = _panel_rule(
+            f, rows["a"][new], rows["b"][new], np.repeat(ys[live], fresh),
+            np.bincount(group, fresh, groups).astype(int))
+        rows["fresh"] = False
+        error = np.add.reduceat(rows["error"], starts)
+        target = np.maximum(epsabs, 2e-14 * np.add.reduceat(rows["rough"], starts))
+        split = _over_share(rows, np.repeat(target / (2.0 * size), size))
         m = np.add.reduceat(split, starts)
         done = error <= target
-
-        go = np.ones(len(live), dtype=bool)
-        go[:n] = ~done
-        if not done.all():
-            stalled = ~done & ((m == 0) | (size[:n] + m > _MAX_PANELS))
-            # a stall drops the heights above it in its schedule, in the batch or not
-            for i in stalled.nonzero()[0]:
-                if not go[i]:
-                    continue                       # above a lower stall of its schedule
-                g = group[i]
-                failures[g] = QuadratureError(
-                    f"quadrature stalled at error {error[i]:.3e} "
-                    f"(target {target[i]:.3e}, {size[i]} panels)", int(live[i] - first[g]))
-                above = slice(i, int(np.searchsorted(group, g, "right")))
-                go[above] = False
-                done[above] = False
+        go = ~done
+        # a stall drops the heights above it in its schedule
+        for i in (go & ((m == 0) | (size + m > _MAX_PANELS))).nonzero()[0]:
+            if not go[i]:
+                continue                       # above a lower stall of its schedule
+            g = group[i]
+            k = int(live[i] - first[g])
+            failures[g] = QuadratureError(
+                f"quadrature stalled at height {k} (y = {ys[live[i]]:g}): error "
+                f"{error[i]:.3e} (target {target[i]:.3e}, {size[i]} panels)", k)
+            above = slice(i, int(np.searchsorted(group, g, "right")))
+            go[above] = done[above] = False
         for i in done.nonzero()[0]:
-            values[live[i]] = _leaf_sum(batch[starts[i]:ends[i]])
+            values[live[i]] = _leaf_sum(rows[starts[i]:ends[i]])
             targets[live[i]] = float(target[i])
-        copies = np.repeat(go, size).astype(int)
-        copies[:len(batch)] *= 1 + split
-        rows = _halved(rows, copies)
-        size[:n] += m
-        fresh[:n] = 2 * m
-        if not go.all():
-            live, group, size, fresh = live[go], group[go], size[go], fresh[go]
+        rows = _halved(rows, np.repeat(go, size) * (1 + split))
+        live, group, size, fresh = live[go], group[go], size[go] + m[go], 2 * m[go]
     out = []
     for g, failure in enumerate(failures):
         lo = first[g]
@@ -844,8 +821,9 @@ def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
         for y in ys:
             if not (y > 0.0 and math.isfinite(y)):
                 raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
+    # L >= max(2, 20y) (see _integration_radius): every point lies in [-L, L]
     pointsets = [
-        [sorted(p for p in {-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L} if -L <= p <= L)
+        [sorted({-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L})
          for y, L in zip(ys, _integration_radius(expr, phi, ys))]
         for phi, ys in zip(phis, heights)
     ]
@@ -894,10 +872,11 @@ def limit_pairing(expr: ProductExpression, phi,
     R^2 >= _R2_MIN and rate s > _S_MIN.  Everything else is inconclusive,
     which is a classification, not an error.
 
-    Strongly divergent integrands eventually exhaust the quadrature budget
-    as y shrinks; the schedule is then truncated at the first unresolvable
-    height and classification runs on the prefix (at least MIN_HEIGHTS
-    heights are required, otherwise the quadrature failure propagates).
+    Strongly divergent integrands eventually reach a height's panel cap
+    (_MAX_PANELS) as y shrinks; the schedule is then truncated at the first
+    unresolvable height and classification runs on the prefix (at least
+    MIN_HEIGHTS heights are required, otherwise the quadrature failure
+    propagates).
 
     A phi narrower than the smallest height is refused first, with the
     ValueError of ``require_resolved``.  This is the one-phi case of

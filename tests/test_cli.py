@@ -260,7 +260,8 @@ class TestRunJob:
                             lambda self, x: np.full(np.shape(x), np.nan))
         res = run_job(Job(expression="pv(1/x) * pv(1/x)"))["results"][0]
         assert res["subtraction"] == {"p": 0, "needed": True, "error": (
-            "quadrature stalled at error nan (target nan, 4 panels)")}
+            "cutoff-change pairing for 'pv(1/x) * pv(1/x)': quadrature stalled at "
+            "height 0 (y = 0.1): error nan (target nan, 4 panels)")}
         assert res["extensions"] is None and res["omega_independence"] is None
         # a product supported at the origin pairs no cutoff change
         res = run_job(Job(expression="delta * delta"))["results"][0]
@@ -273,6 +274,17 @@ class TestRunJob:
         assert res["subtraction"] == {"p": 0, "needed": True, "error": (
             "subtracted pairing for 'pv(1/x) * pv(1/x)' classified as diverged; the "
             "declared order p=0 is too small or the expression is outside scope")}
+
+    def test_stalled_subtraction_is_named(self, monkeypatch):
+        # a NaN phibar stalls the subtracted pairing at its first height: the
+        # error names that pairing, with the order kept
+        monkeypatch.setattr(extension.SubtractedFunction, "__call__",
+                            lambda self, x: np.full(np.shape(x), np.nan))
+        res = run_job(Job(expression="pv(1/x) * pv(1/x)"))["results"][0]
+        assert res["subtraction"] == {"p": 0, "needed": True, "error": (
+            "subtracted pairing for 'pv(1/x) * pv(1/x)': quadrature stalled at "
+            "height 0 (y = 0.1): error nan (target nan, 4 panels)")}
+        assert res["extensions"] is None and res["omega_independence"] is None
 
     def test_unconverged_cutoff_change_is_named(self, monkeypatch):
         # a cutoff change that kept phi near 0 would diverge against pv(1/x)^2

@@ -535,35 +535,11 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
     assert got[2] == pytest.approx(want[2], rel=1e-12)
 
 
-@pytest.mark.parametrize("text", ["delta * delta", "d(delta) * d(delta)"])
-def test_waiting_heights_equal_heights_one_at_a_time(monkeypatch, text):
-    # a 64-panel budget takes 7 of the 12 heights in the first round (6 rows,
-    # 9 panels in flight each), so from then on heights sit out rounds with
-    # their fresh halves, and the batch shrinks and grows again
-    expr = parse_expression(text)
-    phi = REFERENCE_TEST_FUNCTIONS["offset"]
-    ys = DEFAULT_SCHEDULE.heights()
-    want = [repr(pair_at_y(expr, phi, y)) for y in ys]
-    heights_per_call = []
-    rule = pairing._panel_rule
-
-    def counting(f, a, b, y, rows):
-        heights_per_call.append(len(np.unique(y)))
-        return rule(f, a, b, y, rows)
-
-    monkeypatch.setattr(pairing, "_PANEL_BUDGET", 64)
-    monkeypatch.setattr(pairing, "_panel_rule", counting)
-    got_ys, got = _schedule(expr, phi, ys)
-    assert got_ys == ys
-    assert [repr(v) for v in got] == want
-    assert heights_per_call[0] < len(ys)
-
-
-def test_budget_refines_lower_heights_first(monkeypatch):
-    # d(delta)^2 against a cancelling order-2 subtraction needs more than the
-    # real budget: rounds take heights in schedule order while they fit, so
-    # the small heights, where the schedule stalls and is cut to 6, wait for
-    # rows to leave instead of being refined in every round
+def test_stalled_schedule_refines_every_live_height(monkeypatch):
+    # d(delta)^2 against a cancelling order-2 subtraction stalls and is cut
+    # to 6 heights; every round refines every height still live, the small
+    # ones included.  The phibar is test-local: no input the parser reaches
+    # stalls after its first round.
     expr = parse_expression("d(delta) * d(delta)")
     phi = _cancelling("gauss", 2)
     calls = []
@@ -576,9 +552,41 @@ def test_budget_refines_lower_heights_first(monkeypatch):
     monkeypatch.setattr(pairing, "_panel_rule", counting)
     got_ys, _ = _schedule(expr, phi, DEFAULT_SCHEDULE.heights())
     assert len(got_ys) == 6
-    assert [h for h, _ in calls] == [12, 12, 12, 12, 12, 9, 6, 6, 5, 4, 2, 2, 1, 1, 1, 1]
-    # refining every live height in every round would evaluate 39,358 panels
-    assert sum(n for _, n in calls) == 11774
+    assert [h for h, _ in calls] == [12, 12, 12, 12, 12, 9, 6, 6, 6, 6, 6, 6, 5, 2, 1, 1]
+    assert sum(n for _, n in calls) == 39358
+
+
+def test_every_panel_rule_call_holds_the_live_heights(monkeypatch):
+    # pv(1/x)^2 against the reference functions: every call evaluates fresh
+    # rows of exactly the heights that are not yet done, in every schedule
+    expr = parse_expression("pv(1/x) * pv(1/x)")
+    calls = []          # per call, the (schedule, height) pairs it holds
+    rule = pairing._panel_rule
+    quadrature = pairing._adaptive_quadrature
+
+    def counting(f, a, b, y, rows):
+        ends = np.cumsum(rows)
+        calls[-1].append({(g, h) for g, end in enumerate(ends)
+                          for h in y[end - rows[g]:end].tolist()})
+        return rule(f, a, b, y, rows)
+
+    def integrate(f, ys, pointsets, epsabs):
+        calls.append([])
+        out = quadrature(f, ys, pointsets, epsabs)
+        assert all(failure is None for *_, failure in out)
+        held = calls[-1]
+        # a height is live until the round that finishes it
+        last = {(g, h): max(i for i, call in enumerate(held) if (g, h) in call)
+                for g, heights in enumerate(ys) for h in heights}
+        for i, call in enumerate(held):
+            assert call == {key for key, end in last.items() if end >= i}
+        return out
+
+    monkeypatch.setattr(pairing, "_panel_rule", counting)
+    monkeypatch.setattr(pairing, "_adaptive_quadrature", integrate)
+    results = pairing.limit_pairings(expr, list(REFERENCE_TEST_FUNCTIONS.values()))
+    assert all(isinstance(r, PairingResult) and r.status == "diverged" for r in results)
+    assert len(calls) == 1 and len(calls[0]) > 1
 
 
 def test_truncated_schedule_equals_heights_one_at_a_time():
@@ -604,8 +612,10 @@ def test_failing_schedule_raises_like_heights_one_at_a_time():
         _one_at_a_time(expr, phi, ys)
     with pytest.raises(QuadratureError) as got:
         _schedule(expr, phi, ys)
-    assert str(got.value) == str(want.value)
-    assert got.value.height < 6
+    # alone, the stalled height is height 0 of its one-height schedule
+    k = got.value.height
+    assert str(got.value) == str(want.value).replace("at height 0 ", f"at height {k} ")
+    assert k < 6
 
 
 def _outcome(entry):
@@ -768,7 +778,8 @@ def test_width_floor_stalls_a_jump(monkeypatch):
     assert values == (8.948293733819031e-05 + 0j,) * 2
     assert targets == (1.3422440596437854e-17,) * 2
     assert isinstance(failure, QuadratureError) and failure.height == 2
-    assert str(failure) == "quadrature stalled at error 1.113e-17 (target 5.000e-18, 40 panels)"
+    assert str(failure) == ("quadrature stalled at height 2 (y = 0.25): "
+                            "error 1.113e-17 (target 5.000e-18, 40 panels)")
     # the floor, not the cap, ends it
     monkeypatch.setattr(pairing, "_MAX_PANELS", 10**6)
     again = integrate()
@@ -783,7 +794,8 @@ def test_overflowing_real_kernel_stalls_at_an_infinite_target():
     with pytest.raises(QuadratureError) as stall:
         limit_pairing(parse_expression("x^300 * delta"), REFERENCE_TEST_FUNCTIONS["gauss"])
     assert stall.value.height == 0
-    assert str(stall.value) == "quadrature stalled at error nan (target inf, 4 panels)"
+    assert str(stall.value) == (
+        "quadrature stalled at height 0 (y = 0.1): error nan (target inf, 4 panels)")
 
 
 def test_panel_rule_rows_do_not_depend_on_the_batch():
