@@ -579,7 +579,7 @@ def test_every_panel_rule_call_holds_the_live_heights(monkeypatch):
         last = {(g, h): max(i for i, call in enumerate(held) if (g, h) in call)
                 for g, heights in enumerate(ys) for h in heights}
         for i, call in enumerate(held):
-            assert call == {key for key, end in last.items() if end >= i}
+            assert call == {key for key, final in last.items() if final >= i}
         return out
 
     monkeypatch.setattr(pairing, "_panel_rule", counting)
