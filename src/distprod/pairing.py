@@ -18,18 +18,23 @@ Quadrature is a deterministic adaptive Gauss-Kronrod 7-15 scheme on [-L, L]
 with forced panel boundaries at +-10y around the origin, where all the
 regulator-scale structure of the integrand lives.  L comes from phi's
 closed-form decay at the integrand's polynomial growth, with no integrand
-evaluated to find it.  Panels are refined in rounds (every panel
-above its error share splits), and the final sum runs over panels sorted by
-left endpoint, so results are bit-stable for a fixed configuration.
+evaluated to find it.  Panels are refined in rounds: every panel above its
+error share splits, at its midpoint, or at its geometric mean when it lies
+on one side of 0 and spans more than an octave.  The kernel's structure sits
+at the scale y, so geometric cuts reach it from [10y, 1] in a few rounds,
+where bisection spends one round per octave.  The final sum runs over panels
+sorted by left endpoint, so results are bit-stable for a fixed
+configuration.
 
 A batch is one expression against several test functions, one group per
 schedule, each schedule a phi and its own heights; a phi's main and check
 schedules sit next to each other.  All heights of a schedule, and all
 schedules of a batch, are integrated together, in lockstep rounds: each
-round evaluates the new panels of every height still refining in one
-integrand call, so the cost of a numpy call is paid per round, not per
-height or per pairing.  That call builds x + iy once (and x - iy once, when
-a factor evaluates f- there), evaluates each distinct factor of the
+round evaluates the new panels of every height still refining together, in
+integrand calls of at most _SLICE panels (which bound their memory), so the
+cost of a numpy call is paid per round, not per height or per pairing.  A
+call builds x + iy once (and x - iy once, when a factor evaluates f-
+there), evaluates each distinct factor of the
 expression once over all rows, in real arithmetic for the two-sided
 factors, whose F_y is real, and multiplies the rows of each run of
 schedules sharing a phi by that phi, evaluated once over them; one
@@ -115,8 +120,14 @@ _RULES[0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _RULES[1, 1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 _MIN_PANEL_REL = 2.3e-16
+# A one-sided panel whose far end is more than this many times its near end
+# splits at its geometric mean, not its midpoint (see _halved).
+_OCTAVE = 2.0
 # One height's panel cap: past it the height stalls.
 _MAX_PANELS = 4000
+# Most panels one integrand call evaluates: a round's fresh rows are
+# evaluated in slices of this many (see _panel_rule).
+_SLICE = 2048
 
 
 class QuadratureError(RuntimeError):
@@ -530,15 +541,28 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
     whichever rows share the call.  It casts a float row to complex, so its
     sums are bitwise those of the row as (r, +0); a real contraction would
     round differently.  |f| of a float row is bitwise |(r, +0)|.
+
+    f is called on slices of at most _SLICE rows, each with its own
+    per-group row counts, so one call's memory is bounded whatever the
+    number of rows; since every row is summed alone and phi acts point by
+    point, the slicing changes no bit of the output.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    v = f(x, y[:, None], rows)
-    sums = np.einsum("ij,kj->ik", v, _RULES)
+    ends = np.cumsum(rows)
+    starts = ends - rows
+    sums = np.empty((len(a), 2), dtype=complex)
+    rough = np.empty(len(a))
+    for lo in range(0, len(a), _SLICE):
+        hi = min(lo + _SLICE, len(a))
+        x = mid[lo:hi, None] + half[lo:hi, None] * _NODES[None, :]
+        part = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
+        v = f(x, y[lo:hi, None], part)
+        sums[lo:hi] = np.einsum("ij,kj->ik", v, _RULES)
+        rough[lo:hi] = np.abs(v).sum(axis=1)
     resk = half * sums[:, 0]
     resg = half * sums[:, 1]
-    rough = np.abs(v).sum(axis=1) * np.abs(half)
+    rough *= np.abs(half)
     return resk, np.abs(resk - resg), rough
 
 
@@ -558,9 +582,22 @@ def _over_share(rows, share) -> np.ndarray:
 
 def _halved(rows, copies) -> np.ndarray:
     """Each row taken copies[i] times (0, 1 or 2), a row taken twice as its two
-    fresh halves."""
+    fresh parts.
+
+    A panel [a, b] on one side of 0 whose near end is less than 1/_OCTAVE of
+    its far end is cut at sign(a) * sqrt(|a|) * sqrt(|b|), its geometric
+    mean, which halves its span in log |x|: the kernel's structure sits at
+    the scale y, toward the near end, so a panel such as [10y, 1] reaches it
+    in a few cuts, where bisection spends one round per octave.  Any other
+    panel (one that touches 0, or spans less than an octave) is cut at its
+    midpoint.  Either point lies strictly inside the panel, and neither
+    overflows near the largest doubles.
+    """
     split = copies == 2
-    mids = 0.5 * (rows["a"][split] + rows["b"][split])
+    a, b = rows["a"][split], rows["b"][split]
+    near, far = np.minimum(np.abs(a), np.abs(b)), np.maximum(np.abs(a), np.abs(b))
+    graded = ((a > 0.0) | (b < 0.0)) & (_OCTAVE * near < far)
+    mids = np.where(graded, np.sign(a) * np.sqrt(near) * np.sqrt(far), 0.5 * (a + b))
     out = np.repeat(rows, copies)
     after = np.cumsum(copies)[split]
     out["b"][after - 2] = out["a"][after - 1] = mids
@@ -601,9 +638,11 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     endpoint within a height, so each pointsets[g][k] must be sorted.  Every
     round evaluates the fresh rows of every live height in one `_panel_rule`
     call, and before it ends it replaces every row it marks by its two fresh
-    halves and drops the rows of the heights that are done.  A height's sums
-    and splits read its own rows only, and its value is the sum of its rows
-    in left order, so every value is the one the height gets alone.
+    parts, cut where ``_halved`` cuts (geometrically toward the kernel's
+    scale on one-sided panels past an octave), and drops the rows of the
+    heights that are done.  A height's sums and splits read its own rows
+    only, and its value is the sum of its rows in left order, so every value
+    is the one the height gets alone.
 
     A stall is a schedule's own: when a height stalls, the heights above it
     in its schedule are dropped and those below it finish; the other

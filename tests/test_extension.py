@@ -381,6 +381,58 @@ class TestCutoffShift:
         assert change.decay_radius() == change.decay_radius(50) == 3.0
 
 
+def _dilated(phi, lam):
+    """phi(x / lam), again a polynomial-Gaussian: coefficients c_j lam^-j,
+    width and centre times lam."""
+    return TestFunction(tuple(c * lam ** -j for j, c in enumerate(phi.poly)),
+                        phi.sigma * lam, phi.mu * lam)
+
+
+# The initial panel [10y, 1] lets the 7-15 rule converge falsely at the check
+# schedule's deepest heights, so these continuations do not converge
+_FALSE_CONVERGENCE = pytest.mark.xfail(
+    strict=True, raises=ExtensionError,
+    reason="false convergence on the initial panels (ROADMAP item 8)")
+
+
+_DILATION_PHIS = ("gauss", "tilted", "offset")
+_DILATION_CASES = [
+    *((text, p, name) for text, p in (
+        ("pv(1/x) * pv(1/x)", 0),
+        ("delta * delta", 0),
+        ("d(delta) * d(delta)", 2),
+        ("pv(1/x) * pv(1/x) * pv(1/x) * pv(1/x)", 2),
+        ("delta * delta * delta * delta", 2),
+        ("delta * delta * delta", 2),
+        ("(x+i0)^-3 * (x-i0)^-3", 4),
+    ) for name in _DILATION_PHIS),
+    ("d(delta) * d(delta) * delta", 2, "tilted"),
+    ("d(delta) * d(delta) * delta", 2, "offset"),
+    *(pytest.param("delta * delta * delta", 0, name, marks=_FALSE_CONVERGENCE)
+      for name in _DILATION_PHIS),
+    pytest.param("d(delta) * d(delta) * delta", 2, "gauss", marks=_FALSE_CONVERGENCE),
+]
+
+
+@pytest.mark.parametrize(("text", "p", "name"), _DILATION_CASES)
+def test_dilation_law(text, p, name):
+    # T is homogeneous of degree -sd, and omega(2x) is omega2, so a
+    # continuation against phi(x / 2) is 2^(1 - sd) times the one against phi
+    # moved to the cutoff omega2: (Tbar, phi(./2)) = 2^(1 - sd) (Tbar + shift),
+    # checked at phi(2x) and at phi, all from one batch
+    expr = parse_expression(text)
+    phi = REFERENCE_TEST_FUNCTIONS[name]
+    family = [_dilated(phi, 0.5), phi, _dilated(phi, 2.0)]
+    pairs = extension.evaluate_extensions(expr, p, family, (OMEGA, OMEGA2))
+    for entry in pairs:
+        if isinstance(entry, Exception):
+            raise entry
+    scale = 2.0 ** (1 - expr.scaling_degree)
+    for (tbar, shift), (dilated, _) in zip(pairs, pairs[1:]):
+        want = scale * (tbar + shift)
+        assert abs(dilated - want) <= 1e-9 * max(1.0, abs(want))
+
+
 class TestFactorizationIdentity:
     def test_delta_squared_kappa0(self, delta_sq):
         rep = factorization_identity_check(delta_sq, 0, GAUSS)

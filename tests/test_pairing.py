@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from distprod import pairing
 from distprod.boundary import RegulatorError, catalog
@@ -481,9 +481,18 @@ def test_schedule_equals_heights_one_at_a_time(text, phi_name):
     assert [repr(v) for v in got] == [repr(pair_at_y(expr, phi, y)) for y in ys]
 
 
+def _split_point(a, b):
+    """Where the plain loop cuts [a, b]: at the geometric mean when both ends
+    lie on one side of 0 and the far end is more than twice the near one,
+    at the midpoint otherwise."""
+    if (a > 0 and b > 2 * a) or (b < 0 and a < 2 * b):
+        return math.copysign(math.sqrt(abs(a)) * math.sqrt(abs(b)), a)
+    return 0.5 * (a + b)
+
+
 def _lone_height(f, y, points, epsabs):
     """One height refined on its own by the plain loop: panels kept in the
-    order [kept, lower halves, upper halves], every sum pairwise in that
+    order [kept, lower parts, upper parts], every sum pairwise in that
     order, the value summed over the panels sorted by left endpoint.
     Returns the value and the target."""
     pts = np.asarray(sorted(points), dtype=float)
@@ -496,7 +505,7 @@ def _lone_height(f, y, points, epsabs):
         floor = pairing._MIN_PANEL_REL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         split = (errs > target / (2.0 * len(a))) & (b - a > floor)
         assert split.any() and len(a) + split.sum() <= pairing._MAX_PANELS
-        mids = 0.5 * (a[split] + b[split])
+        mids = np.array([_split_point(lo, hi) for lo, hi in zip(a[split], b[split])])
         na = np.concatenate([a[split], mids])
         nb = np.concatenate([mids, b[split]])
         nvals, nerrs, nroughs = pairing._panel_rule(f, na, nb, np.full(len(na), y), [len(na)])
@@ -537,7 +546,7 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
 
 def test_stalled_schedule_refines_every_live_height(monkeypatch):
     # d(delta)^2 against a cancelling order-2 subtraction stalls and is cut
-    # to 6 heights; every round refines every height still live, the small
+    # to 7 heights; every round refines every height still live, the small
     # ones included.  The phibar is test-local: no input the parser reaches
     # stalls after its first round.
     expr = parse_expression("d(delta) * d(delta)")
@@ -551,9 +560,9 @@ def test_stalled_schedule_refines_every_live_height(monkeypatch):
 
     monkeypatch.setattr(pairing, "_panel_rule", counting)
     got_ys, _ = _schedule(expr, phi, DEFAULT_SCHEDULE.heights())
-    assert len(got_ys) == 6
-    assert [h for h, _ in calls] == [12, 12, 12, 12, 12, 9, 6, 6, 6, 6, 6, 6, 5, 2, 1, 1]
-    assert sum(n for _, n in calls) == 39358
+    assert len(got_ys) == 7
+    assert [h for h, _ in calls] == [12, 12, 12, 12, 12, 5, 5, 5, 5, 5, 5, 5, 4, 1]
+    assert sum(n for _, n in calls) == 33854
 
 
 def test_every_panel_rule_call_holds_the_live_heights(monkeypatch):
@@ -825,6 +834,97 @@ def test_panel_rule_rows_do_not_depend_on_the_batch():
         assert got.tobytes() == want[1:].tobytes()
 
 
+def _split_points(a, b):
+    """The point at which _halved cuts each panel [a[i], b[i]]."""
+    rows = np.zeros(len(a), pairing._LEAF)
+    rows["a"], rows["b"] = a, b
+    out = pairing._halved(rows, np.full(len(a), 2))
+    assert (out["a"][0::2] == rows["a"]).all() and (out["b"][1::2] == rows["b"]).all()
+    assert (out["b"][0::2] == out["a"][1::2]).all() and out["fresh"].all()
+    return out["b"][0::2]
+
+
+def test_one_sided_panel_past_an_octave_splits_at_its_geometric_mean():
+    a = np.array([1e-3, 1e-6, 3.0, -1.0, -50.0, 0.25])
+    b = np.array([1.0, 1e-2, 7.0, -1e-4, -0.5, 0.5000001])
+    got = _split_points(a, b)
+    want = np.sign(a) * np.sqrt(np.abs(a * b))
+    assert got == pytest.approx(want, rel=1e-15)
+    assert (np.sign(got) == np.sign(a)).all()
+
+
+def test_panel_at_zero_or_within_an_octave_splits_at_its_midpoint():
+    # touching 0, spanning 0, less than an octave, exactly an octave
+    a = np.array([0.0, -1.0, -1.0, -3.0, 1.0, -1.9, 1.0, -2.0])
+    b = np.array([1.0, 0.0, 3.0, 2.0, 1.9, -1.0, 2.0, -1.0])
+    assert _split_points(a, b).tolist() == (0.5 * (a + b)).tolist()
+
+
+@pytest.mark.parametrize(("a", "b"), [
+    (1e155, 1.7e155), (1e154, 1.7e155), (-1.7e155, -1e150), (-1.7e155, 1.7e155),
+    (1e-300, 1e-299), (1e-300, 1.5e-300), (-1e-299, -1e-300), (0.0, 1e-300),
+    (1e-300, 1.0), (-1.0, -1e-300),
+])
+def test_split_point_is_finite_and_inside_at_extreme_ends(a, b):
+    # ends near the largest domain a sigma allows, whose product overflows,
+    # and near the smallest normal doubles, whose product underflows
+    [point] = _split_points(np.array([a]), np.array([b]))
+    assert math.isfinite(point) and a < point < b
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+def test_every_split_point_lies_strictly_inside(x, y):
+    # every panel that _over_share lets split, i.e. wider than the width floor
+    a, b = min(x, y), max(x, y)
+    assume(b - a > pairing._MIN_PANEL_REL * max(1.0, abs(a), abs(b)))
+    [point] = _split_points(np.array([a]), np.array([b]))
+    assert a < point < b
+
+
+def test_geometric_split_reaches_the_kernel_scale_in_few_rounds(monkeypatch, integrand_calls):
+    # bisection would spend a round per octave of [10y, 1] at the deepest
+    # heights: 19 rounds for pv(1/x) on the offset phi, 13 integrand calls
+    # for delta^2 on exp(-x^2)
+    rounds = []         # the panels of each round's _panel_rule call
+    rule = pairing._panel_rule
+
+    def counting(f, a, *rest):
+        rounds.append(len(a))
+        return rule(f, a, *rest)
+
+    monkeypatch.setattr(pairing, "_panel_rule", counting)
+    res = limit_pairing(parse_expression("pv(1/x)"), REFERENCE_TEST_FUNCTIONS["offset"])
+    assert res.status == "converged"
+    assert len(rounds) <= 8
+    integrand_calls.clear()
+    limit_pairing(parse_expression("delta * delta"), REFERENCE_TEST_FUNCTIONS["gauss"])
+    assert len(integrand_calls) <= 8
+
+
+def test_sliced_rounds_keep_every_bit(monkeypatch, integrand_calls):
+    # one pairing batch with integrand calls of at most 7 panels each gives
+    # the bits of the unsliced batch, whose rounds reach hundreds of panels
+    expr = parse_expression("pv(1/x) * pv(1/x)")
+    phis = list(REFERENCE_TEST_FUNCTIONS.values())
+    whole = pairing.limit_pairings(expr, phis)
+    assert max(integrand_calls) > 15 * 100
+    integrand_calls.clear()
+    monkeypatch.setattr(pairing, "_SLICE", 7)
+    sliced = pairing.limit_pairings(expr, phis)
+    assert max(integrand_calls) == 15 * 7
+    assert [repr(r.integrals) for r in sliced] == [repr(r.integrals) for r in whole]
+    assert [r.leading_coeff for r in sliced] == [r.leading_coeff for r in whole]
+
+
+def test_no_integrand_call_exceeds_the_slice(integrand_calls):
+    # 24 phi of one batch hold more fresh panels in a round than one slice
+    phis = [TestFunction((1.0, 0.1 * k), 0.8 + 0.05 * k, 0.05 * k) for k in range(24)]
+    results = pairing.limit_pairings(parse_expression("pv(1/x) * pv(1/x)"), phis)
+    assert all(r.status == "diverged" for r in results)
+    assert max(integrand_calls) == 15 * pairing._SLICE
+
+
 _ATOMS = (catalog("delta"), catalog("pv_inv_x"), catalog("plus_i0_pow", 1),
           catalog("plus_i0_pow", 2), catalog("minus_i0_pow", 1), catalog("minus_i0_pow", 3),
           catalog("monomial", 2), catalog("one"))
@@ -893,8 +993,8 @@ def test_schedule_work_count(integrand_calls, delta_sq, gauss):
     calls, points = counts[0]
     # the points the heights need one at a time, in few calls: the panels
     # only, as the domain is taken from phi's decay without evaluating f
-    assert points == 14130
-    assert calls == 13
+    assert points == 13350
+    assert calls == 6
 
 
 # ---------------------------------------------------------------------------
