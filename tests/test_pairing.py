@@ -983,18 +983,48 @@ def integrand_calls(monkeypatch):
     return sizes
 
 
-def test_schedule_work_count(integrand_calls, delta_sq, gauss):
-    counts = []
+_WORK_PINS = {
+    # a real two-sided product, main schedule only
+    "real": (lambda: limit_pairing(parse_expression("delta * delta"),
+                                   REFERENCE_TEST_FUNCTIONS["gauss"]),
+             [70, 128, 200, 224, 200, 68]),
+    # a one-sided complex product, proved convergent: main and check in lockstep
+    "one-sided": (lambda: limit_pairing(parse_expression("(x-i0)^-1 * (x-i0)^-1"),
+                                        REFERENCE_TEST_FUNCTIONS["gauss"]),
+                  [140, 280, 548, 736, 764, 550]),
+    "lockstep": (lambda: limit_pairing(parse_expression("pv(1/x)"),
+                                       REFERENCE_TEST_FUNCTIONS["offset"]),
+                 [140, 276, 548, 752, 476, 136]),
+    "batch": (lambda: pairing.limit_pairings(parse_expression("pv(1/x) * pv(1/x)"),
+                                             list(REFERENCE_TEST_FUNCTIONS.values())),
+              [280, 560, 1088, 1508, 1340, 628]),
+    # a cancelling subtraction's check heights, cut short by a stall
+    "truncating": (lambda: _schedule(parse_expression("delta * delta * delta"),
+                                     _cancelling("gauss", 2),
+                                     DEFAULT_SCHEDULE.heights(CHECK_RATIO)),
+                   [70, 60, 32, 28, 8, 16, 28, 36, 60, 104, 160, 240, 388, 584, 944, 1488,
+                    2240]),
+}
+
+
+@pytest.mark.parametrize("case", list(_WORK_PINS))
+def test_schedule_work_count(monkeypatch, case):
+    # the panels of each round's _panel_rule call: the partition the
+    # refinement reaches, pinned round by round, and the same on a second run.
+    # The domain comes from phi's decay, so the panels are all the work.
+    run, want = _WORK_PINS[case]
+    panels = []
+    rule = pairing._panel_rule
+
+    def counting(f, a, *rest):
+        panels.append(len(a))
+        return rule(f, a, *rest)
+
+    monkeypatch.setattr(pairing, "_panel_rule", counting)
     for _ in range(2):
-        integrand_calls.clear()
-        limit_pairing(delta_sq, gauss)
-        counts.append((len(integrand_calls), sum(integrand_calls)))
-    assert counts[0] == counts[1]
-    calls, points = counts[0]
-    # the points the heights need one at a time, in few calls: the panels
-    # only, as the domain is taken from phi's decay without evaluating f
-    assert points == 13350
-    assert calls == 6
+        panels.clear()
+        run()
+        assert panels == want
 
 
 # ---------------------------------------------------------------------------
