@@ -39,9 +39,9 @@ expression once over all rows, in real arithmetic for the two-sided
 factors, whose F_y is real, and multiplies the rows of each run of
 schedules sharing a phi by that phi, evaluated once over them; one
 contraction gives both rule sums of every panel.  The
-leaf panels of the live heights are the rows of one packed array, grouped by
-schedule, then by height in schedule order, and sorted by left endpoint, so
-a round's bookkeeping (error sums, split tests, halving) is a few vector
+leaf panels of the live heights are the rows of five plain columns, grouped
+by schedule, then by height in schedule order, and sorted by left endpoint,
+so a round's bookkeeping (error sums, split tests, cuts) is a few vector
 operations over all of them.  Every round refines every live height.  A
 panel's rule sums do not depend on the other panels of the call, a height's
 sums and splits read only its own rows, and its value is the sum of its rows
@@ -121,7 +121,7 @@ _RULES[1, 1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 _MIN_PANEL_REL = 2.3e-16
 # A one-sided panel whose far end is more than this many times its near end
-# splits at its geometric mean, not its midpoint (see _halved).
+# splits at its geometric mean, not its midpoint (see _cut).
 _OCTAVE = 2.0
 # One height's panel cap: past it the height stalls.
 _MAX_PANELS = 4000
@@ -547,71 +547,40 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
     number of rows; since every row is summed alone and phi acts point by
     point, the slicing changes no bit of the output.
     """
+    n = len(a)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    ends = np.cumsum(rows)
-    starts = ends - rows
-    sums = np.empty((len(a), 2), dtype=complex)
-    rough = np.empty(len(a))
-    for lo in range(0, len(a), _SLICE):
-        hi = min(lo + _SLICE, len(a))
-        x = mid[lo:hi, None] + half[lo:hi, None] * _NODES[None, :]
-        part = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
+    sums = np.empty((n, 2), dtype=complex)
+    rough = np.empty(n)
+    ends = np.cumsum(rows) if n > _SLICE else None
+    for lo in range(0, n, _SLICE):
+        hi = min(lo + _SLICE, n)
+        x = mid[lo:hi, None] + half[lo:hi, None] * _NODES
+        part = rows if ends is None else np.maximum(
+            np.minimum(ends, hi) - np.maximum(ends - rows, lo), 0)
         v = f(x, y[lo:hi, None], part)
-        sums[lo:hi] = np.einsum("ij,kj->ik", v, _RULES)
-        rough[lo:hi] = np.abs(v).sum(axis=1)
-    resk = half * sums[:, 0]
-    resg = half * sums[:, 1]
+        np.einsum("ij,kj->ik", v, _RULES, out=sums[lo:hi])
+        np.abs(v).sum(axis=1, out=rough[lo:hi])
+    sums *= half[:, None]
     rough *= np.abs(half)
-    return resk, np.abs(resk - resg), rough
+    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1]), rough
 
 
-# A leaf panel [a, b] under refinement: its rule value, error estimate and
-# roughness (|f| summed over the nodes, times the half-width); `fresh` while
-# it waits for the rule.
-_LEAF = np.dtype([("a", float), ("b", float), ("value", complex), ("error", float),
-                  ("rough", float), ("fresh", bool)], align=True)
+def _cut(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The point at which each panel [a[i], b[i]] splits.
 
-
-def _over_share(rows, share) -> np.ndarray:
-    """Rows whose error exceeds their share and that are wider than round-off."""
-    a, b = rows["a"], rows["b"]
-    width_floor = _MIN_PANEL_REL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return (rows["error"] > share) & (b - a > width_floor)
-
-
-def _halved(rows, copies) -> np.ndarray:
-    """Each row taken copies[i] times (0, 1 or 2), a row taken twice as its two
-    fresh parts.
-
-    A panel [a, b] on one side of 0 whose near end is less than 1/_OCTAVE of
-    its far end is cut at sign(a) * sqrt(|a|) * sqrt(|b|), its geometric
-    mean, which halves its span in log |x|: the kernel's structure sits at
-    the scale y, toward the near end, so a panel such as [10y, 1] reaches it
-    in a few cuts, where bisection spends one round per octave.  Any other
+    A panel on one side of 0 whose near end is less than 1/_OCTAVE of its
+    far end is cut at sign(a) * sqrt(|a|) * sqrt(|b|), its geometric mean,
+    which halves its span in log |x|: the kernel's structure sits at the
+    scale y, toward the near end, so a panel such as [10y, 1] reaches it in
+    a few cuts, where bisection spends one round per octave.  Any other
     panel (one that touches 0, or spans less than an octave) is cut at its
     midpoint.  Either point lies strictly inside the panel, and neither
     overflows near the largest doubles.
     """
-    split = copies == 2
-    a, b = rows["a"][split], rows["b"][split]
-    near, far = np.minimum(np.abs(a), np.abs(b)), np.maximum(np.abs(a), np.abs(b))
-    graded = ((a > 0.0) | (b < 0.0)) & (_OCTAVE * near < far)
-    mids = np.where(graded, np.sign(a) * np.sqrt(near) * np.sqrt(far), 0.5 * (a + b))
-    out = np.repeat(rows, copies)
-    after = np.cumsum(copies)[split]
-    out["b"][after - 2] = out["a"][after - 1] = mids
-    out["fresh"][after - 2] = out["fresh"][after - 1] = True
-    return out
-
-
-def _leaf_sum(rows) -> complex:
-    """The pairwise sum of the rows' values, in row order.
-
-    Summed from a contiguous copy: numpy's pairwise sum over a strided view
-    of the field may round differently.
-    """
-    return complex(np.ascontiguousarray(rows["value"]).sum())
+    graded = ((a > 0.0) & (_OCTAVE * a < b)) | ((b < 0.0) & (_OCTAVE * b > a))
+    return np.where(graded, np.copysign(np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), a),
+                    0.5 * (a + b))
 
 
 def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
@@ -633,16 +602,17 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     the schedule's lowest stalled height, in which case values and targets
     cover the heights below it.
 
-    The leaf panels of the live heights are the rows of one packed array,
-    grouped by schedule, then by height in schedule order, and sorted by left
-    endpoint within a height, so each pointsets[g][k] must be sorted.  Every
-    round evaluates the fresh rows of every live height in one `_panel_rule`
-    call, and before it ends it replaces every row it marks by its two fresh
-    parts, cut where ``_halved`` cuts (geometrically toward the kernel's
-    scale on one-sided panels past an octave), and drops the rows of the
-    heights that are done.  A height's sums and splits read its own rows
-    only, and its value is the sum of its rows in left order, so every value
-    is the one the height gets alone.
+    The leaf panels of the live heights are the rows of five columns (a, b,
+    value, error, roughness), grouped by schedule, then by height in
+    schedule order, and sorted by left endpoint within a height, so each
+    pointsets[g][k] must be sorted.  Every round evaluates the fresh rows of
+    every live height in one `_panel_rule` call, scatters the results into
+    their rows, tests the rows over their error share against the width
+    floor, and builds the next round's rows: those of the heights that go
+    on, each split row as its two fresh parts, cut where ``_cut`` cuts.  A
+    height's sums and splits read its own rows only, and its value is the
+    sum of its rows in left order, so every value is the one the height gets
+    alone.
 
     A stall is a schedule's own: when a height stalls, the heights above it
     in its schedule are dropped and those below it finish; the other
@@ -657,26 +627,27 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     group = np.repeat(np.arange(groups), counts)   # schedule of each live height
     size = np.array([len(p) - 1 for p in pts])  # rows per live height
     fresh = size.copy()                # of them, rows waiting for the rule
-    rows = np.zeros(size.sum(), _LEAF)
-    rows["a"] = np.concatenate([p[:-1] for p in pts])
-    rows["b"] = np.concatenate([p[1:] for p in pts])
-    rows["fresh"] = True
+    a = np.concatenate([p[:-1] for p in pts])
+    b = np.concatenate([p[1:] for p in pts])
+    value, error, rough = np.empty(len(a), complex), np.empty(len(a)), np.empty(len(a))
+    at = slice(None)                   # where the fresh rows sit
     values: list = [None] * len(ys)
     targets: list = [None] * len(ys)
     failures: list = [None] * groups
     while len(live):
-        ends = np.cumsum(size)
+        value[at], error[at], rough[at] = _panel_rule(
+            f, a[at], b[at], ys[live].repeat(fresh), np.bincount(group, fresh, groups).astype(int))
+        ends = size.cumsum()
         starts = ends - size
-        new = rows["fresh"]
-        rows["value"][new], rows["error"][new], rows["rough"][new] = _panel_rule(
-            f, rows["a"][new], rows["b"][new], np.repeat(ys[live], fresh),
-            np.bincount(group, fresh, groups).astype(int))
-        rows["fresh"] = False
-        error = np.add.reduceat(rows["error"], starts)
-        target = np.maximum(epsabs, 2e-14 * np.add.reduceat(rows["rough"], starts))
-        split = _over_share(rows, np.repeat(target / (2.0 * size), size))
-        m = np.add.reduceat(split, starts)
-        done = error <= target
+        total = np.add.reduceat(error, starts)
+        target = np.maximum(epsabs, 2e-14 * np.add.reduceat(rough, starts))
+        # the rows over their share that are wider than round-off split
+        split = (error > (target / (2.0 * size)).repeat(size)).nonzero()[0]
+        split = split[b[split] - a[split] > _MIN_PANEL_REL * np.maximum(
+            1.0, np.maximum(np.abs(a[split]), np.abs(b[split])))]
+        height = ends.searchsorted(split, "right")
+        m = np.bincount(height, minlength=len(size))
+        done = total <= target
         go = ~done
         # a stall drops the heights above it in its schedule
         for i in (go & ((m == 0) | (size + m > _MAX_PANELS))).nonzero()[0]:
@@ -686,13 +657,21 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
             k = int(live[i] - first[g])
             failures[g] = QuadratureError(
                 f"quadrature stalled at height {k} (y = {ys[live[i]]:g}): error "
-                f"{error[i]:.3e} (target {target[i]:.3e}, {size[i]} panels)", k)
+                f"{total[i]:.3e} (target {target[i]:.3e}, {size[i]} panels)", k)
             above = slice(i, int(np.searchsorted(group, g, "right")))
             go[above] = done[above] = False
         for i in done.nonzero()[0]:
-            values[live[i]] = _leaf_sum(rows[starts[i]:ends[i]])
+            values[live[i]] = complex(value[starts[i]:ends[i]].sum())
             targets[live[i]] = float(target[i])
-        rows = _halved(rows, np.repeat(go, size) * (1 + split))
+        # the rows of the heights that go on, each split row as its two fresh
+        # parts; `at` counts each row's copies, then locates the parts
+        split = split[go[height]]
+        at = go.repeat(size).astype(np.intp)
+        at[split] = 2
+        a, b, value, error, rough = (c.repeat(at) for c in (a, b, value, error, rough))
+        at = (at.cumsum()[split] - 2).repeat(2)
+        at[1::2] += 1
+        b[at[0::2]] = a[at[1::2]] = _cut(a[at[0::2]], b[at[1::2]])
         live, group, size, fresh = live[go], group[go], size[go] + m[go], 2 * m[go]
     out = []
     for g, failure in enumerate(failures):

@@ -772,7 +772,7 @@ def test_batch_keeps_each_schedules_truncation_and_stall():
 
 def test_width_floor_stalls_a_jump(monkeypatch):
     # a jump at x = 1/3 with no absolute target: the panel holding it halves
-    # down to round-off width, where _over_share's width floor stops it
+    # down to round-off width, where the round's width floor stops it
     # splitting, and its height stalls there, far below the panel cap.  The
     # smooth heights below it finish.
     def f(x, y, rows):
@@ -835,13 +835,8 @@ def test_panel_rule_rows_do_not_depend_on_the_batch():
 
 
 def _split_points(a, b):
-    """The point at which _halved cuts each panel [a[i], b[i]]."""
-    rows = np.zeros(len(a), pairing._LEAF)
-    rows["a"], rows["b"] = a, b
-    out = pairing._halved(rows, np.full(len(a), 2))
-    assert (out["a"][0::2] == rows["a"]).all() and (out["b"][1::2] == rows["b"]).all()
-    assert (out["b"][0::2] == out["a"][1::2]).all() and out["fresh"].all()
-    return out["b"][0::2]
+    """The point at which _cut cuts each panel [a[i], b[i]]."""
+    return pairing._cut(a, b)
 
 
 def test_one_sided_panel_past_an_octave_splits_at_its_geometric_mean():
@@ -875,7 +870,7 @@ def test_split_point_is_finite_and_inside_at_extreme_ends(a, b):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
 def test_every_split_point_lies_strictly_inside(x, y):
-    # every panel that _over_share lets split, i.e. wider than the width floor
+    # every panel that the round lets split, i.e. wider than the width floor
     a, b = min(x, y), max(x, y)
     assume(b - a > pairing._MIN_PANEL_REL * max(1.0, abs(a), abs(b)))
     [point] = _split_points(np.array([a]), np.array([b]))
