@@ -98,7 +98,32 @@ def _trimmed(tail: np.ndarray, near: float) -> np.ndarray:
     return tail[:np.flatnonzero(size >= top + math.log(_TAIL_FLOOR))[-1] + 1]
 
 
-class SubtractedFunction:
+class _TaylorUnderCutoff:
+    """phi's Taylor polynomial through order p under the cutoff omega: what
+    ``SubtractedFunction`` and ``CutoffChange`` share."""
+
+    def __init__(self, phi: TestFunction, omega: PlateauCutoff, p: int):
+        self.phi = phi
+        self.omega = omega
+        self.taylor = phi.taylor(p)
+
+    @property
+    def sigma(self) -> float:
+        """phi's width: a schedule refuses the function where it refuses phi."""
+        return self.phi.sigma
+
+    @property
+    def parity(self) -> int | None:
+        """phi's: the cutoffs are even, and phi's Taylor terms have phi's parity."""
+        return self.phi.parity
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """omega's, where the function stops being analytic."""
+        return self.omega.breakpoints
+
+
+class SubtractedFunction(_TaylorUnderCutoff):
     """phi minus its cutoff-localized Taylor polynomial through order p.
 
     phibar(x) = phi(x) - omega(x) * T(x) with T(x) = sum_{k <= p} taylor[k]
@@ -113,10 +138,8 @@ class SubtractedFunction:
     def __init__(self, phi: TestFunction, omega: PlateauCutoff, p: int):
         if p < 0:
             raise ValueError("subtraction order must be >= 0")
-        self.phi = phi
-        self.omega = omega
+        super().__init__(phi, omega, p)
         self.p = p
-        self.taylor = phi.taylor(p)
         self.near = min(omega.plateau, 0.5 * phi.sigma)
         self.tail = _trimmed(phi.taylor(p + _TAIL_TERMS)[p + 1:], self.near)
 
@@ -132,26 +155,16 @@ class SubtractedFunction:
         return float(val[0]) if scalar else val
 
     @property
-    def sigma(self) -> float:
-        """phi's width, which the schedule must resolve as for phi itself."""
-        return self.phi.sigma
-
-    @property
     def vanishing_order(self) -> int:
         """p + 1: phibar's Taylor coefficients through order p are 0."""
         return self.p + 1
-
-    @property
-    def parity(self) -> int | None:
-        """phi's: omega is even, and phi's Taylor terms have phi's parity."""
-        return self.phi.parity
 
     def decay_radius(self, extra_degree: int = 0) -> float:
         """phi's radius, and at least past the cutoff's support, where phibar = phi."""
         return max(self.phi.decay_radius(extra_degree), self.omega.support + 1.0)
 
 
-class CutoffChange:
+class CutoffChange(_TaylorUnderCutoff):
     """(omega - omega2) * T_p, the change of phibar from cutoff omega to omega2.
 
     T_p(x) = sum_{k <= p} taylor[k] x^k with taylor = phi.taylor(p), as in
@@ -162,10 +175,8 @@ class CutoffChange:
 
     def __init__(self, phi: TestFunction, omega: PlateauCutoff, omega2: PlateauCutoff,
                  p: int):
-        self.phi = phi
-        self.omega = omega
+        super().__init__(phi, omega, p)
         self.omega2 = omega2
-        self.taylor = phi.taylor(p)
         self.near = min(omega.plateau, omega2.plateau)
 
     def __call__(self, x):
@@ -179,19 +190,14 @@ class CutoffChange:
         return float(val[0]) if scalar else val
 
     @property
-    def sigma(self) -> float:
-        """phi's width: a schedule refuses it where it refuses phibar."""
-        return self.phi.sigma
+    def breakpoints(self) -> tuple[float, ...]:
+        """Both cutoffs', where the function stops being analytic."""
+        return self.omega.breakpoints + self.omega2.breakpoints
 
     @property
     def vanishing_order(self) -> float:
         """Unbounded: the function is identically 0 near 0."""
         return math.inf
-
-    @property
-    def parity(self) -> int | None:
-        """phi's: both cutoffs are even, and phi's Taylor terms have phi's parity."""
-        return self.phi.parity
 
     def decay_radius(self, extra_degree: int = 0) -> float:
         """Past the cutoffs' supports, where the function is 0."""

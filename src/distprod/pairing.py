@@ -16,7 +16,8 @@ quadrature target of 0, the pairing converged to 0.
 
 Quadrature is a deterministic adaptive Gauss-Kronrod 7-15 scheme on [-L, L]
 with forced panel boundaries at +-10y around the origin, where all the
-regulator-scale structure of the integrand lives.  L comes from phi's
+regulator-scale structure of the integrand lives, and at phi's
+``breakpoints``, where phi stops being analytic.  L comes from phi's
 closed-form decay at the integrand's polynomial growth, with no integrand
 evaluated to find it.  Panels are refined in rounds: every panel above its
 error share splits, at its midpoint, or at its geometric mean when it lies
@@ -828,11 +829,12 @@ class PairingResult:
 def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
     """Pair expr with phis[i] at the heights heights[i], for every i, in one quadrature.
 
-    Each (phi, heights) is one schedule; a phi may have several.  Returns,
-    per schedule, its heights, their values and their quadrature targets,
-    truncated where its quadrature gives out: the first height k whose
-    quadrature stalls ends the schedule.  For k < MIN_HEIGHTS the entry is
-    that QuadratureError instead; otherwise the heights before k are kept.
+    Each (phi, heights) is one schedule; a phi may have several.  Initial
+    panels end at phi's ``breakpoints`` too.  Returns, per schedule, its
+    heights, their values and their quadrature targets, truncated where its
+    quadrature gives out: the first height k whose quadrature stalls ends
+    the schedule.  For k < MIN_HEIGHTS the entry is that QuadratureError
+    instead; otherwise the heights before k are kept.
     """
     heights = [tuple(float(y) for y in ys) for ys in heights]
     for ys in heights:
@@ -841,7 +843,8 @@ def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
                 raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
     # L >= max(2, 20y) (see _integration_radius): every point lies in [-L, L]
     pointsets = [
-        [sorted({-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L})
+        [sorted({-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L,
+                 *(t for t in phi.breakpoints if -L < t < L)})
          for y, L in zip(ys, _integration_radius(expr, phi, ys))]
         for phi, ys in zip(phis, heights)
     ]

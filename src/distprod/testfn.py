@@ -103,6 +103,11 @@ class TestFunction:
             return None
         return -1 if orders == {1} else 1
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Points where phi stops being analytic, made panel ends: none."""
+        return ()
+
     def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficients t_0..t_n of phi at 0, so phi^(k)(0) = k! t_k.
 
@@ -233,6 +238,11 @@ class PlateauCutoff:
         self.plateau = plateau
         self.support = support
         self._width = support - plateau
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """+-plateau and +-support: the cutoff is analytic everywhere else."""
+        return (-self.support, -self.plateau, self.plateau, self.support)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -261,7 +261,7 @@ class TestRunJob:
         res = run_job(Job(expression="pv(1/x) * pv(1/x)"))["results"][0]
         assert res["subtraction"] == {"p": 0, "needed": True, "error": (
             "cutoff-change pairing for 'pv(1/x) * pv(1/x)': quadrature stalled at "
-            "height 0 (y = 0.1): error nan (target nan, 4 panels)")}
+            "height 0 (y = 0.1): error nan (target nan, 8 panels)")}
         assert res["extensions"] is None and res["omega_independence"] is None
         # a product supported at the origin pairs no cutoff change
         res = run_job(Job(expression="delta * delta"))["results"][0]
@@ -283,7 +283,7 @@ class TestRunJob:
         res = run_job(Job(expression="pv(1/x) * pv(1/x)"))["results"][0]
         assert res["subtraction"] == {"p": 0, "needed": True, "error": (
             "subtracted pairing for 'pv(1/x) * pv(1/x)': quadrature stalled at "
-            "height 0 (y = 0.1): error nan (target nan, 4 panels)")}
+            "height 0 (y = 0.1): error nan (target nan, 6 panels)")}
         assert res["extensions"] is None and res["omega_independence"] is None
 
     def test_unconverged_cutoff_change_is_named(self, monkeypatch):

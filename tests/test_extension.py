@@ -17,7 +17,7 @@ from distprod.extension import (
     evaluate_extension,
     factorization_identity_check,
 )
-from distprod import extension, testfn
+from distprod import extension, pairing, testfn
 from distprod.pairing import (
     DEFAULT_TOLERANCES,
     ProductExpression,
@@ -157,6 +157,23 @@ class TestTaylorSubtract:
         assert phibar.decay_radius(200) == GAUSS.decay_radius(200) > 3.0
         assert SubtractedFunction(GAUSS, PlateauCutoff(1.0, 20.0), 0).decay_radius(2) == 21.0
 
+    def test_cutoff_transition_ends_are_initial_panel_ends(self, monkeypatch):
+        # phibar stops being analytic at +-plateau and +-support; phi nowhere
+        phibar = SubtractedFunction(GAUSS, OMEGA, 0)
+        assert phibar.breakpoints == (-2.0, -1.0, 1.0, 2.0) and GAUSS.breakpoints == ()
+        pointsets = []
+        quadrature = pairing._adaptive_quadrature
+
+        def integrate(f, ys, points, epsabs):
+            pointsets.extend(points)
+            return quadrature(f, ys, points, epsabs)
+
+        monkeypatch.setattr(pairing, "_adaptive_quadrature", integrate)
+        pairing._evaluate_schedules(parse_expression("delta * delta"), [phibar, GAUSS],
+                                    [(0.1, 0.01)] * 2, DEFAULT_TOLERANCES)
+        assert all({-2.0, 2.0} <= set(points) for points in pointsets[0])
+        assert not any({-2.0, 2.0} & set(points) for points in pointsets[1])
+
     def test_outside_support_untouched(self):
         bar = SubtractedFunction(GAUSS, OMEGA, 0)
         for x in (2.5, 3.0, -4.0):
@@ -203,6 +220,15 @@ class TestEvaluateExtension:
                                                  r"classified as \w+; the declared order p=0 "
                                                  r"is too small"):
             evaluate_extension(expr, REFERENCE_TEST_FUNCTIONS["offset"], 0)
+
+    @pytest.mark.parametrize("name", ["gauss", "tilted", "offset"])
+    @pytest.mark.parametrize(("text", "p"), [("delta * delta", 0), ("d(delta) * d(delta)", 2)])
+    def test_continuation_supported_at_the_origin_is_zero(self, text, p, name):
+        # T is supported at 0, where phibar vanishes to order p: the
+        # continuation is 0.  With the cutoff's transition ends as panel ends
+        # the quadrature lands within rounding of it (1.8e-12 on tilted without)
+        phi = REFERENCE_TEST_FUNCTIONS[name]
+        assert abs(evaluate_extension(parse_expression(text), phi, p)) <= 1e-14
 
     def test_delta_prime_product_with_correct_order(self):
         expr = ProductExpression((catalog("delta"), catalog("delta").derivative()))
@@ -379,6 +405,8 @@ class TestCutoffShift:
         assert (change.sigma, change.parity) == (phi.sigma, phi.parity)
         assert change.vanishing_order == math.inf
         assert change.decay_radius() == change.decay_radius(50) == 3.0
+        # where omega or omega2 stops being analytic
+        assert sorted(set(change.breakpoints)) == [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 
 
 def _dilated(phi, lam):

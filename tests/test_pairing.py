@@ -562,7 +562,7 @@ def test_stalled_schedule_refines_every_live_height(monkeypatch):
     got_ys, _ = _schedule(expr, phi, DEFAULT_SCHEDULE.heights())
     assert len(got_ys) == 7
     assert [h for h, _ in calls] == [12, 12, 12, 12, 12, 5, 5, 5, 5, 5, 5, 5, 4, 1]
-    assert sum(n for _, n in calls) == 33854
+    assert sum(n for _, n in calls) == 33814
 
 
 def test_every_panel_rule_call_holds_the_live_heights(monkeypatch):
@@ -997,7 +997,7 @@ _WORK_PINS = {
     "truncating": (lambda: _schedule(parse_expression("delta * delta * delta"),
                                      _cancelling("gauss", 2),
                                      DEFAULT_SCHEDULE.heights(CHECK_RATIO)),
-                   [70, 60, 32, 28, 8, 16, 28, 36, 60, 104, 160, 240, 388, 584, 944, 1488,
+                   [94, 56, 24, 16, 8, 16, 28, 36, 60, 104, 160, 240, 388, 584, 944, 1488,
                     2240]),
 }
 
