@@ -983,10 +983,11 @@ _WORK_PINS = {
     "real": (lambda: limit_pairing(parse_expression("delta * delta"),
                                    REFERENCE_TEST_FUNCTIONS["gauss"]),
              [70, 128, 200, 224, 200, 68]),
-    # a one-sided complex product, proved convergent: main and check in lockstep
+    # a one-sided complex product, proved convergent
     "one-sided": (lambda: limit_pairing(parse_expression("(x-i0)^-1 * (x-i0)^-1"),
                                         REFERENCE_TEST_FUNCTIONS["gauss"]),
                   [140, 280, 548, 736, 764, 550]),
+    # a two-sided product proved convergent: main and check in lockstep
     "lockstep": (lambda: limit_pairing(parse_expression("pv(1/x)"),
                                        REFERENCE_TEST_FUNCTIONS["offset"]),
                  [140, 276, 548, 752, 476, 136]),
