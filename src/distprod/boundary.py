@@ -11,9 +11,13 @@ catalog below fixes one concrete pair per supported atom (delta, principal
 value of 1/x, one-sided powers (x +- i0)^-k, monomials); derivatives stay in
 the same class.  Every two-sided atom and its derivatives has
 f- = -conj(c+) z^n, so its F_y = 2 Re(c+ (x + iy)^n) is real, and is
-evaluated as a float: bit for bit the real part of the complex formula,
-whose imaginary part is 0, up to the sign of an exact zero.  One-sided atoms
-give complex values.
+evaluated in real arithmetic as a float.  delta and pv(1/x), the two-sided
+atoms of power -1, are the Poisson and conjugate Poisson kernels
+2 (Re c+ x + Im c+ y) / (x^2 + y^2), within a few ulp of the complex
+formula; every other two-sided pair is bit for bit the real part of the
+complex formula, whose imaginary part is 0, up to the sign of an exact
+zero.  One-sided atoms give complex values.  ``Points`` holds what these
+evaluations read of x + iy, each built once.
 
 The growth exponents (alpha, beta) of a pair are read off its
 representatives: away from the real axis F_y is bounded by
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +45,33 @@ class CatalogError(ValueError):
 
 class RegulatorError(ValueError):
     """Evaluation requested at a height y that is not a positive real number."""
+
+
+class Points:
+    """Points x + iy at heights y > 0, and what factors read of them.
+
+    x is a float array and y its heights, one for every x or an array
+    broadcast against x.  z_plus = x + iy, z_minus = x - iy and
+    q = x^2 + y^2 are each built on first use and then kept, so the factors
+    of one evaluation build each of them once, and only those they read.
+    The heights are not checked.
+    """
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+
+    @cached_property
+    def z_plus(self):
+        return self.x + 1j * self.y
+
+    @cached_property
+    def z_minus(self):
+        return self.x - 1j * self.y
+
+    @cached_property
+    def q(self):
+        return self.x * self.x + self.y * self.y
 
 
 @dataclass(frozen=True)
@@ -79,7 +111,7 @@ class HyperfunctionPair:
             return -1
         return None
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
         """True when F_y is real at every height: f- = -conj(c+) z^n, both there.
 
@@ -91,6 +123,17 @@ class HyperfunctionPair:
         """
         fp, fm = self.f_plus, self.f_minus
         return not fp.is_zero and fm == RationalFunction(-fp.coeff.conjugate(), fp.power)
+
+    @cached_property
+    def is_poisson(self) -> bool:
+        """True when the pair ``is_real`` with power -1: delta, pv(1/x), their multiples.
+
+        With c = c+ and q = x^2 + y^2, F_y = 2 Re(c / (x + iy)) is
+        2 (Re c x + Im c y) / q: the Poisson kernel y / (pi q) for delta
+        (c = i / 2pi) and the conjugate Poisson kernel x / q for pv(1/x)
+        (c = 1/2).  ``at`` evaluates it so, in real arithmetic.
+        """
+        return self.f_plus.power == -1 and self.is_real
 
     @property
     def supported_at_origin(self) -> bool:
@@ -122,37 +165,44 @@ class HyperfunctionPair:
 
         y is one height for every x, or an array of heights broadcast
         against x, so one call can cover several heights.  Every height must be
-        a positive finite number.  The value is ``at(x + iy, x - iy)``: a float
-        array for an ``is_real`` pair, bit for bit the complex formula's real
-        part up to the sign of an exact zero, and complex otherwise.
+        a positive finite number.  The value is ``at(Points(x, y))``: a float
+        array for an ``is_real`` pair and complex otherwise.
         """
         y = np.asarray(y, dtype=float)
         bad = ~((y > 0.0) & np.isfinite(y))
         if np.any(bad):
             raise RegulatorError(
                 f"height must satisfy 0 < y < inf, got {float(y[bad][0])}")
-        x = np.asarray(x, dtype=float)
-        return self.at(x + 1j * y, x - 1j * y)
+        return self.at(Points(x, y))
 
-    def at(self, z_plus, z_minus):
-        """f+(z_plus) - f-(z_minus), with no check on the points.
+    def at(self, points: Points):
+        """f+(x + iy) - f-(x - iy) at the ``Points`` x + iy, with no check on them.
 
         The core of ``regulated``, for a caller that has checked the heights
-        and builds z_plus = x + iy and z_minus = x - iy once for several
-        factors.  A zero representative is not evaluated: its term is left
-        out, which changes no value (at most the sign of a zero part).  A
-        pair that ``is_real`` evaluates f+ alone and returns the float w + w,
-        w = Re f+(z_plus).  A pair that does not ``reads_minus`` does not read
-        z_minus, which may then be None.
+        and builds one ``Points`` for several factors.  A zero
+        representative is not evaluated: its term is left out, which changes
+        no value (at most the sign of a zero part).  A pair that
+        ``is_poisson`` is the float 2 (Re c x + Im c y) / q, a term whose
+        coefficient is 0 left out.  Any other pair that ``is_real``
+        evaluates f+ alone and is the float w + w, w = Re f+(x + iy): bit for
+        bit the real part of the complex formula, up to the sign of an exact
+        zero.  Only a pair that ``reads_minus`` reads z_minus.
         """
+        if self.is_poisson:
+            a, b = 2.0 * self.f_plus.coeff.real, 2.0 * self.f_plus.coeff.imag
+            if not b:
+                return a * points.x / points.q
+            if not a:
+                return b * points.y / points.q
+            return (a * points.x + b * points.y) / points.q
         if not self.reads_minus:
             if self.f_minus.is_zero:
-                return self.f_plus(z_plus)
-            w = self.f_plus(z_plus).real
+                return self.f_plus(points.z_plus)
+            w = self.f_plus(points.z_plus).real
             return w + w
         if self.f_plus.is_zero:
-            return -self.f_minus(z_minus)
-        return self.f_plus(z_plus) - self.f_minus(z_minus)
+            return -self.f_minus(points.z_minus)
+        return self.f_plus(points.z_plus) - self.f_minus(points.z_minus)
 
     def derivative(self) -> "HyperfunctionPair":
         """Differentiate both representatives."""

@@ -34,12 +34,14 @@ schedules of a batch, are integrated together, in lockstep rounds: each
 round evaluates the new panels of every height still refining together, in
 integrand calls of at most _SLICE panels (which bound their memory), so the
 cost of a numpy call is paid per round, not per height or per pairing.  A
-call builds x + iy once (and x - iy once, when a factor evaluates f-
-there), evaluates each distinct factor of the
-expression once over all rows, in real arithmetic for the two-sided
-factors, whose F_y is real, and multiplies the rows of each run of
-schedules sharing a phi by that phi, evaluated once over them; one
-contraction gives both rule sums of every panel.  The
+call builds what its factors read of x + iy once (x + iy, x - iy, or
+q = x^2 + y^2), evaluates each distinct factor of the expression once over
+all rows, and multiplies the rows of each run of schedules sharing a phi by
+that phi, evaluated once over them; one contraction gives both rule sums
+of every panel.  A kernel whose value is real is computed in real
+arithmetic from the factors through the rule: the two-sided factors (delta
+and pv(1/x) as the Poisson and conjugate Poisson kernels over q), and
+one-sided factors that balance, evaluated together as C / q^k.  The
 leaf panels of the live heights are the rows of five plain columns, grouped
 by schedule, then by height in schedule order, and sorted by left endpoint,
 so a round's bookkeeping (error sums, split tests, cuts) is a few vector
@@ -81,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (CatalogError, HyperfunctionPair, RegulatorError, _loglog_fit,
+from .boundary import (CatalogError, HyperfunctionPair, Points, RegulatorError, _loglog_fit,
                        catalog)
 from .testfn import REFERENCE_TEST_FUNCTIONS, vanish_probe
 
@@ -268,28 +270,43 @@ class ProductExpression:
             for pair in self.factors))
 
     @property
+    def one_sided(self) -> tuple[complex, int, int]:
+        """(C, P, M): the one-sided factors together are C (x + iy)^P (x - iy)^M.
+
+        P is the sum of the (+)-side factors' powers and M of the (-)-side
+        ones.  C is the product of the former's f+ coefficients and of the
+        latter's f- coefficients negated, since such a factor's F_y is
+        -f-(x - iy).  Every one-sided atom of the grammar and its derivatives
+        has a real coefficient, so C is real.  (1, 0, 0) when there is no
+        one-sided factor.
+        """
+        C, P, M = 1 + 0j, 0, 0
+        for pair in self.factors:
+            side = pair.side
+            if side == "+":
+                C, P = C * pair.f_plus.coeff, P + pair.f_plus.power
+            elif side == "-":
+                C, M = -C * pair.f_minus.coeff, M + pair.f_minus.power
+        return C, P, M
+
+    @property
     def parity(self) -> int | None:
         """The kernel x^R * prod F_i's parity in x: +1, -1, or None when it has none.
 
         Each two-sided factor brings its own parity, and one without makes it
-        None.  The one-sided factors together are c (x + iy)^P (x - iy)^M, P
-        the sum of the (+)-side powers and M of the (-)-side ones; x -> -x
-        maps that to (-1)^(P + M) c (x - iy)^P (x + iy)^M, which is +- itself
-        exactly when P = M, and then it is c (x^2 + y^2)^P, even.
+        None.  The one-sided factors together are C (x + iy)^P (x - iy)^M
+        (``one_sided``); x -> -x maps that to (-1)^(P + M) C (x - iy)^P
+        (x + iy)^M, which is +- itself exactly when P = M, and then it is
+        C (x^2 + y^2)^P, even.
         """
         parity = (-1) ** self.total_power
-        balance = 0
         for pair in self.factors:
-            side = pair.side
-            if side == "+":
-                balance += pair.f_plus.power
-            elif side == "-":
-                balance -= pair.f_minus.power
-            elif pair.parity is None:
-                return None
-            else:
+            if pair.side is None:
+                if pair.parity is None:
+                    return None
                 parity *= pair.parity
-        return parity if balance == 0 else None
+        _, P, M = self.one_sided
+        return parity if P == M else None
 
     @property
     def supported_at_origin(self) -> bool:
@@ -536,12 +553,16 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
 
     `rows` counts the panels of each group of the integrand f, in group
     order.  f's values are a float array for a real kernel and complex
-    otherwise.  Both rule sums of every row come from one einsum contraction
-    with the complex rules, which does not go through BLAS: each row's sums
-    run over that row alone, in one order, so a row's numbers are the same
-    whichever rows share the call.  It casts a float row to complex, so its
-    sums are bitwise those of the row as (r, +0); a real contraction would
-    round differently.  |f| of a float row is bitwise |(r, +0)|.
+    otherwise.  Both rule sums of every row come from one einsum
+    contraction, which does not go through BLAS: each row's sums run over
+    that row alone, in one order, so a row's numbers are the same whichever
+    rows share the call.  A complex row is contracted with the complex
+    rules, a float row with their real parts, the strided view
+    ``_RULES.real``: einsum runs the sequential loop over it that the
+    complex contraction runs, so a float row's value, error and roughness
+    are bitwise those of the row as (r, +0), with a float value and at half
+    the cost.  (A contiguous copy of the real rules takes numpy's vector
+    loop, which rounds differently.)
 
     f is called on slices of at most _SLICE rows, each with its own
     per-group row counts, so one call's memory is bounded whatever the
@@ -551,7 +572,6 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
     n = len(a)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    sums = np.empty((n, 2), dtype=complex)
     rough = np.empty(n)
     ends = np.cumsum(rows) if n > _SLICE else None
     for lo in range(0, n, _SLICE):
@@ -560,7 +580,10 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
         part = rows if ends is None else np.maximum(
             np.minimum(ends, hi) - np.maximum(ends - rows, lo), 0)
         v = f(x, y[lo:hi, None], part)
-        np.einsum("ij,kj->ik", v, _RULES, out=sums[lo:hi])
+        if not lo:          # every slice of one integrand has the same dtype
+            sums = np.empty((n, 2), dtype=v.dtype)
+        np.einsum("ij,kj->ik", v, _RULES if v.dtype == complex else _RULES.real,
+                  out=sums[lo:hi])
         np.abs(v).sum(axis=1, out=rough[lo:hi])
     sums *= half[:, None]
     rough *= np.abs(half)
@@ -687,25 +710,35 @@ def _integrand(expr: ProductExpression, phis):
 
     Each phi is one group.  The callable takes points x, heights y broadcast
     against x, and `rows`: how many of x's rows belong to each group, the
-    rows grouped in group order.  It builds x + iy once per call, and x - iy
-    only when a factor ``reads_minus``, and evaluates each distinct factor once
-    (delta^4 evaluates one single term) over all rows; the values multiply in
-    slot order, so the product is bitwise that of the ``regulated`` values.
-    A product of real factors (``HyperfunctionPair.is_real``) stays a float
-    array, through x^R and phi, and a one-sided factor makes it complex as
-    (r, +0) times that factor does.  Each run of adjacent groups
-    that share one phi (a pairing's main and check schedules) then has its
-    rows multiplied by that phi, evaluated once over them: phi acts point by
-    point, so every row gets the bits it gets alone.  The heights are not
-    checked here: ``_evaluate_schedules`` checks them once per schedule.
+    rows grouped in group order.  It builds one ``Points`` per call, so
+    x + iy, x - iy and q = x^2 + y^2 are each built at most once, and
+    evaluates each distinct factor once over all rows (delta^4 evaluates one
+    Poisson kernel).  When the one-sided factors balance, P = M < 0 in
+    ``ProductExpression.one_sided``, they are evaluated together as the
+    float C / q^k, k = -P, with q^k a product of k factors q.  The values
+    multiply in slot order, the balanced group last, so without a group the
+    product is bitwise that of the ``regulated`` values.  A product of real
+    factors (``HyperfunctionPair.is_real``, or a balanced group) stays a
+    float array, through x^R and phi, and a one-sided factor left makes it
+    complex.  Each run of adjacent groups that share one phi (a pairing's
+    main and check schedules) then has its rows multiplied by that phi,
+    evaluated once over them: phi acts point by point, so every row gets the
+    bits it gets alone.  The heights are not checked here:
+    ``_evaluate_schedules`` checks them once per schedule.
     """
+    C, P, M = expr.one_sided
+    balanced = -P if P == M < 0 else 0   # the balanced group's power of 1/q
+    C = C.real if C.imag == 0.0 else C
     distinct: list[HyperfunctionPair] = []
     slots = []
     for pair in expr.factors:
+        if balanced and pair.side:
+            continue
         if pair not in distinct:
             distinct.append(pair)
         slots.append(distinct.index(pair))
-    minus = any(pair.reads_minus for pair in distinct)
+    if balanced:
+        slots.append(len(distinct))     # the group's value follows the factors'
     r = expr.total_power
     runs = []           # [phi, how many adjacent groups share it]
     for phi in phis:
@@ -715,9 +748,14 @@ def _integrand(expr: ProductExpression, phis):
             runs.append([phi, 1])
 
     def f(x, y, rows):
-        x = np.asarray(x, dtype=float)
-        z_plus, z_minus = x + 1j * y, x - 1j * y if minus else None
-        values = [pair.at(z_plus, z_minus) for pair in distinct]
+        points = Points(x, y)
+        x = points.x
+        values = [pair.at(points) for pair in distinct]
+        if balanced:
+            power = points.q
+            for _ in range(balanced - 1):
+                power = power * points.q
+            values.append(C / power)
         v = values[slots[0]]
         for k in slots[1:]:
             v = v * values[k]

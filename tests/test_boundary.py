@@ -6,6 +6,7 @@ import pytest
 from distprod.boundary import (
     CatalogError,
     HyperfunctionPair,
+    Points,
     RegulatorError,
     catalog,
     required_order,
@@ -168,19 +169,28 @@ _GRID = np.concatenate([np.linspace(-10.0, 10.0, 41), [1e-8, -1e-8, 0.37, -2.9, 
 @pytest.mark.parametrize("pair", _TWO_SIDED, ids=lambda a: a.label)
 def test_two_sided_pair_is_real_bit_for_bit(pair):
     # f- = -conj(c+) z^n, so f+(x + iy) - f-(x - iy) is exactly (2w, 0) with
-    # w = Re f+(x + iy): regulated returns the float 2w, and never reads
-    # x - iy.  Bit for bit up to the sign of a zero: where a part of
-    # f+(x + iy) is an exact 0 (x = 0 for d(pv(1/x)), x = +-y for d(delta)
-    # and d(d(d(delta)))), the complex formula's zero parts may carry either
-    # sign, and 2w = -0.0 where the formula reads +0.0
+    # w = Re f+(x + iy): regulated returns a float, and never reads x - iy.
+    # delta and pv(1/x) are bit for bit the Poisson forms
+    # 2 (Re c x + Im c y) / (x^2 + y^2), c = c+, within 4 ulp of 2w.  Every
+    # other pair is the float 2w, bit for bit up to the sign of a zero: where
+    # a part of f+(x + iy) is an exact 0 (x = 0 for d(pv(1/x)), x = +-y for
+    # d(delta) and d(d(d(delta)))), the complex formula's zero parts may
+    # carry either sign, and 2w = -0.0 where the formula reads +0.0
     assert pair.is_real and not pair.reads_minus
+    assert pair.is_poisson == (pair.label in ("delta", "pv(1/x)"))
+    c = pair.f_plus.coeff
     for y in (3.0, 0.1, 1e-3, 3e-7):
         got = pair.regulated(_GRID, y)
         assert got.dtype == np.float64
         old = pair.f_plus(_GRID + 1j * y) - pair.f_minus(_GRID - 1j * y)
-        assert np.array_equal(got, old.real)       # bitwise where nonzero
         assert (old.imag == 0.0).all()
-        assert pair.at(_GRID + 1j * y, None).tobytes() == got.tobytes()
+        if pair.is_poisson:
+            want = (2.0 * c.real * _GRID + 2.0 * c.imag * y) / (_GRID * _GRID + y * y)
+            assert np.array_equal(got, want)       # bitwise where nonzero
+            assert (np.abs(got - old.real) <= 4.0 * np.spacing(np.abs(old.real))).all()
+        else:
+            assert np.array_equal(got, old.real)
+        assert pair.at(Points(_GRID, y)).tobytes() == got.tobytes()
         assert isinstance(pair.regulated(0.37, y), float)
 
 

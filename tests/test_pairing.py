@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from distprod import pairing
-from distprod.boundary import RegulatorError, catalog
+from distprod.boundary import HyperfunctionPair, RegulatorError, catalog
+from distprod.cli import Job, run_job
 from distprod.extension import SubtractedFunction, evaluate_extension
 from distprod.pairing import (
     CHECK_RATIO,
@@ -493,8 +494,9 @@ def _split_point(a, b):
 def _lone_height(f, y, points, epsabs):
     """One height refined on its own by the plain loop: panels kept in the
     order [kept, lower parts, upper parts], every sum pairwise in that
-    order, the value summed over the panels sorted by left endpoint.
-    Returns the value and the target."""
+    order, the value summed over the panels sorted by left endpoint, as
+    complex numbers also for a real kernel, as the quadrature's value column
+    holds them.  Returns the value and the target."""
     pts = np.asarray(sorted(points), dtype=float)
     a, b = pts[:-1], pts[1:]
     vals, errs, roughs = pairing._panel_rule(f, a, b, np.full(len(a), y), [len(a)])
@@ -514,7 +516,7 @@ def _lone_height(f, y, points, epsabs):
         vals = np.concatenate([vals[keep], nvals])
         errs = np.concatenate([errs[keep], nerrs])
         roughs = np.concatenate([roughs[keep], nroughs])
-    return complex(vals[np.argsort(a, kind="stable")].sum()), target
+    return complex(vals[np.argsort(a, kind="stable")].astype(complex).sum()), target
 
 
 @pytest.mark.parametrize("phi_name", ["gauss", "offset"])
@@ -810,28 +812,53 @@ def test_overflowing_real_kernel_stalls_at_an_infinite_target():
 def test_panel_rule_rows_do_not_depend_on_the_batch():
     # a row's rule value, error and roughness are bitwise the same whether
     # it is evaluated alone, within its height's block, or in a batch of
-    # several heights at any offset
-    expr = parse_expression("d(delta) * pv(1/x)")
-    f = pairing._integrand(expr, [REFERENCE_TEST_FUNCTIONS["offset"]])
+    # several heights at any offset, for a float row (contracted with the
+    # real rules) as for a complex one
     ys = (0.1, 0.013, 0.002)
     edges = [np.linspace(-2.0, 2.0, n + 1) for n in (5, 11, 8)]
     blocks = [(e[:-1], e[1:], np.full(len(e) - 1, y)) for e, y in zip(edges, ys)]
     batch = [np.concatenate(parts) for parts in zip(*blocks)]
-    together = pairing._panel_rule(f, *batch, [len(batch[0])])
-    start = 0
-    for a, b, y in blocks:
-        rows = slice(start, start + len(a))
-        block = pairing._panel_rule(f, a, b, y, [len(a)])
-        for got, want in zip(together, block):
-            assert got[rows].tobytes() == want.tobytes()
-        for i in range(len(a)):
-            alone = pairing._panel_rule(f, a[i:i + 1], b[i:i + 1], y[i:i + 1], [1])
-            for got, want in zip(alone, block):
-                assert got.tobytes() == want[i:i + 1].tobytes()
-        start += len(a)
-    shifted = pairing._panel_rule(f, *(x[1:] for x in batch), [len(batch[0]) - 1])
-    for got, want in zip(shifted, together):
-        assert got.tobytes() == want[1:].tobytes()
+    for text, dtype in (("d(delta) * pv(1/x)", float),         # real factors, w + w
+                        ("delta * pv(1/x)", float),            # two Poisson kernels
+                        ("(x+i0)^-2 * (x-i0)^-2 * delta", float),   # a balanced group
+                        ("d(delta) * (x+i0)^-1", complex)):
+        f = pairing._integrand(parse_expression(text), [REFERENCE_TEST_FUNCTIONS["offset"]])
+        together = pairing._panel_rule(f, *batch, [len(batch[0])])
+        assert together[0].dtype == dtype
+        start = 0
+        for a, b, y in blocks:
+            rows = slice(start, start + len(a))
+            block = pairing._panel_rule(f, a, b, y, [len(a)])
+            for got, want in zip(together, block):
+                assert got[rows].tobytes() == want.tobytes()
+            for i in range(len(a)):
+                alone = pairing._panel_rule(f, a[i:i + 1], b[i:i + 1], y[i:i + 1], [1])
+                for got, want in zip(alone, block):
+                    assert got.tobytes() == want[i:i + 1].tobytes()
+            start += len(a)
+        shifted = pairing._panel_rule(f, *(x[1:] for x in batch), [len(batch[0]) - 1])
+        for got, want in zip(shifted, together):
+            assert got.tobytes() == want[1:].tobytes()
+
+
+def test_real_rule_sums_are_the_complex_sums_real_parts():
+    # a float row is contracted with the real rules, and its value, error
+    # and roughness are bitwise those it gets as the complex row (r, +0)
+    f = pairing._integrand(parse_expression("d(delta) * pv(1/x)"),
+                           [REFERENCE_TEST_FUNCTIONS["offset"]])
+
+    def as_complex(x, y, rows):
+        return f(x, y, rows).astype(complex)
+
+    edges = np.geomspace(1e-4, 2.0, 40)
+    a, b = np.concatenate([-edges[::-1], edges[:-1]]), np.concatenate([-edges[::-1][1:], edges])
+    y = np.full(len(a), 3e-3)
+    real = pairing._panel_rule(f, a, b, y, [len(a)])
+    cplx = pairing._panel_rule(as_complex, a, b, y, [len(a)])
+    assert real[0].dtype == float and cplx[0].dtype == complex
+    assert real[0].tobytes() == cplx[0].real.tobytes()
+    for got, want in zip(real[1:], cplx[1:]):
+        assert got.tobytes() == want.tobytes()
 
 
 def _split_points(a, b):
@@ -943,20 +970,26 @@ def test_integrand_is_the_product_of_regulated_values(atom, order):
 
 
 def test_each_distinct_factor_is_evaluated_once(monkeypatch, integrand_calls):
-    # delta^4: one Poisson kernel per integrand call, and since the kernel is
-    # real, of its two single terms only f+ is evaluated
-    terms = []
-    call = RationalFunction.__call__
+    # delta^4: one Poisson kernel per integrand call, in real arithmetic, so
+    # neither of its two single terms is evaluated
+    kernels, terms = [], []
+    at, call = HyperfunctionPair.at, RationalFunction.__call__
 
-    def counting(self, z):
+    def counting_at(self, points):
+        kernels.append(self.label)
+        return at(self, points)
+
+    def counting_call(self, z):
         terms.append(self)
         return call(self, z)
 
-    monkeypatch.setattr(RationalFunction, "__call__", counting)
+    monkeypatch.setattr(HyperfunctionPair, "at", counting_at)
+    monkeypatch.setattr(RationalFunction, "__call__", counting_call)
     pair_at_y(parse_expression("delta * delta * delta * delta"),
               REFERENCE_TEST_FUNCTIONS["gauss"], 0.01)
     assert len(integrand_calls) > 1
-    assert len(terms) == len(integrand_calls)
+    assert kernels == ["delta"] * len(integrand_calls)
+    assert terms == []
 
 
 @pytest.fixture
@@ -1053,6 +1086,56 @@ def test_parity_zero_converges_to_zero(text, schedule, rate):
     offset = limit_pairing(expr, REFERENCE_TEST_FUNCTIONS["offset"], schedule)
     assert offset.status == "diverged"
     assert offset.s == pytest.approx(rate, abs=0.05)
+
+
+_BALANCED = ("(x+i0)^-3 * (x-i0)^-3", "(x+i0)^-1 * (x-i0)^-1",
+             "(x+i0)^-2 * (x-i0)^-2 * delta")
+
+
+@pytest.mark.parametrize("phi_name", ["gauss", "offset"])
+@pytest.mark.parametrize("text", _BALANCED)
+def test_balanced_one_sided_pairing_is_exactly_real(text, phi_name):
+    # balanced one-sided factors are evaluated together as the float
+    # C / (x^2 + y^2)^P, so every I(y) and the continuation have an
+    # imaginary part of exactly 0.0 (complex arithmetic left up to 1.8e-12,
+    # 2.1e-16 and 2.1e-17 in the I(y) on exp(-x^2))
+    phi = REFERENCE_TEST_FUNCTIONS[phi_name]
+    job = Job(text, [{"poly": list(phi.poly), "sigma": phi.sigma, "mu": phi.mu}])
+    [entry] = run_job(job)["results"]
+    assert entry["pairing"]["status"] == "diverged"
+    assert all(v == 0.0 for v in entry["pairing"]["I_im"])
+    assert entry["extensions"][0]["value"][1] == 0.0
+
+
+@pytest.mark.parametrize("text", [
+    "(x+i0)^-1 * (x-i0)^-1", "(x+i0)^-2 * (x-i0)^-2", "(x+i0)^-3 * (x-i0)^-3",
+    "d((x+i0)^-1) * (x-i0)^-2", "(x+i0)^-1 * (x+i0)^-1 * d((x-i0)^-1)",
+    "(x+i0)^-2 * (x-i0)^-2 * delta",
+])
+def test_balanced_group_is_the_product_of_regulated_values(text):
+    # C / q^P is a float within 8 ulp of the real part of the complex
+    # product of the factors' regulated values (C = -1 for the two with a
+    # derivative)
+    expr = parse_expression(text)
+    x = np.concatenate([np.linspace(-1.5, 1.5, 45), np.geomspace(1e-9, 1e3, 45),
+                        -np.geomspace(1e-9, 1e3, 45)]).reshape(9, 15)
+    y = np.repeat([0.3, 1e-3, 3e-7], 3)[:, None]
+    got = pairing._integrand(expr, [np.ones_like])(x, y, [9])
+    want = expr.factors[0].regulated(x, y)
+    for pair in expr.factors[1:]:
+        want = want * pair.regulated(x, y)
+    assert got.dtype == float
+    assert (np.abs(got - want.real) <= 8.0 * np.spacing(np.abs(want.real))).all()
+
+
+@pytest.mark.parametrize("y", [1e-160, 1e-300])
+@pytest.mark.parametrize("text", ["delta * delta", "(x+i0)^-1 * (x-i0)^-1"])
+def test_height_whose_square_underflows_stalls(text, y):
+    # q = x^2 + y^2 underflows near 0 at these heights, and the kernel
+    # reads inf or nan there: the height stalls, as in complex arithmetic
+    with pytest.raises(QuadratureError) as stall:
+        pair_at_y(parse_expression(text), REFERENCE_TEST_FUNCTIONS["gauss"], y)
+    assert stall.value.height == 0
 
 
 def test_balanced_one_sided_product_is_a_parity_zero():
