@@ -17,7 +17,9 @@ atoms of power -1, are the Poisson and conjugate Poisson kernels
 formula; every other two-sided pair is bit for bit the real part of the
 complex formula, whose imaginary part is 0, up to the sign of an exact
 zero.  One-sided atoms give complex values.  ``Points`` holds what these
-evaluations read of x + iy, each built once.
+evaluations read of x + iy, each built once.  F_y extends to complex
+z: on a line Im z = eta, where a pairing may be integrated instead of on
+the real axis, a pair is f+(z + iy) - f-(z - iy) by the complex formula.
 
 The growth exponents (alpha, beta) of a pair are read off its
 representatives: away from the real axis F_y is bounded by
@@ -55,19 +57,30 @@ class Points:
     q = x^2 + y^2 are each built on first use and then kept, so the factors
     of one evaluation build each of them once, and only those they read.
     The heights are not checked.
+
+    With eta (a number, or an array broadcast against x) the points are
+    z = x + i eta on the line Im z = eta instead of the real axis, and
+    z_plus = z + iy, z_minus = z - iy; ``HyperfunctionPair.at`` evaluates
+    a factor there by its complex formula.  eta is None on the real axis,
+    where z is x.
     """
 
-    def __init__(self, x, y):
+    def __init__(self, x, y, eta=None):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
+        self.eta = eta
+
+    @cached_property
+    def z(self):
+        return self.x if self.eta is None else self.x + 1j * self.eta
 
     @cached_property
     def z_plus(self):
-        return self.x + 1j * self.y
+        return self.x + 1j * (self.y if self.eta is None else self.eta + self.y)
 
     @cached_property
     def z_minus(self):
-        return self.x - 1j * self.y
+        return self.x - 1j * (self.y if self.eta is None else self.y - self.eta)
 
     @cached_property
     def q(self):
@@ -145,12 +158,6 @@ class HyperfunctionPair:
         return self.f_plus == self.f_minus
 
     @property
-    def reads_minus(self) -> bool:
-        """True when ``at`` evaluates f- at z_minus: f- is there and the pair is
-        not ``is_real``."""
-        return not (self.f_minus.is_zero or self.is_real)
-
-    @property
     def side(self) -> str | None:
         """'+' for a boundary value from the upper half-plane alone (f- = 0),
         '-' from the lower one alone (f+ = 0), None when both terms are there."""
@@ -176,30 +183,34 @@ class HyperfunctionPair:
         return self.at(Points(x, y))
 
     def at(self, points: Points):
-        """f+(x + iy) - f-(x - iy) at the ``Points`` x + iy, with no check on them.
+        """f+(z + iy) - f-(z - iy) at the ``Points`` z + iy, with no check on them.
 
         The core of ``regulated``, for a caller that has checked the heights
         and builds one ``Points`` for several factors.  A zero
         representative is not evaluated: its term is left out, which changes
-        no value (at most the sign of a zero part).  A pair that
-        ``is_poisson`` is the float 2 (Re c x + Im c y) / q, a term whose
-        coefficient is 0 left out.  Any other pair that ``is_real``
-        evaluates f+ alone and is the float w + w, w = Re f+(x + iy): bit for
-        bit the real part of the complex formula, up to the sign of an exact
-        zero.  Only a pair that ``reads_minus`` reads z_minus.
+        no value (at most the sign of a zero part).  On the real axis, z = x,
+        a pair that ``is_poisson`` is the float 2 (Re c x + Im c y) / q, a
+        term whose coefficient is 0 left out, and any other pair that
+        ``is_real`` evaluates f+ alone and is the float w + w,
+        w = Re f+(x + iy): bit for bit the real part of the complex formula,
+        up to the sign of an exact zero.  Both shortcuts assume a real x, so
+        on a line Im z = eta every pair takes the complex formula.  A pair
+        reads z_minus only when its f- is there and, on the real axis, it is
+        not ``is_real``.
         """
-        if self.is_poisson:
-            a, b = 2.0 * self.f_plus.coeff.real, 2.0 * self.f_plus.coeff.imag
-            if not b:
-                return a * points.x / points.q
-            if not a:
-                return b * points.y / points.q
-            return (a * points.x + b * points.y) / points.q
-        if not self.reads_minus:
-            if self.f_minus.is_zero:
-                return self.f_plus(points.z_plus)
-            w = self.f_plus(points.z_plus).real
-            return w + w
+        if points.eta is None:
+            if self.is_poisson:
+                a, b = 2.0 * self.f_plus.coeff.real, 2.0 * self.f_plus.coeff.imag
+                if not b:
+                    return a * points.x / points.q
+                if not a:
+                    return b * points.y / points.q
+                return (a * points.x + b * points.y) / points.q
+            if self.is_real:
+                w = self.f_plus(points.z_plus).real
+                return w + w
+        if self.f_minus.is_zero:
+            return self.f_plus(points.z_plus)
         if self.f_plus.is_zero:
             return -self.f_minus(points.z_minus)
         return self.f_plus(points.z_plus) - self.f_minus(points.z_minus)

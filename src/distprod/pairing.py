@@ -27,6 +27,18 @@ where bisection spends one round per octave.  The final sum runs over panels
 sorted by left endpoint, so results are bit-stable for a fixed
 configuration.
 
+A same-side product, one whose every factor with a pole is a boundary value
+from one side (``ProductExpression.side``, the wavefront test that
+``converges_against`` reads), is paired with a TestFunction on the line
+[-L, L] + i eta instead, eta = +sigma for the (+) side and -sigma for the (-)
+side (``_line``), from initial panels mu + sigma * k on phi's scale.  Its
+kernel is holomorphic on that side of the real axis and phi is entire, so by
+Cauchy the value is the same integral, but for two end segments below phi's
+decay floor; on the line the poles lie y + sigma away, so the integrand is
+smooth on phi's scale at every height instead of carrying a 1/y^k spike.
+phibar and the cutoff change are not analytic, and mixed-side and two-sided
+kernels are not holomorphic off the axis: they stay on the real axis.
+
 A batch is one expression against several test functions, one group per
 schedule, each schedule a phi and its own heights; a phi's main and check
 schedules sit next to each other.  All heights of a schedule, and all
@@ -38,7 +50,8 @@ call builds what its factors read of x + iy once (x + iy, x - iy, or
 q = x^2 + y^2), evaluates each distinct factor of the expression once over
 all rows, and multiplies the rows of each run of schedules sharing a phi by
 that phi, evaluated once over them; one contraction gives both rule sums
-of every panel.  A kernel whose value is real is computed in real
+of every panel.  (A batch that holds schedules both on the real axis and
+off it does this once per block of adjacent schedules of one kind.)  A kernel whose value is real is computed in real
 arithmetic from the factors through the rule: the two-sided factors (delta
 and pv(1/x) as the Poisson and conjugate Poisson kernels over q), and
 one-sided factors that balance, evaluated together as C / q^k.  The
@@ -77,15 +90,17 @@ schedule with a different ratio lands on the same value.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .boundary import (CatalogError, HyperfunctionPair, Points, RegulatorError, _loglog_fit,
                        catalog)
-from .testfn import REFERENCE_TEST_FUNCTIONS, vanish_probe
+from .testfn import REFERENCE_TEST_FUNCTIONS, TestFunction, vanish_probe
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK dqk15).
 _XGK = np.array([
@@ -131,6 +146,9 @@ _MAX_PANELS = 4000
 # Most panels one integrand call evaluates: a round's fresh rows are
 # evaluated in slices of this many (see _panel_rule).
 _SLICE = 2048
+# Initial panel ends on a line Im z = +-sigma, mu + sigma * k (see _line):
+# phi's scale is the integrand's there, at every height.
+_LINE_GRID = (-13, -9, -6, -4, -3, -2, -1, 0, 1, 2, 3, 4, 6, 9, 13)
 
 
 class QuadratureError(RuntimeError):
@@ -308,6 +326,18 @@ class ProductExpression:
         _, P, M = self.one_sided
         return parity if P == M else None
 
+    @cached_property
+    def side(self) -> str | None:
+        """'+' or '-' when every factor with a pole (alpha > 0) is a boundary
+        value from that side, and None otherwise.
+
+        Then the kernel x^R * prod F_i^y extends to a function holomorphic on
+        that side of the real axis (its poles sit at -+iy), and the product
+        is a boundary value from that side too.
+        """
+        sides = {pair.side for pair in self.factors if pair.alpha}
+        return sides.pop() if sides in ({"+"}, {"-"}) else None
+
     @property
     def supported_at_origin(self) -> bool:
         """True when some factor is (``HyperfunctionPair.supported_at_origin``).
@@ -326,18 +356,20 @@ class ProductExpression:
         order q gives a term y^(q + 1 - (sd - m)) times the q-th moment of
         the scaled x^m * kernel.  The pairing converges when no such term
         grows: sd - m <= 1; or every singular factor is a boundary value
-        from the same side, so the product is one too (Hormander, ALPDO I,
-        Thm 8.2.10); or the kernel has a parity and every q <= sd - m - 2
-        has the other parity than x^m * kernel, so each growing moment is 0;
-        or the pairing vanishes (``vanishes_against``).  ``limit_pairings``
-        reads it only to decide which schedules run together, never a
-        classification.
+        from the same side (``side``), so the product is one too (Hormander,
+        ALPDO I, Thm 8.2.10); or the kernel has a parity and every
+        q <= sd - m - 2 has the other parity than x^m * kernel, so each
+        growing moment is 0; or the pairing vanishes (``vanishes_against``).
+        ``limit_pairings`` reads it only to decide which schedules run
+        together, never a classification.  The same wavefront test, ``side``,
+        picks the contour: such a product pairs with a TestFunction on the
+        line Im z = +-sigma (``_line``).
         """
         m = phi.vanishing_order
         sd = self.scaling_degree
         if sd - m <= 1:
             return True
-        if {pair.side for pair in self.factors if pair.alpha} in ({"+"}, {"-"}):
+        if self.side:
             return True
         parity = self.parity
         if parity is not None and all(
@@ -705,26 +737,51 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     return out
 
 
+def _line(expr: ProductExpression, phi) -> float | None:
+    """Im z of the line on which expr pairs with phi: +-phi.sigma, or None for the real axis.
+
+    When every factor with a pole comes from one side (``ProductExpression.side``)
+    the kernel is holomorphic on that side of the real axis, its poles at
+    -+iy on the other, and a TestFunction phi is entire.  By Cauchy the
+    integral over [-L, L] is then the one over [-L, L] + i eta, eta = +sigma
+    for the (+) side and -sigma for the (-) side, but for the two end
+    segments, where phi is below its decay floor.  On that line the poles lie
+    y + sigma away, so the integrand is smooth on phi's scale at every
+    height, where on the real axis it has a 1/y^k spike.  phibar and the
+    cutoff change are not analytic (their cutoff is C-infinity only), so they
+    stay on the real axis, as do mixed-side and two-sided kernels.
+    """
+    side = expr.side
+    if side is None or not isinstance(phi, TestFunction):
+        return None
+    return phi.sigma if side == "+" else -phi.sigma
+
+
 def _integrand(expr: ProductExpression, phis):
     """The integrand x^R * prod F_i^y(x) * phi(x) of expr against each phi of phis.
 
-    Each phi is one group.  The callable takes points x, heights y broadcast
-    against x, and `rows`: how many of x's rows belong to each group, the
-    rows grouped in group order.  It builds one ``Points`` per call, so
-    x + iy, x - iy and q = x^2 + y^2 are each built at most once, and
-    evaluates each distinct factor once over all rows (delta^4 evaluates one
-    Poisson kernel).  When the one-sided factors balance, P = M < 0 in
+    Each phi is one group, integrated on its line (``_line``): at x the
+    integrand is taken at z = x, or at z = x + i eta on the line
+    Im z = eta.  The callable takes points x, heights y broadcast against x,
+    and `rows`: how many of x's rows belong to each group, the rows grouped
+    in group order.  Each run of adjacent groups that share one phi (a
+    pairing's main and check schedules) shares its line, and each block of
+    adjacent runs on the real axis, or off it, builds one ``Points``, so
+    z + iy, z - iy and q = x^2 + y^2 are each built at most once per block,
+    and evaluates each distinct factor once over its rows (delta^4 evaluates
+    one Poisson kernel); off the axis the block's rows carry their runs'
+    eta.  On the real axis, when the one-sided factors balance, P = M < 0 in
     ``ProductExpression.one_sided``, they are evaluated together as the
     float C / q^k, k = -P, with q^k a product of k factors q.  The values
     multiply in slot order, the balanced group last, so without a group the
     product is bitwise that of the ``regulated`` values.  A product of real
     factors (``HyperfunctionPair.is_real``, or a balanced group) stays a
     float array, through x^R and phi, and a one-sided factor left makes it
-    complex.  Each run of adjacent groups that share one phi (a pairing's
-    main and check schedules) then has its rows multiplied by that phi,
-    evaluated once over them: phi acts point by point, so every row gets the
-    bits it gets alone.  The heights are not checked here:
-    ``_evaluate_schedules`` checks them once per schedule.
+    complex.  Each run then has its rows multiplied by its phi, evaluated
+    once over them, at x or by ``TestFunction.at`` at z.  Every value is
+    computed point by point, so every row gets the bits it gets alone.  The
+    heights are not checked here: ``_evaluate_schedules`` checks them once
+    per schedule.
     """
     C, P, M = expr.one_sided
     balanced = -P if P == M < 0 else 0   # the balanced group's power of 1/q
@@ -740,16 +797,15 @@ def _integrand(expr: ProductExpression, phis):
     if balanced:
         slots.append(len(distinct))     # the group's value follows the factors'
     r = expr.total_power
-    runs = []           # [phi, how many adjacent groups share it]
+    runs = []           # [phi, its line, how many adjacent groups share it]
     for phi in phis:
         if runs and runs[-1][0] is phi:
-            runs[-1][1] += 1
+            runs[-1][2] += 1
         else:
-            runs.append([phi, 1])
+            runs.append([phi, _line(expr, phi), 1])
+    blocks = [list(block) for _, block in itertools.groupby(runs, lambda run: run[1] is None)]
 
-    def f(x, y, rows):
-        points = Points(x, y)
-        x = points.x
+    def kernel(points):
         values = [pair.at(points) for pair in distinct]
         if balanced:
             power = points.q
@@ -760,18 +816,57 @@ def _integrand(expr: ProductExpression, phis):
         for k in slots[1:]:
             v = v * values[k]
         if r:
-            v = v * x**r
-        start = group = 0
-        for phi, shared in runs:
-            n = int(sum(rows[group:group + shared]))
-            group += shared
-            if n:
-                part = v[start:start + n]    # a view: multiplied in place
-                part *= phi(x[start:start + n])
-                start += n
+            v = v * points.z**r
         return v
 
+    def f(x, y, rows):
+        parts = []
+        start = group = 0
+        for block in blocks:
+            sizes = []
+            for _, _, shared in block:
+                sizes.append(int(sum(rows[group:group + shared])))
+                group += shared
+            n = sum(sizes)
+            if not n:
+                continue
+            eta = block[0][1]
+            if eta is not None and len(block) > 1:     # each row on its run's line
+                eta = np.repeat([line for _, line, _ in block], sizes)[:, None]
+            points = (Points(x, y, eta) if n == len(x)     # the call is this block's
+                      else Points(x[start:start + n], y[start:start + n], eta))
+            v = kernel(points)
+            at = 0
+            for (phi, _, _), size in zip(block, sizes):
+                if size:
+                    part = v[at:at + size]    # a view: multiplied in place
+                    part *= (phi(points.x[at:at + size]) if eta is None
+                             else phi.at(points.z[at:at + size]))
+                    at += size
+            parts.append(v)
+            start += n
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     return f
+
+
+def _initial_points(expr: ProductExpression, phi, ys) -> list[list[float]]:
+    """Each height's sorted initial panel ends on its [-L, L].
+
+    On the real axis they are +-1, +-10y and 0 around the origin, where all
+    the regulator-scale structure of the integrand lives; on phi's line
+    (``_line``) they are mu + sigma * k, k in _LINE_GRID, within (-L, L), the
+    same at every height.  Both add +-L and phi's ``breakpoints``, where phi
+    stops being analytic.  L >= max(2, 20y) (see _integration_radius), so
+    every point lies in [-L, L].
+    """
+    line = _line(expr, phi)
+    points = []
+    for y, L in zip(ys, _integration_radius(expr, phi, ys)):
+        inner = ((-1.0, -10.0 * y, 0.0, 10.0 * y, 1.0) if line is None
+                 else (t for t in (phi.mu + phi.sigma * k for k in _LINE_GRID) if -L < t < L))
+        points.append(sorted({-L, L, *inner, *(t for t in phi.breakpoints if -L < t < L)}))
+    return points
 
 
 def _integration_radius(expr: ProductExpression, phi, ys) -> list[float]:
@@ -791,8 +886,8 @@ def pair_at_y(expr: ProductExpression, phi, y: float,
 
     phi is a TestFunction or a Taylor-subtracted function; the domain is
     [-L, L] with L from phi.decay_radius, given the integrand's polynomial
-    growth (see _integration_radius).  This is the one-height case of a
-    schedule.
+    growth (see _integration_radius), or the same integral on [-L, L] + i eta
+    (see _line).  This is the one-height case of a schedule.
     """
     [outcome] = _evaluate_schedules(expr, [phi], [(y,)], tol)
     if isinstance(outcome, Exception):
@@ -867,25 +962,22 @@ class PairingResult:
 def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
     """Pair expr with phis[i] at the heights heights[i], for every i, in one quadrature.
 
-    Each (phi, heights) is one schedule; a phi may have several.  Initial
-    panels end at phi's ``breakpoints`` too.  Returns, per schedule, its
-    heights, their values and their quadrature targets, truncated where its
-    quadrature gives out: the first height k whose quadrature stalls ends
-    the schedule.  For k < MIN_HEIGHTS the entry is that QuadratureError
-    instead; otherwise the heights before k are kept.
+    Each (phi, heights) is one schedule; a phi may have several.  A schedule
+    runs on its phi's line (``_line``): a same-side product's against a
+    TestFunction on Im z = +-sigma, every other on the real axis, the one
+    quadrature holding both kinds.  Its initial panels are those of
+    ``_initial_points``, ending at phi's ``breakpoints`` too.  Returns, per
+    schedule, its heights, their values and their quadrature targets,
+    truncated where its quadrature gives out: the first height k whose
+    quadrature stalls ends the schedule.  For k < MIN_HEIGHTS the entry is
+    that QuadratureError instead; otherwise the heights before k are kept.
     """
     heights = [tuple(float(y) for y in ys) for ys in heights]
     for ys in heights:
         for y in ys:
             if not (y > 0.0 and math.isfinite(y)):
                 raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
-    # L >= max(2, 20y) (see _integration_radius): every point lies in [-L, L]
-    pointsets = [
-        [sorted({-L, -1.0, -10.0 * y, 0.0, 10.0 * y, 1.0, L,
-                 *(t for t in phi.breakpoints if -L < t < L)})
-         for y, L in zip(ys, _integration_radius(expr, phi, ys))]
-        for phi, ys in zip(phis, heights)
-    ]
+    pointsets = [_initial_points(expr, phi, ys) for phi, ys in zip(phis, heights)]
     # an overflowing kernel gives inf or NaN panels, which stall their height:
     # numpy's warnings about them would only be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -4,10 +4,12 @@ The working family is polynomial times Gaussian,
 
     phi(x) = p(x) * exp(-(x - mu)^2 / (2 sigma^2)),
 
-evaluated by value.  The continuations read phi's derivatives only at the
-origin: phi.taylor(n) returns its Taylor coefficients there, to any order.
-Its Gaussian decay is known in closed form, so phi.decay_radius(d) gives the
-half-width of the integration domain of x^d * phi without sampling it.
+evaluated by value, at real points or, since phi is entire, at complex
+ones (``TestFunction.at``).  The continuations read phi's derivatives only
+at the origin: phi.taylor(n) returns its Taylor coefficients there, to any
+order.  Its Gaussian decay is known in closed form, so phi.decay_radius(d)
+gives the half-width of the integration domain of x^d * phi without
+sampling it.
 Keeping the polynomial in global-x coordinates means the low coefficients of
 x^(p+1) * phi stay *exactly* zero, which is what makes the high-order
 vanishing probes bitwise reliable.
@@ -48,6 +50,9 @@ _DECAY_FLOOR = 1e-22  # share of its peak below which an integrand tail is dropp
 class TestFunction:
     """Polynomial-times-Gaussian test function.
 
+    phi is entire: ``__call__`` evaluates it at real points, ``at`` at
+    complex ones, where a same-side pairing's line Im z = +-sigma runs.
+
     Attributes:
         poly: coefficients of p, lowest order first, in global x (not x - mu).
         sigma: Gaussian width, > 0.
@@ -85,6 +90,12 @@ class TestFunction:
         if val.ndim == 0:
             return float(val)
         return val
+
+    def at(self, z):
+        """Evaluate at complex points z (an array): the formula of ``__call__``
+        in complex arithmetic."""
+        u = z - self.mu
+        return _polyval(z, self.poly) * np.exp(-(u * u) / (2.0 * self.sigma**2))
 
     @property
     def vanishing_order(self) -> int:

@@ -176,7 +176,7 @@ def test_two_sided_pair_is_real_bit_for_bit(pair):
     # a part of f+(x + iy) is an exact 0 (x = 0 for d(pv(1/x)), x = +-y for
     # d(delta) and d(d(d(delta)))), the complex formula's zero parts may
     # carry either sign, and 2w = -0.0 where the formula reads +0.0
-    assert pair.is_real and not pair.reads_minus
+    assert pair.is_real
     assert pair.is_poisson == (pair.label in ("delta", "pv(1/x)"))
     c = pair.f_plus.coeff
     for y in (3.0, 0.1, 1e-3, 3e-7):
@@ -190,20 +190,41 @@ def test_two_sided_pair_is_real_bit_for_bit(pair):
             assert (np.abs(got - old.real) <= 4.0 * np.spacing(np.abs(old.real))).all()
         else:
             assert np.array_equal(got, old.real)
-        assert pair.at(Points(_GRID, y)).tobytes() == got.tobytes()
+        points = Points(_GRID, y)
+        assert pair.at(points).tobytes() == got.tobytes()
+        assert "z_minus" not in vars(points)
         assert isinstance(pair.regulated(0.37, y), float)
 
 
 @pytest.mark.parametrize("pair", _ONE_SIDED, ids=lambda a: a.label)
 def test_one_sided_pair_is_complex(pair):
     assert not pair.is_real
-    assert pair.reads_minus == (pair.side == "-")
-    assert pair.regulated(_GRID, 0.1).dtype == np.complex128
+    points = Points(_GRID, 0.1)
+    assert pair.at(points).dtype == np.complex128
+    assert ("z_minus" in vars(points)) == (pair.side == "-")
+
+
+@pytest.mark.parametrize("pair", [*_TWO_SIDED, *_ONE_SIDED], ids=lambda a: a.label)
+def test_pair_on_a_line_takes_the_complex_formula(pair):
+    # at z = x + i eta the real-axis shortcuts do not apply: every pair is
+    # f+(z + iy) - f-(z - iy), complex, for eta a number or a column of rows
+    y = np.array([0.3, 1e-3])[:, None]
+    eta = np.array([0.7, -1.0])[:, None]
+    x = np.stack([_GRID, _GRID])
+    z = x + 1j * eta
+    want = pair.f_plus(z + 1j * y) - pair.f_minus(z - 1j * y)
+    got = pair.at(Points(x, y, eta))
+    assert got.dtype == np.complex128
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(pair.at(Points(x[:1], y[:1], 0.7)), got[:1])
 
 
 def test_zero_pair_is_complex():
     zero = catalog("one").derivative()
-    assert not (zero.is_real or zero.reads_minus)
+    assert not zero.is_real
+    points = Points(_GRID, 0.1)
+    zero.at(points)
+    assert "z_minus" not in vars(points)
     assert zero.regulated(_GRID, 0.1).tobytes() == np.zeros(len(_GRID), complex).tobytes()
 
 

@@ -590,6 +590,16 @@ class TestMain:
         assert res["pairing"]["status"] == "converged"
         assert res["pairing"]["I_re"] == [0.0] * 12
 
+    def test_same_side_pole_of_order_three_converges(self, capsys):
+        # (x-i0)^-3 against exp(-x^2) is -i pi; it read inconclusive while
+        # the quadrature integrated its 1/y^3 spike on the real axis
+        code = main(["--expr", "(x-i0)^-3"])
+        assert code == 0
+        [res] = json.loads(capsys.readouterr().out)["results"]
+        assert res["pairing"]["status"] == "converged"
+        re, im = res["pairing"]["value"]
+        assert abs(re) <= 1e-12 and abs(im + math.pi) <= 1e-12
+
     def test_stalled_pairing_exit_two(self):
         # the kernel overflows (0.1^-400 is inf), so every panel is NaN; the
         # error line is all there is, with no numpy warning about the NaN

@@ -5,11 +5,13 @@ Numerical reference values were computed with an independent route
 here, so the adaptive Gauss-Kronrod engine is never checked against itself.
 """
 
+import functools
 import importlib.util
 import math
 import os
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1016,10 +1018,14 @@ _WORK_PINS = {
     "real": (lambda: limit_pairing(parse_expression("delta * delta"),
                                    REFERENCE_TEST_FUNCTIONS["gauss"]),
              [70, 128, 200, 224, 200, 68]),
-    # a one-sided complex product, proved convergent
+    # a one-sided complex product, proved convergent, on the line Im z = -sigma
     "one-sided": (lambda: limit_pairing(parse_expression("(x-i0)^-1 * (x-i0)^-1"),
                                         REFERENCE_TEST_FUNCTIONS["gauss"]),
-                  [140, 280, 548, 736, 764, 550]),
+                  [384, 192]),
+    # a mixed-side complex product, on the real axis
+    "mixed-side": (lambda: limit_pairing(parse_expression("(x+i0)^-1 * (x-i0)^-2"),
+                                         REFERENCE_TEST_FUNCTIONS["gauss"]),
+                   [70, 140, 244, 336, 308, 140]),
     # a two-sided product proved convergent: main and check in lockstep
     "lockstep": (lambda: limit_pairing(parse_expression("pv(1/x)"),
                                        REFERENCE_TEST_FUNCTIONS["offset"]),
@@ -1465,3 +1471,110 @@ def test_search_falls_back_when_a_proved_base_diverges(monkeypatch):
     assert subtraction_order(parse_expression("delta * delta")) == SubtractionOrder(0, True)
     assert batches == [1, 4]
 
+
+
+# ---------------------------------------------------------------------------
+# same-side products on the line Im z = +-sigma
+# ---------------------------------------------------------------------------
+
+# every factor with a pole from one side: each reads inconclusive at the
+# parent of the shifted line against exp(-x^2), offset and tilted, where the
+# deepest heights' quadrature targets passed rounding noise
+_SAME_SIDE = ("(x-i0)^-3", "(x+i0)^-2 * (x+i0)^-2", "d((x+i0)^-1) * (x+i0)^-2",
+              "x^1 * (x-i0)^-4", "d(d((x-i0)^-2))")
+_LINE_PHIS = ("gauss", "offset", "tilted")
+_NARROW = TestFunction((1.0,), 0.05, 0.3)
+
+
+@pytest.mark.parametrize("phi_name", _LINE_PHIS)
+@pytest.mark.parametrize("text", _SAME_SIDE)
+def test_same_side_product_converges(text, phi_name):
+    res = limit_pairing(parse_expression(text), REFERENCE_TEST_FUNCTIONS[phi_name])
+    assert res.status == "converged"
+
+
+@pytest.mark.parametrize("text, want", [
+    # <(x -+ i0)^-k, phi> = (PV int phi^(k-1) / x +- i pi phi^(k-1)(0)) / (k-1)!:
+    # phi''(0) = -2 for exp(-x^2), and PV int phi''' / x = 8 sqrt(pi)
+    ("(x-i0)^-3", -1j * math.pi),
+    ("(x+i0)^-2 * (x+i0)^-2", 4.0 * SQRT_PI / 3.0),
+])
+def test_same_side_limit_matches_closed_form(text, want):
+    res = limit_pairing(parse_expression(text), REFERENCE_TEST_FUNCTIONS["gauss"])
+    assert res.status == "converged"
+    assert abs(res.value - want) <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _real_axis_mpmath(P, M, r, phi, y):
+    """int x^r (x + iy)^P (x - iy)^M phi(x) dx on the real axis, to 30 digits.
+
+    P or M is 0.  Breakpoints at 0 and at +-y * 30^j resolve the kernel's
+    1/y^k spike.
+    """
+    with mpmath.workdps(30):
+        pole = 1j * mpmath.mpf(y) if P else -1j * mpmath.mpf(y)
+        k = -(P or M)
+        poly = list(reversed(phi.poly))
+        s2 = 2 * mpmath.mpf(phi.sigma) ** 2
+
+        def f(x):
+            return (x**r * mpmath.polyval(poly, x) * mpmath.exp(-(x - phi.mu) ** 2 / s2)
+                    / (x + pole) ** k)
+
+        L = abs(phi.mu) + 20 * phi.sigma
+        ends = []
+        t = y
+        while t < L / 10:
+            ends.append(t)
+            t *= 30
+        return complex(mpmath.quad(f, [-L, *(-t for t in ends[::-1]), 0, *ends, L]))
+
+
+@pytest.mark.parametrize("y", [0.1, 1e-3, 5.6e-7])
+@pytest.mark.parametrize("phi", [*(REFERENCE_TEST_FUNCTIONS[n] for n in _LINE_PHIS), _NARROW],
+                         ids=[*_LINE_PHIS, "narrow"])
+@pytest.mark.parametrize("text", [*_SAME_SIDE, "(x+i0)^-1 * (x+i0)^-1"])
+def test_same_side_height_matches_real_axis_integral(text, phi, y):
+    # the integral on the line is the one on the real axis (Cauchy): at the
+    # parent, d((x+i0)^-1) * (x+i0)^-2 on tilted read -30.4 + 640.1i at
+    # y = 5.6e-7, against -0.209 - 1.571i
+    expr = parse_expression(text)
+    assert pairing._line(expr, phi) == (phi.sigma if expr.side == "+" else -phi.sigma)
+    C, P, M = expr.one_sided
+    ref = C * _real_axis_mpmath(P, M, expr.total_power, phi, y)
+    assert abs(pair_at_y(expr, phi, y) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_same_side_batch_entries_equal_pairings_alone():
+    # a TestFunction's groups run on the line, a subtracted function's on the
+    # real axis, in one quadrature: each entry is what that phi gets alone.
+    # gauss and tilted share one evaluation, each row on its own line
+    expr = parse_expression("(x-i0)^-3")
+    offset = REFERENCE_TEST_FUNCTIONS["offset"]
+    bar = SubtractedFunction(offset, PlateauCutoff(1.0, 2.0), 1)
+    phis = [offset, bar, REFERENCE_TEST_FUNCTIONS["gauss"], REFERENCE_TEST_FUNCTIONS["tilted"]]
+    assert [pairing._line(expr, phi) for phi in phis] == [-1.0, None, -math.sqrt(0.5), -1.0]
+    want = [_alone(expr, phi) for phi in phis]
+    assert [_outcome(r) for r in pairing.limit_pairings(expr, phis)] == want
+    assert [_outcome(r) for r in pairing.limit_pairings(expr, phis[::-1])] == want[::-1]
+
+
+@pytest.mark.parametrize("text", ["(x+i0)^-1 * (x-i0)^-2", "delta * (x+i0)^-2", "1",
+                                  "x^2 * (x+i0)^-1 * (x-i0)^-1"])
+def test_other_kernels_stay_on_the_real_axis(text):
+    expr = parse_expression(text)
+    assert expr.side is None
+    assert pairing._line(expr, REFERENCE_TEST_FUNCTIONS["gauss"]) is None
+
+
+def test_mixed_side_product_keeps_its_bits():
+    # the complex real-axis rule: the values recorded before same-side
+    # products moved to the line
+    res = limit_pairing(parse_expression("(x+i0)^-1 * (x-i0)^-2"),
+                        REFERENCE_TEST_FUNCTIONS["offset"])
+    assert res.status == "diverged"
+    assert res.integrals[0] == 1.9871598593323745 + 122.27980819430917j
+    assert res.integrals[5] == 78.15990353533925 + 125896.92669175015j
+    assert res.integrals[-1] == 5035.378708317876 + 515676847.20533335j
+    assert res.leading_coeff == -1.616167486539729e-16 + 1.2294694136360216j

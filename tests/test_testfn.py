@@ -76,6 +76,22 @@ class TestEvaluation:
         assert phi(0.3) == float(npoly.polyval(0.3, phi.poly)
                                  * np.exp(-(0.3 - phi.mu) ** 2 / (2.0 * phi.sigma**2)))
 
+    @pytest.mark.parametrize("phi", REFERENCE_TEST_FUNCTIONS.values(),
+                             ids=list(REFERENCE_TEST_FUNCTIONS))
+    def test_complex_points_match_mpmath(self, phi):
+        # phi is entire: on the line Im z = +-sigma, where same-side pairings
+        # run, and at real points, where it is __call__ to rounding
+        x = np.linspace(-6.0, 6.0, 25)
+        for eta in (phi.sigma, -phi.sigma, 0.0):
+            z = x + 1j * eta
+            got = phi.at(z)
+            with mpmath.workdps(30):
+                want = [complex(mpmath.polyval(list(reversed(phi.poly)), w)
+                                * mpmath.exp(-(w - phi.mu) ** 2 / (2 * mpmath.mpf(phi.sigma) ** 2)))
+                        for w in map(mpmath.mpc, z)]
+            assert (np.abs(got - want) <= 4e-15 * np.abs(want).max()).all()
+        assert np.allclose(phi.at(x + 0j), phi(x), rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("poly, mu, m, parity", [
         ((1.0,), 0.0, 0, 1), ((0.0, 2.0), 0.0, 1, -1), ((0.0, 0.0, 1.0, 0.0, 3.0), 0.0, 2, 1),
         ((1.0, 1.0, 0.25), 0.0, 0, None), ((0.0, 1.0), 0.7, 1, None), ((0.0, 0.0), 0.0, 2, 1),
