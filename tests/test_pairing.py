@@ -1477,8 +1477,8 @@ def test_search_falls_back_when_a_proved_base_diverges(monkeypatch):
 # same-side products on the line Im z = +-sigma
 # ---------------------------------------------------------------------------
 
-# every factor with a pole from one side: each reads inconclusive at the
-# parent of the shifted line against exp(-x^2), offset and tilted, where the
+# every factor with a pole from one side: each read inconclusive against
+# exp(-x^2), offset and tilted while integrated on the real axis, where the
 # deepest heights' quadrature targets passed rounding noise
 _SAME_SIDE = ("(x-i0)^-3", "(x+i0)^-2 * (x+i0)^-2", "d((x+i0)^-1) * (x+i0)^-2",
               "x^1 * (x-i0)^-4", "d(d((x-i0)^-2))")
@@ -1536,9 +1536,9 @@ def _real_axis_mpmath(P, M, r, phi, y):
                          ids=[*_LINE_PHIS, "narrow"])
 @pytest.mark.parametrize("text", [*_SAME_SIDE, "(x+i0)^-1 * (x+i0)^-1"])
 def test_same_side_height_matches_real_axis_integral(text, phi, y):
-    # the integral on the line is the one on the real axis (Cauchy): at the
-    # parent, d((x+i0)^-1) * (x+i0)^-2 on tilted read -30.4 + 640.1i at
-    # y = 5.6e-7, against -0.209 - 1.571i
+    # the integral on the line is the one on the real axis (Cauchy): on the
+    # real axis GK read d((x+i0)^-1) * (x+i0)^-2 on tilted as -30.4 + 640.1i
+    # at y = 5.6e-7, against -0.209 - 1.571i
     expr = parse_expression(text)
     assert pairing._line(expr, phi) == (phi.sigma if expr.side == "+" else -phi.sigma)
     C, P, M = expr.one_sided
@@ -1569,8 +1569,8 @@ def test_other_kernels_stay_on_the_real_axis(text):
 
 
 def test_mixed_side_product_keeps_its_bits():
-    # the complex real-axis rule: the values recorded before same-side
-    # products moved to the line
+    # a mixed-side kernel stays on the real axis, in complex arithmetic:
+    # its values are pinned bit for bit
     res = limit_pairing(parse_expression("(x+i0)^-1 * (x-i0)^-2"),
                         REFERENCE_TEST_FUNCTIONS["offset"])
     assert res.status == "diverged"
