@@ -17,9 +17,10 @@ atoms of power -1, are the Poisson and conjugate Poisson kernels
 formula; every other two-sided pair is bit for bit the real part of the
 complex formula, whose imaginary part is 0, up to the sign of an exact
 zero.  One-sided atoms give complex values.  ``Points`` holds what these
-evaluations read of x + iy, each built once.  F_y extends to complex
-z: on a line Im z = eta, where a pairing may be integrated instead of on
-the real axis, a pair is f+(z + iy) - f-(z - iy) by the complex formula.
+evaluations read of x + iy, each built once.  F_y extends to complex x:
+a pairing integrated on a line Im z = eta instead of the real axis shifts
+its points x to x + i eta, where a pair is f+(x + iy) - f-(x - iy) by the
+complex formula.
 
 The growth exponents (alpha, beta) of a pair are read off its
 representatives: away from the real axis F_y is bounded by
@@ -52,39 +53,42 @@ class RegulatorError(ValueError):
 class Points:
     """Points x + iy at heights y > 0, and what factors read of them.
 
-    x is a float array and y its heights, one for every x or an array
-    broadcast against x.  z_plus = x + iy, z_minus = x - iy and
+    x is a real or complex array and y its heights, one for every x or an
+    array broadcast against x.  z_plus = x + iy, z_minus = x - iy and
     q = x^2 + y^2 are each built on first use and then kept, so the factors
     of one evaluation build each of them once, and only those they read.
-    The heights are not checked.
-
-    With eta (a number, or an array broadcast against x) the points are
-    z = x + i eta on the line Im z = eta instead of the real axis, and
-    z_plus = z + iy, z_minus = z - iy; ``HyperfunctionPair.at`` evaluates
-    a factor there by its complex formula.  eta is None on the real axis,
-    where z is x.
+    A complex x is a point shifted off the real axis, onto a line
+    Im z = eta; q is read on the real axis only.  The heights are not
+    checked (see ``_checked_heights``).
     """
 
-    def __init__(self, x, y, eta=None):
-        self.x = np.asarray(x, dtype=float)
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
         self.y = np.asarray(y, dtype=float)
-        self.eta = eta
-
-    @cached_property
-    def z(self):
-        return self.x if self.eta is None else self.x + 1j * self.eta
 
     @cached_property
     def z_plus(self):
-        return self.x + 1j * (self.y if self.eta is None else self.eta + self.y)
+        return self.x + 1j * self.y
 
     @cached_property
     def z_minus(self):
-        return self.x - 1j * (self.y if self.eta is None else self.y - self.eta)
+        return self.x - 1j * self.y
 
     @cached_property
     def q(self):
         return self.x * self.x + self.y * self.y
+
+
+def _checked_heights(y) -> np.ndarray:
+    """y as a float array, once every height is a positive finite number.
+
+    Raises RegulatorError naming the first height, in y's order, that is not.
+    """
+    y = np.asarray(y, dtype=float)
+    ok = (y > 0.0) & (y < math.inf)
+    if not ok.all():
+        raise RegulatorError(f"height must satisfy 0 < y < inf, got {float(y[~ok][0])}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -175,30 +179,25 @@ class HyperfunctionPair:
         a positive finite number.  The value is ``at(Points(x, y))``: a float
         array for an ``is_real`` pair and complex otherwise.
         """
-        y = np.asarray(y, dtype=float)
-        bad = ~((y > 0.0) & np.isfinite(y))
-        if np.any(bad):
-            raise RegulatorError(
-                f"height must satisfy 0 < y < inf, got {float(y[bad][0])}")
-        return self.at(Points(x, y))
+        return self.at(Points(x, _checked_heights(y)))
 
     def at(self, points: Points):
-        """f+(z + iy) - f-(z - iy) at the ``Points`` z + iy, with no check on them.
+        """f+(x + iy) - f-(x - iy) at the ``Points`` x + iy, with no check on them.
 
         The core of ``regulated``, for a caller that has checked the heights
         and builds one ``Points`` for several factors.  A zero
         representative is not evaluated: its term is left out, which changes
-        no value (at most the sign of a zero part).  On the real axis, z = x,
-        a pair that ``is_poisson`` is the float 2 (Re c x + Im c y) / q, a
-        term whose coefficient is 0 left out, and any other pair that
-        ``is_real`` evaluates f+ alone and is the float w + w,
-        w = Re f+(x + iy): bit for bit the real part of the complex formula,
-        up to the sign of an exact zero.  Both shortcuts assume a real x, so
-        on a line Im z = eta every pair takes the complex formula.  A pair
-        reads z_minus only when its f- is there and, on the real axis, it is
+        no value (at most the sign of a zero part).  At a real x, a pair
+        that ``is_poisson`` is the float 2 (Re c x + Im c y) / q, a term
+        whose coefficient is 0 left out, and any other pair that ``is_real``
+        evaluates f+ alone and is the float w + w, w = Re f+(x + iy): bit
+        for bit the real part of the complex formula, up to the sign of an
+        exact zero.  Both shortcuts assume a real x, so at a complex x, on a
+        line off the real axis, every pair takes the complex formula.  A
+        pair reads z_minus only when its f- is there and, at a real x, it is
         not ``is_real``.
         """
-        if points.eta is None:
+        if points.x.dtype.kind != "c":
             if self.is_poisson:
                 a, b = 2.0 * self.f_plus.coeff.real, 2.0 * self.f_plus.coeff.imag
                 if not b:

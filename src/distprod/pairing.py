@@ -31,11 +31,12 @@ A same-side product, one whose every factor with a pole is a boundary value
 from one side (``ProductExpression.side``, the wavefront test that
 ``converges_against`` reads), is paired with a TestFunction on the line
 [-L, L] + i eta instead, eta = +sigma for the (+) side and -sigma for the (-)
-side (``_line``), from initial panels mu + sigma * k on phi's scale.  Its
-kernel is holomorphic on that side of the real axis and phi is entire, so by
-Cauchy the value is the same integral, but for two end segments below phi's
-decay floor; on the line the poles lie y + sigma away, so the integrand is
-smooth on phi's scale at every height instead of carrying a 1/y^k spike.
+side (``_line``), from initial panels mu + sigma * k on phi's scale: the
+integrand shifts x to x + i eta once and computes there as on the real axis.
+Its kernel is holomorphic on that side of the real axis and phi is entire, so
+by Cauchy the value is the same integral, but for two end segments below
+phi's decay floor; on the line the poles lie y + sigma away, so the integrand
+is smooth on phi's scale at every height instead of carrying a 1/y^k spike.
 phibar and the cutoff change are not analytic, and mixed-side and two-sided
 kernels are not holomorphic off the axis: they stay on the real axis.
 
@@ -50,9 +51,10 @@ call builds what its factors read of x + iy once (x + iy, x - iy, or
 q = x^2 + y^2), evaluates each distinct factor of the expression once over
 all rows, and multiplies the rows of each run of schedules sharing a phi by
 that phi, evaluated once over them; one contraction gives both rule sums
-of every panel.  (A batch that holds schedules both on the real axis and
-off it does this once per block of adjacent schedules of one kind.)  A kernel whose value is real is computed in real
-arithmetic from the factors through the rule: the two-sided factors (delta
+of every panel.  A quadrature runs on one kind of contour, the real axis
+or lines, so a batch holding both runs one quadrature each.  A kernel whose
+value is real is computed in real arithmetic from the factors through the
+rule: the two-sided factors (delta
 and pv(1/x) as the Poisson and conjugate Poisson kernels over q), and
 one-sided factors that balance, evaluated together as C / q^k.  The
 leaf panels of the live heights are the rows of five plain columns, grouped
@@ -90,7 +92,6 @@ schedule with a different ratio lands on the same value.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -98,7 +99,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import (CatalogError, HyperfunctionPair, Points, RegulatorError, _loglog_fit,
+from .boundary import (CatalogError, HyperfunctionPair, Points, _checked_heights, _loglog_fit,
                        catalog)
 from .testfn import REFERENCE_TEST_FUNCTIONS, TestFunction, vanish_probe
 
@@ -757,31 +758,30 @@ def _line(expr: ProductExpression, phi) -> float | None:
     return phi.sigma if side == "+" else -phi.sigma
 
 
-def _integrand(expr: ProductExpression, phis):
+def _integrand(expr: ProductExpression, phis, lines=None):
     """The integrand x^R * prod F_i^y(x) * phi(x) of expr against each phi of phis.
 
-    Each phi is one group, integrated on its line (``_line``): at x the
-    integrand is taken at z = x, or at z = x + i eta on the line
-    Im z = eta.  The callable takes points x, heights y broadcast against x,
-    and `rows`: how many of x's rows belong to each group, the rows grouped
-    in group order.  Each run of adjacent groups that share one phi (a
-    pairing's main and check schedules) shares its line, and each block of
-    adjacent runs on the real axis, or off it, builds one ``Points``, so
-    z + iy, z - iy and q = x^2 + y^2 are each built at most once per block,
-    and evaluates each distinct factor once over its rows (delta^4 evaluates
-    one Poisson kernel); off the axis the block's rows carry their runs'
-    eta.  On the real axis, when the one-sided factors balance, P = M < 0 in
-    ``ProductExpression.one_sided``, they are evaluated together as the
-    float C / q^k, k = -P, with q^k a product of k factors q.  The values
-    multiply in slot order, the balanced group last, so without a group the
-    product is bitwise that of the ``regulated`` values.  A product of real
-    factors (``HyperfunctionPair.is_real``, or a balanced group) stays a
-    float array, through x^R and phi, and a one-sided factor left makes it
-    complex.  Each run then has its rows multiplied by its phi, evaluated
-    once over them, at x or by ``TestFunction.at`` at z.  Every value is
-    computed point by point, so every row gets the bits it gets alone.  The
-    heights are not checked here: ``_evaluate_schedules`` checks them once
-    per schedule.
+    Each phi is one group, on its line lines[i] (``_line``; lines None puts
+    all on the real axis), the lines all numbers or all None.  The callable
+    takes points x, heights y broadcast against x, and `rows`: how many of
+    x's rows belong to each group, the rows grouped in group order.  On
+    lines it first shifts x to x + i eta, each row by its group's eta, and
+    from there computes as on the real axis.  Each run of adjacent groups
+    that share one phi (a pairing's main and check schedules) shares its
+    line.  One ``Points`` builds x + iy, x - iy and q = x^2 + y^2 at most
+    once each, and each distinct factor is evaluated once over all rows
+    (delta^4 evaluates one Poisson kernel).  When the one-sided factors
+    balance, P = M < 0 in ``ProductExpression.one_sided``, they are
+    evaluated together as the float C / q^k, k = -P, with q^k a product of k
+    factors q; such a product is not same-side, so it is on the real axis.
+    The values multiply in slot order, the balanced group last, so without a
+    group the product is bitwise that of the ``regulated`` values.  A
+    product of real factors (``HyperfunctionPair.is_real``, or a balanced
+    group) stays a float array, through x^R and phi, and a one-sided factor
+    or a line makes it complex.  Each run then has its rows multiplied by
+    its phi, evaluated once over them.  Every value is computed point by
+    point, so every row gets the bits it gets alone.  The heights are not
+    checked here: ``_evaluate_schedules`` checks them once per batch.
     """
     C, P, M = expr.one_sided
     balanced = -P if P == M < 0 else 0   # the balanced group's power of 1/q
@@ -797,15 +797,27 @@ def _integrand(expr: ProductExpression, phis):
     if balanced:
         slots.append(len(distinct))     # the group's value follows the factors'
     r = expr.total_power
+    if lines is None:
+        lines = [None] * len(phis)
     runs = []           # [phi, its line, how many adjacent groups share it]
-    for phi in phis:
+    for phi, line in zip(phis, lines):
         if runs and runs[-1][0] is phi:
             runs[-1][2] += 1
         else:
-            runs.append([phi, _line(expr, phi), 1])
-    blocks = [list(block) for _, block in itertools.groupby(runs, lambda run: run[1] is None)]
+            runs.append([phi, line, 1])
 
-    def kernel(points):
+    def f(x, y, rows):
+        sizes = []
+        group = 0
+        for _, _, shared in runs:
+            sizes.append(int(sum(rows[group:group + shared])))
+            group += shared
+        eta = runs[0][1]
+        if eta is not None:
+            if len(runs) > 1:                   # each row on its run's line
+                eta = np.repeat([line for _, line, _ in runs], sizes)[:, None]
+            x = x + 1j * eta
+        points = Points(x, y)
         values = [pair.at(points) for pair in distinct]
         if balanced:
             power = points.q
@@ -816,51 +828,28 @@ def _integrand(expr: ProductExpression, phis):
         for k in slots[1:]:
             v = v * values[k]
         if r:
-            v = v * points.z**r
+            v = v * points.x**r
+        at = 0
+        for (phi, _, _), size in zip(runs, sizes):
+            if size:
+                part = v[at:at + size]    # a view: multiplied in place
+                part *= phi(points.x[at:at + size])
+                at += size
         return v
-
-    def f(x, y, rows):
-        parts = []
-        start = group = 0
-        for block in blocks:
-            sizes = []
-            for _, _, shared in block:
-                sizes.append(int(sum(rows[group:group + shared])))
-                group += shared
-            n = sum(sizes)
-            if not n:
-                continue
-            eta = block[0][1]
-            if eta is not None and len(block) > 1:     # each row on its run's line
-                eta = np.repeat([line for _, line, _ in block], sizes)[:, None]
-            points = (Points(x, y, eta) if n == len(x)     # the call is this block's
-                      else Points(x[start:start + n], y[start:start + n], eta))
-            v = kernel(points)
-            at = 0
-            for (phi, _, _), size in zip(block, sizes):
-                if size:
-                    part = v[at:at + size]    # a view: multiplied in place
-                    part *= (phi(points.x[at:at + size]) if eta is None
-                             else phi.at(points.z[at:at + size]))
-                    at += size
-            parts.append(v)
-            start += n
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     return f
 
 
-def _initial_points(expr: ProductExpression, phi, ys) -> list[list[float]]:
+def _initial_points(expr: ProductExpression, phi, ys, line) -> list[list[float]]:
     """Each height's sorted initial panel ends on its [-L, L].
 
-    On the real axis they are +-1, +-10y and 0 around the origin, where all
-    the regulator-scale structure of the integrand lives; on phi's line
-    (``_line``) they are mu + sigma * k, k in _LINE_GRID, within (-L, L), the
-    same at every height.  Both add +-L and phi's ``breakpoints``, where phi
-    stops being analytic.  L >= max(2, 20y) (see _integration_radius), so
-    every point lies in [-L, L].
+    On the real axis (line None) they are +-1, +-10y and 0 around the
+    origin, where all the regulator-scale structure of the integrand lives;
+    on phi's line (``_line``) they are mu + sigma * k, k in _LINE_GRID,
+    within (-L, L), the same at every height.  Both add +-L and phi's
+    ``breakpoints``, where phi stops being analytic.  L >= max(2, 20y) (see
+    _integration_radius), so every point lies in [-L, L].
     """
-    line = _line(expr, phi)
     points = []
     for y, L in zip(ys, _integration_radius(expr, phi, ys)):
         inner = ((-1.0, -10.0 * y, 0.0, 10.0 * y, 1.0) if line is None
@@ -960,32 +949,39 @@ class PairingResult:
 
 
 def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
-    """Pair expr with phis[i] at the heights heights[i], for every i, in one quadrature.
+    """Pair expr with phis[i] at the heights heights[i], for every i.
 
     Each (phi, heights) is one schedule; a phi may have several.  A schedule
     runs on its phi's line (``_line``): a same-side product's against a
-    TestFunction on Im z = +-sigma, every other on the real axis, the one
-    quadrature holding both kinds.  Its initial panels are those of
+    TestFunction on Im z = +-sigma, every other on the real axis.  One
+    quadrature runs the schedules on the real axis, then one those on lines,
+    so no integrand call mixes the two.  Initial panels are those of
     ``_initial_points``, ending at phi's ``breakpoints`` too.  Returns, per
-    schedule, its heights, their values and their quadrature targets,
-    truncated where its quadrature gives out: the first height k whose
-    quadrature stalls ends the schedule.  For k < MIN_HEIGHTS the entry is
-    that QuadratureError instead; otherwise the heights before k are kept.
+    schedule in order, its heights, their values and their quadrature
+    targets, truncated where its quadrature gives out: the first height k
+    whose quadrature stalls ends the schedule.  For k < MIN_HEIGHTS the
+    entry is that QuadratureError instead; otherwise the heights before k
+    are kept.
     """
     heights = [tuple(float(y) for y in ys) for ys in heights]
-    for ys in heights:
-        for y in ys:
-            if not (y > 0.0 and math.isfinite(y)):
-                raise RegulatorError(f"height must satisfy 0 < y < inf, got {y}")
-    pointsets = [_initial_points(expr, phi, ys) for phi, ys in zip(phis, heights)]
-    # an overflowing kernel gives inf or NaN panels, which stall their height:
-    # numpy's warnings about them would only be noise
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        quadrature = _adaptive_quadrature(_integrand(expr, phis), heights, pointsets,
-                                          tol.quad_abs)
-    return [failure if failure is not None and failure.height < MIN_HEIGHTS
-            else (ys[:len(values)], values, targets)
-            for ys, (values, targets, failure) in zip(heights, quadrature)]
+    _checked_heights([y for ys in heights for y in ys])
+    lines = [_line(expr, phi) for phi in phis]
+    outcomes: list = [None] * len(heights)
+    for on_line in (False, True):
+        kind = [i for i, line in enumerate(lines) if (line is not None) == on_line]
+        if not kind:
+            continue
+        pointsets = [_initial_points(expr, phis[i], heights[i], lines[i]) for i in kind]
+        # an overflowing kernel gives inf or NaN panels, which stall their
+        # height: numpy's warnings about them would only be noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            quadrature = _adaptive_quadrature(
+                _integrand(expr, [phis[i] for i in kind], [lines[i] for i in kind]),
+                [heights[i] for i in kind], pointsets, tol.quad_abs)
+        for i, (values, targets, failure) in zip(kind, quadrature):
+            outcomes[i] = (failure if failure is not None and failure.height < MIN_HEIGHTS
+                           else (heights[i][:len(values)], values, targets))
+    return outcomes
 
 
 def _all_noise(integrals, targets) -> bool:

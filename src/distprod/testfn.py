@@ -5,11 +5,10 @@ The working family is polynomial times Gaussian,
     phi(x) = p(x) * exp(-(x - mu)^2 / (2 sigma^2)),
 
 evaluated by value, at real points or, since phi is entire, at complex
-ones (``TestFunction.at``).  The continuations read phi's derivatives only
-at the origin: phi.taylor(n) returns its Taylor coefficients there, to any
-order.  Its Gaussian decay is known in closed form, so phi.decay_radius(d)
-gives the half-width of the integration domain of x^d * phi without
-sampling it.
+ones.  The continuations read phi's derivatives only at the origin:
+phi.taylor(n) returns its Taylor coefficients there, to any order.  Its
+Gaussian decay is known in closed form, so phi.decay_radius(d) gives the
+half-width of the integration domain of x^d * phi without sampling it.
 Keeping the polynomial in global-x coordinates means the low coefficients of
 x^(p+1) * phi stay *exactly* zero, which is what makes the high-order
 vanishing probes bitwise reliable.
@@ -50,8 +49,8 @@ _DECAY_FLOOR = 1e-22  # share of its peak below which an integrand tail is dropp
 class TestFunction:
     """Polynomial-times-Gaussian test function.
 
-    phi is entire: ``__call__`` evaluates it at real points, ``at`` at
-    complex ones, where a same-side pairing's line Im z = +-sigma runs.
+    phi is entire: ``__call__`` evaluates it at real or complex points,
+    the latter where a same-side pairing's line Im z = +-sigma runs.
 
     Attributes:
         poly: coefficients of p, lowest order first, in global x (not x - mu).
@@ -83,19 +82,14 @@ class TestFunction:
             raise ValueError(f"sigma {self.sigma!r} has no finite, normal square")
 
     def __call__(self, x):
-        """Evaluate at x (scalar or array)."""
-        x = np.asarray(x, dtype=float)
+        """Evaluate at x (scalar or array): float arithmetic for a real x,
+        the same formula in complex arithmetic for a complex one."""
+        x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
         u = x - self.mu
         val = _polyval(x, self.poly) * np.exp(-(u * u) / (2.0 * self.sigma**2))
         if val.ndim == 0:
-            return float(val)
+            return val.item()
         return val
-
-    def at(self, z):
-        """Evaluate at complex points z (an array): the formula of ``__call__``
-        in complex arithmetic."""
-        u = z - self.mu
-        return _polyval(z, self.poly) * np.exp(-(u * u) / (2.0 * self.sigma**2))
 
     @property
     def vanishing_order(self) -> int:

@@ -206,17 +206,28 @@ def test_one_sided_pair_is_complex(pair):
 
 @pytest.mark.parametrize("pair", [*_TWO_SIDED, *_ONE_SIDED], ids=lambda a: a.label)
 def test_pair_on_a_line_takes_the_complex_formula(pair):
-    # at z = x + i eta the real-axis shortcuts do not apply: every pair is
-    # f+(z + iy) - f-(z - iy), complex, for eta a number or a column of rows
+    # at points z = x + i eta shifted off the real axis the real-axis
+    # shortcuts do not apply: every pair is f+(z + iy) - f-(z - iy), complex,
+    # for eta a number or a column of rows, bit for bit
+    # f+(x + i(eta + y)) - f-(x - i(y - eta)), a zero term left out
     y = np.array([0.3, 1e-3])[:, None]
     eta = np.array([0.7, -1.0])[:, None]
     x = np.stack([_GRID, _GRID])
     z = x + 1j * eta
     want = pair.f_plus(z + 1j * y) - pair.f_minus(z - 1j * y)
-    got = pair.at(Points(x, y, eta))
+    got = pair.at(Points(z, y))
     assert got.dtype == np.complex128
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
-    assert np.array_equal(pair.at(Points(x[:1], y[:1], 0.7)), got[:1])
+    assert np.array_equal(pair.at(Points(x[:1] + 1j * 0.7, y[:1])), got[:1])
+    for xs, ys, etas in ((x, y, eta), (x[:1], y[:1], 0.7)):
+        up, down = xs + 1j * (etas + ys), xs - 1j * (ys - etas)
+        if pair.f_minus.is_zero:
+            exact = pair.f_plus(up)
+        elif pair.f_plus.is_zero:
+            exact = -pair.f_minus(down)
+        else:
+            exact = pair.f_plus(up) - pair.f_minus(down)
+        assert pair.at(Points(xs + 1j * etas, ys)).tobytes() == exact.tobytes()
 
 
 def test_zero_pair_is_complex():

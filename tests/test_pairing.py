@@ -1546,18 +1546,54 @@ def test_same_side_height_matches_real_axis_integral(text, phi, y):
     assert abs(pair_at_y(expr, phi, y) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
-def test_same_side_batch_entries_equal_pairings_alone():
+def test_same_side_batch_entries_equal_pairings_alone(quadrature_calls):
     # a TestFunction's groups run on the line, a subtracted function's on the
-    # real axis, in one quadrature: each entry is what that phi gets alone.
-    # gauss and tilted share one evaluation, each row on its own line
+    # real axis, one quadrature for each kind: each entry is what that phi
+    # gets alone.  offset, gauss and tilted share one evaluation, each row on
+    # its own line
     expr = parse_expression("(x-i0)^-3")
     offset = REFERENCE_TEST_FUNCTIONS["offset"]
     bar = SubtractedFunction(offset, PlateauCutoff(1.0, 2.0), 1)
     phis = [offset, bar, REFERENCE_TEST_FUNCTIONS["gauss"], REFERENCE_TEST_FUNCTIONS["tilted"]]
     assert [pairing._line(expr, phi) for phi in phis] == [-1.0, None, -math.sqrt(0.5), -1.0]
     want = [_alone(expr, phi) for phi in phis]
-    assert [_outcome(r) for r in pairing.limit_pairings(expr, phis)] == want
-    assert [_outcome(r) for r in pairing.limit_pairings(expr, phis[::-1])] == want[::-1]
+    for batch, expect in ((phis, want), (phis[::-1], want[::-1])):
+        quadrature_calls.clear()
+        assert [_outcome(r) for r in pairing.limit_pairings(expr, batch)] == expect
+        assert quadrature_calls == [2, 6]    # the real axis first, then the lines
+    quadrature_calls.clear()
+    lines = [phis[0], *phis[2:]]
+    assert ([_outcome(r) for r in pairing.limit_pairings(expr, lines)]
+            == [want[0], *want[2:]])
+    assert quadrature_calls == [6]           # three phi, main and check schedules
+
+
+def test_same_side_job_runs_two_lines_in_one_quadrature(quadrature_calls):
+    # exp(-x^2) and exp(-x^2/2) on their lines Im z = -sigma in one
+    # quadrature, each row shifted by its run's eta.  (x-i0)^-3 pairs to
+    # (PV int phi''(x) / x dx + i pi phi''(0)) / 2, and phi'' is even:
+    # -i pi and -i pi / 2
+    job = Job("(x-i0)^-3", phis=[{"poly": [1], "sigma": math.sqrt(0.5)},
+                                 {"poly": [1], "sigma": 1.0}])
+    results = run_job(job, DEFAULT_TOLERANCES)["results"]
+    assert quadrature_calls == [4]
+    for entry, want in zip(results, (-1j * math.pi, -0.5j * math.pi)):
+        assert entry["pairing"]["status"] == "converged"
+        assert abs(complex(*entry["pairing"]["value"]) - want) <= 1e-12
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """The number of schedules each ``_adaptive_quadrature`` call runs, in order."""
+    calls = []
+    quadrature = pairing._adaptive_quadrature
+
+    def counting(f, ys, pointsets, epsabs):
+        calls.append(len(ys))
+        return quadrature(f, ys, pointsets, epsabs)
+
+    monkeypatch.setattr(pairing, "_adaptive_quadrature", counting)
+    return calls
 
 
 @pytest.mark.parametrize("text", ["(x+i0)^-1 * (x-i0)^-2", "delta * (x+i0)^-2", "1",

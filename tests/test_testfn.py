@@ -80,17 +80,20 @@ class TestEvaluation:
                              ids=list(REFERENCE_TEST_FUNCTIONS))
     def test_complex_points_match_mpmath(self, phi):
         # phi is entire: on the line Im z = +-sigma, where same-side pairings
-        # run, and at real points, where it is __call__ to rounding
+        # run, and at real points, where the complex formula is the real one
+        # to rounding; a real x stays real
         x = np.linspace(-6.0, 6.0, 25)
         for eta in (phi.sigma, -phi.sigma, 0.0):
             z = x + 1j * eta
-            got = phi.at(z)
+            got = phi(z)
             with mpmath.workdps(30):
                 want = [complex(mpmath.polyval(list(reversed(phi.poly)), w)
                                 * mpmath.exp(-(w - phi.mu) ** 2 / (2 * mpmath.mpf(phi.sigma) ** 2)))
                         for w in map(mpmath.mpc, z)]
             assert (np.abs(got - want) <= 4e-15 * np.abs(want).max()).all()
-        assert np.allclose(phi.at(x + 0j), phi(x), rtol=1e-14, atol=0.0)
+        assert np.allclose(phi(x + 0j), phi(x), rtol=1e-14, atol=0.0)
+        assert phi(x).dtype == np.float64 and type(phi(0.3)) is float
+        assert type(phi(0.3 + 0.1j)) is complex
 
     @pytest.mark.parametrize("poly, mu, m, parity", [
         ((1.0,), 0.0, 0, 1), ((0.0, 2.0), 0.0, 1, -1), ((0.0, 0.0, 1.0, 0.0, 3.0), 0.0, 2, 1),
