@@ -32,7 +32,7 @@ from .pairing import (
     parse_expression,
     subtraction_order,
 )
-from .testfn import MAX_ORDER, PlateauCutoff, TestFunction
+from .testfn import MAX_ORDER, REFERENCE_TEST_FUNCTIONS, PlateauCutoff, TestFunction
 
 
 class ConfigError(ValueError):
@@ -43,7 +43,8 @@ class ConfigError(ValueError):
 # jobs
 # ---------------------------------------------------------------------------
 
-_DEFAULT_PHI = {"poly": [1.0], "sigma": 0.7071067811865476, "mu": 0.0}
+_GAUSS = REFERENCE_TEST_FUNCTIONS["gauss"]            # exp(-x^2), the default phi
+_DEFAULT_PHI = {"poly": list(_GAUSS.poly), "sigma": _GAUSS.sigma, "mu": _GAUSS.mu}
 
 
 @dataclass

@@ -46,27 +46,30 @@ schedules sit next to each other.  All heights of a schedule, and all
 schedules of a batch, are integrated together, in lockstep rounds: each
 round evaluates the new panels of every height still refining together, in
 integrand calls of at most _SLICE panels (which bound their memory), so the
-cost of a numpy call is paid per round, not per height or per pairing.  A
-call builds what its factors read of x + iy once (x + iy, x - iy, or
-q = x^2 + y^2), evaluates each distinct factor of the expression once over
-all rows, and multiplies the rows of each run of schedules sharing a phi by
-that phi, evaluated once over them; one contraction gives both rule sums
-of every panel.  A quadrature runs on one kind of contour, the real axis
-or lines, so a batch holding both runs one quadrature each.  A kernel whose
-value is real is computed in real arithmetic from the factors through the
-rule: the two-sided factors (delta
-and pv(1/x) as the Poisson and conjugate Poisson kernels over q), and
-one-sided factors that balance, evaluated together as C / q^k.  The
+cost of a numpy call is paid per round, not per height or per pairing.  The
 leaf panels of the live heights are the rows of five plain columns, grouped
 by schedule, then by height in schedule order, and sorted by left endpoint,
 so a round's bookkeeping (error sums, split tests, cuts) is a few vector
-operations over all of them.  Every round refines every live height.  A
-panel's rule sums do not depend on the other panels of the call, a height's
-sums and splits read only its own rows, and its value is the sum of its rows
-in left order, so every I(y) is bitwise the value that height gets on its
-own; ``pair_at_y`` is the one-height case.
-A stall is its schedule's own: it cuts or refuses that schedule and no
-other.
+operations over all of them; a schedule's initial panels arrive as the same
+columns (``_initial_panels``).  Every row handed to the integrand carries
+its height and its schedule's index, the one record of which schedule it
+belongs to, so any slice of rows holds all a call needs: each row's line,
+and the rows of each run of schedules sharing a phi, come from those
+indices.  A call builds what its factors read of x + iy once (x + iy,
+x - iy, or q = x^2 + y^2), evaluates each distinct factor of the expression
+once over all rows, and multiplies each run's rows by its phi, evaluated
+once over them; one contraction gives both rule sums of every panel.  A
+quadrature runs on one kind of contour, the real axis or lines, so a batch
+holding both runs one quadrature each.  A kernel whose value is real is
+computed in real arithmetic from the factors through the rule: the
+two-sided factors (delta and pv(1/x) as the Poisson and conjugate Poisson
+kernels over q), and one-sided factors that balance, evaluated together as
+C / q^k.  Every round refines every live height.  A panel's rule sums do
+not depend on the other panels of the call, a height's sums and splits read
+only its own rows, and its value is the sum of its rows in left order, so
+every I(y) is bitwise the value that height gets on its own; ``pair_at_y``
+is the one-height case.  A stall is its schedule's own: it cuts or refuses
+that schedule and no other.
 
 ``limit_pairings`` classifies the pairings of one expression with several
 phi from one such quadrature, and gives each phi exactly what
@@ -581,12 +584,12 @@ def parse_expression(text: str) -> ProductExpression:
 # ---------------------------------------------------------------------------
 
 
-def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
+def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, g: np.ndarray):
     """Apply the 7-15 rule to every panel [a[i], b[i]] at height y[i] in one evaluation.
 
-    `rows` counts the panels of each group of the integrand f, in group
-    order.  f's values are a float array for a real kernel and complex
-    otherwise.  Both rule sums of every row come from one einsum
+    g[i] is the group of the integrand f that row i belongs to, the rows
+    grouped in group order.  f's values are a float array for a real kernel
+    and complex otherwise.  Both rule sums of every row come from one einsum
     contraction, which does not go through BLAS: each row's sums run over
     that row alone, in one order, so a row's numbers are the same whichever
     rows share the call.  A complex row is contracted with the complex
@@ -597,22 +600,19 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray, y: np.ndarray, rows):
     the cost.  (A contiguous copy of the real rules takes numpy's vector
     loop, which rounds differently.)
 
-    f is called on slices of at most _SLICE rows, each with its own
-    per-group row counts, so one call's memory is bounded whatever the
-    number of rows; since every row is summed alone and phi acts point by
-    point, the slicing changes no bit of the output.
+    f is called on slices of at most _SLICE rows, each with its rows' y and
+    g, so one call's memory is bounded whatever the number of rows; since
+    every row is summed alone and phi acts point by point, the slicing
+    changes no bit of the output.
     """
     n = len(a)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     rough = np.empty(n)
-    ends = np.cumsum(rows) if n > _SLICE else None
     for lo in range(0, n, _SLICE):
         hi = min(lo + _SLICE, n)
         x = mid[lo:hi, None] + half[lo:hi, None] * _NODES
-        part = rows if ends is None else np.maximum(
-            np.minimum(ends, hi) - np.maximum(ends - rows, lo), 0)
-        v = f(x, y[lo:hi, None], part)
+        v = f(x, y[lo:hi, None], g[lo:hi])
         if not lo:          # every slice of one integrand has the same dtype
             sums = np.empty((n, 2), dtype=v.dtype)
         np.einsum("ij,kj->ik", v, _RULES if v.dtype == complex else _RULES.real,
@@ -640,12 +640,13 @@ def _cut(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     0.5 * (a + b))
 
 
-def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
+def _adaptive_quadrature(f, ys, panels, epsabs: float) -> list:
     """Deterministic adaptive refinement of the heights of several schedules at once.
 
     Schedule g is group g of the integrand f (one group per schedule), at
-    its own heights ys[g]: its height k integrates f's group g at ys[g][k]
-    over initial panels between pointsets[g][k].  Every round splits all
+    its own heights ys[g], from the initial panels panels[g], the columns
+    (a, b, size) of ``_initial_panels``: its height k integrates f's group g
+    at ys[g][k] over the next size[k] rows [a, b].  Every round splits all
     panels whose error exceeds an equal share of the target; the target is
     the max of `epsabs` and a round-off floor scaled to the integrand's total
     variation, so pairings whose magnitude blows up as y -> 0 degrade
@@ -662,14 +663,14 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     The leaf panels of the live heights are the rows of five columns (a, b,
     value, error, roughness), grouped by schedule, then by height in
     schedule order, and sorted by left endpoint within a height, so each
-    pointsets[g][k] must be sorted.  Every round evaluates the fresh rows of
-    every live height in one `_panel_rule` call, scatters the results into
-    their rows, tests the rows over their error share against the width
-    floor, and builds the next round's rows: those of the heights that go
-    on, each split row as its two fresh parts, cut where ``_cut`` cuts.  A
-    height's sums and splits read its own rows only, and its value is the
-    sum of its rows in left order, so every value is the one the height gets
-    alone.
+    height's initial rows must be sorted.  Every round evaluates the fresh
+    rows of every live height in one `_panel_rule` call, each row with its
+    height's y and its schedule's group, scatters the results into their
+    rows, tests the rows over their error share against the width floor,
+    and builds the next round's rows: those of the heights that go on, each
+    split row as its two fresh parts, cut where ``_cut`` cuts.  A height's
+    sums and splits read its own rows only, and its value is the sum of its
+    rows in left order, so every value is the one the height gets alone.
 
     A stall is a schedule's own: when a height stalls, the heights above it
     in its schedule are dropped and those below it finish; the other
@@ -679,13 +680,10 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     counts = [len(heights) for heights in ys]
     first = np.cumsum([0, *counts])    # each schedule's first height in ys
     ys = np.concatenate([np.asarray(heights, dtype=float) for heights in ys])
-    pts = [np.asarray(points, dtype=float) for heights in pointsets for points in heights]
     live = np.arange(len(ys))          # live heights, schedule by schedule
     group = np.repeat(np.arange(groups), counts)   # schedule of each live height
-    size = np.array([len(p) - 1 for p in pts])  # rows per live height
+    a, b, size = (np.concatenate(column) for column in zip(*panels))   # size: rows per live height
     fresh = size.copy()                # of them, rows waiting for the rule
-    a = np.concatenate([p[:-1] for p in pts])
-    b = np.concatenate([p[1:] for p in pts])
     value, error, rough = np.empty(len(a), complex), np.empty(len(a)), np.empty(len(a))
     at = slice(None)                   # where the fresh rows sit
     values: list = [None] * len(ys)
@@ -693,7 +691,7 @@ def _adaptive_quadrature(f, ys, pointsets, epsabs: float) -> list:
     failures: list = [None] * groups
     while len(live):
         value[at], error[at], rough[at] = _panel_rule(
-            f, a[at], b[at], ys[live].repeat(fresh), np.bincount(group, fresh, groups).astype(int))
+            f, a[at], b[at], ys[live].repeat(fresh), group.repeat(fresh))
         ends = size.cumsum()
         starts = ends - size
         total = np.add.reduceat(error, starts)
@@ -763,25 +761,25 @@ def _integrand(expr: ProductExpression, phis, lines=None):
 
     Each phi is one group, on its line lines[i] (``_line``; lines None puts
     all on the real axis), the lines all numbers or all None.  The callable
-    takes points x, heights y broadcast against x, and `rows`: how many of
-    x's rows belong to each group, the rows grouped in group order.  On
-    lines it first shifts x to x + i eta, each row by its group's eta, and
-    from there computes as on the real axis.  Each run of adjacent groups
-    that share one phi (a pairing's main and check schedules) shares its
-    line.  One ``Points`` builds x + iy, x - iy and q = x^2 + y^2 at most
-    once each, and each distinct factor is evaluated once over all rows
-    (delta^4 evaluates one Poisson kernel).  When the one-sided factors
-    balance, P = M < 0 in ``ProductExpression.one_sided``, they are
-    evaluated together as the float C / q^k, k = -P, with q^k a product of k
-    factors q; such a product is not same-side, so it is on the real axis.
-    The values multiply in slot order, the balanced group last, so without a
-    group the product is bitwise that of the ``regulated`` values.  A
-    product of real factors (``HyperfunctionPair.is_real``, or a balanced
-    group) stays a float array, through x^R and phi, and a one-sided factor
-    or a line makes it complex.  Each run then has its rows multiplied by
-    its phi, evaluated once over them.  Every value is computed point by
-    point, so every row gets the bits it gets alone.  The heights are not
-    checked here: ``_evaluate_schedules`` checks them once per batch.
+    takes points x, heights y broadcast against x, and g: each row's group,
+    the rows grouped in group order.  On lines it first shifts x to
+    x + i eta, each row by its group's eta, and from there computes as on
+    the real axis.  One ``Points`` builds x + iy, x - iy and
+    q = x^2 + y^2 at most once each, and each distinct factor is evaluated
+    once over all rows (delta^4 evaluates one Poisson kernel).  When the
+    one-sided factors balance, P = M < 0 in ``ProductExpression.one_sided``,
+    they are evaluated together as the float C / q^k, k = -P, with q^k a
+    product of k factors q; such a product is not same-side, so it is on
+    the real axis.  The values multiply in slot order, the balanced group
+    last, so without a group the product is bitwise that of the
+    ``regulated`` values.  A product of real factors
+    (``HyperfunctionPair.is_real``, or a balanced group) stays a float
+    array, through x^R and phi, and a one-sided factor or a line makes it
+    complex.  Each run of adjacent groups that share one phi (a pairing's
+    main and check schedules) then has its rows multiplied by that phi,
+    evaluated once over them.  Every value is computed point by point, so
+    every row gets the bits it gets alone.  The heights are not checked
+    here: ``_evaluate_schedules`` checks them once per batch.
     """
     C, P, M = expr.one_sided
     balanced = -P if P == M < 0 else 0   # the balanced group's power of 1/q
@@ -797,26 +795,17 @@ def _integrand(expr: ProductExpression, phis, lines=None):
     if balanced:
         slots.append(len(distinct))     # the group's value follows the factors'
     r = expr.total_power
-    if lines is None:
-        lines = [None] * len(phis)
-    runs = []           # [phi, its line, how many adjacent groups share it]
-    for phi, line in zip(phis, lines):
-        if runs and runs[-1][0] is phi:
-            runs[-1][2] += 1
-        else:
-            runs.append([phi, line, 1])
+    etas = None if lines is None or lines[0] is None else np.array(lines)
+    shared, run = [], []        # each run's phi, and each group's run
+    for phi in phis:
+        if not shared or phi is not shared[-1]:
+            shared.append(phi)
+        run.append(len(shared) - 1)
+    run = np.array(run)
 
-    def f(x, y, rows):
-        sizes = []
-        group = 0
-        for _, _, shared in runs:
-            sizes.append(int(sum(rows[group:group + shared])))
-            group += shared
-        eta = runs[0][1]
-        if eta is not None:
-            if len(runs) > 1:                   # each row on its run's line
-                eta = np.repeat([line for _, line, _ in runs], sizes)[:, None]
-            x = x + 1j * eta
+    def f(x, y, g):
+        if etas is not None:
+            x = x + 1j * etas[g][:, None]
         points = Points(x, y)
         values = [pair.at(points) for pair in distinct]
         if balanced:
@@ -830,7 +819,7 @@ def _integrand(expr: ProductExpression, phis, lines=None):
         if r:
             v = v * points.x**r
         at = 0
-        for (phi, _, _), size in zip(runs, sizes):
+        for phi, size in zip(shared, np.bincount(run[g], minlength=len(shared)).tolist()):
             if size:
                 part = v[at:at + size]    # a view: multiplied in place
                 part *= phi(points.x[at:at + size])
@@ -840,33 +829,30 @@ def _integrand(expr: ProductExpression, phis, lines=None):
     return f
 
 
-def _initial_points(expr: ProductExpression, phi, ys, line) -> list[list[float]]:
-    """Each height's sorted initial panel ends on its [-L, L].
+def _initial_panels(expr: ProductExpression, phi, ys, line):
+    """The initial panels of every height of a schedule, as columns (a, b, size).
 
-    On the real axis (line None) they are +-1, +-10y and 0 around the
-    origin, where all the regulator-scale structure of the integrand lives;
-    on phi's line (``_line``) they are mu + sigma * k, k in _LINE_GRID,
-    within (-L, L), the same at every height.  Both add +-L and phi's
-    ``breakpoints``, where phi stops being analytic.  L >= max(2, 20y) (see
-    _integration_radius), so every point lies in [-L, L].
-    """
-    points = []
-    for y, L in zip(ys, _integration_radius(expr, phi, ys)):
-        inner = ((-1.0, -10.0 * y, 0.0, 10.0 * y, 1.0) if line is None
-                 else (t for t in (phi.mu + phi.sigma * k for k in _LINE_GRID) if -L < t < L))
-        points.append(sorted({-L, L, *inner, *(t for t in phi.breakpoints if -L < t < L)}))
-    return points
-
-
-def _integration_radius(expr: ProductExpression, phi, ys) -> list[float]:
-    """Half-width L of the integration domain at every height.
-
-    The integrand grows like |x|^d times phi, with d the prefactor power plus
-    each factor's growth exponent beta, so L is phi.decay_radius(d), and at
-    least 2 and 20y.  No integrand is evaluated.
+    Height k's size[k] panels are the next rows [a, b], between its sorted
+    ends on its [-L, L].  The integrand grows like |x|^d times phi, with d
+    the prefactor power plus each factor's growth exponent beta, so L is
+    phi.decay_radius(d), computed once, and at least 2 and 20y; no integrand
+    is evaluated.  On the real axis (line None) the ends are +-1, +-10y and
+    0 around the origin, where all the regulator-scale structure of the
+    integrand lives; on phi's line (``_line``) they are mu + sigma * k, k in
+    _LINE_GRID, within (-L, L), the same at every height.  Both add +-L and
+    phi's ``breakpoints`` within (-L, L), where phi stops being analytic.
     """
     base = phi.decay_radius(expr.total_power + sum(pair.beta for pair in expr.factors))
-    return [max(base, 2.0, 20.0 * y) for y in ys]
+    grid = None if line is None else [phi.mu + phi.sigma * k for k in _LINE_GRID]
+    a, b, size = [], [], []
+    for y in ys:
+        L = max(base, 2.0, 20.0 * y)
+        inner = (-1.0, -10.0 * y, 0.0, 10.0 * y, 1.0) if line is None else grid
+        ends = sorted({-L, L, *(t for t in (*inner, *phi.breakpoints) if -L < t < L)})
+        a += ends[:-1]
+        b += ends[1:]
+        size.append(len(ends) - 1)
+    return np.array(a), np.array(b), np.array(size)
 
 
 def pair_at_y(expr: ProductExpression, phi, y: float,
@@ -875,7 +861,7 @@ def pair_at_y(expr: ProductExpression, phi, y: float,
 
     phi is a TestFunction or a Taylor-subtracted function; the domain is
     [-L, L] with L from phi.decay_radius, given the integrand's polynomial
-    growth (see _integration_radius), or the same integral on [-L, L] + i eta
+    growth (see _initial_panels), or the same integral on [-L, L] + i eta
     (see _line).  This is the one-height case of a schedule.
     """
     [outcome] = _evaluate_schedules(expr, [phi], [(y,)], tol)
@@ -956,7 +942,7 @@ def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
     TestFunction on Im z = +-sigma, every other on the real axis.  One
     quadrature runs the schedules on the real axis, then one those on lines,
     so no integrand call mixes the two.  Initial panels are those of
-    ``_initial_points``, ending at phi's ``breakpoints`` too.  Returns, per
+    ``_initial_panels``, ending at phi's ``breakpoints`` too.  Returns, per
     schedule in order, its heights, their values and their quadrature
     targets, truncated where its quadrature gives out: the first height k
     whose quadrature stalls ends the schedule.  For k < MIN_HEIGHTS the
@@ -971,13 +957,13 @@ def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
         kind = [i for i, line in enumerate(lines) if (line is not None) == on_line]
         if not kind:
             continue
-        pointsets = [_initial_points(expr, phis[i], heights[i], lines[i]) for i in kind]
+        panels = [_initial_panels(expr, phis[i], heights[i], lines[i]) for i in kind]
         # an overflowing kernel gives inf or NaN panels, which stall their
         # height: numpy's warnings about them would only be noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             quadrature = _adaptive_quadrature(
                 _integrand(expr, [phis[i] for i in kind], [lines[i] for i in kind]),
-                [heights[i] for i in kind], pointsets, tol.quad_abs)
+                [heights[i] for i in kind], panels, tol.quad_abs)
         for i, (values, targets, failure) in zip(kind, quadrature):
             outcomes[i] = (failure if failure is not None and failure.height < MIN_HEIGHTS
                            else (heights[i][:len(values)], values, targets))
@@ -1158,6 +1144,8 @@ def _leading_coefficient(ys, integrals, s: float, ratio: float) -> complex:
 # classifies against an off-center function with no parity zeros.
 _GENERIC_PHI = REFERENCE_TEST_FUNCTIONS["offset"]
 _PROBE_BASES = ("gauss", "gauss_wide", "tilted")
+# The subtraction-order search's cap: no order above it is tried.
+_P_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -1168,8 +1156,7 @@ class SubtractionOrder:
     needed: bool
 
 
-def subtraction_order(expr: ProductExpression, p_max: int = 6,
-                      schedule: Schedule = DEFAULT_SCHEDULE,
+def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHEDULE,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> SubtractionOrder:
     """Determine the subtraction order by direct search.
 
@@ -1184,7 +1171,7 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
     converge ends its order, and a QuadratureError met before it is raised.
     They are paired in ``limit_pairings`` batches sized by the a-priori
     bound p <= sd - 2 (``ProductExpression.scaling_degree``), capped at
-    p_max: the first batch holds the base, the boosted check of every order
+    _P_MAX: the first batch holds the base, the boosted check of every order
     up to the bound and the probes of the bound's order; an order below the
     bound whose boosted check converged pairs its probes alone, and an order
     past it pairs its boosted check with its probes.  A base that
@@ -1196,9 +1183,7 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
     one pairing at a time would; a reference function or probe the schedule
     cannot resolve is refused with a ValueError that names the search.
     """
-    if p_max < 0:
-        raise ValueError("p_max must be >= 0")
-    bound = min(p_max, max(0, expr.scaling_degree - 2))
+    bound = min(_P_MAX, max(0, expr.scaling_degree - 2))
     y_min = schedule.heights()[-1]
     joined = all(REFERENCE_TEST_FUNCTIONS[name].sigma >= y_min for name in _PROBE_BASES)
 
@@ -1231,7 +1216,7 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
         )
     if first is None:
         first = paired(rest)
-    for p in range(p_max + 1):
+    for p in range(_P_MAX + 1):
         if p <= bound:
             boosted, found = first[p], first[bound + 1:] if p == bound else []
         else:
@@ -1242,7 +1227,7 @@ def subtraction_order(expr: ProductExpression, p_max: int = 6,
         if _all_converged(found or paired(probes(p))):
             return SubtractionOrder(p, needed=True)
     raise NotExtendableError(
-        f"no subtraction order <= {p_max} tames {expr.label!r}"
+        f"no subtraction order <= {_P_MAX} tames {expr.label!r}"
     )
 
 

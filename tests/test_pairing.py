@@ -290,15 +290,16 @@ class TestSubtractionOrder:
         # neither settles nor fits a power law yet
         expr = parse_expression("(x+i0)^-1 * (x+i0)^-1")
         with pytest.raises(InconclusivePairingError) as info:
-            subtraction_order(expr, 6, Schedule(count=6, ratio=0.8))
+            subtraction_order(expr, schedule=Schedule(count=6, ratio=0.8))
         assert info.value.result.status == "inconclusive"
         assert len(info.value.result.integrals) == 6
 
-    def test_search_cap_exhausted(self):
-        # (x+i0)^-4 * delta diverges too hard for a p_max=0 search
+    def test_search_cap_exhausted(self, monkeypatch):
+        # (x+i0)^-4 * delta diverges too hard for a search capped at order 0
+        monkeypatch.setattr(pairing, "_P_MAX", 0)
         expr = ProductExpression((catalog("plus_i0_pow", 4), catalog("delta")))
         with pytest.raises(NotExtendableError):
-            subtraction_order(expr, p_max=0)
+            subtraction_order(expr)
 
     @pytest.mark.parametrize("text, want", [
         (text, want) for want, texts in _ORDERS.items() for text in texts])
@@ -493,15 +494,14 @@ def _split_point(a, b):
     return 0.5 * (a + b)
 
 
-def _lone_height(f, y, points, epsabs):
-    """One height refined on its own by the plain loop: panels kept in the
-    order [kept, lower parts, upper parts], every sum pairwise in that
-    order, the value summed over the panels sorted by left endpoint, as
-    complex numbers also for a real kernel, as the quadrature's value column
-    holds them.  Returns the value and the target."""
-    pts = np.asarray(sorted(points), dtype=float)
-    a, b = pts[:-1], pts[1:]
-    vals, errs, roughs = pairing._panel_rule(f, a, b, np.full(len(a), y), [len(a)])
+def _lone_height(f, y, a, b, epsabs):
+    """One height refined on its own by the plain loop from its initial
+    panels [a, b]: panels kept in the order [kept, lower parts, upper
+    parts], every sum pairwise in that order, the value summed over the
+    panels sorted by left endpoint, as complex numbers also for a real
+    kernel, as the quadrature's value column holds them.  Returns the value
+    and the target."""
+    vals, errs, roughs = pairing._panel_rule(f, a, b, np.full(len(a), y), np.zeros(len(a), int))
     while True:
         target = max(epsabs, 2e-14 * roughs.sum())
         if errs.sum() <= target:
@@ -512,7 +512,8 @@ def _lone_height(f, y, points, epsabs):
         mids = np.array([_split_point(lo, hi) for lo, hi in zip(a[split], b[split])])
         na = np.concatenate([a[split], mids])
         nb = np.concatenate([mids, b[split]])
-        nvals, nerrs, nroughs = pairing._panel_rule(f, na, nb, np.full(len(na), y), [len(na)])
+        nvals, nerrs, nroughs = pairing._panel_rule(f, na, nb, np.full(len(na), y),
+                                                    np.zeros(len(na), int))
         keep = ~split
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         vals = np.concatenate([vals[keep], nvals])
@@ -536,9 +537,11 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
     ys = DEFAULT_SCHEDULE.heights()
     got = _evaluated(expr, phi, ys)
 
-    def reference(f, ys, pointsets, epsabs):
-        [heights], [points] = ys, pointsets
-        pairs = [_lone_height(f, y, p, epsabs) for y, p in zip(heights, points)]
+    def reference(f, ys, panels, epsabs):
+        [heights], [(a, b, size)] = ys, panels
+        ends = np.cumsum(size)
+        pairs = [_lone_height(f, y, a[end - n:end], b[end - n:end], epsabs)
+                 for y, n, end in zip(heights, size, ends)]
         return [(tuple(v for v, _ in pairs), tuple(t for _, t in pairs), None)]
 
     monkeypatch.setattr(pairing, "_adaptive_quadrature", reference)
@@ -558,9 +561,9 @@ def test_stalled_schedule_refines_every_live_height(monkeypatch):
     calls = []
     rule = pairing._panel_rule
 
-    def counting(f, a, b, y, rows):
+    def counting(f, a, b, y, g):
         calls.append((len(np.unique(y)), len(a)))
-        return rule(f, a, b, y, rows)
+        return rule(f, a, b, y, g)
 
     monkeypatch.setattr(pairing, "_panel_rule", counting)
     got_ys, _ = _schedule(expr, phi, DEFAULT_SCHEDULE.heights())
@@ -577,15 +580,13 @@ def test_every_panel_rule_call_holds_the_live_heights(monkeypatch):
     rule = pairing._panel_rule
     quadrature = pairing._adaptive_quadrature
 
-    def counting(f, a, b, y, rows):
-        ends = np.cumsum(rows)
-        calls[-1].append({(g, h) for g, end in enumerate(ends)
-                          for h in y[end - rows[g]:end].tolist()})
-        return rule(f, a, b, y, rows)
+    def counting(f, a, b, y, g):
+        calls[-1].append(set(zip(g.tolist(), y.tolist())))
+        return rule(f, a, b, y, g)
 
-    def integrate(f, ys, pointsets, epsabs):
+    def integrate(f, ys, panels, epsabs):
         calls.append([])
-        out = quadrature(f, ys, pointsets, epsabs)
+        out = quadrature(f, ys, panels, epsabs)
         assert all(failure is None for *_, failure in out)
         held = calls[-1]
         # a height is live until the round that finishes it
@@ -779,12 +780,13 @@ def test_width_floor_stalls_a_jump(monkeypatch):
     # down to round-off width, where the round's width floor stops it
     # splitting, and its height stalls there, far below the panel cap.  The
     # smooth heights below it finish.
-    def f(x, y, rows):
+    def f(x, y, g):
         return np.where(y < 0.3, np.where(x < 1 / 3, 1.0, 0.0), np.exp(-x * x))
 
     def integrate():
         [(values, targets, failure)] = pairing._adaptive_quadrature(
-            f, [(1.0, 0.5, 0.25)], [[(0.3333, 0.3334)] * 3], 0.0)
+            f, [(1.0, 0.5, 0.25)], [(np.full(3, 0.3333), np.full(3, 0.3334), np.ones(3, int))],
+            0.0)
         return values, targets, failure
 
     values, targets, failure = integrate()
@@ -825,20 +827,22 @@ def test_panel_rule_rows_do_not_depend_on_the_batch():
                         ("(x+i0)^-2 * (x-i0)^-2 * delta", float),   # a balanced group
                         ("d(delta) * (x+i0)^-1", complex)):
         f = pairing._integrand(parse_expression(text), [REFERENCE_TEST_FUNCTIONS["offset"]])
-        together = pairing._panel_rule(f, *batch, [len(batch[0])])
+        together = pairing._panel_rule(f, *batch, np.zeros(len(batch[0]), int))
         assert together[0].dtype == dtype
         start = 0
         for a, b, y in blocks:
             rows = slice(start, start + len(a))
-            block = pairing._panel_rule(f, a, b, y, [len(a)])
+            block = pairing._panel_rule(f, a, b, y, np.zeros(len(a), int))
             for got, want in zip(together, block):
                 assert got[rows].tobytes() == want.tobytes()
             for i in range(len(a)):
-                alone = pairing._panel_rule(f, a[i:i + 1], b[i:i + 1], y[i:i + 1], [1])
+                alone = pairing._panel_rule(f, a[i:i + 1], b[i:i + 1], y[i:i + 1],
+                                            np.zeros(1, int))
                 for got, want in zip(alone, block):
                     assert got.tobytes() == want[i:i + 1].tobytes()
             start += len(a)
-        shifted = pairing._panel_rule(f, *(x[1:] for x in batch), [len(batch[0]) - 1])
+        shifted = pairing._panel_rule(f, *(x[1:] for x in batch),
+                                      np.zeros(len(batch[0]) - 1, int))
         for got, want in zip(shifted, together):
             assert got.tobytes() == want[1:].tobytes()
 
@@ -849,14 +853,15 @@ def test_real_rule_sums_are_the_complex_sums_real_parts():
     f = pairing._integrand(parse_expression("d(delta) * pv(1/x)"),
                            [REFERENCE_TEST_FUNCTIONS["offset"]])
 
-    def as_complex(x, y, rows):
-        return f(x, y, rows).astype(complex)
+    def as_complex(x, y, g):
+        return f(x, y, g).astype(complex)
 
     edges = np.geomspace(1e-4, 2.0, 40)
     a, b = np.concatenate([-edges[::-1], edges[:-1]]), np.concatenate([-edges[::-1][1:], edges])
     y = np.full(len(a), 3e-3)
-    real = pairing._panel_rule(f, a, b, y, [len(a)])
-    cplx = pairing._panel_rule(as_complex, a, b, y, [len(a)])
+    g = np.zeros(len(a), int)
+    real = pairing._panel_rule(f, a, b, y, g)
+    cplx = pairing._panel_rule(as_complex, a, b, y, g)
     assert real[0].dtype == float and cplx[0].dtype == complex
     assert real[0].tobytes() == cplx[0].real.tobytes()
     for got, want in zip(real[1:], cplx[1:]):
@@ -968,7 +973,7 @@ def test_integrand_is_the_product_of_regulated_values(atom, order):
     y = np.array([0.2, 0.01, 3e-5])[:, None]
     want = atom.regulated(x, y) * other.regulated(x, y) * atom.regulated(x, y)
     want = want * x**3 * phi(x)
-    assert pairing._integrand(expr, [phi])(x, y, [3]).tobytes() == want.tobytes()
+    assert pairing._integrand(expr, [phi])(x, y, np.zeros(3, int)).tobytes() == want.tobytes()
 
 
 def test_each_distinct_factor_is_evaluated_once(monkeypatch, integrand_calls):
@@ -1003,9 +1008,9 @@ def integrand_calls(monkeypatch):
     def counting(*args):
         f = factory(*args)
 
-        def counted(x, y, rows):
+        def counted(x, y, g):
             sizes.append(np.size(x))
-            return f(x, y, rows)
+            return f(x, y, g)
 
         return counted
 
@@ -1126,7 +1131,7 @@ def test_balanced_group_is_the_product_of_regulated_values(text):
     x = np.concatenate([np.linspace(-1.5, 1.5, 45), np.geomspace(1e-9, 1e3, 45),
                         -np.geomspace(1e-9, 1e3, 45)]).reshape(9, 15)
     y = np.repeat([0.3, 1e-3, 3e-7], 3)[:, None]
-    got = pairing._integrand(expr, [np.ones_like])(x, y, [9])
+    got = pairing._integrand(expr, [np.ones_like])(x, y, np.zeros(9, int))
     want = expr.factors[0].regulated(x, y)
     for pair in expr.factors[1:]:
         want = want * pair.regulated(x, y)
@@ -1219,16 +1224,74 @@ HIGHORDER_PRODUCTS = (
 )
 
 
+def _ends(panels):
+    """Each height's initial panel ends, read off the columns (a, b, size)."""
+    a, b, size = panels
+    assert len(a) == len(b) == size.sum()
+    heights, stop = [], 0
+    for n in size.tolist():
+        start, stop = stop, stop + n
+        assert (a[start + 1:stop] == b[start:stop - 1]).all()     # contiguous
+        heights.append([*a[start:stop].tolist(), float(b[stop - 1])])
+    return heights
+
+
 @pytest.mark.parametrize("text", [*_survey_catalog(), *HIGHORDER_PRODUCTS])
 def test_integration_radius_is_the_fixed_margin(text):
     # these integrands grow at most like x^2, too slowly for the closed-form
-    # decay bound to pass phi's fixed margin, so every L stays what it was
+    # decay bound to pass phi's fixed margin, so every L stays what it was:
+    # each height's panels run from -L to L, on its line or the real axis
     expr = parse_expression(text)
     ys = DEFAULT_SCHEDULE.heights() + Schedule(0.01, 0.5, 16).heights()
     for phi in REFERENCE_TEST_FUNCTIONS.values():
         for f in (phi, SubtractedFunction(phi, PlateauCutoff(1.0, 2.0), 2)):
             expect = [max(f.decay_radius(), 2.0, 20.0 * y) for y in ys]
-            assert pairing._integration_radius(expr, f, ys) == expect
+            ends = _ends(pairing._initial_panels(expr, f, ys, pairing._line(expr, f)))
+            assert [e[-1] for e in ends] == expect
+            assert [-e[0] for e in ends] == expect
+
+
+def test_real_axis_initial_ends_deduplicate():
+    # at y = 0.1, 10y = 1, so +-10y and +-1 are one end each: 4 panels
+    gauss = REFERENCE_TEST_FUNCTIONS["gauss"]
+    panels = pairing._initial_panels(parse_expression("delta * delta"), gauss, (0.1, 0.05), None)
+    assert panels[2].tolist() == [4, 6]
+    L = max(gauss.decay_radius(), 2.0)
+    assert _ends(panels) == [[-L, -1.0, 0.0, 1.0, L], [-L, -1.0, -0.5, 0.0, 0.5, 1.0, L]]
+
+
+class _ShortDomain(TestFunction):
+    """A TestFunction whose domain is the least one, [-2, 2]."""
+
+    def decay_radius(self, extra_degree=0):
+        return 1.0
+
+
+def test_line_grid_ends_outside_the_domain_are_dropped():
+    # mu + sigma * k reaches 6.8 and -6.2, past L = 2: only the grid ends
+    # within (-2, 2) are kept, the same at every height
+    phi = _ShortDomain((1.0,), 0.5, 0.3)
+    expr = parse_expression("(x-i0)^-3")
+    grid = [phi.mu + phi.sigma * k for k in pairing._LINE_GRID]
+    inside = [t for t in grid if -2.0 < t < 2.0]
+    assert len(inside) == 8
+    ys = DEFAULT_SCHEDULE.heights()
+    ends = _ends(pairing._initial_panels(expr, phi, ys, pairing._line(expr, phi)))
+    assert ends == [[-2.0, *inside, 2.0]] * len(ys)
+
+
+def test_cutoff_transition_ends_are_added():
+    # phibar stops being analytic at +-plateau and +-support: those are ends
+    # too, beside phi's own, at every height
+    gauss = REFERENCE_TEST_FUNCTIONS["gauss"]
+    bar = SubtractedFunction(gauss, PlateauCutoff(0.7, 1.5), 2)
+    assert bar.breakpoints == (-1.5, -0.7, 0.7, 1.5)
+    expr = parse_expression("delta * delta")
+    ys = DEFAULT_SCHEDULE.heights()
+    plain = _ends(pairing._initial_panels(expr, gauss, ys, None))
+    cut = _ends(pairing._initial_panels(expr, bar, ys, None))
+    assert cut == [sorted({*ends, *bar.breakpoints}) for ends in plain]
+    assert all(len(c) == len(p) + 4 for c, p in zip(cut, plain))
 
 
 def test_high_moment_converges_to_gamma(gauss):
@@ -1568,6 +1631,26 @@ def test_same_side_batch_entries_equal_pairings_alone(quadrature_calls):
     assert quadrature_calls == [6]           # three phi, main and check schedules
 
 
+@pytest.mark.parametrize("batch", ["lines", "phibar"])
+def test_sliced_lines_keep_every_bit(monkeypatch, integrand_calls, batch):
+    # the line-path counterpart of test_sliced_rounds_keep_every_bit: four
+    # phi on three lines, or a subtracted function on the real axis beside
+    # its TestFunction on its line, in integrand calls of at most 7 panels
+    # each, give the bits of the unsliced batch
+    expr = parse_expression("(x-i0)^-3")
+    offset = REFERENCE_TEST_FUNCTIONS["offset"]
+    phis = (list(REFERENCE_TEST_FUNCTIONS.values()) if batch == "lines"
+            else [offset, SubtractedFunction(offset, PlateauCutoff(1.0, 2.0), 1)])
+    whole = pairing.limit_pairings(expr, phis)
+    assert max(integrand_calls) > 15 * 7 * 4
+    integrand_calls.clear()
+    monkeypatch.setattr(pairing, "_SLICE", 7)
+    sliced = pairing.limit_pairings(expr, phis)
+    assert max(integrand_calls) == 15 * 7
+    assert all(isinstance(r, PairingResult) for r in whole)
+    assert [repr(r) for r in sliced] == [repr(r) for r in whole]
+
+
 def test_same_side_job_runs_two_lines_in_one_quadrature(quadrature_calls):
     # exp(-x^2) and exp(-x^2/2) on their lines Im z = -sigma in one
     # quadrature, each row shifted by its run's eta.  (x-i0)^-3 pairs to
@@ -1588,9 +1671,9 @@ def quadrature_calls(monkeypatch):
     calls = []
     quadrature = pairing._adaptive_quadrature
 
-    def counting(f, ys, pointsets, epsabs):
+    def counting(f, ys, panels, epsabs):
         calls.append(len(ys))
-        return quadrature(f, ys, pointsets, epsabs)
+        return quadrature(f, ys, panels, epsabs)
 
     monkeypatch.setattr(pairing, "_adaptive_quadrature", counting)
     return calls
