@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 from .extension import counterterm_value, evaluate_extensions
 from .pairing import (
+    DEFAULT_SCHEDULE,
     DEFAULT_TOLERANCES,
+    MIN_HEIGHTS,
     InconclusivePairingError,
     NotExtendableError,
     QuadratureError,
@@ -32,7 +34,13 @@ from .pairing import (
     parse_expression,
     subtraction_order,
 )
-from .testfn import MAX_ORDER, REFERENCE_TEST_FUNCTIONS, PlateauCutoff, TestFunction
+from .testfn import (
+    DEFAULT_CUTOFF,
+    MAX_ORDER,
+    REFERENCE_TEST_FUNCTIONS,
+    PlateauCutoff,
+    TestFunction,
+)
 
 
 class ConfigError(ValueError):
@@ -51,9 +59,9 @@ _DEFAULT_PHI = {"poly": list(_GAUSS.poly), "sigma": _GAUSS.sigma, "mu": _GAUSS.m
 class Job:
     expression: str
     phis: list[dict] = field(default_factory=lambda: [dict(_DEFAULT_PHI)])
-    schedule: Schedule = Schedule()
-    plateau: float = 1.0
-    support: float = 2.0
+    schedule: Schedule = DEFAULT_SCHEDULE
+    plateau: float = DEFAULT_CUTOFF.plateau
+    support: float = DEFAULT_CUTOFF.support
     p_override: int | None = None
     c_grid: list[list[complex]] = field(default_factory=list)
     out: str | None = None
@@ -348,11 +356,16 @@ def _build_argparser() -> argparse.ArgumentParser:
                     help="test function descriptor "
                          "'{\"poly\": [c0, c1, ...], \"sigma\": s, \"mu\": m}' "
                          "(repeatable)")
-    ap.add_argument("--y0", type=float, help="initial height (default 0.1)")
-    ap.add_argument("--ratio", type=float, help="schedule ratio (default 0.5)")
-    ap.add_argument("--steps", type=int, help="schedule length, at least 6 (default 12)")
-    ap.add_argument("--plateau", type=float, help="cutoff plateau radius (default 1.0)")
-    ap.add_argument("--support", type=float, help="cutoff support radius (default 2.0)")
+    ap.add_argument("--y0", type=float,
+                    help=f"initial height (default {DEFAULT_SCHEDULE.y0})")
+    ap.add_argument("--ratio", type=float,
+                    help=f"schedule ratio (default {DEFAULT_SCHEDULE.ratio})")
+    ap.add_argument("--steps", type=int, help=f"schedule length, at least {MIN_HEIGHTS} "
+                                              f"(default {DEFAULT_SCHEDULE.count})")
+    ap.add_argument("--plateau", type=float,
+                    help=f"cutoff plateau radius (default {DEFAULT_CUTOFF.plateau})")
+    ap.add_argument("--support", type=float,
+                    help=f"cutoff support radius (default {DEFAULT_CUTOFF.support})")
     ap.add_argument("--p", type=int, default=None, help="override subtraction order")
     ap.add_argument("--c", action="append", default=None, metavar="COMPLEX",
                     help="counterterm c_k (repeat for k = 0, 1, ...; forms one "

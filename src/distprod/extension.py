@@ -63,6 +63,7 @@ from .pairing import (
     limit_pairings,
 )
 from .testfn import (
+    DEFAULT_CUTOFF,
     PlateauCutoff,
     TestFunction,
     _polyval,
@@ -224,11 +225,12 @@ def evaluate_extension(expr: ProductExpression, phi: TestFunction, p: int,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """(Tbar, phibar) for the order-p subtraction with cutoff omega.
 
-    omega defaults to PlateauCutoff(1.0, 2.0).  The pairing must converge;
-    otherwise the order is too small for the expression, or the expression
-    is outside scope, and ExtensionError is raised.
+    omega defaults to ``testfn.DEFAULT_CUTOFF``, PlateauCutoff(1.0, 2.0).
+    The pairing must converge; otherwise the order is too small for the
+    expression, or the expression is outside scope, and ExtensionError is
+    raised.
     """
-    phibar = SubtractedFunction(phi, omega or PlateauCutoff(1.0, 2.0), p)
+    phibar = SubtractedFunction(phi, omega or DEFAULT_CUTOFF, p)
     [value] = _limits(expr, p, [phibar], schedule, tol)
     if isinstance(value, Exception):
         raise value

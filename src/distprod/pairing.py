@@ -78,11 +78,13 @@ classification reads the check schedule, a second schedule of another ratio,
 is one that converges, and ``ProductExpression.converges_against`` proves
 that before any quadrature for most of them, from the scaling degree, the
 side of the singular factors and the kernel's parity: those run their check
-schedule beside their main one, and the few it misses share a second
-quadrature.  A pairing proved to vanish runs no schedule.  ``run_job``
-batches its independent pairings this way, and ``subtraction_order`` its
-search: one batch up to the order that the scaling degree bounds, then one
-per order, or the base alone when it is proved convergent.
+schedule beside their main one.  ``_classify`` alone decides which pairings
+read it, and the few it leaves undecided, for want of a check schedule,
+share a second quadrature.  A pairing proved to vanish runs no schedule.
+``run_job`` batches its independent pairings this way, and
+``subtraction_order`` its search: one batch up to the order that the scaling
+degree bounds, then one per order, or the base alone when it is proved
+convergent.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -1033,79 +1035,78 @@ def limit_pairings(expr: ProductExpression, phis, schedule: Schedule = DEFAULT_S
     batch of only such phi runs no quadrature.  One lockstep quadrature runs
     the main schedule of every other phi and, next to it, the check schedule
     of every phi that ``ProductExpression.converges_against`` proves
-    convergent, since its classification will read one.  A check schedule
-    whose main schedule does not read it is dropped, and the phi whose main
-    schedule reads a check schedule that did not run share a second
-    quadrature.  Every I(y) is bitwise the one its height gets alone, so
-    each entry is exactly what ``limit_pairing`` gives that phi on its own:
-    a PairingResult, or the QuadratureError it raises, returned, not raised.
+    convergent, since its classification will read one.  The schedules'
+    outcomes are kept by (phi index, heights), and ``_classify`` decides
+    each phi from them once.  The phi it leaves undecided, whose main
+    schedule reads a check schedule that did not run, share a second
+    quadrature and are classified again; a check schedule that ran but is
+    not read is ignored.  Every I(y) is bitwise the one its height gets
+    alone, so each entry is exactly what ``limit_pairing`` gives that phi on
+    its own: a PairingResult, or the QuadratureError it raises, returned,
+    not raised.
     """
     phis = list(phis)
     for phi in phis:
         require_resolved(phi, schedule)
     main_ys, check_ys = schedule.heights(), schedule.heights(CHECK_RATIO)
-    results: list = [None] * len(phis)
-    proved = {}         # phi index -> whether its check schedule runs beside its main one
-    for i, phi in enumerate(phis):
-        if expr.vanishes_against(phi):
-            results[i] = PairingResult(main_ys, (0j,) * len(main_ys), "converged",
-                                       value=0j, check_value=0j)
-        else:
-            proved[i] = expr.converges_against(phi)
-    schedules = [(phis[i], ys) for i, both in proved.items()
-                 for ys in ((main_ys, check_ys) if both else (main_ys,))]
-    outcomes = iter(_evaluate_schedules(expr, *zip(*schedules), tol) if schedules else ())
-    checks = {}         # phi index -> its check schedule's outcome, where one ran
-    staged = {}         # phi whose classification reads the check schedule
-    for i, both in proved.items():
-        main = next(outcomes)
-        if both:
-            checks[i] = next(outcomes)
-        if isinstance(main, Exception):
-            results[i] = main
-            continue
-        diag = _richardson_diagonal(main[1], schedule.ratio)
-        if _all_noise(*main[1:]) or _tail_stable(diag, _tail_atol(diag, tol)):
-            staged[i] = main, diag
-        else:
-            results[i] = _classify(main, diag, None, schedule.ratio, tol)
-    missed = [i for i in staged if i not in checks]
-    if missed:
-        checks.update(zip(missed, _evaluate_schedules(
-            expr, [phis[i] for i in missed], [check_ys] * len(missed), tol)))
-    for i, (main, diag) in staged.items():
-        check = checks[i]
-        results[i] = (check if isinstance(check, Exception)
-                      else _classify(main, diag, check, schedule.ratio, tol))
-    return results
+    live = [i for i, phi in enumerate(phis) if not expr.vanishes_against(phi)]
+    outcomes = _outcomes(expr, phis, [
+        (i, ys) for i in live
+        for ys in ((main_ys, check_ys) if expr.converges_against(phis[i]) else (main_ys,))], tol)
+
+    def classify(i):
+        return _classify(outcomes[i, main_ys], outcomes.get((i, check_ys)), schedule.ratio, tol)
+
+    results = {i: classify(i) for i in live}
+    missed = [i for i in live if results[i] is None]
+    outcomes.update(_outcomes(expr, phis, [(i, check_ys) for i in missed], tol))
+    results.update((i, classify(i)) for i in missed)
+    zero = PairingResult(main_ys, (0j,) * len(main_ys), "converged", value=0j, check_value=0j)
+    return [results.get(i, zero) for i in range(len(phis))]
 
 
-def _tail_atol(diag, tol: Tolerances) -> float:
-    return tol.convergence * max(1.0, abs(diag[-1]))
+def _outcomes(expr: ProductExpression, phis, keys, tol: Tolerances) -> dict:
+    """Each (phi index, heights) of keys -> its ``_evaluate_schedules`` outcome.
 
-
-def _classify(main, diag, check, ratio: float, tol: Tolerances) -> PairingResult:
-    """The classification that ``limit_pairing`` describes.
-
-    main is the main schedule's (ys, values, targets) and diag its
-    Richardson diagonal.  check is the check schedule's (ys, values,
-    targets) when the main values are all noise or the diagonal's tail is
-    stable, the two cases that read it, and None otherwise.
+    The schedules run in the order of keys; no keys run no quadrature.
     """
+    if not keys:
+        return {}
+    indices, heights = zip(*keys)
+    return dict(zip(keys, _evaluate_schedules(expr, [phis[i] for i in indices], heights, tol)))
+
+
+def _classify(main, check, ratio: float, tol: Tolerances):
+    """The classification that ``limit_pairing`` describes, decided here alone.
+
+    main and check are the outcomes of the main schedule (ratio ratio) and
+    of the check schedule (ratio CHECK_RATIO): each its (ys, values,
+    targets) or its QuadratureError, and check None when the check schedule
+    did not run.  The check schedule is read only when the main values are
+    all noise or the main Richardson diagonal's tail is stable.  Returns the
+    PairingResult; or the QuadratureError that decides the pairing, the main
+    schedule's or else, where it is read, the check schedule's; or None when
+    the main schedule reads a check schedule that did not run.
+    """
+    if isinstance(main, Exception):
+        return main
     ys, integrals, targets = main
-    if _all_noise(integrals, targets) and _all_noise(*check[1:]):
+    diag = _richardson_diagonal(integrals, ratio)
+    atol = tol.convergence * max(1.0, abs(diag[-1]))
+    noise, stable = _all_noise(integrals, targets), _tail_stable(diag, atol)
+    if noise or stable:
+        if check is None:
+            return None
+        if isinstance(check, Exception):
+            return check
+    if noise and _all_noise(*check[1:]):
         return PairingResult(ys, integrals, "converged", value=0j, check_value=0j)
-    atol = _tail_atol(diag, tol)
-    if _tail_stable(diag, atol):
-        value = diag[-1]
-        diag2 = _richardson_diagonal(check[1], CHECK_RATIO)
+    if stable:
+        value, other = diag[-1], _richardson_diagonal(check[1], CHECK_RATIO)[-1]
         gap = _SCHEDULE_FACTOR * atol
-        if (abs(diag2[-1].real - value.real) <= gap
-                and abs(diag2[-1].imag - value.imag) <= gap):
-            return PairingResult(ys, integrals, "converged",
-                                 value=value, check_value=diag2[-1])
-        return PairingResult(ys, integrals, "inconclusive",
-                             value=value, check_value=diag2[-1])
+        agree = abs(other.real - value.real) <= gap and abs(other.imag - value.imag) <= gap
+        return PairingResult(ys, integrals, "converged" if agree else "inconclusive",
+                             value=value, check_value=other)
     mags = np.abs(np.asarray(integrals))
     usable = mags > 1e-280
     if np.count_nonzero(usable) >= 5:
@@ -1169,12 +1170,14 @@ def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHE
     The entries are read in that order: the base, then for each p its
     boosted check and then its three probes; the first entry that did not
     converge ends its order, and a QuadratureError met before it is raised.
-    They are paired in ``limit_pairings`` batches sized by the a-priori
-    bound p <= sd - 2 (``ProductExpression.scaling_degree``), capped at
-    _P_MAX: the first batch holds the base, the boosted check of every order
-    up to the bound and the probes of the bound's order; an order below the
-    bound whose boosted check converged pairs its probes alone, and an order
-    past it pairs its boosted check with its probes.  A base that
+    Each test function's entry is kept once paired, and a read pairs the
+    ones not yet paired in one ``limit_pairings`` batch.  The batches are
+    sized by the a-priori bound p <= sd - 2
+    (``ProductExpression.scaling_degree``), capped at _P_MAX: the first
+    holds the base, the boosted check of every order up to the bound and
+    the probes of the bound's order; an order below the bound whose boosted
+    check converged pairs its probes alone, and an order past it pairs its
+    boosted check with its probes.  A base that
     ``ProductExpression.converges_against`` proves convergent is paired
     alone first, and the rest of the first batch only if it does not
     converge after all.  The bound and the proof decide only what runs
@@ -1186,26 +1189,27 @@ def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHE
     bound = min(_P_MAX, max(0, expr.scaling_degree - 2))
     y_min = schedule.heights()[-1]
     joined = all(REFERENCE_TEST_FUNCTIONS[name].sigma >= y_min for name in _PROBE_BASES)
+    paired = {}         # test function -> its limit_pairings entry
 
     def probes(p):
         return [vanish_probe(p, REFERENCE_TEST_FUNCTIONS[name]) for name in _PROBE_BASES]
 
-    def paired(phis):
-        for phi in phis:
+    def read(*phis):
+        fresh = [phi for phi in phis if phi not in paired]
+        for phi in fresh:
             try:
                 require_resolved(phi, schedule)
             except ValueError as exc:
                 raise ValueError(f"the subtraction-order search needs a finer schedule "
                                  f"or a fixed p: its reference {exc}") from None
-        return limit_pairings(expr, phis, schedule, tol)
+        if fresh:
+            paired.update(zip(fresh, limit_pairings(expr, fresh, schedule, tol)))
+        return [paired[phi] for phi in phis]
 
-    rest = [*(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)),
-            *(probes(bound) if joined else ())]
-    if expr.converges_against(_GENERIC_PHI):
-        # proved convergent: the base alone decides, unless it does not converge
-        [base], first = paired([_GENERIC_PHI]), None
-    else:
-        base, *first = paired([_GENERIC_PHI, *rest])
+    first = [*(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)),
+             *(probes(bound) if joined else ())]
+    # proved convergent: the base alone decides, unless it does not converge
+    base, *_ = read(_GENERIC_PHI, *(() if expr.converges_against(_GENERIC_PHI) else first))
     if isinstance(base, Exception):
         raise base
     if base.status == "converged":
@@ -1214,17 +1218,11 @@ def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHE
         raise InconclusivePairingError(
             f"cannot classify {expr.label!r} before ordering subtraction", base
         )
-    if first is None:
-        first = paired(rest)
+    read(*first)        # the rest of the first batch, after a base paired alone
     for p in range(_P_MAX + 1):
-        if p <= bound:
-            boosted, found = first[p], first[bound + 1:] if p == bound else []
-        else:
-            boosted, *found = paired([vanish_probe(p, _GENERIC_PHI),
-                                      *(probes(p) if joined else ())])
-        if not _all_converged([boosted]):
-            continue
-        if _all_converged(found or paired(probes(p))):
+        ahead = probes(p) if joined and p > bound else ()
+        boosted, *_ = read(vanish_probe(p, _GENERIC_PHI), *ahead)
+        if _all_converged([boosted]) and _all_converged(read(*probes(p))):
             return SubtractionOrder(p, needed=True)
     raise NotExtendableError(
         f"no subtraction order <= {_P_MAX} tames {expr.label!r}"

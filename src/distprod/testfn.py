@@ -276,3 +276,7 @@ class PlateauCutoff:
         rest = t * b1 - b2 + c[0]
         # np.clip's values, without its overhead
         return np.minimum(np.maximum(1.0 - (left[j] + rest) / mass, 0.0), 1.0)
+
+
+# The cutoff a job and ``extension.evaluate_extension`` use unless told otherwise.
+DEFAULT_CUTOFF = PlateauCutoff(1.0, 2.0)

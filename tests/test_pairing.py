@@ -269,6 +269,17 @@ _SCALING_DEGREES = {
     6: ["d(delta) * d(delta) * d(delta)", "(x+i0)^-3 * (x-i0)^-3", "d(d(delta)) * d(d(delta))"],
     400: ["(x+i0)^-400"],
 }
+# the sizes of the limit_pairings batches that subtraction_order runs for
+# each order found; every other row of _ORDERS pairs its base alone, [1]
+_SEARCH_BATCHES = {
+    "(x+i0)^-1 * (x-i0)^-1": [5], "delta * delta": [5], "pv(1/x) * pv(1/x)": [5],
+    "(x-i0)^-2 * x^2 * d(delta)": [5], "delta * d(delta)": [6],
+    "delta * delta * delta": [6, 4], "d(delta) * d(delta)": [7],
+    "delta * delta * delta * delta": [7], "pv(1/x) * pv(1/x) * pv(1/x) * pv(1/x)": [7],
+    "d(delta) * d(delta) * delta": [8, 3], "d(delta) * d(delta) * d(delta)": [9, 3],
+    "d(d(delta)) * d(delta)": [8], "(x+i0)^-3 * (x-i0)^-3": [9],
+    "d(d(delta)) * d(d(delta))": [9],
+}
 
 
 class TestSubtractionOrder:
@@ -303,9 +314,17 @@ class TestSubtractionOrder:
 
     @pytest.mark.parametrize("text, want", [
         (text, want) for want, texts in _ORDERS.items() for text in texts])
-    def test_orders_of_the_catalog(self, text, want):
+    def test_orders_of_the_catalog(self, monkeypatch, text, want):
         # the bound sd - 2 sizes the search's batches, not its answer:
         # delta^3 (bound 1) and d(delta)^3 (bound 4) find 2 and 3
+        batches = []
+        batch = pairing.limit_pairings
+
+        def counting(expr, phis, *args):
+            batches.append(len(phis))
+            return batch(expr, phis, *args)
+
+        monkeypatch.setattr(pairing, "limit_pairings", counting)
         expr = parse_expression(text)
         if isinstance(want, type):
             with pytest.raises(want):
@@ -313,6 +332,7 @@ class TestSubtractionOrder:
         else:
             got = subtraction_order(expr)
             assert (got.p, got.needed) == want
+        assert batches == _SEARCH_BATCHES.get(text, [1])
 
     def test_unresolved_probes_refused_only_when_reached(self):
         # the smallest height 0.94 resolves the offset function (sigma 1)
@@ -1305,6 +1325,97 @@ def test_high_moment_converges_to_gamma(gauss):
     assert result.status == "converged"
     for v in (*result.integrals, result.value):
         assert abs(v - exact) <= 1e-13 * exact
+
+
+# ---------------------------------------------------------------------------
+# classification of synthetic schedules
+# ---------------------------------------------------------------------------
+
+def _synthetic(f, ratio=None, count=None, target=1e-13):
+    """A schedule's outcome (ys, values, targets) with I(y) = f(y) exactly."""
+    ys = DEFAULT_SCHEDULE.heights(ratio)[:count]
+    return ys, [complex(f(y)) for y in ys], [target] * len(ys)
+
+
+def _classify(main, check):
+    return pairing._classify(main, check, DEFAULT_SCHEDULE.ratio, DEFAULT_TOLERANCES)
+
+
+_LIMIT = 1.25 - 0.5j
+_A = 3.0 - 2.0j
+
+
+def _laurent(y):
+    return _LIMIT + 0.75 * y - 2.0 * y * y
+
+
+def _noise(y):
+    # half the target, its sign alternating from height to height
+    return 0.5e-13 * (-1) ** round(math.log2(DEFAULT_SCHEDULE.y0 / y))
+
+
+def test_classify_exact_series_converges_to_its_limit():
+    # Richardson removes the y and y^2 terms: both schedules extrapolate to
+    # L.  A check schedule that sits 100 gaps away reads inconclusive, with
+    # both values
+    main = _synthetic(_laurent)
+    result = _classify(main, _synthetic(_laurent, CHECK_RATIO))
+    assert result.status == "converged"
+    assert result.value == pytest.approx(_LIMIT, abs=1e-14)
+    assert result.check_value == pytest.approx(_LIMIT, abs=1e-14)
+    gap = pairing._SCHEDULE_FACTOR * DEFAULT_TOLERANCES.convergence * abs(_LIMIT)
+    result = _classify(main, _synthetic(lambda y: _laurent(y) + 100 * gap, CHECK_RATIO))
+    assert result.status == "inconclusive"
+    assert result.value == pytest.approx(_LIMIT, abs=1e-14)
+    assert result.check_value == pytest.approx(_LIMIT + 100 * gap, abs=1e-14)
+
+
+def test_classify_noise_on_both_schedules_converges_to_exact_zero():
+    # every value within its target: exactly 0j, not the diagonal's tail of
+    # the noise.  One check value above its target ends the rule
+    main, check = _synthetic(_noise), _synthetic(lambda y: 0.5e-13, CHECK_RATIO)
+    result = _classify(main, check)
+    assert (result.status, result.value, result.check_value) == ("converged", 0j, 0j)
+    check[1][3] = 2e-13
+    result = _classify(main, check)
+    assert result.value != 0j
+
+
+@pytest.mark.parametrize("rate, status", [(2.0, "diverged"), (0.2, "diverged"),
+                                          (0.05, "inconclusive")])
+def test_classify_power_law(rate, status):
+    # A y^-s diverges at rate s with coefficient A; a rate below _S_MIN,
+    # fitted as exactly as the others, is too slow to call
+    result = _classify(_synthetic(lambda y: _A * y**-rate), None)
+    assert result.status == status
+    if status == "diverged":
+        assert result.s == pytest.approx(rate, abs=1e-12)
+        assert result.leading_coeff == pytest.approx(_A, abs=1e-12)
+
+
+def test_classify_reads_a_prefix_of_min_heights():
+    # a schedule truncated to MIN_HEIGHTS heights is classified on them
+    main = _synthetic(_laurent, count=MIN_HEIGHTS)
+    result = _classify(main, _synthetic(_laurent, CHECK_RATIO))
+    assert (result.status, result.y_values) == ("converged", main[0])
+    assert result.value == pytest.approx(_LIMIT, abs=1e-14)
+    result = _classify(_synthetic(lambda y: _A * y**-2, count=MIN_HEIGHTS), None)
+    assert (result.status, len(result.integrals)) == ("diverged", MIN_HEIGHTS)
+    assert result.s == pytest.approx(2.0, abs=1e-12)
+
+
+def test_classify_errors_and_missing_checks():
+    # the main schedule's error decides; the check schedule's only where the
+    # main schedule reads it, and a check it reads but that did not run
+    # leaves the pairing undecided
+    main_error, check_error = QuadratureError("main", 0), QuadratureError("check", 0)
+    for check in (None, check_error, _synthetic(_laurent, CHECK_RATIO)):
+        assert _classify(main_error, check) is main_error
+    for reading in (_synthetic(_laurent), _synthetic(_noise)):
+        assert _classify(reading, check_error) is check_error
+        assert _classify(reading, None) is None
+    growing = _synthetic(lambda y: _A * y**-2)
+    assert _classify(growing, check_error).status == "diverged"
 
 
 # ---------------------------------------------------------------------------
