@@ -452,133 +452,100 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-_TOKEN_PATTERNS = (
-    ("WS", re.compile(r"\s+")),
-    ("STAR", re.compile(r"\*")),
-    ("XPOW", re.compile(r"x\^(\d+)")),
-    ("DELTA", re.compile(r"delta")),
-    ("PV", re.compile(r"pv\(1/x\)")),
-    ("PLUSI0", re.compile(r"\(x\+i0\)\^-(\d+)")),
-    ("MINUSI0", re.compile(r"\(x-i0\)\^-(\d+)")),
-    ("DOPEN", re.compile(r"d\(")),
-    ("RPAREN", re.compile(r"\)")),
-    ("ONE", re.compile(r"1")),
-)
+# One alternation, tried in order at each offset; MISMATCH takes a character
+# that starts no token.  An atom's kind is its catalog name; the other kinds
+# are upper case, as parse errors name them.
+_TOKEN = re.compile("|".join((
+    r"(?P<WS>\s+)",
+    r"(?P<STAR>\*)",
+    r"x\^(?P<XPOW>\d+)",
+    r"(?P<delta>delta)",
+    r"(?P<pv_inv_x>pv\(1/x\))",
+    r"\(x\+i0\)\^-(?P<plus_i0_pow>\d+)",
+    r"\(x-i0\)\^-(?P<minus_i0_pow>\d+)",
+    r"(?P<DOPEN>d\()",
+    r"(?P<RPAREN>\))",
+    r"(?P<one>1)",
+    r"(?P<MISMATCH>.)",
+)), re.DOTALL)
+_INTEGER_KINDS = ("XPOW", "plus_i0_pow", "minus_i0_pow")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: int | None
-    offset: int
+def _scan(text: str) -> list[tuple[str, int | None, int]]:
+    """Every token of text as (kind, value, offset), then ('END', None, len(text)).
 
-
-def _scan(text: str) -> list[_Token]:
+    The whole text is scanned before any of it is parsed, so an unrecognized
+    token is reported before any grammar error.
+    """
     tokens = []
-    i = 0
-    while i < len(text):
-        for kind, pattern in _TOKEN_PATTERNS:
-            m = pattern.match(text, i)
-            if m:
-                if kind != "WS":
-                    value = int(m.group(1)) if m.groups() else None
-                    tokens.append(_Token(kind, value, i))
-                i = m.end()
-                break
-        else:
+    for m in _TOKEN.finditer(text):
+        kind, i = m.lastgroup, m.start()
+        if kind == "MISMATCH":
             raise ParseError(f"unrecognized input {text[i:i + 12]!r}", i)
-    return tokens
+        if kind != "WS":
+            tokens.append((kind, int(m[kind]) if kind in _INTEGER_KINDS else None, i))
+    return tokens + [("END", None, len(text))]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _scan(text)
-        self.i = 0
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
-        self.i += 1
-        return tok
-
-    def parse(self) -> ProductExpression:
-        factors: list[HyperfunctionPair] = []
-        powers: list[int] = []
-        pending = 0
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise ParseError("expected a factor", len(self.text))
-            if tok.kind == "XPOW":
-                self._next()
-                pending += tok.value
-            else:
-                factors.append(self._atom())
-                powers.append(pending)
-                pending = 0
-            nxt = self._peek()
-            if nxt is None:
-                break
-            if nxt.kind != "STAR":
-                raise ParseError("expected '*' between factors", nxt.offset)
-            self._next()
-        if pending:
-            factors.append(catalog("monomial", pending))
-            powers.append(0)
-        return ProductExpression(tuple(factors), tuple(powers))
-
-    def _atom(self) -> HyperfunctionPair:
-        """A run of 'd(' openers, the base atom, then one derivative per ')'.
-
-        The openers are collected in a loop, not a recursion, so any nesting
-        depth is read.  A derivative whose coefficient is not a finite float
-        (d^171 of delta is n! / (2 pi) past the largest double) is refused at
-        the offset of its 'd('.
-        """
-        openers = []
-        tok = self._next()
-        while tok.kind == "DOPEN":
-            openers.append(tok.offset)
-            tok = self._next()
-        atom = self._base_atom(tok)
-        for opener in reversed(openers):
-            closing = self._next()
-            if closing.kind != "RPAREN":
-                raise ParseError("expected ')' after derivative atom", closing.offset)
-            try:
-                atom = atom.derivative()
-                finite = cmath.isfinite(atom.f_plus.coeff) and cmath.isfinite(atom.f_minus.coeff)
-            except OverflowError:              # a pole order past the largest double
-                finite = False
-            if not finite:
-                raise ParseError("derivative coefficient is not finite", opener)
-        return atom
-
-    @staticmethod
-    def _base_atom(tok: _Token) -> HyperfunctionPair:
-        try:
-            if tok.kind == "DELTA":
-                return catalog("delta")
-            if tok.kind == "PV":
-                return catalog("pv_inv_x")
-            if tok.kind == "PLUSI0":
-                return catalog("plus_i0_pow", tok.value)
-            if tok.kind == "MINUSI0":
-                return catalog("minus_i0_pow", tok.value)
-            if tok.kind == "ONE":
-                return catalog("one")
-        except CatalogError as exc:
-            raise ParseError(str(exc), tok.offset) from exc
-        raise ParseError(f"expected an atom, found {tok.kind}", tok.offset)
+def _atom(kind: str, value: int | None, offset: int) -> HyperfunctionPair:
+    """The catalog atom a token names; a ParseError at its offset otherwise."""
+    if kind == "END":
+        raise ParseError("unexpected end of expression", offset)
+    if kind.isupper():
+        raise ParseError(f"expected an atom, found {kind}", offset)
+    try:
+        return catalog(kind, value)
+    except CatalogError as exc:
+        raise ParseError(str(exc), offset) from exc
 
 
 def parse_expression(text: str) -> ProductExpression:
-    return _Parser(text).parse()
+    """Read the text form that ``ProductExpression.label`` prints.
+
+    An atom term is a run of 'd(' openers, its atom, then one derivative
+    per ')'.  The openers are collected in a loop, not a recursion, so any
+    nesting depth is read.  A derivative whose coefficient is not a finite
+    float (d^171 of delta is n! / (2 pi) past the largest double) is refused
+    at the offset of its 'd('.
+    """
+    tokens = iter(_scan(text))
+    factors, powers, pending = [], [], 0
+    while True:
+        kind, value, offset = next(tokens)
+        if kind == "END":
+            raise ParseError("expected a factor", offset)
+        if kind == "XPOW":
+            pending += value
+        else:
+            openers = []
+            while kind == "DOPEN":
+                openers.append(offset)
+                kind, value, offset = next(tokens)
+            atom = _atom(kind, value, offset)
+            for opener in reversed(openers):
+                kind, _, offset = next(tokens)
+                if kind != "RPAREN":
+                    raise ParseError("unexpected end of expression" if kind == "END"
+                                     else "expected ')' after derivative atom", offset)
+                try:
+                    atom = atom.derivative()
+                    finite = cmath.isfinite(atom.f_plus.coeff) and cmath.isfinite(atom.f_minus.coeff)
+                except OverflowError:              # a pole order past the largest double
+                    finite = False
+                if not finite:
+                    raise ParseError("derivative coefficient is not finite", opener)
+            factors.append(atom)
+            powers.append(pending)
+            pending = 0
+        kind, _, offset = next(tokens)
+        if kind == "END":
+            break
+        if kind != "STAR":
+            raise ParseError("expected '*' between factors", offset)
+    if pending:
+        factors.append(catalog("monomial", pending))
+        powers.append(0)
+    return ProductExpression(tuple(factors), tuple(powers))
 
 
 # ---------------------------------------------------------------------------

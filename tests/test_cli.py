@@ -132,6 +132,28 @@ class TestParseErrors:
             parse_expression("delta delta")
         assert err.value.offset == 6
 
+    @pytest.mark.parametrize("text, message, offset", [
+        # the whole text is scanned first: an unrecognized token is reported
+        # before the missing '*' in front of it
+        ("delta delta %", "unrecognized input '%'", 12),
+        ("\tdelta * heaviside", "unrecognized input 'heaviside'", 9),
+        ("", "expected a factor", 0),
+        ("delta * ", "expected a factor", 8),
+        ("delta delta", "expected '*' between factors", 6),
+        ("d(", "unexpected end of expression", 2),
+        ("d(delta", "unexpected end of expression", 7),
+        ("d(d(delta) * delta", "expected ')' after derivative atom", 11),
+        ("* delta", "expected an atom, found STAR", 0),
+        ("d(x^2)", "expected an atom, found XPOW", 2),
+        ("x^2 * )", "expected an atom, found RPAREN", 6),
+        ("(x-i0)^-0", "atom 'minus_i0_pow' requires an integer parameter >= 1, got 0", 0),
+    ])
+    def test_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert str(err.value) == f"{message} (byte offset {offset})"
+        assert err.value.offset == offset
+
 
 _ATOM = st.sampled_from([
     "delta", "pv(1/x)", "(x+i0)^-1", "(x+i0)^-2", "(x-i0)^-1", "1",
@@ -243,7 +265,7 @@ class TestRunJob:
 
     def test_failed_continuation_keeps_its_order(self):
         # the search finds p = 2, but the subtracted pairing on exp(-x^2)
-        # reads inconclusive (ROADMAP item 2 makes it continue: move it then)
+        # reads inconclusive (ROADMAP item 8 makes it continue: move it then)
         searched = run_job(Job(expression="d(delta) * d(delta) * delta"))["results"][0]
         given = run_job(Job(**INCONCLUSIVE, p_override=1))["results"][0]
         for res, order in ((searched, {"p": 2, "needed": True}),

@@ -1370,6 +1370,22 @@ def test_classify_exact_series_converges_to_its_limit():
     assert result.check_value == pytest.approx(_LIMIT + 100 * gap, abs=1e-14)
 
 
+def test_classify_y_log_y_term_reads_inconclusive():
+    # Richardson removes integer powers of y only: on 1 + y log y the main
+    # schedule extrapolates to 0.99997 and the check schedule to 0.9999994,
+    # farther apart than the schedules may sit, so neither value is reported
+    # as the limit 1
+    def f(y):
+        return 1 + y * math.log(y)
+
+    result = _classify(_synthetic(f, target=1e-10), _synthetic(f, CHECK_RATIO, target=1e-10))
+    assert result.status == "inconclusive"
+    assert result.value == pytest.approx(0.999966, abs=1e-6)
+    assert result.check_value == pytest.approx(0.9999994, abs=1e-7)
+    gap = pairing._SCHEDULE_FACTOR * DEFAULT_TOLERANCES.convergence
+    assert abs(result.value - result.check_value) > gap
+
+
 def test_classify_noise_on_both_schedules_converges_to_exact_zero():
     # every value within its target: exactly 0j, not the diagonal's tail of
     # the noise.  One check value above its target ends the rule

@@ -59,7 +59,7 @@ def test_scripts_exit_2_like_the_cli(script, expr, message):
 
 def test_scan_reports_a_failed_continuation_in_band():
     # the subtracted pairing on exp(-x^2) reads inconclusive at the searched
-    # p = 2; ROADMAP item 2 makes it continue, so this case moves with it
+    # p = 2; ROADMAP item 8 makes it continue, so this case moves with it
     done = _run("ambiguity_scan.py", "--expr", "d(delta) * d(delta) * delta", "--c-num", "2")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
