@@ -14,18 +14,22 @@ so every I(y) is exactly 0 and the pairing converged to 0 with no
 quadrature.  Otherwise, when every I(y) of both schedules is within its
 quadrature target of 0, the pairing converged to 0.
 
-Quadrature is a deterministic adaptive Gauss-Kronrod 7-15 scheme on [-L, L]
-with forced panel boundaries at +-10y around the origin, where all the
-regulator-scale structure of the integrand lives, and at phi's
-``breakpoints``, where phi stops being analytic.  L comes from phi's
-closed-form decay at the integrand's polynomial growth, with no integrand
-evaluated to find it.  Panels are refined in rounds: every panel above its
-error share splits, at its midpoint, or at its geometric mean when it lies
-on one side of 0 and spans more than an octave.  The kernel's structure sits
-at the scale y, so geometric cuts reach it from [10y, 1] in a few rounds,
-where bisection spends one round per octave.  The final sum runs over panels
-sorted by left endpoint, so results are bit-stable for a fixed
-configuration.
+Quadrature is a deterministic adaptive Gauss-Kronrod 7-15 scheme on [-L, L],
+or on [0, L] for an even integrand, with forced panel boundaries at +-10y
+around the origin, where all the regulator-scale structure of the integrand
+lives, and at phi's ``breakpoints``, where phi stops being analytic.  When
+the kernel and phi share a parity the integrand is exactly even, the twin of
+the odd case that ``vanishes_against`` pairs with no quadrature: it runs on
+[0, L] with phi doubled (``_folds``), each panel standing for itself and its
+mirror image, so the refinement makes the decisions it makes on [-L, L] from
+half the panels.  L comes from phi's closed-form decay at the integrand's
+polynomial growth, with no integrand evaluated to find it.  Panels are
+refined in rounds: every panel above its error share splits, at its
+midpoint, or at its geometric mean when it lies on one side of 0 and spans
+more than an octave.  The kernel's structure sits at the scale y, so
+geometric cuts reach it from [10y, 1] in a few rounds, where bisection
+spends one round per octave.  The final sum runs over panels sorted by left
+endpoint, so results are bit-stable for a fixed configuration.
 
 A same-side product, one whose every factor with a pole is a boundary value
 from one side (``ProductExpression.side``, the wavefront test that
@@ -475,15 +479,25 @@ def _scan(text: str) -> list[tuple[str, int | None, int]]:
     """Every token of text as (kind, value, offset), then ('END', None, len(text)).
 
     The whole text is scanned before any of it is parsed, so an unrecognized
-    token is reported before any grammar error.
+    token is reported before any grammar error.  An integer past Python's
+    digit limit for ``int`` (``sys.get_int_max_str_digits``) is refused at
+    its token's offset.
     """
     tokens = []
     for m in _TOKEN.finditer(text):
         kind, i = m.lastgroup, m.start()
         if kind == "MISMATCH":
             raise ParseError(f"unrecognized input {text[i:i + 12]!r}", i)
-        if kind != "WS":
-            tokens.append((kind, int(m[kind]) if kind in _INTEGER_KINDS else None, i))
+        if kind == "WS":
+            continue
+        value = None
+        if kind in _INTEGER_KINDS:
+            try:
+                value = int(m[kind])
+            except ValueError:
+                raise ParseError(f"integer parameter of {len(m[kind])} digits is too large",
+                                 i) from None
+        tokens.append((kind, value, i))
     return tokens + [("END", None, len(text))]
 
 
@@ -614,20 +628,26 @@ def _adaptive_quadrature(f, ys, panels, epsabs: float) -> list:
 
     Schedule g is group g of the integrand f (one group per schedule), at
     its own heights ys[g], from the initial panels panels[g], the columns
-    (a, b, size) of ``_initial_panels``: its height k integrates f's group g
-    at ys[g][k] over the next size[k] rows [a, b].  Every round splits all
-    panels whose error exceeds an equal share of the target; the target is
-    the max of `epsabs` and a round-off floor scaled to the integrand's total
-    variation, so pairings whose magnitude blows up as y -> 0 degrade
-    gracefully to full relative precision.  A height is done when its error meets the target,
-    and stalls when no panel can split or splitting would pass _MAX_PANELS:
-    a round that refines a height and leaves it neither done nor stalled
-    splits one of its panels, so every height ends.  Returns, per schedule,
-    (values, targets, failure): each height's value and its target as it
-    stood when the height was done (a value no larger than its target is
-    indistinguishable from 0), and failure None, or the QuadratureError of
-    the schedule's lowest stalled height, in which case values and targets
-    cover the heights below it.
+    (a, b, size, copies) of ``_initial_panels``: its height k integrates f's
+    group g at ys[g][k] over the next size[k] rows [a, b], each of which
+    stands for copies[k] panels (2 on a folded schedule: the row and its
+    mirror image).  Every round splits all panels whose error exceeds an
+    equal share of the target; the target is the max of `epsabs` and a
+    round-off floor scaled to the integrand's total variation, so pairings
+    whose magnitude blows up as y -> 0 degrade gracefully to full relative
+    precision.  A height is done when its error meets the target, and
+    stalls when no panel can split or splitting would pass _MAX_PANELS: a
+    round that refines a height and leaves it neither done nor stalled
+    splits one of its panels, so every height ends.  A folded row counts
+    twice against _MAX_PANELS and in the stall message.  Its value, error
+    and roughness are already those of both mirror panels (f doubles phi
+    there) and its error share is that of two rows, so a folded height
+    splits, finishes and stalls where it does on [-L, L], from half the
+    rows.  Returns, per schedule, (values, targets, failure): each height's
+    value and its target as it stood when the height was done (a value no
+    larger than its target is indistinguishable from 0), and failure None,
+    or the QuadratureError of the schedule's lowest stalled height, in which
+    case values and targets cover the heights below it.
 
     The leaf panels of the live heights are the rows of five columns (a, b,
     value, error, roughness), grouped by schedule, then by height in
@@ -651,7 +671,8 @@ def _adaptive_quadrature(f, ys, panels, epsabs: float) -> list:
     ys = np.concatenate([np.asarray(heights, dtype=float) for heights in ys])
     live = np.arange(len(ys))          # live heights, schedule by schedule
     group = np.repeat(np.arange(groups), counts)   # schedule of each live height
-    a, b, size = (np.concatenate(column) for column in zip(*panels))   # size: rows per live height
+    # size: rows per live height; copies: the panels each of its rows stands for
+    a, b, size, copies = (np.concatenate(column) for column in zip(*panels))
     fresh = size.copy()                # of them, rows waiting for the rule
     value, error, rough = np.empty(len(a), complex), np.empty(len(a)), np.empty(len(a))
     at = slice(None)                   # where the fresh rows sit
@@ -674,14 +695,14 @@ def _adaptive_quadrature(f, ys, panels, epsabs: float) -> list:
         done = total <= target
         go = ~done
         # a stall drops the heights above it in its schedule
-        for i in (go & ((m == 0) | (size + m > _MAX_PANELS))).nonzero()[0]:
+        for i in (go & ((m == 0) | (copies * (size + m) > _MAX_PANELS))).nonzero()[0]:
             if not go[i]:
                 continue                       # above a lower stall of its schedule
             g = group[i]
             k = int(live[i] - first[g])
             failures[g] = QuadratureError(
                 f"quadrature stalled at height {k} (y = {ys[live[i]]:g}): error "
-                f"{total[i]:.3e} (target {target[i]:.3e}, {size[i]} panels)", k)
+                f"{total[i]:.3e} (target {target[i]:.3e}, {copies[i] * size[i]} panels)", k)
             above = slice(i, int(np.searchsorted(group, g, "right")))
             go[above] = done[above] = False
         for i in done.nonzero()[0]:
@@ -696,7 +717,8 @@ def _adaptive_quadrature(f, ys, panels, epsabs: float) -> list:
         at = (at.cumsum()[split] - 2).repeat(2)
         at[1::2] += 1
         b[at[0::2]] = a[at[1::2]] = _cut(a[at[0::2]], b[at[1::2]])
-        live, group, size, fresh = live[go], group[go], size[go] + m[go], 2 * m[go]
+        live, group, copies = live[go], group[go], copies[go]
+        size, fresh = size[go] + m[go], 2 * m[go]
     out = []
     for g, failure in enumerate(failures):
         lo = first[g]
@@ -725,12 +747,32 @@ def _line(expr: ProductExpression, phi) -> float | None:
     return phi.sigma if side == "+" else -phi.sigma
 
 
-def _integrand(expr: ProductExpression, phis, lines=None):
+def _folds(expr: ProductExpression, phi, line) -> bool:
+    """True when expr pairs with phi over [0, L] only, with phi doubled.
+
+    On the real axis (line None), a kernel with a parity
+    (``ProductExpression.parity``) against a phi of the same parity makes
+    x^R * prod F_i^y * phi even, exactly, as ``vanishes_against`` reads the
+    odd case: for a two-sided factor F_y(-x) = +-F_y(x) holds bit for bit,
+    and the 7-15 nodes of a panel and of its mirror image are exact
+    negatives.  So the integral over [-L, L] is twice the one over [0, L],
+    0 is always a panel end there, and an even phi's breakpoints are
+    symmetric: each panel of [0, L] stands for itself and its mirror image,
+    whose rule sums differ from its own only in summation order.
+    """
+    parity = expr.parity
+    return line is None and parity is not None and phi.parity == parity
+
+
+def _integrand(expr: ProductExpression, phis, lines=None, folds=None):
     """The integrand x^R * prod F_i^y(x) * phi(x) of expr against each phi of phis.
 
     Each phi is one group, on its line lines[i] (``_line``; lines None puts
-    all on the real axis), the lines all numbers or all None.  The callable
-    takes points x, heights y broadcast against x, and g: each row's group,
+    all on the real axis), the lines all numbers or all None.  A group with
+    folds[i] set (``_folds``; folds None sets none) is integrated over
+    [0, L] for [-L, L], so its phi is doubled, exactly: each of its rows
+    stands for itself and its mirror image.  The callable takes points x,
+    heights y broadcast against x, and g: each row's group,
     the rows grouped in group order.  On lines it first shifts x to
     x + i eta, each row by its group's eta, and from there computes as on
     the real axis.  One ``Points`` builds x + iy, x - iy and
@@ -746,8 +788,8 @@ def _integrand(expr: ProductExpression, phis, lines=None):
     array, through x^R and phi, and a one-sided factor or a line makes it
     complex.  Each run of adjacent groups that share one phi (a pairing's
     main and check schedules) then has its rows multiplied by that phi,
-    evaluated once over them.  Every value is computed point by point, so
-    every row gets the bits it gets alone.  The heights are not checked
+    evaluated once over them, and by 2 when the run folds.  Every value is
+    computed point by point, so every row gets the bits it gets alone.  The heights are not checked
     here: ``_evaluate_schedules`` checks them once per batch.
     """
     C, P, M = expr.one_sided
@@ -765,10 +807,11 @@ def _integrand(expr: ProductExpression, phis, lines=None):
         slots.append(len(distinct))     # the group's value follows the factors'
     r = expr.total_power
     etas = None if lines is None or lines[0] is None else np.array(lines)
-    shared, run = [], []        # each run's phi, and each group's run
-    for phi in phis:
+    shared, doubled, run = [], [], []   # each run's phi and fold, and each group's run
+    for phi, fold in zip(phis, folds or [False] * len(phis)):
         if not shared or phi is not shared[-1]:
             shared.append(phi)
+            doubled.append(fold)
         run.append(len(shared) - 1)
     run = np.array(run)
 
@@ -788,40 +831,47 @@ def _integrand(expr: ProductExpression, phis, lines=None):
         if r:
             v = v * points.x**r
         at = 0
-        for phi, size in zip(shared, np.bincount(run[g], minlength=len(shared)).tolist()):
+        sizes = np.bincount(run[g], minlength=len(shared)).tolist()
+        for phi, fold, size in zip(shared, doubled, sizes):
             if size:
                 part = v[at:at + size]    # a view: multiplied in place
                 part *= phi(points.x[at:at + size])
+                if fold:
+                    part *= 2.0           # exact: the row and its mirror image
                 at += size
         return v
 
     return f
 
 
-def _initial_panels(expr: ProductExpression, phi, ys, line):
-    """The initial panels of every height of a schedule, as columns (a, b, size).
+def _initial_panels(expr: ProductExpression, phi, ys, line, fold=False):
+    """The initial panels of every height of a schedule, as columns (a, b, size, copies).
 
     Height k's size[k] panels are the next rows [a, b], between its sorted
-    ends on its [-L, L].  The integrand grows like |x|^d times phi, with d
-    the prefactor power plus each factor's growth exponent beta, so L is
-    phi.decay_radius(d), computed once, and at least 2 and 20y; no integrand
-    is evaluated.  On the real axis (line None) the ends are +-1, +-10y and
+    ends on its [-L, L], and copies[k] is the number of panels each row
+    stands for.  The integrand grows like |x|^d times phi, with d the
+    prefactor power plus each factor's growth exponent beta, so L is
+    phi.decay_radius(d), computed once, and at least 2 and 20y; no
+    integrand is evaluated.  On the real axis (line None) the ends are +-1, +-10y and
     0 around the origin, where all the regulator-scale structure of the
     integrand lives; on phi's line (``_line``) they are mu + sigma * k, k in
     _LINE_GRID, within (-L, L), the same at every height.  Both add +-L and
     phi's ``breakpoints`` within (-L, L), where phi stops being analytic.
+    A schedule that folds (``_folds``) keeps the ends >= 0 only, on [0, L],
+    and each of its rows stands for itself and its mirror image: copies 2.
     """
     base = phi.decay_radius(expr.total_power + sum(pair.beta for pair in expr.factors))
     grid = None if line is None else [phi.mu + phi.sigma * k for k in _LINE_GRID]
     a, b, size = [], [], []
     for y in ys:
         L = max(base, 2.0, 20.0 * y)
+        lo = 0.0 if fold else -L
         inner = (-1.0, -10.0 * y, 0.0, 10.0 * y, 1.0) if line is None else grid
-        ends = sorted({-L, L, *(t for t in (*inner, *phi.breakpoints) if -L < t < L)})
+        ends = sorted({lo, L, *(t for t in (*inner, *phi.breakpoints) if lo < t < L)})
         a += ends[:-1]
         b += ends[1:]
         size.append(len(ends) - 1)
-    return np.array(a), np.array(b), np.array(size)
+    return np.array(a), np.array(b), np.array(size), np.full(len(size), 2 if fold else 1)
 
 
 def pair_at_y(expr: ProductExpression, phi, y: float,
@@ -911,27 +961,32 @@ def _evaluate_schedules(expr: ProductExpression, phis, heights, tol) -> list:
     TestFunction on Im z = +-sigma, every other on the real axis.  One
     quadrature runs the schedules on the real axis, then one those on lines,
     so no integrand call mixes the two.  Initial panels are those of
-    ``_initial_panels``, ending at phi's ``breakpoints`` too.  Returns, per
-    schedule in order, its heights, their values and their quadrature
-    targets, truncated where its quadrature gives out: the first height k
-    whose quadrature stalls ends the schedule.  For k < MIN_HEIGHTS the
-    entry is that QuadratureError instead; otherwise the heights before k
-    are kept.
+    ``_initial_panels``, ending at phi's ``breakpoints`` too.  A schedule on
+    the real axis whose kernel and phi share a parity folds (``_folds``):
+    it runs on [0, L], half the panels, with phi doubled, and gets the
+    values, targets and stalls it gets on [-L, L] up to summation order.
+    Returns, per schedule in order, its heights, their values and their
+    quadrature targets, truncated where its quadrature gives out: the first
+    height k whose quadrature stalls ends the schedule.  For k < MIN_HEIGHTS
+    the entry is that QuadratureError instead; otherwise the heights before
+    k are kept.
     """
     heights = [tuple(float(y) for y in ys) for ys in heights]
     _checked_heights([y for ys in heights for y in ys])
     lines = [_line(expr, phi) for phi in phis]
+    folds = [_folds(expr, phi, line) for phi, line in zip(phis, lines)]
     outcomes: list = [None] * len(heights)
     for on_line in (False, True):
         kind = [i for i, line in enumerate(lines) if (line is not None) == on_line]
         if not kind:
             continue
-        panels = [_initial_panels(expr, phis[i], heights[i], lines[i]) for i in kind]
+        panels = [_initial_panels(expr, phis[i], heights[i], lines[i], folds[i]) for i in kind]
         # an overflowing kernel gives inf or NaN panels, which stall their
         # height: numpy's warnings about them would only be noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             quadrature = _adaptive_quadrature(
-                _integrand(expr, [phis[i] for i in kind], [lines[i] for i in kind]),
+                _integrand(expr, [phis[i] for i in kind], [lines[i] for i in kind],
+                           [folds[i] for i in kind]),
                 [heights[i] for i in kind], panels, tol.quad_abs)
         for i, (values, targets, failure) in zip(kind, quadrature):
             outcomes[i] = (failure if failure is not None and failure.height < MIN_HEIGHTS

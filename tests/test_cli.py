@@ -147,6 +147,12 @@ class TestParseErrors:
         ("d(x^2)", "expected an atom, found XPOW", 2),
         ("x^2 * )", "expected an atom, found RPAREN", 6),
         ("(x-i0)^-0", "atom 'minus_i0_pow' requires an integer parameter >= 1, got 0", 0),
+        # past Python's 4300-digit limit for int(): refused at the token
+        pytest.param("x^" + "1" * 5000 + " * delta",
+                     "integer parameter of 5000 digits is too large", 0, id="x^<5000 digits>"),
+        pytest.param("delta * (x+i0)^-" + "9" * 4301,
+                     "integer parameter of 4301 digits is too large", 8,
+                     id="(x+i0)^-<4301 digits>"),
     ])
     def test_error_message_and_offset(self, text, message, offset):
         with pytest.raises(ParseError) as err:
@@ -513,6 +519,13 @@ class TestMain:
         code = main(["--expr", "delta @ delta"])
         assert code == 2
         assert "byte offset" in capsys.readouterr().err
+
+    def test_oversized_integer_exit_two(self, capsys):
+        # one error line at the parameter's token, not int()'s own message
+        code = main(["--expr", "delta * x^" + "7" * 5000])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "distprod: error: integer parameter of 5000 digits is too large (byte offset 8)\n")
 
     def test_missing_expr_exit_two(self, capsys):
         assert main([]) == 2

@@ -158,14 +158,18 @@ class TestTaylorSubtract:
         assert SubtractedFunction(GAUSS, PlateauCutoff(1.0, 20.0), 0).decay_radius(2) == 21.0
 
     def test_cutoff_transition_ends_are_initial_panel_ends(self, monkeypatch):
-        # phibar stops being analytic at +-plateau and +-support; phi nowhere
+        # phibar stops being analytic at +-plateau and +-support; phi nowhere.
+        # delta^2 is even, as are both functions, so both schedules run on
+        # [0, L]: +plateau and +support are ends of phibar's, and 2 is not
+        # one of phi's
         phibar = SubtractedFunction(GAUSS, OMEGA, 0)
         assert phibar.breakpoints == (-2.0, -1.0, 1.0, 2.0) and GAUSS.breakpoints == ()
         endsets = []        # per schedule, each height's initial panel ends
         quadrature = pairing._adaptive_quadrature
 
         def integrate(f, ys, panels, epsabs):
-            for a, b, size in panels:
+            for a, b, size, copies in panels:
+                assert (copies == 2).all()
                 stops = np.cumsum(size)
                 endsets.append([{*a[stop - n:stop].tolist(), *b[stop - n:stop].tolist()}
                                 for n, stop in zip(size, stops)])
@@ -175,8 +179,9 @@ class TestTaylorSubtract:
         pairing._evaluate_schedules(parse_expression("delta * delta"), [phibar, GAUSS],
                                     [(0.1, 0.01)] * 2, DEFAULT_TOLERANCES)
         assert [len(ends) for ends in endsets] == [2, 2]
-        assert all({-2.0, 2.0} <= ends for ends in endsets[0])
-        assert not any({-2.0, 2.0} & ends for ends in endsets[1])
+        assert all(min(ends) == 0.0 for schedule in endsets for ends in schedule)
+        assert all({1.0, 2.0} <= ends for ends in endsets[0])
+        assert not any(2.0 in ends for ends in endsets[1])
 
     def test_outside_support_untouched(self):
         bar = SubtractedFunction(GAUSS, OMEGA, 0)

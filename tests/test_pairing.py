@@ -6,6 +6,7 @@ here, so the adaptive Gauss-Kronrod engine is never checked against itself.
 """
 
 import functools
+import hashlib
 import importlib.util
 import math
 import os
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from distprod import pairing
 from distprod.boundary import HyperfunctionPair, RegulatorError, catalog
 from distprod.cli import Job, run_job
-from distprod.extension import SubtractedFunction, evaluate_extension
+from distprod.extension import CutoffChange, SubtractedFunction, evaluate_extension
 from distprod.pairing import (
     CHECK_RATIO,
     DEFAULT_SCHEDULE,
@@ -40,7 +41,8 @@ from distprod.pairing import (
     subtraction_order,
 )
 from distprod.ratfun import RationalFunction
-from distprod.testfn import REFERENCE_TEST_FUNCTIONS, PlateauCutoff, TestFunction, vanish_probe
+from distprod.testfn import (DEFAULT_CUTOFF, REFERENCE_TEST_FUNCTIONS, PlateauCutoff,
+                             TestFunction, vanish_probe)
 
 SQRT_PI = 1.7724538509055160
 
@@ -514,13 +516,13 @@ def _split_point(a, b):
     return 0.5 * (a + b)
 
 
-def _lone_height(f, y, a, b, epsabs):
+def _lone_height(f, y, a, b, copies, epsabs):
     """One height refined on its own by the plain loop from its initial
-    panels [a, b]: panels kept in the order [kept, lower parts, upper
-    parts], every sum pairwise in that order, the value summed over the
-    panels sorted by left endpoint, as complex numbers also for a real
-    kernel, as the quadrature's value column holds them.  Returns the value
-    and the target."""
+    panels [a, b], each standing for `copies` panels: panels kept in the
+    order [kept, lower parts, upper parts], every sum pairwise in that
+    order, the value summed over the panels sorted by left endpoint, as
+    complex numbers also for a real kernel, as the quadrature's value column
+    holds them.  Returns the value and the target."""
     vals, errs, roughs = pairing._panel_rule(f, a, b, np.full(len(a), y), np.zeros(len(a), int))
     while True:
         target = max(epsabs, 2e-14 * roughs.sum())
@@ -528,7 +530,7 @@ def _lone_height(f, y, a, b, epsabs):
             break
         floor = pairing._MIN_PANEL_REL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         split = (errs > target / (2.0 * len(a))) & (b - a > floor)
-        assert split.any() and len(a) + split.sum() <= pairing._MAX_PANELS
+        assert split.any() and copies * (len(a) + split.sum()) <= pairing._MAX_PANELS
         mids = np.array([_split_point(lo, hi) for lo, hi in zip(a[split], b[split])])
         na = np.concatenate([a[split], mids])
         nb = np.concatenate([mids, b[split]])
@@ -558,10 +560,10 @@ def test_schedule_equals_lone_height_loop(monkeypatch, text, phi_name):
     got = _evaluated(expr, phi, ys)
 
     def reference(f, ys, panels, epsabs):
-        [heights], [(a, b, size)] = ys, panels
+        [heights], [(a, b, size, copies)] = ys, panels
         ends = np.cumsum(size)
-        pairs = [_lone_height(f, y, a[end - n:end], b[end - n:end], epsabs)
-                 for y, n, end in zip(heights, size, ends)]
+        pairs = [_lone_height(f, y, a[end - n:end], b[end - n:end], c, epsabs)
+                 for y, n, c, end in zip(heights, size, copies, ends)]
         return [(tuple(v for v, _ in pairs), tuple(t for _, t in pairs), None)]
 
     monkeypatch.setattr(pairing, "_adaptive_quadrature", reference)
@@ -589,7 +591,7 @@ def test_stalled_schedule_refines_every_live_height(monkeypatch):
     got_ys, _ = _schedule(expr, phi, DEFAULT_SCHEDULE.heights())
     assert len(got_ys) == 7
     assert [h for h, _ in calls] == [12, 12, 12, 12, 12, 5, 5, 5, 5, 5, 5, 5, 4, 1]
-    assert sum(n for _, n in calls) == 33814
+    assert sum(n for _, n in calls) == 16907
 
 
 def test_every_panel_rule_call_holds_the_live_heights(monkeypatch):
@@ -805,8 +807,8 @@ def test_width_floor_stalls_a_jump(monkeypatch):
 
     def integrate():
         [(values, targets, failure)] = pairing._adaptive_quadrature(
-            f, [(1.0, 0.5, 0.25)], [(np.full(3, 0.3333), np.full(3, 0.3334), np.ones(3, int))],
-            0.0)
+            f, [(1.0, 0.5, 0.25)],
+            [(np.full(3, 0.3333), np.full(3, 0.3334), np.ones(3, int), np.ones(3, int))], 0.0)
         return values, targets, failure
 
     values, targets, failure = integrate()
@@ -1039,10 +1041,11 @@ def integrand_calls(monkeypatch):
 
 
 _WORK_PINS = {
-    # a real two-sided product, main schedule only
+    # a real two-sided product, main schedule only; even against an even
+    # phi, so on [0, L]
     "real": (lambda: limit_pairing(parse_expression("delta * delta"),
                                    REFERENCE_TEST_FUNCTIONS["gauss"]),
-             [70, 128, 200, 224, 200, 68]),
+             [35, 64, 100, 112, 100, 34]),
     # a one-sided complex product, proved convergent, on the line Im z = -sigma
     "one-sided": (lambda: limit_pairing(parse_expression("(x-i0)^-1 * (x-i0)^-1"),
                                         REFERENCE_TEST_FUNCTIONS["gauss"]),
@@ -1055,15 +1058,15 @@ _WORK_PINS = {
     "lockstep": (lambda: limit_pairing(parse_expression("pv(1/x)"),
                                        REFERENCE_TEST_FUNCTIONS["offset"]),
                  [140, 276, 548, 752, 476, 136]),
+    # on [0, L] against the two even reference functions
     "batch": (lambda: pairing.limit_pairings(parse_expression("pv(1/x) * pv(1/x)"),
                                              list(REFERENCE_TEST_FUNCTIONS.values())),
-              [280, 560, 1088, 1508, 1340, 628]),
-    # a cancelling subtraction's check heights, cut short by a stall
+              [210, 420, 816, 1138, 1002, 470]),
+    # a cancelling subtraction's check heights, on [0, L], cut short by a stall
     "truncating": (lambda: _schedule(parse_expression("delta * delta * delta"),
                                      _cancelling("gauss", 2),
                                      DEFAULT_SCHEDULE.heights(CHECK_RATIO)),
-                   [94, 56, 24, 16, 8, 16, 28, 36, 60, 104, 160, 240, 388, 584, 944, 1488,
-                    2240]),
+                   [47, 28, 12, 8, 4, 8, 14, 18, 30, 52, 80, 120, 194, 292, 472, 744, 1120]),
 }
 
 
@@ -1085,6 +1088,125 @@ def test_schedule_work_count(monkeypatch, case):
         panels.clear()
         run()
         assert panels == want
+
+
+# ---------------------------------------------------------------------------
+# even pairings on [0, L]
+# ---------------------------------------------------------------------------
+
+_FOLDED_PRODUCTS = ("delta * delta", "pv(1/x) * pv(1/x)", "d(delta) * d(delta)",
+                    "delta * delta * delta * delta", "(x+i0)^-3 * (x-i0)^-3")
+_HALVED_CUTOFF = PlateauCutoff(0.5, 1.0)      # a job's second cutoff
+
+
+def _even_functions():
+    """exp(-x^2), exp(-x^2 / 8), and phibar and the cutoff change of
+    exp(-x^2) at p = 0 and p = 2, every one even."""
+    gauss = REFERENCE_TEST_FUNCTIONS["gauss"]
+    return {"gauss": gauss, "gauss_wide": REFERENCE_TEST_FUNCTIONS["gauss_wide"],
+            **{f"phibar p={p}": SubtractedFunction(gauss, DEFAULT_CUTOFF, p) for p in (0, 2)},
+            **{f"change p={p}": CutoffChange(gauss, DEFAULT_CUTOFF, _HALVED_CUTOFF, p)
+               for p in (0, 2)}}
+
+
+def _real_axis_quadrature(monkeypatch, expr, phi, heights, fold):
+    """The quadrature of expr against phi's schedules `heights` on the real
+    axis: on [0, L] with phi doubled (fold), or on [-L, L] with phi as it
+    is.  Returns its outcome per schedule and the panels it evaluated."""
+    panels = []
+    rule = pairing._panel_rule
+
+    def counting(f, a, *rest):
+        panels.append(len(a))
+        return rule(f, a, *rest)
+
+    with monkeypatch.context() as patch, np.errstate(over="ignore", invalid="ignore",
+                                                     divide="ignore"):
+        patch.setattr(pairing, "_panel_rule", counting)
+        out = pairing._adaptive_quadrature(
+            pairing._integrand(expr, [phi] * len(heights), None, [fold] * len(heights)),
+            heights, [pairing._initial_panels(expr, phi, ys, None, fold) for ys in heights],
+            DEFAULT_TOLERANCES.quad_abs)
+    return out, sum(panels)
+
+
+def _assert_folded_equals_full_line(monkeypatch, expr, phi, heights):
+    """The folded quadrature that _evaluate_schedules runs against the full
+    line: every value within 2e-15 * max(1, |I|), the same stall, from
+    exactly half the panels."""
+    assert pairing._folds(expr, phi, None)
+    folded, half = _real_axis_quadrature(monkeypatch, expr, phi, heights, True)
+    full, whole = _real_axis_quadrature(monkeypatch, expr, phi, heights, False)
+    assert 2 * half == whole
+    for (got, got_targets, got_failure), (want, want_targets, want_failure) in zip(folded, full):
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= 2e-15 * max(1.0, abs(w)) for g, w in zip(got, want))
+        assert got_targets == pytest.approx(want_targets, rel=1e-12)
+        assert str(got_failure) == str(want_failure)
+    # the production path runs exactly the folded quadrature
+    outcomes = pairing._evaluate_schedules(expr, [phi] * len(heights), heights,
+                                           DEFAULT_TOLERANCES)
+    for outcome, (values, targets, failure) in zip(outcomes, folded):
+        if isinstance(outcome, Exception):
+            assert str(outcome) == str(failure)
+        else:
+            assert outcome[1:] == (values, targets)
+    return folded
+
+
+@pytest.mark.parametrize("phi_name", list(_even_functions()))
+@pytest.mark.parametrize("text", _FOLDED_PRODUCTS)
+def test_even_pairing_folds_to_half_the_panels(monkeypatch, text, phi_name):
+    # an even kernel against an even function: at every main and check
+    # height the folded I(y) is the full line's, from half its panels
+    heights = [DEFAULT_SCHEDULE.heights(), DEFAULT_SCHEDULE.heights(CHECK_RATIO)]
+    folded = _assert_folded_equals_full_line(
+        monkeypatch, parse_expression(text), _even_functions()[phi_name], heights)
+    assert all(failure is None for *_, failure in folded)
+
+
+def test_odd_kernel_against_an_odd_phi_folds(monkeypatch):
+    # odd times odd is even too
+    expr = parse_expression("delta * d(delta)")
+    phi = TestFunction((0.0, 1.0), 1.0)
+    assert expr.parity == phi.parity == -1
+    _assert_folded_equals_full_line(monkeypatch, expr, phi, [DEFAULT_SCHEDULE.heights()])
+
+
+def test_folded_truncation_stalls_where_the_full_line_does(monkeypatch):
+    # delta^3 against a cancelling order-2 subtraction reaches the panel cap
+    # at its tenth check height: a folded row counts twice against the cap
+    # and in the stall message, so the schedule stops at the same height
+    # with the same text
+    expr = parse_expression("delta * delta * delta")
+    ys = DEFAULT_SCHEDULE.heights(CHECK_RATIO)
+    [(values, _, failure)] = _assert_folded_equals_full_line(
+        monkeypatch, expr, _cancelling("gauss", 2), [ys])
+    assert len(values) == failure.height == 9
+    assert str(failure) == ("quadrature stalled at height 9 (y = 5.08053e-06): "
+                            "error 8.161e-10 (target 1.000e-10, 3162 panels)")
+
+
+# every I(y) of the main schedule as a digest of its float.hex() parts,
+# recorded before even pairings were folded: none of these folds
+_UNFOLDED_PINS = [
+    ("delta * delta", "offset", "b2e54aa25e43aa8d"),            # phi with no parity
+    ("pv(1/x) * pv(1/x)", "tilted", "dab95c6f7891957c"),
+    ("d(delta) * d(delta)", "offset", "9dc93d520503736a"),
+    ("(x-i0)^-3", "gauss", "d0665ac21906a6cb"),                # on the line Im z = -sigma
+    ("(x+i0)^-1 * (x-i0)^-2", "gauss", "965ec3ff962013ee"),    # a kernel with no parity
+    ("delta * d(delta)", "gauss", "4e93e7ef81b93c8f"),         # a proved zero
+]
+
+
+@pytest.mark.parametrize("text, phi_name, digest", _UNFOLDED_PINS)
+def test_unfolded_pairings_keep_their_bits(text, phi_name, digest):
+    expr = parse_expression(text)
+    phi = REFERENCE_TEST_FUNCTIONS[phi_name]
+    assert not pairing._folds(expr, phi, pairing._line(expr, phi))
+    integrals = limit_pairing(expr, phi).integrals
+    parts = " ".join(f"{v.real.hex()},{v.imag.hex()}" for v in integrals)
+    assert hashlib.sha256(parts.encode()).hexdigest()[:16] == digest
 
 
 # ---------------------------------------------------------------------------
@@ -1245,8 +1367,8 @@ HIGHORDER_PRODUCTS = (
 
 
 def _ends(panels):
-    """Each height's initial panel ends, read off the columns (a, b, size)."""
-    a, b, size = panels
+    """Each height's initial panel ends, read off the columns (a, b, size, copies)."""
+    a, b, size, _ = panels
     assert len(a) == len(b) == size.sum()
     heights, stop = [], 0
     for n in size.tolist():
