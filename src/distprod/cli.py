@@ -232,17 +232,19 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
       1. every phi's pairing, in one ``limit_pairings`` batch, which refuses
          the job if the schedule cannot resolve a phi; the first phi whose
          pairing raises raises it, as phi after phi would;
-      2. the job's one subtraction order: ``p_override``, or else one
-         ``subtraction_order`` search if any pairing diverged (the search
-         pairs only reference functions and probes, so one outcome, the
-         order or the error it raised, serves every phi); with the order
-         fixed, a c_grid row of the wrong width, or whose counterterm sum on
-         a phi the order applies to is not finite, refuses the job;
-      3. (Tbar, phibar) of every phi that needs a subtraction, with the
+      2. the job's one subtraction order: ``p_override``, or else the
+         ``p`` of one ``subtraction_order`` search if any pairing diverged
+         (the search pairs only reference functions and probes, on its own
+         schedule, so one outcome, the order or the error it raised, serves
+         every phi); with the order fixed, a c_grid row of the wrong width,
+         or whose counterterm sum on a phi the order applies to is not
+         finite, refuses the job;
+      3. (Tbar, phibar) of every phi whose pairing diverged, with the
          shift a change to the halved cutoff gives it, in one
          ``evaluate_extensions`` batch: the shift is its cutoff-change
          pairing, or exactly 0 for a product supported at the origin.
-    One pass then builds each phi's report entry.
+    One pass then builds each phi's report entry; its ``needed`` says that
+    the phi diverged and was subtracted.
     """
     if tol is None:
         tol = _tolerances_from_env()
@@ -257,11 +259,10 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     diverged = [pairing.status == "diverged" for pairing in pairings]
 
     # a fixed p is subtracted from every phi that diverged
-    p, needed, search_error = job.p_override, True, None
+    p, search_error = job.p_override, None
     if p is None and any(diverged):
         try:
-            order = subtraction_order(expr, schedule=job.schedule, tol=tol)
-            p, needed = order.p, order.needed
+            p = subtraction_order(expr, tol=tol).p
         except (InconclusivePairingError, NotExtendableError, QuadratureError) as exc:
             search_error = str(exc)
     if p is not None:
@@ -270,7 +271,7 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
         _finite_counterterms(job.c_grid, [phi for phi, d in zip(phis, diverged)
                                           if job.p_override is not None or d])
 
-    subtracted = [phi for phi, d in zip(phis, diverged) if p is not None and needed and d]
+    subtracted = [phi for phi, d in zip(phis, diverged) if p is not None and d]
     continued = iter(evaluate_extensions(expr, p, subtracted, omegas, job.schedule, tol)
                      if subtracted else ())
 
@@ -285,8 +286,8 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
         elif search_error is not None:
             entry["subtraction"] = {"error": search_error}
         else:
-            entry["subtraction"] = {"p": p, "needed": needed and d}
-            if needed and d:
+            entry["subtraction"] = {"p": p, "needed": d}
+            if d:
                 outcome = next(continued)
             elif pairing.status == "converged":
                 # nothing subtracted: (Tbar, phibar) is the pairing itself, at any cutoff

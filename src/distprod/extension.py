@@ -282,7 +282,8 @@ def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule,
         elif pairing.status != "converged":
             why = ("the schedule does not resolve the cutoff shift"
                    if isinstance(function, CutoffChange) else
-                   f"the declared order p={p} is too small or the expression is outside scope")
+                   f"the declared order p={p} is too small, the schedule is too coarse, "
+                   f"or the expression is outside scope")
             values.append(ExtensionError(
                 f"{name} pairing for {expr.label!r} classified as {pairing.status}; {why}"))
         else:

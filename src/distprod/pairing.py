@@ -86,9 +86,9 @@ schedule beside their main one.  ``_classify`` alone decides which pairings
 read it, and the few it leaves undecided, for want of a check schedule,
 share a second quadrature.  A pairing proved to vanish runs no schedule.
 ``run_job`` batches its independent pairings this way, and
-``subtraction_order`` its search: one batch up to the order that the scaling
-degree bounds, then one per order, or the base alone when it is proved
-convergent.
+``subtraction_order`` its search, which runs on ``DEFAULT_SCHEDULE`` whatever
+a job's schedule is: one batch up to the order that the scaling degree
+bounds, then one per order, or the base alone when it is proved convergent.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -1179,7 +1179,7 @@ class SubtractionOrder:
     needed: bool
 
 
-def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHEDULE,
+def subtraction_order(expr: ProductExpression,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> SubtractionOrder:
     """Determine the subtraction order by direct search.
 
@@ -1188,6 +1188,10 @@ def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHE
     pairing of x^(p+1) T with that function) AND against every order-p
     vanishing probe.  Already convergent expressions, against the reference
     function itself (the base), return p=0 with needed=False.
+
+    The order is the product's, not a job's: every pairing of the search
+    runs on ``DEFAULT_SCHEDULE``, looked up when the search runs, which
+    resolves every reference function and probe.
 
     The entries are read in that order: the base, then for each p its
     boosted check and then its three probes; the first entry that did not
@@ -1203,14 +1207,9 @@ def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHE
     ``ProductExpression.converges_against`` proves convergent is paired
     alone first, and the rest of the first batch only if it does not
     converge after all.  The bound and the proof decide only what runs
-    together, never the answer.  Probes the schedule cannot resolve are left
-    to their own batch, which refuses them when it is reached, as a search
-    one pairing at a time would; a reference function or probe the schedule
-    cannot resolve is refused with a ValueError that names the search.
+    together, never the answer.
     """
     bound = min(_P_MAX, max(0, expr.scaling_degree - 2))
-    y_min = schedule.heights()[-1]
-    joined = all(REFERENCE_TEST_FUNCTIONS[name].sigma >= y_min for name in _PROBE_BASES)
     paired = {}         # test function -> its limit_pairings entry
 
     def probes(p):
@@ -1218,18 +1217,11 @@ def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHE
 
     def read(*phis):
         fresh = [phi for phi in phis if phi not in paired]
-        for phi in fresh:
-            try:
-                require_resolved(phi, schedule)
-            except ValueError as exc:
-                raise ValueError(f"the subtraction-order search needs a finer schedule "
-                                 f"or a fixed p: its reference {exc}") from None
         if fresh:
-            paired.update(zip(fresh, limit_pairings(expr, fresh, schedule, tol)))
+            paired.update(zip(fresh, limit_pairings(expr, fresh, DEFAULT_SCHEDULE, tol)))
         return [paired[phi] for phi in phis]
 
-    first = [*(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)),
-             *(probes(bound) if joined else ())]
+    first = [*(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)), *probes(bound)]
     # proved convergent: the base alone decides, unless it does not converge
     base, *_ = read(_GENERIC_PHI, *(() if expr.converges_against(_GENERIC_PHI) else first))
     if isinstance(base, Exception):
@@ -1238,17 +1230,13 @@ def subtraction_order(expr: ProductExpression, schedule: Schedule = DEFAULT_SCHE
         return SubtractionOrder(0, needed=False)
     if base.status == "inconclusive":
         raise InconclusivePairingError(
-            f"cannot classify {expr.label!r} before ordering subtraction", base
-        )
+            f"cannot classify {expr.label!r} before ordering subtraction", base)
     read(*first)        # the rest of the first batch, after a base paired alone
     for p in range(_P_MAX + 1):
-        ahead = probes(p) if joined and p > bound else ()
-        boosted, *_ = read(vanish_probe(p, _GENERIC_PHI), *ahead)
+        boosted, *_ = read(vanish_probe(p, _GENERIC_PHI), *(probes(p) if p > bound else ()))
         if _all_converged([boosted]) and _all_converged(read(*probes(p))):
             return SubtractionOrder(p, needed=True)
-    raise NotExtendableError(
-        f"no subtraction order <= {_P_MAX} tames {expr.label!r}"
-    )
+    raise NotExtendableError(f"no subtraction order <= {_P_MAX} tames {expr.label!r}")
 
 
 def _all_converged(results) -> bool:

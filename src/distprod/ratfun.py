@@ -15,6 +15,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def _power(z: np.ndarray, n: int) -> np.ndarray:
+    """z^n for n >= 1 by repeated squaring, in about 2 log2(n) array products.
+
+    The bits of n are read from the top, so z^2 is z * z and z^3 is
+    (z * z) * z, bit for bit the chain of n - 1 products in that order
+    (numpy's complex product is not bitwise commutative).
+    """
+    val = z
+    for bit in bin(n)[3:]:
+        val = val * val
+        if bit == "1":
+            val = val * z
+    return val
+
+
 class RationalFunction:
     """Single term coeff * z^power, an immutable value."""
 
@@ -28,17 +43,11 @@ class RationalFunction:
         z = np.asarray(z, dtype=complex)
         n = self.power
         if n > 0:
-            # ((c * z) * z) ... * z, the order Horner's rule multiplies in; reports
-            # are byte-stable only while the rounding of these products is kept
-            val = self.coeff * z
-            for _ in range(n - 1):
-                val = val * z
+            val = self.coeff * _power(z, n)
         elif n < 0:
-            # c / (z * ... * z), not c * z**n, for the same reason
-            zk = z
-            for _ in range(-n - 1):
-                zk = zk * z
-            val = self.coeff / zk
+            # c / z^|n|, not c * z**n: reports are byte-stable only while the
+            # rounding of these products is kept
+            val = self.coeff / _power(z, -n)
         else:
             val = np.full(z.shape, self.coeff)
         if val.ndim == 0:

@@ -281,6 +281,23 @@ class TestRunJob:
             assert res["subtraction"] == order
             assert "classified as inconclusive" in error
 
+    def test_diverged_phi_is_subtracted_at_the_order_found(self, monkeypatch):
+        # run_job reads only the search's p: a phi whose pairing diverged is
+        # subtracted at that order whatever else the search says
+        want = run_job(Job(expression="delta * delta"))["results"][0]
+        monkeypatch.setattr(cli, "subtraction_order",
+                            lambda *args, **kwargs: pairing.SubtractionOrder(0, needed=False))
+        res = run_job(Job(expression="delta * delta"))["results"][0]
+        assert res["subtraction"] == {"p": 0, "needed": True}
+        assert res == want and len(res["extensions"]) == 1
+
+    @pytest.mark.parametrize("steps", [8, 12, 16])
+    def test_order_does_not_depend_on_the_schedule(self, steps):
+        # the order is delta^3's wherever the job's heights stop; 2, not the
+        # exact 0, is ROADMAP item 8's false convergence on every schedule
+        report = run_job(Job(expression="delta * delta * delta", schedule=Schedule(count=steps)))
+        assert report["results"][0]["subtraction"]["p"] == 2
+
     def test_failing_cutoff_change_keeps_the_order(self, monkeypatch):
         # the cutoff change's pairing stalls on NaN values: its error is the
         # job's, with the order kept
@@ -301,7 +318,8 @@ class TestRunJob:
         res = run_job(Job(expression="pv(1/x) * pv(1/x)"))["results"][0]
         assert res["subtraction"] == {"p": 0, "needed": True, "error": (
             "subtracted pairing for 'pv(1/x) * pv(1/x)' classified as diverged; the "
-            "declared order p=0 is too small or the expression is outside scope")}
+            "declared order p=0 is too small, the schedule is too coarse, or the "
+            "expression is outside scope")}
 
     def test_stalled_subtraction_is_named(self, monkeypatch):
         # a NaN phibar stalls the subtracted pairing at its first height: the
@@ -643,24 +661,35 @@ class TestMain:
         [line] = done.stderr.splitlines()
         assert line.startswith("distprod: error: quadrature stalled")
 
-    def test_coarse_schedule_refusal_names_the_search(self, capsys):
-        # the schedule resolves the job's phi (sigma 5) but not the search's
-        # reference function (sigma 1): the error says so, not that the
-        # user's test function is too narrow
-        job = Job("delta * delta", phis=[{"poly": [1], "sigma": 5}],
-                  schedule=Schedule(y0=96, count=6))
-        with pytest.raises(ValueError, match="subtraction-order search needs a finer "
-                                             "schedule or a fixed p"):
-            run_job(job)
-        code = main(["--expr", "delta * delta", "--phi", '{"poly": [1], "sigma": 5}',
-                     "--y0", "96", "--steps", "6"])
-        assert code == 2
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("distprod: error: the subtraction-order search needs")
-        assert "sigma 1.0" in line and "smallest height 3.0" in line
-        # a fixed p runs no search: the job reports
-        job.p_override = 0
-        assert run_job(job)["results"][0]["subtraction"]["p"] == 0
+    @pytest.mark.parametrize("flags", [
+        ["--ratio", "0.8", "--steps", "6"],
+        ["--y0", "30", "--steps", "6", "--phi", '{"poly": [1], "sigma": 2}'],
+        ["--y0", "96", "--steps", "6", "--phi", '{"poly": [1], "sigma": 5}'],
+    ])
+    def test_coarse_schedule_keeps_the_order(self, capsys, flags):
+        # the search runs on the default schedule, so a schedule that cannot
+        # resolve its reference functions (sigma 1 below 3.0 at y0 96) or
+        # settle them (ratio 0.8, y0 30) still reports delta^2's order 0;
+        # the job's own continuation is what these schedules cannot settle
+        code = main(["--expr", "delta * delta", *flags])
+        assert code == 0
+        [res] = json.loads(capsys.readouterr().out)["results"]
+        assert res["pairing"]["status"] == "diverged"
+        assert {k: res["subtraction"][k] for k in ("p", "needed")} == {"p": 0, "needed": True}
+        assert "p=0 is too small, the schedule is too coarse" in res["subtraction"]["error"]
+        # a fixed p runs no search: the job reports the same order
+        code = main(["--expr", "delta * delta", "--p", "0", *flags])
+        assert code == 0
+        [fixed] = json.loads(capsys.readouterr().out)["results"]
+        assert fixed == res
+
+    def test_huge_pole_order_stalls_quickly(self):
+        # z^(10^10) is 43 array products by repeated squaring, not 10^10 - 1:
+        # the kernel overflows and the first height stalls
+        done = _python("-m", "distprod.cli", "--expr", "(x+i0)^-10000000000", timeout=30)
+        assert done.returncode == 2, done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("distprod: error: quadrature stalled at height 0")
 
 
 # Six heights at ratio 0.8 reach only y = 0.033, where this pairing neither
@@ -669,11 +698,11 @@ INCONCLUSIVE = {"expression": "(x+i0)^-1 * (x+i0)^-1",
                 "schedule": Schedule(count=6, ratio=0.8)}
 
 
-def _python(*args):
+def _python(*args, timeout=300):
     """A fresh interpreter run with args, importing distprod from src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+                          env=dict(os.environ, PYTHONPATH=src), timeout=timeout)
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "delta_pv_report.json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from distprod.ratfun import RationalFunction
+from distprod.ratfun import RationalFunction, _power
 
 
 def test_constant():
@@ -20,14 +20,35 @@ def test_simple_pole_evaluation():
 
 
 def test_laurent_evaluation():
-    """Powers are left-to-right products, poles a division by z * ... * z."""
+    """c times z^n for a power, c divided by z^|n| for a pole; z^3 is (z * z) * z."""
     z = np.array([0.6 - 1.1j, -2.5 + 0.3j, 1e-4 + 1e-7j])
     up = RationalFunction(0.5, 3)(z)
-    assert up.tobytes() == ((((0.5 + 0j) * z) * z) * z).tobytes()
+    assert up.tobytes() == ((0.5 + 0j) * ((z * z) * z)).tobytes()
     down = RationalFunction(2.0 - 1.0j, -3)(z)
     assert down.tobytes() == ((2.0 - 1.0j) / ((z * z) * z)).tobytes()
     assert RationalFunction(0.5, 3).power == 3
     assert RationalFunction(1.0, -3).order == 3 and RationalFunction(1.0, -3).power == -3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_power_is_the_product_chain_for_small_orders(n):
+    # repeated squaring multiplies z * z, then (z * z) * z: the chain's order
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+    chain = z
+    for _ in range(n - 1):
+        chain = chain * z
+    assert _power(z, n).tobytes() == chain.tobytes()
+    assert RationalFunction(2.0 - 1.0j, -n)(z).tobytes() == ((2.0 - 1.0j) / chain).tobytes()
+
+
+def test_huge_power_by_repeated_squaring():
+    # 2^40 + 3 in 40 squarings and 2 products, not 2^40 + 2 products; the
+    # fourth roots of unity multiply exactly, and 1.5 overflows
+    z = np.array([1.0, -1.0, 1j, -1j])
+    assert np.array_equal(_power(z, 2**40 + 3), z**3)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(_power(np.array([1.5 + 0j]), 2**40)).any()
 
 
 def test_derivative_of_inverse():
