@@ -17,6 +17,7 @@ from .boundary import (
     required_order,
     verify_growth_bound,
 )
+from .expression import ParseError, ProductExpression, parse_expression
 from .extension import (
     ExtensionError,
     FactorizationReport,
@@ -29,8 +30,6 @@ from .pairing import (
     InconclusivePairingError,
     NotExtendableError,
     PairingResult,
-    ParseError,
-    ProductExpression,
     QuadratureError,
     RingCheckReport,
     Schedule,
@@ -38,7 +37,6 @@ from .pairing import (
     Tolerances,
     limit_pairing,
     pair_at_y,
-    parse_expression,
     require_resolved,
     ring_axiom_check,
     subtraction_order,

@@ -1,6 +1,6 @@
 """Command-line front end: job running and JSON reports.
 
-A job names a product expression (parsed by ``pairing.parse_expression``),
+A job names a product expression (parsed by ``expression.parse_expression``),
 its test functions, a height schedule and a cutoff.  Reports are single JSON
 documents, written atomically, with fixed key order and no timestamps:
 identical jobs produce byte-identical output.  Exit code 0 covers every
@@ -20,6 +20,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
+from .expression import parse_expression
 from .extension import counterterm_value, evaluate_extensions
 from .pairing import (
     DEFAULT_SCHEDULE,
@@ -31,7 +32,6 @@ from .pairing import (
     Schedule,
     Tolerances,
     limit_pairings,
-    parse_expression,
     subtraction_order,
 )
 from .testfn import (

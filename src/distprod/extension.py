@@ -52,10 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expression import ProductExpression
 from .pairing import (
     DEFAULT_SCHEDULE,
     DEFAULT_TOLERANCES,
-    ProductExpression,
     QuadratureError,
     Schedule,
     Tolerances,

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from distprod.boundary import catalog
-from distprod.pairing import ProductExpression
+from distprod.expression import ProductExpression
 from distprod.testfn import TestFunction
 
 

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from distprod import cli, extension, pairing
 from distprod.cli import (
@@ -18,171 +17,8 @@ from distprod.cli import (
     main,
     run_job,
 )
-from distprod.pairing import NotExtendableError, ParseError, Schedule, parse_expression
-
-
-class TestParser:
-    def test_two_factors(self):
-        expr = parse_expression("delta * pv(1/x)")
-        assert [f.label for f in expr.factors] == ["delta", "pv(1/x)"]
-        assert expr.powers == (0, 0)
-
-    def test_power_folds_into_next_factor(self):
-        expr = parse_expression("x^2 * delta * delta")
-        assert [f.label for f in expr.factors] == ["delta", "delta"]
-        assert expr.powers == (2, 0)
-        assert expr.total_power == 2
-
-    def test_repeated_one_sided_powers(self):
-        expr = parse_expression("(x+i0)^-1 * (x+i0)^-1")
-        assert len(expr.factors) == 2
-        assert all(f.label == "(x+i0)^-1" for f in expr.factors)
-
-    def test_minus_side_and_parameter(self):
-        expr = parse_expression("(x-i0)^-3")
-        assert expr.factors[0].label == "(x-i0)^-3"
-
-    def test_unity_atom(self):
-        expr = parse_expression("1 * delta")
-        assert [f.label for f in expr.factors] == ["1", "delta"]
-
-    def test_derivative_atom(self):
-        expr = parse_expression("d(delta)")
-        assert expr.factors[0].label == "d(delta)"
-
-    def test_nested_derivative(self):
-        expr = parse_expression("d(d(pv(1/x)))")
-        assert expr.factors[0].label == "d(d(pv(1/x)))"
-
-    def test_deep_nesting_parses(self):
-        # far past the interpreter's recursion limit; every derivative of 1
-        # is the zero pair, whose coefficient stays finite
-        text = "d(" * 5000 + "1" + ")" * 5000
-        [pair] = parse_expression(text).factors
-        assert pair.label == text
-        assert pair.f_plus.is_zero and pair.f_minus.is_zero
-
-    def test_trailing_power_becomes_monomial(self):
-        expr = parse_expression("delta * x^2")
-        assert [f.label for f in expr.factors] == ["delta", "x^2"]
-        assert expr.powers == (0, 0)
-
-    def test_consecutive_powers_accumulate(self):
-        expr = parse_expression("x^1 * x^2 * delta")
-        assert expr.powers == (3,)
-
-    def test_whitespace_insensitive(self):
-        a = parse_expression("x^2*delta*pv(1/x)")
-        b = parse_expression("  x^2 * delta   *  pv(1/x) ")
-        assert a == b
-
-    def test_pure_monomial(self):
-        expr = parse_expression("x^3")
-        assert expr.factors[0].label == "x^3"
-
-
-class TestParseErrors:
-    def test_unknown_input_offset(self):
-        with pytest.raises(ParseError) as err:
-            parse_expression("delta * heaviside")
-        assert err.value.offset == 8
-
-    def test_double_star(self):
-        with pytest.raises(ParseError) as err:
-            parse_expression("delta ** delta")
-        assert err.value.offset == 7
-
-    def test_trailing_star(self):
-        with pytest.raises(ParseError):
-            parse_expression("delta * ")
-
-    def test_missing_closing_paren(self):
-        with pytest.raises(ParseError):
-            parse_expression("d(delta")
-
-    def test_nested_missing_closing_paren_offset(self):
-        with pytest.raises(ParseError, match="expected '\\)'") as err:
-            parse_expression("d(d(delta) * delta")
-        assert err.value.offset == 11
-
-    def test_zero_inverse_power(self):
-        with pytest.raises(ParseError):
-            parse_expression("(x+i0)^-0")
-
-    def test_empty_expression(self):
-        with pytest.raises(ParseError):
-            parse_expression("")
-
-    def test_overflowing_derivative_refused_at_its_opener(self):
-        # d^170 of delta has the coefficient 170!/(2 pi) = 1.2e306; d^171
-        # overflows, and the 'd(' that takes it is named
-        deep = parse_expression("d(" * 170 + "delta" + ")" * 170).factors[0]
-        assert deep.f_plus.coeff == pytest.approx(math.factorial(170) / (2 * math.pi) * 1j)
-        for depth, offset in ((171, 0), (172, 2), (5000, 2 * (5000 - 171))):
-            with pytest.raises(ParseError, match="derivative coefficient is not finite") as err:
-                parse_expression("d(" * depth + "delta" + ")" * depth)
-            assert err.value.offset == offset
-        # a pole order past the largest double overflows the first derivative
-        with pytest.raises(ParseError, match="not finite") as err:
-            parse_expression("delta * d((x-i0)^-" + "9" * 400 + ")")
-        assert err.value.offset == 8
-
-    def test_missing_separator(self):
-        with pytest.raises(ParseError) as err:
-            parse_expression("delta delta")
-        assert err.value.offset == 6
-
-    @pytest.mark.parametrize("text, message, offset", [
-        # the whole text is scanned first: an unrecognized token is reported
-        # before the missing '*' in front of it
-        ("delta delta %", "unrecognized input '%'", 12),
-        ("\tdelta * heaviside", "unrecognized input 'heaviside'", 9),
-        ("", "expected a factor", 0),
-        ("delta * ", "expected a factor", 8),
-        ("delta delta", "expected '*' between factors", 6),
-        ("d(", "unexpected end of expression", 2),
-        ("d(delta", "unexpected end of expression", 7),
-        ("d(d(delta) * delta", "expected ')' after derivative atom", 11),
-        ("* delta", "expected an atom, found STAR", 0),
-        ("d(x^2)", "expected an atom, found XPOW", 2),
-        ("x^2 * )", "expected an atom, found RPAREN", 6),
-        ("(x-i0)^-0", "atom 'minus_i0_pow' requires an integer parameter >= 1, got 0", 0),
-        # past Python's 4300-digit limit for int(): refused at the token
-        pytest.param("x^" + "1" * 5000 + " * delta",
-                     "integer parameter of 5000 digits is too large", 0, id="x^<5000 digits>"),
-        pytest.param("delta * (x+i0)^-" + "9" * 4301,
-                     "integer parameter of 4301 digits is too large", 8,
-                     id="(x+i0)^-<4301 digits>"),
-    ])
-    def test_error_message_and_offset(self, text, message, offset):
-        with pytest.raises(ParseError) as err:
-            parse_expression(text)
-        assert str(err.value) == f"{message} (byte offset {offset})"
-        assert err.value.offset == offset
-
-
-_ATOM = st.sampled_from([
-    "delta", "pv(1/x)", "(x+i0)^-1", "(x+i0)^-2", "(x-i0)^-1", "1",
-    "d(delta)", "d(pv(1/x))", "d(d(delta))",
-])
-_TERM = st.one_of(_ATOM, st.integers(1, 3).map(lambda k: f"x^{k}"))
-
-
-@settings(max_examples=80)
-@given(st.lists(_TERM, min_size=1, max_size=5))
-def test_round_trip_parse_print_parse(terms):
-    text = " * ".join(terms)
-    first = parse_expression(text)
-    printed = first.label
-    second = parse_expression(printed)
-    assert first == second
-    assert second.label == printed
-
-
-def test_format_canonical_examples():
-    assert parse_expression("x^2*delta").label == "x^2 * delta"
-    assert parse_expression("delta * x^2").label == "delta * x^2"
-    assert parse_expression("x^0 * delta").label == "delta"
+from distprod.expression import parse_expression
+from distprod.pairing import NotExtendableError, Schedule
 
 
 class TestDescriptors:
@@ -532,6 +368,21 @@ class TestMain:
             code = _run_job_file(tmp_path, {"expression": "delta * delta", "steps": 5})
         assert code == 2
         assert "count must be >= 6, got 5" in capsys.readouterr().err
+
+    def test_underflowing_schedule_exit_two(self, capsys):
+        # the check schedule's smallest height underflows: refused with one
+        # error line naming the count, before any height is built
+        code = main(["--expr", "delta", "--steps", "700"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("distprod: error: count 700 ") and err.count("\n") == 1
+
+    def test_x_to_the_zero_is_one(self, capsys):
+        code = main(["--expr", "x^0"])
+        assert code == 0
+        res = json.loads(capsys.readouterr().out)
+        assert res["normalized"] == "1"
+        assert res["results"][0]["pairing"]["value"][0] == pytest.approx(math.sqrt(math.pi))
 
     def test_parse_error_exit_two(self, capsys):
         code = main(["--expr", "delta @ delta"])

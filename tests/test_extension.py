@@ -10,6 +10,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from distprod.boundary import catalog
 from distprod.cli import Job, run_job
+from distprod.expression import ProductExpression, parse_expression
 from distprod.extension import (
     ExtensionError,
     SubtractedFunction,
@@ -20,10 +21,8 @@ from distprod.extension import (
 from distprod import extension, pairing, testfn
 from distprod.pairing import (
     DEFAULT_TOLERANCES,
-    ProductExpression,
     limit_pairing,
     pair_at_y,
-    parse_expression,
 )
 from distprod.testfn import (
     PlateauCutoff,

@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import sys
 import warnings
 
 import mpmath
@@ -20,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 from distprod import pairing
 from distprod.boundary import HyperfunctionPair, RegulatorError, catalog
 from distprod.cli import Job, run_job
+from distprod.expression import ProductExpression, parse_expression
 from distprod.extension import CutoffChange, SubtractedFunction, evaluate_extension
 from distprod.pairing import (
     CHECK_RATIO,
@@ -29,14 +31,12 @@ from distprod.pairing import (
     InconclusivePairingError,
     NotExtendableError,
     PairingResult,
-    ProductExpression,
     QuadratureError,
     Schedule,
     SubtractionOrder,
     Tolerances,
     limit_pairing,
     pair_at_y,
-    parse_expression,
     ring_axiom_check,
     subtraction_order,
 )
@@ -229,6 +229,22 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match=f"count must be >= {MIN_HEIGHTS}, got {count}"):
             Schedule(count=count)
 
+    @pytest.mark.parametrize("count", [700, 10**9])
+    def test_underflowing_schedule_refused(self, count):
+        # the check schedule's smallest height 0.1 / 3^(count - 1) is below
+        # the smallest normal double; refused before any height is built
+        with pytest.raises(ValueError, match=f"count {count} takes the smallest height"):
+            Schedule(count=count)
+
+    @pytest.mark.parametrize("ratio, last", [(0.5, 643), (0.8, 643), (0.2, 439)])
+    def test_longest_schedule_keeps_every_height_normal(self, ratio, last):
+        # the bound reads the smaller ratio, the check schedule's 1/3 unless
+        # the schedule's own is smaller: one more height would be subnormal
+        schedule = Schedule(count=last, ratio=ratio)
+        assert min(schedule.heights() + schedule.heights(CHECK_RATIO)) >= sys.float_info.min
+        with pytest.raises(ValueError, match=f"count {last + 1} takes the smallest height"):
+            Schedule(count=last + 1, ratio=ratio)
+
 
 class TestDivergenceOrder:
     def test_monomial_damping_law(self, gauss):
@@ -256,20 +272,6 @@ _ORDERS = {
     (4, True): ["(x+i0)^-3 * (x-i0)^-3", "d(d(delta)) * d(d(delta))"],
     InconclusivePairingError: ["x^1 * delta * delta * delta"],
     QuadratureError: ["(x+i0)^-400"],
-}
-# their scaling degrees
-_SCALING_DEGREES = {
-    0: ["1", "x^1 * delta", "x^2 * delta * delta"],
-    1: ["delta", "pv(1/x)"],
-    2: ["delta * pv(1/x)", "(x+i0)^-1 * (x+i0)^-1", "(x-i0)^-1 * (x-i0)^-1",
-        "(x+i0)^-1 * (x-i0)^-1", "delta * delta", "pv(1/x) * pv(1/x)",
-        "(x-i0)^-2 * x^2 * d(delta)", "x^1 * delta * delta * delta"],
-    3: ["delta * d(delta)", "delta * delta * delta"],
-    4: ["d(delta) * d(delta)", "delta * delta * delta * delta",
-        "pv(1/x) * pv(1/x) * pv(1/x) * pv(1/x)"],
-    5: ["d(delta) * d(delta) * delta", "d(d(delta)) * d(delta)"],
-    6: ["d(delta) * d(delta) * d(delta)", "(x+i0)^-3 * (x-i0)^-3", "d(d(delta)) * d(d(delta))"],
-    400: ["(x+i0)^-400"],
 }
 # the sizes of the limit_pairings batches that subtraction_order runs for
 # each order found; every other row of _ORDERS pairs its base alone, [1]
@@ -343,22 +345,24 @@ class TestRingAxioms:
 
     def test_commutativity_two_factors(self, odd_gauss):
         a = ProductExpression((catalog("delta"), catalog("pv_inv_x")))
-        b = a.permuted((1, 0))
+        b = ProductExpression((catalog("pv_inv_x"), catalog("delta")))
         rep = ring_axiom_check(a, b, odd_gauss, 0.1)
         assert rep.ok and rep.difference <= rep.tolerance
 
     def test_unity_padding(self, gauss):
         a = ProductExpression((catalog("delta"),))
-        rep = ring_axiom_check(a, a.padded_with_unity(), gauss, 0.1)
+        rep = ring_axiom_check(a, ProductExpression((catalog("one"), catalog("delta"))), gauss, 0.1)
         assert rep.ok
 
     def test_three_factor_rearrangements(self, gauss):
         base = ProductExpression(self.THREE)
         for y in (0.1, 0.01):
             for order in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-                rep = ring_axiom_check(base, base.permuted(order), gauss, y)
+                other = ProductExpression(tuple(self.THREE[i] for i in order))
+                rep = ring_axiom_check(base, other, gauss, y)
                 assert rep.ok, f"order {order} at y={y}: diff {rep.difference}"
-            rep = ring_axiom_check(base, base.padded_with_unity(2), gauss, y)
+            padded = ProductExpression((*self.THREE[:2], catalog("one"), self.THREE[2]))
+            rep = ring_axiom_check(base, padded, gauss, y)
             assert rep.ok
 
     def test_mismatched_multisets_rejected(self, gauss):
@@ -372,46 +376,6 @@ class TestRingAxioms:
         b = ProductExpression((catalog("delta"),), (2,))
         with pytest.raises(ValueError):
             ring_axiom_check(a, b, gauss, 0.1)
-
-
-class TestProductExpression:
-    def test_needs_a_factor(self):
-        with pytest.raises(ValueError):
-            ProductExpression(())
-
-    def test_power_bookkeeping(self):
-        expr = ProductExpression((catalog("delta"), catalog("one")), (2, 1))
-        assert expr.total_power == 3
-        assert expr.with_extra_power(2).total_power == 5
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            ProductExpression((catalog("delta"),), (-1,))
-
-    @pytest.mark.parametrize("depth", range(7))
-    @pytest.mark.parametrize("atom, sd", [
-        ("delta", 1), ("pv(1/x)", 1), ("(x+i0)^-1", 1), ("(x-i0)^-1", 1),
-        ("(x+i0)^-3", 3), ("(x-i0)^-2", 2), ("1", 0)])
-    def test_scaling_degree_of_atoms(self, atom, sd, depth):
-        # each derivative lowers the shared power by one; every derivative of
-        # 1 is the zero pair, which counts 0
-        text = "d(" * depth + atom + ")" * depth
-        want = sd + depth if atom != "1" else 0
-        assert parse_expression(text).scaling_degree == want
-        # the prefactor power lowers it, and a trailing x^r is a factor of power r
-        assert parse_expression(f"x^2 * {text}").scaling_degree == want - 2
-        assert parse_expression(f"{text} * x^3").scaling_degree == want - 3
-
-    @pytest.mark.parametrize("text, sd", [
-        (text, sd) for sd, texts in _SCALING_DEGREES.items() for text in texts])
-    def test_scaling_degree_of_the_catalog(self, text, sd):
-        assert parse_expression(text).scaling_degree == sd
-
-    def test_label_round_trips_structure(self):
-        expr = ProductExpression(
-            (catalog("delta"), catalog("pv_inv_x")), (2, 0)
-        )
-        assert expr.label == "x^2 * delta * pv(1/x)"
 
 
 def test_tolerances_env_scaling():
@@ -1292,39 +1256,6 @@ def test_balanced_one_sided_product_is_a_parity_zero():
     assert result.status == "converged"
     assert result.value == 0j and result.check_value == 0j
     assert result.integrals == (0j,) * DEFAULT_SCHEDULE.count
-
-
-@pytest.mark.parametrize("text, want", [
-    ("(x+i0)^-1 * (x-i0)^-1", 1),
-    ("(x+i0)^-2 * (x-i0)^-2", 1),
-    ("x^1 * (x+i0)^-1 * (x-i0)^-1", -1),
-    ("(x+i0)^-1 * (x+i0)^-1 * (x-i0)^-2", 1),
-    ("d((x+i0)^-1) * (x-i0)^-2", 1),
-    ("delta * (x-i0)^-3 * (x+i0)^-3", 1),
-    ("d(delta) * (x+i0)^-1 * (x-i0)^-1", -1),
-    ("(x+i0)^-1", None),
-    ("(x+i0)^-1 * (x+i0)^-1", None),
-    ("(x+i0)^-1 * (x-i0)^-2", None),
-    ("d(delta) * (x+i0)^-1", None),
-])
-def test_product_parity(text, want):
-    # the one-sided factors have a joint parity, +1, when their (+)-side and
-    # (-)-side powers sum to the same; checked on the kernel's values
-    expr = parse_expression(text)
-    assert expr.parity == want
-
-    def kernel(x, y):
-        value = x**expr.total_power
-        for pair in expr.factors:
-            value = value * pair.regulated(x, y)
-        return value
-
-    x = np.linspace(0.2, 2.0, 10)
-    for y in (1.0, 0.1, 1e-3):
-        plus, minus = kernel(x, y), kernel(-x, y)
-        even = np.allclose(minus, plus, rtol=1e-12, atol=0.0)
-        odd = np.allclose(minus, -plus, rtol=1e-12, atol=0.0)
-        assert (even, odd) == (want == 1, want == -1)
 
 
 def test_targets_bound_the_noise_of_an_exact_zero():
