@@ -27,13 +27,11 @@ from .extension import (
     factorization_identity_check,
 )
 from .pairing import (
-    InconclusivePairingError,
     NotExtendableError,
     PairingResult,
     QuadratureError,
     RingCheckReport,
     Schedule,
-    SubtractionOrder,
     Tolerances,
     limit_pairing,
     pair_at_y,

@@ -26,7 +26,6 @@ from .pairing import (
     DEFAULT_SCHEDULE,
     DEFAULT_TOLERANCES,
     MIN_HEIGHTS,
-    InconclusivePairingError,
     NotExtendableError,
     QuadratureError,
     Schedule,
@@ -233,7 +232,7 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
          the job if the schedule cannot resolve a phi; the first phi whose
          pairing raises raises it, as phi after phi would;
       2. the job's one subtraction order: ``p_override``, or else the
-         ``p`` of one ``subtraction_order`` search if any pairing diverged
+         order one ``subtraction_order`` search returns if any pairing diverged
          (the search pairs only reference functions and probes, on its own
          schedule, so one outcome, the order or the error it raised, serves
          every phi); with the order fixed, a c_grid row of the wrong width,
@@ -249,8 +248,12 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     if tol is None:
         tol = _tolerances_from_env()
     expr = parse_expression(job.expression)
-    omegas = (PlateauCutoff(job.plateau, job.support),
-              PlateauCutoff(job.plateau / 2.0, job.support / 2.0))
+    omega = PlateauCutoff(job.plateau, job.support)
+    try:
+        omegas = omega, PlateauCutoff(job.plateau / 2.0, job.support / 2.0)
+    except ValueError as exc:
+        raise ConfigError(f"the cutoff check halves the cutoff plateau={omega.plateau}, "
+                          f"support={omega.support}: {exc}") from None
     phis = [_phi_from_descriptor(desc) for desc in job.phis]
     pairings = limit_pairings(expr, phis, job.schedule, tol)
     for pairing in pairings:
@@ -262,8 +265,8 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     p, search_error = job.p_override, None
     if p is None and any(diverged):
         try:
-            p = subtraction_order(expr, tol=tol).p
-        except (InconclusivePairingError, NotExtendableError, QuadratureError) as exc:
+            p = subtraction_order(expr, tol=tol)
+        except (NotExtendableError, QuadratureError) as exc:
             search_error = str(exc)
     if p is not None:
         _cgrid_rows(job.c_grid, p)

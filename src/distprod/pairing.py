@@ -87,7 +87,7 @@ share a second quadrature.  A pairing proved to vanish runs no schedule.
 ``run_job`` batches its independent pairings this way, and
 ``subtraction_order`` its search, which runs on ``DEFAULT_SCHEDULE`` whatever
 a job's schedule is: one batch up to the order that the scaling degree
-bounds, then one per order, or the base alone when it is proved convergent.
+bounds, then one per order.
 
 Extrapolation is a Richardson tableau on the geometric schedule: level j
 removes the y^j error term.  Catalog products approach their limits with
@@ -167,14 +167,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, height: int):
         super().__init__(message)
         self.height = height
-
-
-class InconclusivePairingError(RuntimeError):
-    """A pairing could not be classified; carries the raw PairingResult."""
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
 
 
 class NotExtendableError(RuntimeError):
@@ -858,50 +850,39 @@ def _leading_coefficient(ys, integrals, s: float, ratio: float) -> complex:
 # ---------------------------------------------------------------------------
 
 # An even phi is blind to products whose divergent part is odd (the integrand
-# is exactly odd and every I(y) exactly 0), so order determination
-# classifies against an off-center function with no parity zeros.
+# is exactly odd and every I(y) exactly 0), so the boosted check pairs
+# x^(p+1) times an off-center function with no parity zeros.
 _GENERIC_PHI = REFERENCE_TEST_FUNCTIONS["offset"]
 _PROBE_BASES = ("gauss", "gauss_wide", "tilted")
 # The subtraction-order search's cap: no order above it is tried.
 _P_MAX = 6
 
 
-@dataclass(frozen=True)
-class SubtractionOrder:
-    """Smallest workable Taylor order; needed=False means none was required."""
-
-    p: int
-    needed: bool
-
-
 def subtraction_order(expr: ProductExpression,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> SubtractionOrder:
-    """Determine the subtraction order by direct search.
+                      tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+    """The smallest Taylor order p whose subtraction tames expr, by direct search.
 
     A candidate p qualifies when the expression converges against
     x^(p+1) times a parity-free reference function (the boosted check, the
     pairing of x^(p+1) T with that function) AND against every order-p
-    vanishing probe.  Already convergent expressions, against the reference
-    function itself (the base), return p=0 with needed=False.
+    vanishing probe.  Whether a phi needs subtracting at all is its own
+    pairing's status; a convergent product gets 0, as its order-0 boosted
+    check and probes all converge.
 
     The order is the product's, not a job's: every pairing of the search
     runs on ``DEFAULT_SCHEDULE``, looked up when the search runs, which
     resolves every reference function and probe.
 
-    The entries are read in that order: the base, then for each p its
-    boosted check and then its three probes; the first entry that did not
-    converge ends its order, and a QuadratureError met before it is raised.
-    Each test function's entry is kept once paired, and a read pairs the
-    ones not yet paired in one ``limit_pairings`` batch.  The batches are
-    sized by the a-priori bound p <= sd - 2
-    (``ProductExpression.scaling_degree``), capped at _P_MAX: the first
-    holds the base, the boosted check of every order up to the bound and
+    The entries are read in order, for each p its boosted check and then its
+    three probes; the first entry that did not converge ends its order, and
+    a QuadratureError met before it is raised.  Each test function's entry
+    is kept once paired, and a read pairs the ones not yet paired in one
+    ``limit_pairings`` batch.  The batches are sized by the a-priori bound
+    p <= sd - 2 (``ProductExpression.scaling_degree``), capped at _P_MAX:
+    the first holds the boosted check of every order up to the bound and
     the probes of the bound's order; an order below the bound whose boosted
     check converged pairs its probes alone, and an order past it pairs its
-    boosted check with its probes.  A base that
-    ``ProductExpression.converges_against`` proves convergent is paired
-    alone first, and the rest of the first batch only if it does not
-    converge after all.  The bound and the proof decide only what runs
+    boosted check with its probes.  The bound decides only what runs
     together, never the answer.
     """
     bound = min(_P_MAX, max(0, expr.scaling_degree - 2))
@@ -916,21 +897,11 @@ def subtraction_order(expr: ProductExpression,
             paired.update(zip(fresh, limit_pairings(expr, fresh, DEFAULT_SCHEDULE, tol)))
         return [paired[phi] for phi in phis]
 
-    first = [*(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)), *probes(bound)]
-    # proved convergent: the base alone decides, unless it does not converge
-    base, *_ = read(_GENERIC_PHI, *(() if expr.converges_against(_GENERIC_PHI) else first))
-    if isinstance(base, Exception):
-        raise base
-    if base.status == "converged":
-        return SubtractionOrder(0, needed=False)
-    if base.status == "inconclusive":
-        raise InconclusivePairingError(
-            f"cannot classify {expr.label!r} before ordering subtraction", base)
-    read(*first)        # the rest of the first batch, after a base paired alone
+    read(*(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)), *probes(bound))
     for p in range(_P_MAX + 1):
         boosted, *_ = read(vanish_probe(p, _GENERIC_PHI), *(probes(p) if p > bound else ()))
         if _all_converged([boosted]) and _all_converged(read(*probes(p))):
-            return SubtractionOrder(p, needed=True)
+            return p
     raise NotExtendableError(f"no subtraction order <= {_P_MAX} tames {expr.label!r}")
 
 

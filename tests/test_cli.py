@@ -118,11 +118,10 @@ class TestRunJob:
             assert "classified as inconclusive" in error
 
     def test_diverged_phi_is_subtracted_at_the_order_found(self, monkeypatch):
-        # run_job reads only the search's p: a phi whose pairing diverged is
-        # subtracted at that order whatever else the search says
+        # the search returns only p: a phi whose pairing diverged is
+        # subtracted at that order, and its own pairing says it was needed
         want = run_job(Job(expression="delta * delta"))["results"][0]
-        monkeypatch.setattr(cli, "subtraction_order",
-                            lambda *args, **kwargs: pairing.SubtractionOrder(0, needed=False))
+        monkeypatch.setattr(cli, "subtraction_order", lambda *args, **kwargs: 0)
         res = run_job(Job(expression="delta * delta"))["results"][0]
         assert res["subtraction"] == {"p": 0, "needed": True}
         assert res == want and len(res["extensions"]) == 1
@@ -438,6 +437,15 @@ class TestMain:
         assert code == 2
         assert "plateau" in capsys.readouterr().err
 
+    def test_unhalvable_cutoff_names_the_jobs_cutoff(self, capsys):
+        # the cutoff check halves the cutoff: a plateau of 5e-324 halves to 0,
+        # and the one error line names the cutoff the job gave
+        code = main(["--expr", "delta * delta", "--plateau", "5e-324", "--support", "1e-323"])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("distprod: error: the cutoff check halves the cutoff "
+                               "plateau=5e-324, support=1e-323: ")
+
     def test_c_flag_builds_one_grid_row(self, capsys):
         code = main(["--expr", "delta * delta", "--c", "0.5", "--steps", "10"])
         assert code == 0
@@ -685,16 +693,16 @@ class TestWorkCount:
         calls["limit_pairing"] = 0
         run_job(Job(expression="delta * delta",
                     c_grid=[[complex(k, -k)] for k in range(16)]))
-        # phi, the search (base, its order-0 check against x * offset, three
+        # phi, the search (its order-0 check against x * offset, three
         # probes) and c = 0; delta is supported at the origin, so the cutoff
         # shift is 0 and pairs nothing
-        assert without_rows == 7
+        assert without_rows == 6
         assert calls["limit_pairing"] == without_rows
 
     @pytest.mark.parametrize("n_phi", [1, 4])
     def test_job_stages_share_quadratures(self, calls, n_phi):
-        # every phi's pairing in one quadrature, the whole search (base,
-        # order-0 check, three probes) in one, every phi's (Tbar, phibar) in
+        # every phi's pairing in one quadrature, the whole search (order-0
+        # check, three probes) in one, every phi's (Tbar, phibar) in
         # one (delta * delta is supported at the origin: no cutoff change is
         # paired): the subtracted pairings and the search's vanishing
         # functions are proved convergent, so their check schedules run in
@@ -702,18 +710,18 @@ class TestWorkCount:
         # number of phi
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)[:n_phi]]
         run_job(Job(expression="delta * delta", phis=phis))
-        assert calls["limit_pairing"] == 5 + 2 * n_phi
+        assert calls["limit_pairing"] == 4 + 2 * n_phi
         assert calls["quadrature"] == 3
 
     def test_search_up_to_the_bound_is_one_batch(self, calls):
-        # sd = 4 bounds the order by 2: the base, the checks of orders 0, 1
-        # and 2 and the order-2 probes share one batch, and the search finds
+        # sd = 4 bounds the order by 2: the checks of orders 0, 1 and 2 and
+        # the order-2 probes share one batch, and the search finds
         # 2; the order-2 pairings' check schedules share that quadrature too.
         # Besides it, phi's pairing and (Tbar, phibar), and no cutoff change:
         # d(delta) is supported at the origin
         report = run_job(Job(expression="d(delta) * d(delta)"))
         assert report["results"][0]["subtraction"] == {"p": 2, "needed": True}
-        assert calls["limit_pairing"] == 1 + 7 + 1
+        assert calls["limit_pairing"] == 1 + 6 + 1
         assert calls["quadrature"] == 3
 
     def test_overflowing_counterterm_row_runs_no_continuation(self, calls, monkeypatch,
@@ -738,7 +746,7 @@ class TestWorkCount:
         phis = [{"poly": [1.0], "sigma": s} for s in (0.6, 0.7, 0.8, 0.9)]
         report = run_job(Job(expression="delta * delta", phis=phis))
         assert calls["subtraction_order"] == 1
-        assert calls["limit_pairing"] == 5 + 2 * len(phis)
+        assert calls["limit_pairing"] == 4 + 2 * len(phis)
         assert all(r["subtraction"] == {"p": 0, "needed": True}
                    for r in report["results"])
 
