@@ -5,6 +5,7 @@ Numerical reference values were computed with an independent route
 here, so the adaptive Gauss-Kronrod engine is never checked against itself.
 """
 
+import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -1670,9 +1671,12 @@ def test_product_supported_at_origin(left, right):
     assert expr.supported_at_origin is (_ORIGIN_ATOMS[left] or _ORIGIN_ATOMS.get(right, False))
 
 
-def test_search_pairs_only_the_order_0_probes(monkeypatch):
-    # delta * delta (bound 0) is decided by one batch: its order-0 check
-    # against x * offset and the three order-0 probes, never offset itself
+@pytest.mark.parametrize("text", ["delta * delta", "delta", "delta * pv(1/x)",
+                                  "x^2 * delta * delta"])
+def test_search_pairs_only_the_order_0_probes(monkeypatch, text):
+    # each of these (bound 0) is decided by one batch: its order-0 check
+    # against x * offset and the three order-0 probes, never offset itself,
+    # whether the product diverges against it (delta * delta) or not
     batches = []
     batch = pairing.limit_pairings
 
@@ -1681,9 +1685,39 @@ def test_search_pairs_only_the_order_0_probes(monkeypatch):
         return batch(expr, phis, *args)
 
     monkeypatch.setattr(pairing, "limit_pairings", recording)
-    assert subtraction_order(parse_expression("delta * delta")) == 0
+    assert subtraction_order(parse_expression(text)) == 0
     assert batches == [[vanish_probe(0, REFERENCE_TEST_FUNCTIONS[name])
                         for name in ("offset", "gauss", "gauss_wide", "tilted")]]
+
+
+@pytest.mark.parametrize("spoiled, want", [
+    ({"offset": "inconclusive"}, 1),
+    ({"gauss": "inconclusive"}, 1),
+    ({"gauss": "inconclusive", "gauss_wide": "error"}, 1),
+    ({"gauss": "error", "gauss_wide": "inconclusive"}, QuadratureError),
+], ids=["check-inconclusive", "probe-inconclusive", "error-after-failure", "error-first"])
+def test_first_failed_entry_ends_its_order(monkeypatch, spoiled, want):
+    # delta * delta's order-0 entries are read in order, its check against
+    # x * offset and then its probes: the first that did not converge moves
+    # the search to order 1, and a QuadratureError is raised only when met
+    # before it
+    bad = {vanish_probe(0, REFERENCE_TEST_FUNCTIONS[name]): kind
+           for name, kind in spoiled.items()}
+    batch = pairing.limit_pairings
+
+    def spoiling(expr, phis, *args):
+        results = batch(expr, phis, *args)
+        return [QuadratureError("spoiled", height=0) if bad.get(phi) == "error"
+                else dataclasses.replace(res, status="inconclusive") if phi in bad
+                else res for phi, res in zip(phis, results)]
+
+    monkeypatch.setattr(pairing, "limit_pairings", spoiling)
+    expr = parse_expression("delta * delta")
+    if isinstance(want, type):
+        with pytest.raises(want, match="spoiled"):
+            subtraction_order(expr)
+    else:
+        assert subtraction_order(expr) == want
 
 
 # ---------------------------------------------------------------------------
