@@ -281,6 +281,10 @@ def _positive_param(name, param) -> int:
 # ---------------------------------------------------------------------------
 
 
+# How far the validation grid's worst ratio g / (C model) may exceed 1.
+_GROWTH_SLACK = 0.02
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     """Fitted growth model g(x, y) <= C * y^-alpha * (1 + |x|)^beta."""
@@ -298,7 +302,6 @@ def verify_growth_bound(
     pair: HyperfunctionPair,
     x_range: tuple[float, float] = (-10.0, 10.0),
     y_range: tuple[float, float] = (1e-3, 1.0),
-    tol: float = 0.02,
 ) -> GrowthReport:
     """Fit (C, alpha, beta) from samples of g(x,y) = |f+(x+iy)| + |f-(x-iy)|.
 
@@ -307,7 +310,7 @@ def verify_growth_bound(
     the outer part of the x range at the smallest height.  C is then the
     smallest constant making the bound hold on a coarse grid, and the residual
     is the worst ratio g / (C model) on a finer validation grid: ok means the
-    fitted bound survives refinement to within `tol`.
+    fitted bound survives refinement to within _GROWTH_SLACK.
     """
     x0, x1 = float(x_range[0]), float(x_range[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
@@ -356,7 +359,7 @@ def verify_growth_bound(
         residual=worst,
         x_range=(x0, x1),
         y_range=(y0, y1),
-        ok=bool(worst <= 1.0 + tol),
+        ok=bool(worst <= 1.0 + _GROWTH_SLACK),
     )
 
 

@@ -16,6 +16,7 @@ import argparse
 import cmath
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from .pairing import (
     NotExtendableError,
     QuadratureError,
     Schedule,
-    Tolerances,
     limit_pairings,
     subtraction_order,
 )
@@ -155,9 +155,6 @@ def job_from_doc(doc) -> Job:
         if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
             raise ConfigError(f"'c_grid' must be a list of lists, got {grid!r}")
         fields["c_grid"] = [[_complex_from_json(v) for v in row] for row in grid]
-        if "p_override" in fields:
-            # a fixed p sizes every row now, before any pairing runs
-            _cgrid_rows(fields["c_grid"], fields["p_override"])
     if doc.get("out") is not None:
         if not isinstance(doc["out"], str):
             raise ConfigError(f"'out' must be a path string, got {doc['out']!r}")
@@ -165,17 +162,11 @@ def job_from_doc(doc) -> Job:
     return Job(expression=doc["expression"], schedule=Schedule(**schedule), **fields)
 
 
-def _cgrid_rows(grid: list[list[complex]], p: int):
-    """Raise ConfigError unless every counterterm row holds p + 1 entries."""
+def _check_counterterms(grid: list[list[complex]], p: int, phis):
+    """Raise ConfigError unless each row has p + 1 entries and a finite sum on every phi."""
     for row in grid:
         if len(row) != p + 1:
-            raise ConfigError(
-                f"counterterm vector {row} has {len(row)} entries, need {p + 1}"
-            )
-
-
-def _finite_counterterms(grid: list[list[complex]], phis):
-    """Raise ConfigError unless every row's counterterm sum on every phi is finite."""
+            raise ConfigError(f"counterterm vector {row} has {len(row)} entries, need {p + 1}")
     for phi in phis:
         for c in grid:
             ct = counterterm_value(c, phi)
@@ -224,20 +215,23 @@ def _extension_blocks(job: Job, phi: TestFunction, p: int,
     return blocks, independence
 
 
-def run_job(job: Job, tol: Tolerances | None = None) -> dict:
+def run_job(job: Job) -> dict:
     """Execute a job and return the report document (not yet serialized).
 
-    The job runs in three stages, each one batch:
+    The job is its whole input: every pairing runs at ``DEFAULT_TOLERANCES``.
+    A fixed ``p_override`` refuses a c_grid row of the wrong width, or whose
+    counterterm sum on a phi is not finite, before anything is paired.  The
+    job then runs in three stages, each one batch:
       1. every phi's pairing, in one ``limit_pairings`` batch, which refuses
          the job if the schedule cannot resolve a phi; the first phi whose
          pairing raises raises it, as phi after phi would;
       2. the job's one subtraction order: ``p_override``, or else the
          order one ``subtraction_order`` search returns if any pairing diverged
-         (the search pairs only reference functions and probes, on its own
-         schedule, so one outcome, the order or the error it raised, serves
-         every phi); with the order fixed, a c_grid row of the wrong width,
-         or whose counterterm sum on a phi the order applies to is not
-         finite, refuses the job;
+         (the search pairs only reference functions and probes, at
+         ``DEFAULT_SCHEDULE`` and ``DEFAULT_TOLERANCES``, so one outcome, the
+         order or the error it raised, serves every phi); with the order
+         found, a c_grid row of the wrong width, or whose counterterm sum on
+         a phi that diverged is not finite, refuses the job;
       3. (Tbar, phibar) of every phi whose pairing diverged, with the
          shift a change to the halved cutoff gives it, in one
          ``evaluate_extensions`` batch: the shift is its cutoff-change
@@ -245,8 +239,6 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     One pass then builds each phi's report entry; its ``needed`` says that
     the phi diverged and was subtracted.
     """
-    if tol is None:
-        tol = _tolerances_from_env()
     expr = parse_expression(job.expression)
     omega = PlateauCutoff(job.plateau, job.support)
     try:
@@ -255,7 +247,9 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
         raise ConfigError(f"the cutoff check halves the cutoff plateau={omega.plateau}, "
                           f"support={omega.support}: {exc}") from None
     phis = [_phi_from_descriptor(desc) for desc in job.phis]
-    pairings = limit_pairings(expr, phis, job.schedule, tol)
+    if job.p_override is not None:
+        _check_counterterms(job.c_grid, job.p_override, phis)
+    pairings = limit_pairings(expr, phis, job.schedule)
     for pairing in pairings:
         if isinstance(pairing, Exception):
             raise pairing
@@ -265,17 +259,15 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
     p, search_error = job.p_override, None
     if p is None and any(diverged):
         try:
-            p = subtraction_order(expr, tol=tol)
+            p = subtraction_order(expr)
         except (NotExtendableError, QuadratureError) as exc:
             search_error = str(exc)
-    if p is not None:
-        _cgrid_rows(job.c_grid, p)
-        # a row's counterterm sum depends on the row and phi's jet alone
-        _finite_counterterms(job.c_grid, [phi for phi, d in zip(phis, diverged)
-                                          if job.p_override is not None or d])
+        else:
+            # a row's counterterm sum depends on the row and phi's jet alone
+            _check_counterterms(job.c_grid, p, [phi for phi, d in zip(phis, diverged) if d])
 
     subtracted = [phi for phi, d in zip(phis, diverged) if p is not None and d]
-    continued = iter(evaluate_extensions(expr, p, subtracted, omegas, job.schedule, tol)
+    continued = iter(evaluate_extensions(expr, p, subtracted, omegas, job.schedule)
                      if subtracted else ())
 
     results = []
@@ -311,7 +303,8 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
         "schedule": {"y0": job.schedule.y0, "ratio": job.schedule.ratio,
                      "count": job.schedule.count},
         "cutoff": {"plateau": job.plateau, "support": job.support},
-        "tolerances": {"quad_abs": tol.quad_abs, "convergence": tol.convergence},
+        "tolerances": {"quad_abs": DEFAULT_TOLERANCES.quad_abs,
+                       "convergence": DEFAULT_TOLERANCES.convergence},
         "results": results,
     }
 
@@ -321,25 +314,23 @@ def run_job(job: Job, tol: Tolerances | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _tolerances_from_env() -> Tolerances:
-    raw = os.environ.get("DISTPROD_TOL")
-    if raw is None:
-        return DEFAULT_TOLERANCES
-    try:
-        convergence = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DISTPROD_TOL={raw!r} is not a number") from exc
-    try:
-        return Tolerances(convergence)
-    except ValueError as exc:
-        raise ConfigError(f"DISTPROD_TOL={raw!r}: {exc}") from exc
-
-
 def _write_atomic(path: str, text: str):
+    """Write text to path through a temporary file in its directory.
+
+    The file keeps the mode of the file it replaces, or else gets the mode a
+    plain write gives, 0o666 less the umask (mkstemp's own is 0o600).
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o077)     # os.umask returns the mask only by replacing it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".distprod-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -55,10 +55,8 @@ import numpy as np
 from .expression import ProductExpression
 from .pairing import (
     DEFAULT_SCHEDULE,
-    DEFAULT_TOLERANCES,
     QuadratureError,
     Schedule,
-    Tolerances,
     limit_pairing,
     limit_pairings,
 )
@@ -221,8 +219,7 @@ def counterterm_value(c, phi) -> complex:
 
 def evaluate_extension(expr: ProductExpression, phi: TestFunction, p: int,
                        omega: PlateauCutoff | None = None,
-                       schedule: Schedule = DEFAULT_SCHEDULE,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
+                       schedule: Schedule = DEFAULT_SCHEDULE) -> complex:
     """(Tbar, phibar) for the order-p subtraction with cutoff omega.
 
     omega defaults to ``testfn.DEFAULT_CUTOFF``, PlateauCutoff(1.0, 2.0).
@@ -231,7 +228,7 @@ def evaluate_extension(expr: ProductExpression, phi: TestFunction, p: int,
     raised.
     """
     phibar = SubtractedFunction(phi, omega or DEFAULT_CUTOFF, p)
-    [value] = _limits(expr, p, [phibar], schedule, tol)
+    [value] = _limits(expr, p, [phibar], schedule)
     if isinstance(value, Exception):
         raise value
     return value
@@ -239,8 +236,7 @@ def evaluate_extension(expr: ProductExpression, phi: TestFunction, p: int,
 
 def evaluate_extensions(expr: ProductExpression, p: int, phis,
                         omegas: tuple[PlateauCutoff, PlateauCutoff],
-                        schedule: Schedule = DEFAULT_SCHEDULE,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> list:
+                        schedule: Schedule = DEFAULT_SCHEDULE) -> list:
     """(Tbar, shift) of every phi of phis at the order-p subtraction, in one batch.
 
     With omegas = (omega, omega2), Tbar is (Tbar, phibar) at omega, exactly
@@ -257,14 +253,13 @@ def evaluate_extensions(expr: ProductExpression, p: int, phis,
     functions = [SubtractedFunction(phi, omega, p) for phi in phis]
     if not expr.supported_at_origin:
         functions += [CutoffChange(phi, omega, omega2, p) for phi in phis]
-    values = _limits(expr, p, functions, schedule, tol)
+    values = _limits(expr, p, functions, schedule)
     shifts = values[len(phis):] or [0j] * len(phis)
     return [next((v for v in pair if isinstance(v, Exception)), pair)
             for pair in zip(values, shifts)]
 
 
-def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule,
-            tol: Tolerances) -> list:
+def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule) -> list:
     """The limit of expr's pairing with each function, from one ``limit_pairings`` batch.
 
     A pairing that raises gives its exception, a stall as a QuadratureError
@@ -272,7 +267,7 @@ def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule,
     converge an ExtensionError, returned, not raised.
     """
     values = []
-    for function, pairing in zip(functions, limit_pairings(expr, functions, schedule, tol)):
+    for function, pairing in zip(functions, limit_pairings(expr, functions, schedule)):
         name = "cutoff-change" if isinstance(function, CutoffChange) else "subtracted"
         if isinstance(pairing, QuadratureError):
             values.append(QuadratureError(f"{name} pairing for {expr.label!r}: {pairing}",
@@ -310,7 +305,6 @@ class FactorizationReport:
 def factorization_identity_check(expr: ProductExpression, kappa: int,
                                  psi: TestFunction,
                                  schedule: Schedule = DEFAULT_SCHEDULE,
-                                 tol: Tolerances = DEFAULT_TOLERANCES,
                                  atol: float = 1e-7) -> FactorizationReport:
     """(T, x^(kappa+1) psi) versus (x^(kappa+1) T, psi).
 
@@ -319,8 +313,8 @@ def factorization_identity_check(expr: ProductExpression, kappa: int,
     Either side failing to converge is reported via the status flags, not
     raised.
     """
-    lhs = limit_pairing(expr, vanish_probe(kappa, psi), schedule, tol)
-    rhs = limit_pairing(expr.with_extra_power(kappa + 1), psi, schedule, tol)
+    lhs = limit_pairing(expr, vanish_probe(kappa, psi), schedule)
+    rhs = limit_pairing(expr.with_extra_power(kappa + 1), psi, schedule)
     diff = None
     ok = False
     if lhs.status == "converged" and rhs.status == "converged":

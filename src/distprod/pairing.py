@@ -561,16 +561,16 @@ def _initial_panels(expr: ProductExpression, phi, ys, line, fold=False):
     return np.array(a), np.array(b), np.array(size), np.full(len(size), 2 if fold else 1)
 
 
-def pair_at_y(expr: ProductExpression, phi, y: float,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
+def pair_at_y(expr: ProductExpression, phi, y: float) -> complex:
     """Integrate x^R * prod F_i^y * phi over the line at a single height y.
 
     phi is a TestFunction or a Taylor-subtracted function; the domain is
     [-L, L] with L from phi.decay_radius, given the integrand's polynomial
     growth (see _initial_panels), or the same integral on [-L, L] + i eta
-    (see _line).  This is the one-height case of a schedule.
+    (see _line).  This is the one-height case of a schedule, with the
+    quadrature target of ``DEFAULT_TOLERANCES``.
     """
-    [outcome] = _evaluate_schedules(expr, [phi], [(y,)], tol)
+    [outcome] = _evaluate_schedules(expr, [phi], [(y,)], DEFAULT_TOLERANCES)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[1][0]
@@ -858,8 +858,7 @@ _PROBE_BASES = ("gauss", "gauss_wide", "tilted")
 _P_MAX = 6
 
 
-def subtraction_order(expr: ProductExpression,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+def subtraction_order(expr: ProductExpression) -> int:
     """The smallest Taylor order p whose subtraction tames expr, by direct search.
 
     A candidate p qualifies when the expression converges against
@@ -869,9 +868,9 @@ def subtraction_order(expr: ProductExpression,
     pairing's status; a convergent product gets 0, as its order-0 boosted
     check and probes all converge.
 
-    The order is the product's, not a job's: every pairing of the search
-    runs on ``DEFAULT_SCHEDULE``, looked up when the search runs, which
-    resolves every reference function and probe.
+    The order is the expression's alone, not a job's: every pairing of the
+    search runs at ``DEFAULT_TOLERANCES`` on ``DEFAULT_SCHEDULE``, looked up
+    when the search runs, which resolves every reference function and probe.
 
     The entries are read in order, for each p its boosted check and then its
     three probes; the first entry that did not converge ends its order, and
@@ -894,7 +893,7 @@ def subtraction_order(expr: ProductExpression,
     def read(*phis):
         fresh = [phi for phi in phis if phi not in paired]
         if fresh:
-            paired.update(zip(fresh, limit_pairings(expr, fresh, DEFAULT_SCHEDULE, tol)))
+            paired.update(zip(fresh, limit_pairings(expr, fresh, DEFAULT_SCHEDULE)))
         return [paired[phi] for phi in phis]
 
     read(*(vanish_probe(p, _GENERIC_PHI) for p in range(bound + 1)), *probes(bound))
@@ -936,8 +935,7 @@ class RingCheckReport:
 
 
 def ring_axiom_check(expr_a: ProductExpression, expr_b: ProductExpression,
-                     phi, y: float, rtol: float = 1e-12,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> RingCheckReport:
+                     phi, y: float, rtol: float = 1e-12) -> RingCheckReport:
     """Check that two arrangements of one factor multiset pair identically.
 
     The expressions must be permutations / unity-padded variants of the same
@@ -949,8 +947,8 @@ def ring_axiom_check(expr_a: ProductExpression, expr_b: ProductExpression,
 
     if signature(expr_a) != signature(expr_b) or expr_a.total_power != expr_b.total_power:
         raise ValueError("expressions are not arrangements of the same multiset")
-    va = pair_at_y(expr_a, phi, y, tol)
-    vb = pair_at_y(expr_b, phi, y, tol)
+    va = pair_at_y(expr_a, phi, y)
+    vb = pair_at_y(expr_b, phi, y)
     diff = abs(va - vb)
     bound = rtol * (1.0 + abs(va))
     return RingCheckReport(va, vb, diff, bound, bool(diff <= bound))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -418,18 +419,33 @@ class TestMain:
               '{"poly": [0, 1], "sigma": 1.0}', "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_env_tolerance_override(self, capsys, monkeypatch):
+    def test_environment_is_not_an_input(self, tmp_path, monkeypatch):
+        # the job's flags are its whole input: a tolerance in the environment
+        # changes no byte of the report
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["--expr", "delta * pv(1/x)", "--phi", '{"poly": [0, 1], "sigma": 1.0}']
+        monkeypatch.delenv("DISTPROD_TOL", raising=False)
+        assert main([*argv, "--out", str(out1)]) == 0
         monkeypatch.setenv("DISTPROD_TOL", "1e-5")
-        assert main(["--expr", "1", "--steps", "8"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["tolerances"]["convergence"] == 1e-5
-        assert doc["tolerances"]["quad_abs"] == pytest.approx(1e-8)
+        assert main([*argv, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("raw", ["fast", "inf", "nan", "-1", "0"])
-    def test_bad_env_tolerance(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("DISTPROD_TOL", raw)
-        assert main(["--expr", "1"]) == 2
-        assert f"DISTPROD_TOL={raw!r}" in capsys.readouterr().err
+    def test_new_output_file_gets_a_plain_writes_mode(self, tmp_path):
+        out = tmp_path / "report.json"
+        old = os.umask(0o022)
+        try:
+            assert main(["--expr", "1", "--steps", "8", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    def test_replaced_output_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("{}")
+        out.chmod(0o640)
+        assert main(["--expr", "1", "--steps", "8", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert json.loads(out.read_text())["expression"] == "1"
 
     def test_bad_cutoff_exit_two_on_convergent_product(self, capsys):
         code = main(["--expr", "delta * pv(1/x)", "--plateau", "5", "--support", "1",
@@ -801,6 +817,17 @@ class TestWorkCount:
         doc = {"expression": "delta * delta", "p": 0, "c_grid": [[1, 2]]}
         assert _run_job_file(tmp_path, doc) == 2
         assert "has 2 entries, need 1" in capsys.readouterr().err
+        assert calls["limit_pairing"] == 0
+
+    def test_job_with_wrong_width_row_and_fixed_p_runs_no_pairing(self, calls):
+        # a Job built in Python is checked as a job file is
+        with pytest.raises(ConfigError, match="has 2 entries, need 1"):
+            run_job(Job("delta * delta", p_override=0, c_grid=[[1, 2]]))
+        assert calls["limit_pairing"] == 0
+
+    def test_job_with_overflowing_row_and_fixed_p_runs_no_pairing(self, calls):
+        with pytest.raises(ConfigError, match=r"gives the non-finite value \(-inf"):
+            run_job(Job("d(delta) * d(delta)", p_override=2, c_grid=[[0, 0, 1e308]]))
         assert calls["limit_pairing"] == 0
 
     @pytest.mark.parametrize("p", [-1, 13])

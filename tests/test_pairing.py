@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import hashlib
 import importlib.util
+import inspect
 import math
 import os
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from distprod import pairing
+from distprod import boundary, cli, expression, extension, pairing, ratfun, testfn
 from distprod.boundary import HyperfunctionPair, RegulatorError, catalog
 from distprod.cli import Job, run_job
 from distprod.expression import ProductExpression, parse_expression
@@ -374,13 +375,24 @@ class TestRingAxioms:
             ring_axiom_check(a, b, gauss, 0.1)
 
 
-def test_tolerances_env_scaling():
+def test_tolerances_quad_abs_scaling():
     t = Tolerances(1e-5)
     assert t.convergence == 1e-5
     assert t.quad_abs == pytest.approx(1e-8)
     assert Tolerances().quad_abs == 1e-10
     assert Tolerances(1e-12).quad_abs == 1e-13
     assert hash(Tolerances()) == hash(Tolerances(1e-7))
+
+
+def test_only_limit_pairings_take_a_tolerance():
+    # the order search, the continuations, the checks and run_job pair at
+    # DEFAULT_TOLERANCES: a tolerance enters at limit_pairing(s) alone
+    takers = {name for module in (boundary, cli, expression, extension, pairing, ratfun, testfn)
+              for name, fn in vars(module).items()
+              if inspect.isfunction(fn) and fn.__module__ == module.__name__
+              and "tol" in inspect.signature(fn).parameters}
+    assert takers == {"limit_pairing", "limit_pairings",
+                      "_outcomes", "_evaluate_schedules", "_classify"}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -1842,7 +1854,7 @@ def test_same_side_job_runs_two_lines_in_one_quadrature(quadrature_calls):
     # -i pi and -i pi / 2
     job = Job("(x-i0)^-3", phis=[{"poly": [1], "sigma": math.sqrt(0.5)},
                                  {"poly": [1], "sigma": 1.0}])
-    results = run_job(job, DEFAULT_TOLERANCES)["results"]
+    results = run_job(job)["results"]
     assert quadrature_calls == [4]
     for entry, want in zip(results, (-1j * math.pi, -0.5j * math.pi)):
         assert entry["pairing"]["status"] == "converged"
