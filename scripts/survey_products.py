@@ -14,10 +14,10 @@ Usage:
 """
 
 import argparse
-import math
 
 from distprod.cli import Job, run_job
-from distprod.pairing import QuadratureError, Schedule
+from distprod.pairing import DEFAULT_SCHEDULE, QuadratureError, Schedule
+from distprod.testfn import REFERENCE_TEST_FUNCTIONS
 
 DEFAULT_CATALOG = [
     "1",
@@ -59,11 +59,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--expr", action="append", default=[],
                     help="additional expression (repeatable)")
-    ap.add_argument("--sigma", type=float, default=math.sqrt(0.5),
+    ap.add_argument("--sigma", type=float, default=REFERENCE_TEST_FUNCTIONS["gauss"].sigma,
                     help="width of the Gaussian test function")
-    ap.add_argument("--y0", type=float, default=0.1)
-    ap.add_argument("--ratio", type=float, default=0.5)
-    ap.add_argument("--steps", type=int, default=12)
+    ap.add_argument("--y0", type=float, default=DEFAULT_SCHEDULE.y0)
+    ap.add_argument("--ratio", type=float, default=DEFAULT_SCHEDULE.ratio)
+    ap.add_argument("--steps", type=int, default=DEFAULT_SCHEDULE.count)
     args = ap.parse_args()
 
     catalog = DEFAULT_CATALOG + args.expr

@@ -35,7 +35,6 @@ from .pairing import (
     Tolerances,
     limit_pairing,
     pair_at_y,
-    require_resolved,
     ring_axiom_check,
     subtraction_order,
 )

@@ -283,6 +283,9 @@ def _positive_param(name, param) -> int:
 
 # How far the validation grid's worst ratio g / (C model) may exceed 1.
 _GROWTH_SLACK = 0.02
+# The region the growth bound is fitted on: x in _GROWTH_X, y in _GROWTH_Y.
+_GROWTH_X = (-10.0, 10.0)
+_GROWTH_Y = (1e-3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -293,18 +296,13 @@ class GrowthReport:
     alpha: float
     beta: float
     residual: float
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
     ok: bool = field(default=False)
 
 
-def verify_growth_bound(
-    pair: HyperfunctionPair,
-    x_range: tuple[float, float] = (-10.0, 10.0),
-    y_range: tuple[float, float] = (1e-3, 1.0),
-) -> GrowthReport:
+def verify_growth_bound(pair: HyperfunctionPair) -> GrowthReport:
     """Fit (C, alpha, beta) from samples of g(x,y) = |f+(x+iy)| + |f-(x-iy)|.
 
+    The samples lie in the fixed region x in _GROWTH_X, y in _GROWTH_Y.
     alpha comes from the y-scaling of the on-axis column x = 0 (or the small-x
     column if the pair vanishes at the origin); beta from the |x|-scaling of
     the outer part of the x range at the smallest height.  C is then the
@@ -312,12 +310,7 @@ def verify_growth_bound(
     is the worst ratio g / (C model) on a finer validation grid: ok means the
     fitted bound survives refinement to within _GROWTH_SLACK.
     """
-    x0, x1 = float(x_range[0]), float(x_range[1])
-    y0, y1 = float(y_range[0]), float(y_range[1])
-    if not (0.0 < y0 < y1 and math.isfinite(y1)):
-        raise ValueError(f"need 0 < y_min < y_max < inf, got {y_range}")
-    if not x0 < x1:
-        raise ValueError(f"need x_min < x_max, got {x_range}")
+    (x0, x1), (y0, y1) = _GROWTH_X, _GROWTH_Y
 
     def g(x, y):
         x = np.asarray(x, dtype=float)
@@ -357,8 +350,6 @@ def verify_growth_bound(
         alpha=alpha_fit,
         beta=beta_fit,
         residual=worst,
-        x_range=(x0, x1),
-        y_range=(y0, y1),
         ok=bool(worst <= 1.0 + _GROWTH_SLACK),
     )
 

@@ -218,17 +218,16 @@ def counterterm_value(c, phi) -> complex:
 
 
 def evaluate_extension(expr: ProductExpression, phi: TestFunction, p: int,
-                       omega: PlateauCutoff | None = None,
-                       schedule: Schedule = DEFAULT_SCHEDULE) -> complex:
+                       omega: PlateauCutoff = DEFAULT_CUTOFF) -> complex:
     """(Tbar, phibar) for the order-p subtraction with cutoff omega.
 
     omega defaults to ``testfn.DEFAULT_CUTOFF``, PlateauCutoff(1.0, 2.0).
-    The pairing must converge; otherwise the order is too small for the
-    expression, or the expression is outside scope, and ExtensionError is
-    raised.
+    phibar is paired on ``DEFAULT_SCHEDULE``.  The pairing must converge;
+    otherwise the order is too small for the expression, or the expression
+    is outside scope, and ExtensionError is raised.
     """
-    phibar = SubtractedFunction(phi, omega or DEFAULT_CUTOFF, p)
-    [value] = _limits(expr, p, [phibar], schedule)
+    phibar = SubtractedFunction(phi, omega, p)
+    [value] = _limits(expr, p, [phibar], DEFAULT_SCHEDULE)
     if isinstance(value, Exception):
         raise value
     return value
@@ -262,9 +261,9 @@ def evaluate_extensions(expr: ProductExpression, p: int, phis,
 def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule) -> list:
     """The limit of expr's pairing with each function, from one ``limit_pairings`` batch.
 
-    A pairing that raises gives its exception, a stall as a QuadratureError
-    at the same height whose message names the pairing, and one that does not
-    converge an ExtensionError, returned, not raised.
+    A stall gives a QuadratureError at the same height whose message names
+    the pairing, and a pairing that does not converge an ExtensionError,
+    returned, not raised.
     """
     values = []
     for function, pairing in zip(functions, limit_pairings(expr, functions, schedule)):
@@ -272,8 +271,6 @@ def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule) -> l
         if isinstance(pairing, QuadratureError):
             values.append(QuadratureError(f"{name} pairing for {expr.label!r}: {pairing}",
                                           pairing.height))
-        elif isinstance(pairing, Exception):
-            values.append(pairing)
         elif pairing.status != "converged":
             why = ("the schedule does not resolve the cutoff shift"
                    if isinstance(function, CutoffChange) else
@@ -291,6 +288,10 @@ def _limits(expr: ProductExpression, p: int, functions, schedule: Schedule) -> l
 # ---------------------------------------------------------------------------
 
 
+# The absolute tolerance of ``factorization_identity_check``.
+_FACTORIZATION_ATOL = 1e-7
+
+
 @dataclass(frozen=True)
 class FactorizationReport:
     lhs_value: complex | None
@@ -303,22 +304,21 @@ class FactorizationReport:
 
 
 def factorization_identity_check(expr: ProductExpression, kappa: int,
-                                 psi: TestFunction,
-                                 schedule: Schedule = DEFAULT_SCHEDULE,
-                                 atol: float = 1e-7) -> FactorizationReport:
+                                 psi: TestFunction) -> FactorizationReport:
     """(T, x^(kappa+1) psi) versus (x^(kappa+1) T, psi).
 
     The left side pairs the expression with the probe x^(kappa+1)*psi; the
     right side moves the monomial into the expression's prefactor power.
-    Either side failing to converge is reported via the status flags, not
-    raised.
+    Both pair on ``DEFAULT_SCHEDULE`` and must agree within
+    _FACTORIZATION_ATOL.  Either side failing to converge is reported via
+    the status flags, not raised.
     """
-    lhs = limit_pairing(expr, vanish_probe(kappa, psi), schedule)
-    rhs = limit_pairing(expr.with_extra_power(kappa + 1), psi, schedule)
+    lhs = limit_pairing(expr, vanish_probe(kappa, psi))
+    rhs = limit_pairing(expr.with_extra_power(kappa + 1), psi)
     diff = None
     ok = False
     if lhs.status == "converged" and rhs.status == "converged":
         diff = abs(lhs.value - rhs.value)
-        ok = diff <= atol
+        ok = diff <= _FACTORIZATION_ATOL
     return FactorizationReport(lhs.value, rhs.value, lhs.status, rhs.status,
-                               diff, atol, ok)
+                               diff, _FACTORIZATION_ATOL, ok)

@@ -597,8 +597,6 @@ def _richardson_diagonal(values, ratio: float) -> list[complex]:
 
 
 def _tail_stable(diag, atol: float) -> bool:
-    if len(diag) < 3:
-        return False
     a, b, c = diag[-3], diag[-2], diag[-1]
     return (
         abs(b.real - c.real) <= atol
@@ -686,19 +684,6 @@ def _all_noise(integrals, targets) -> bool:
     return all(abs(v) <= t for v, t in zip(integrals, targets))
 
 
-def require_resolved(phi, schedule: Schedule):
-    """Raise ValueError if phi is narrower than the schedule's smallest height.
-
-    No height resolves such a phi: each I(y) sees little more than its mass,
-    and the extrapolated limit is confidently wrong (delta pairs to 0, not
-    phi(0)).  phi is a TestFunction or a Taylor-subtracted function.
-    """
-    y_min = schedule.heights()[-1]
-    if phi.sigma < y_min:
-        raise ValueError(f"test function sigma {phi.sigma!r} is below the schedule's "
-                         f"smallest height {y_min!r}")
-
-
 def limit_pairing(expr: ProductExpression, phi,
                   schedule: Schedule = DEFAULT_SCHEDULE,
                   tol: Tolerances = DEFAULT_TOLERANCES) -> PairingResult:
@@ -722,9 +707,9 @@ def limit_pairing(expr: ProductExpression, phi,
     MIN_HEIGHTS heights are required, otherwise the quadrature failure
     propagates).
 
-    A phi narrower than the smallest height is refused first, with the
-    ValueError of ``require_resolved``.  This is the one-phi case of
-    ``limit_pairings``.
+    A phi narrower than the smallest height is refused first with a
+    ValueError, as ``limit_pairings`` refuses it.  This is the one-phi case
+    of ``limit_pairings``.
     """
     [result] = limit_pairings(expr, [phi], schedule, tol)
     if isinstance(result, Exception):
@@ -736,9 +721,11 @@ def limit_pairings(expr: ProductExpression, phis, schedule: Schedule = DEFAULT_S
                    tol: Tolerances = DEFAULT_TOLERANCES) -> list:
     """``limit_pairing`` of expr against every phi of phis, in one quadrature.
 
-    The batch is refused first: the first phi, in order, that
-    ``require_resolved`` refuses raises its ValueError before anything is
-    integrated, a proved zero included.  A phi that
+    The batch is refused first: the first phi, in order, whose sigma is
+    below the schedule's smallest height raises a ValueError before anything
+    is integrated, a proved zero included.  No height resolves such a phi:
+    each I(y) sees little more than its mass, and the extrapolated limit is
+    confidently wrong (delta pairs to 0, not phi(0)).  A phi that
     ``ProductExpression.vanishes_against`` proves then gets its exact 0 (the
     main heights, every I(y) 0j, converged to 0) and runs no schedule; a
     batch of only such phi runs no quadrature.  One lockstep quadrature runs
@@ -755,9 +742,11 @@ def limit_pairings(expr: ProductExpression, phis, schedule: Schedule = DEFAULT_S
     not raised.
     """
     phis = list(phis)
-    for phi in phis:
-        require_resolved(phi, schedule)
     main_ys, check_ys = schedule.heights(), schedule.heights(CHECK_RATIO)
+    for phi in phis:
+        if phi.sigma < main_ys[-1]:
+            raise ValueError(f"test function sigma {phi.sigma!r} is below the schedule's "
+                             f"smallest height {main_ys[-1]!r}")
     live = [i for i, phi in enumerate(phis) if not expr.vanishes_against(phi)]
     outcomes = _outcomes(expr, phis, [
         (i, ys) for i in live
@@ -925,6 +914,10 @@ def _all_converged(results) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# The relative tolerance of ``ring_axiom_check``.
+_RING_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class RingCheckReport:
     value_a: complex
@@ -935,12 +928,14 @@ class RingCheckReport:
 
 
 def ring_axiom_check(expr_a: ProductExpression, expr_b: ProductExpression,
-                     phi, y: float, rtol: float = 1e-12) -> RingCheckReport:
+                     phi, y: float) -> RingCheckReport:
     """Check that two arrangements of one factor multiset pair identically.
 
-    The expressions must be permutations / unity-padded variants of the same
-    multiset (compared by catalog label, ignoring unit factors) with equal
-    total prefactor power; anything else is a usage error, not a failed check.
+    The two pairings at height y must agree within _RING_RTOL times
+    1 + |first value|.  The expressions must be permutations / unity-padded
+    variants of the same multiset (compared by catalog label, ignoring unit
+    factors) with equal total prefactor power; anything else is a usage
+    error, not a failed check.
     """
     def signature(expr):
         return sorted(p.label for p in expr.factors if p.label != "1")
@@ -950,5 +945,5 @@ def ring_axiom_check(expr_a: ProductExpression, expr_b: ProductExpression,
     va = pair_at_y(expr_a, phi, y)
     vb = pair_at_y(expr_b, phi, y)
     diff = abs(va - vb)
-    bound = rtol * (1.0 + abs(va))
+    bound = _RING_RTOL * (1.0 + abs(va))
     return RingCheckReport(va, vb, diff, bound, bool(diff <= bound))

@@ -137,7 +137,7 @@ def test_c07_ring_axioms():
     for y in (0.1, 0.01):
         for other in (ProductExpression((X, DELTA, PV)), ProductExpression((PV, X, DELTA)),
                       ProductExpression((catalog("one"), DELTA, PV, X))):
-            rep = ring_axiom_check(base, other, GAUSS, y, rtol=1e-12)
+            rep = ring_axiom_check(base, other, GAUSS, y)
             worst = max(worst, rep.difference)
             all_ok = all_ok and rep.ok
     _report("C07", all_ok, "3-factor reorderings and unity padding pair "
@@ -165,7 +165,7 @@ def test_c09_order_formula():
 
 
 def test_c10_growth_bound():
-    rep = verify_growth_bound(I0, x_range=(-10.0, 10.0), y_range=(1e-3, 1.0))
+    rep = verify_growth_bound(I0)
     a_err = abs(rep.alpha - 1.0)
     ok = a_err <= 0.05 and rep.residual <= 1.01
     _report("C10", ok, "fitted growth of (x+i0)^-1 is alpha = 1 with residual "
@@ -190,14 +190,3 @@ def test_c11_continuation_property():
     ok = worst <= 1e-7
     _report("C11", ok, "extension equals the naive limit on vanishing probes, "
             "for any c and cutoff", f"worst diff {worst:.2e}")
-
-
-if __name__ == "__main__":
-    failures = 0
-    for name, fn in sorted(globals().items()):
-        if name.startswith("test_c"):
-            try:
-                fn()
-            except AssertionError:
-                failures += 1
-    sys.exit(1 if failures else 0)

@@ -215,6 +215,15 @@ class TestRunJob:
         with pytest.raises(ConfigError):
             run_job(job)
 
+    def test_non_finite_block_value_refused(self, monkeypatch):
+        # the row's sum 1e308 is finite, and so is (Tbar, phibar); their sum,
+        # the block's value, is not, and a report holds numbers
+        monkeypatch.setattr(cli, "evaluate_extensions",
+                            lambda expr, p, phis, *rest: [(1e308, 0)] * len(phis))
+        with pytest.raises(ConfigError, match=r"^counterterm vector \[1e\+308\] gives the "
+                           r"non-finite value \(inf\+0j\) on test function "):
+            run_job(Job("delta * delta", c_grid=[[1e308]]))
+
     def test_stalling_phi_raises_in_phi_order(self):
         # phi after phi, the first phi whose pairing stalled raised its
         # error; with every phi's pairing in one batch, it still does
@@ -395,6 +404,16 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err == (
             "distprod: error: integer parameter of 5000 digits is too large (byte offset 8)\n")
+
+    @pytest.mark.parametrize("args, job, message", [
+        (["--expr", "delta", "--c", "abc"], None, "cannot read 'abc' as a complex number"),
+        (["--expr", "delta", "--phi", "{bad"], None, "--phi is not valid JSON: '{bad'"),
+        ([], [1], "job file must hold a JSON object"),
+    ], ids=["c", "phi", "job_file"])
+    def test_unreadable_input_exit_two(self, tmp_path, capsys, args, job, message):
+        code = main(args) if job is None else _run_job_file(tmp_path, job)
+        assert code == 2
+        assert capsys.readouterr().err == f"distprod: error: {message}\n"
 
     def test_missing_expr_exit_two(self, capsys):
         assert main([]) == 2

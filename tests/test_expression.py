@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distprod.boundary import catalog
+from distprod.boundary import HyperfunctionPair, catalog
 from distprod.expression import ParseError, ProductExpression, parse_expression
+from distprod.ratfun import RationalFunction
 
 
 class TestParser:
@@ -248,11 +249,14 @@ class TestProductExpression:
     ("(x+i0)^-1 * (x+i0)^-1", None),
     ("(x+i0)^-1 * (x-i0)^-2", None),
     ("d(delta) * (x+i0)^-1", None),
+    # a two-sided library factor with no parity: f+ = 1/z, f- = 2/z
+    (ProductExpression((HyperfunctionPair(RationalFunction(1.0, -1),
+                                          RationalFunction(2.0, -1)),)), None),
 ])
 def test_product_parity(text, want):
     # the one-sided factors have a joint parity, +1, when their (+)-side and
     # (-)-side powers sum to the same; checked on the kernel's values
-    expr = parse_expression(text)
+    expr = text if isinstance(text, ProductExpression) else parse_expression(text)
     assert expr.parity == want
 
     def kernel(x, y):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import distprod
 from distprod import boundary, cli, expression, extension, pairing, ratfun, testfn
 from distprod.boundary import HyperfunctionPair, RegulatorError, catalog
 from distprod.cli import Job, run_job
@@ -393,6 +394,25 @@ def test_only_limit_pairings_take_a_tolerance():
               and "tol" in inspect.signature(fn).parameters}
     assert takers == {"limit_pairing", "limit_pairings",
                       "_outcomes", "_evaluate_schedules", "_classify"}
+
+
+def test_checks_and_continuation_take_only_their_inputs():
+    # the growth region, the check tolerances and the continuation's schedule
+    # are constants; limit_pairings refuses a narrow phi itself
+    signatures = {fn.__name__: list(inspect.signature(fn).parameters)
+                  for fn in (boundary.verify_growth_bound, pairing.ring_axiom_check,
+                             extension.factorization_identity_check,
+                             extension.evaluate_extension)}
+    assert signatures == {
+        "verify_growth_bound": ["pair"],
+        "ring_axiom_check": ["expr_a", "expr_b", "phi", "y"],
+        "factorization_identity_check": ["expr", "kappa", "psi"],
+        "evaluate_extension": ["expr", "phi", "p", "omega"],
+    }
+    omega = inspect.signature(extension.evaluate_extension).parameters["omega"]
+    assert omega.default is DEFAULT_CUTOFF
+    assert not hasattr(distprod, "require_resolved")
+    assert not hasattr(pairing, "require_resolved")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -1636,7 +1656,13 @@ def test_proved_zeros_read_as_noise(terms, coeffs, sigma):
         assert pairing._all_noise(values, targets)
 
 
-@pytest.mark.parametrize("atom", _atoms_through_depth(3), ids=lambda a: a.label)
+# a library pair c+ / z, f- = -conj(c+) / z: real, with neither parity
+_LIBRARY_PAIR = HyperfunctionPair(RationalFunction(0.3 + 0.2j, -1),
+                                  RationalFunction(-(0.3 - 0.2j), -1), "(0.3+0.2i)/z")
+
+
+@pytest.mark.parametrize("atom", [*_atoms_through_depth(3), _LIBRARY_PAIR],
+                         ids=lambda a: a.label)
 def test_atom_parity_and_side(atom):
     # parity: F_y(-x) against F_y(x) at every height.  Side: a boundary
     # value from above alone is a function of x + iy, so dF/dy = i dF/dx;
